@@ -34,10 +34,6 @@ fn bench_lookup_or_successor(c: &mut Criterion) {
         let dom = keys(n, 2, 8_192, 3);
         let trie = FnStore::from_pairs(params, dom.iter().map(|k| (k.as_slice(), 1u64)));
         let flat = FlatStore::from_pairs(params, dom.iter().map(|k| (k.as_slice(), 1u64)));
-        let eyt = FlatStore::from_pairs(
-            params.with_eytzinger(),
-            dom.iter().map(|k| (k.as_slice(), 1u64)),
-        );
         // Mostly-miss probes: the successor-on-miss path is what the
         // enumeration hot loop exercises.
         let probes: Vec<u128> = keys(n, 2, 1_024, 5)
@@ -56,13 +52,6 @@ fn bench_lookup_or_successor(c: &mut Criterion) {
             b.iter(|| {
                 for &p in &probes {
                     black_box(flat.successor_inclusive_packed(black_box(p)));
-                }
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("eytzinger", n), &n, |b, _| {
-            b.iter(|| {
-                for &p in &probes {
-                    black_box(eyt.successor_inclusive_packed(black_box(p)));
                 }
             })
         });

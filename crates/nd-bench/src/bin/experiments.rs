@@ -1745,21 +1745,12 @@ fn a10_flat_store(cfg: &Config) -> String {
 
     println!("\n[A10] flat arena store: layout microbench + dense prepare share");
     let t = Table::new(
-        &[
-            "probe-set",
-            "n",
-            "trie",
-            "flat",
-            "eyt",
-            "flat/trie",
-            "eyt/flat",
-        ],
-        &[11, 9, 9, 9, 9, 9, 9],
+        &["probe-set", "n", "trie", "flat", "flat/trie"],
+        &[11, 9, 9, 9, 9],
     );
     let mut micro = JsonArray::new();
     let probe_count = 1_024usize;
     let mut lookup_ratios: Vec<f64> = Vec::new();
-    let mut eyt_ratios: Vec<f64> = Vec::new();
     for log_n in if cfg.quick {
         vec![12u32, 16]
     } else {
@@ -1770,10 +1761,6 @@ fn a10_flat_store(cfg: &Config) -> String {
         let dom = keys_for(n, 2, 8_192, 3);
         let trie = FnStore::from_pairs(params, dom.iter().map(|k| (k.as_slice(), 1u64)));
         let flat = FlatStore::from_pairs(params, dom.iter().map(|k| (k.as_slice(), 1u64)));
-        let eyt = FlatStore::from_pairs(
-            params.with_eytzinger(),
-            dom.iter().map(|k| (k.as_slice(), 1u64)),
-        );
         let probes: Vec<u128> = keys_for(n, 2, probe_count, 5)
             .iter()
             .map(|k| params.pack(k))
@@ -1805,56 +1792,28 @@ fn a10_flat_store(cfg: &Config) -> String {
             }
             acc
         };
-        let sweep_eyt = || {
-            let mut acc = 0u64;
-            for _ in 0..reps {
-                for &p in &probes {
-                    acc = acc.wrapping_add(
-                        std::hint::black_box(eyt.successor_inclusive_packed(p))
-                            .map_or(1, |s| s as u64),
-                    );
-                }
-            }
-            acc
-        };
         std::hint::black_box(sweep_trie());
         std::hint::black_box(sweep_flat());
-        std::hint::black_box(sweep_eyt());
         let (trie_acc, trie_dur) = time_it(sweep_trie);
         let (flat_acc, flat_dur) = time_it(sweep_flat);
-        let (eyt_acc, eyt_dur) = time_it(sweep_eyt);
         assert_eq!(trie_acc, flat_acc, "A10: layouts disagree on a probe sweep");
-        assert_eq!(
-            flat_acc, eyt_acc,
-            "A10: eytzinger layout disagrees on a probe sweep"
-        );
         let per_probe = |d: std::time::Duration| d.as_secs_f64() / (reps * probe_count) as f64;
-        let (trie_ns, flat_ns, eyt_ns) = (
-            per_probe(trie_dur) * 1e9,
-            per_probe(flat_dur) * 1e9,
-            per_probe(eyt_dur) * 1e9,
-        );
+        let (trie_ns, flat_ns) = (per_probe(trie_dur) * 1e9, per_probe(flat_dur) * 1e9);
         let ratio = flat_ns / trie_ns.max(1e-12);
-        let eratio = eyt_ns / flat_ns.max(1e-12);
         lookup_ratios.push(ratio);
-        eyt_ratios.push(eratio);
         t.row(&[
             "lookup-or-succ".to_string(),
             format!("{n}"),
             format!("{trie_ns:.1}ns"),
             format!("{flat_ns:.1}ns"),
-            format!("{eyt_ns:.1}ns"),
             format!("{ratio:.2}"),
-            format!("{eratio:.2}"),
         ]);
         emit_json(cfg.json, "a10", |o| {
             o.field_str("probe_set", "lookup_or_successor")
                 .field_u64("n", n)
                 .field_f64("trie_ns", trie_ns)
                 .field_f64("flat_ns", flat_ns)
-                .field_f64("eytzinger_ns", eyt_ns)
-                .field_f64("flat_over_trie", ratio)
-                .field_f64("eytzinger_over_flat", eratio);
+                .field_f64("flat_over_trie", ratio);
         });
         let mut o = JsonObject::new();
         o.field_str("probe_set", "lookup_or_successor")
@@ -1863,9 +1822,7 @@ fn a10_flat_store(cfg: &Config) -> String {
             .field_u64("probes", (reps * probe_count) as u64)
             .field_f64("trie_ns", trie_ns)
             .field_f64("flat_ns", flat_ns)
-            .field_f64("eytzinger_ns", eyt_ns)
-            .field_f64("flat_over_trie", ratio)
-            .field_f64("eytzinger_over_flat", eratio);
+            .field_f64("flat_over_trie", ratio);
         micro.push_raw(&o.finish());
 
         // Bulk build, same pairs: one sorted pass vs insert-at-a-time.
@@ -1959,23 +1916,10 @@ fn a10_flat_store(cfg: &Config) -> String {
         }
     }
 
-    // The eytzinger layout is opt-in (a StoreParams flag), so it carries
-    // no gate of its own — the medians are recorded so the flag's value
-    // can be judged per host. It replaces the directory-narrowed bucket
-    // search with one branchless sweep over the whole arena: a win only
-    // when the directory is coarse (degenerate key spans); where the
-    // radix directory already narrows to a handful of keys, the plain
-    // layout stays ahead and the recorded median says so.
-    let mut esorted = eyt_ratios.clone();
-    esorted.sort_by(|a, b| a.partial_cmp(b).expect("ratios are finite"));
-    let eyt_median = esorted[esorted.len() / 2];
-    println!("  eytzinger/flat lookup median: {eyt_median:.2}");
-
     let mut doc = JsonObject::new();
     doc.field_raw("microbench", &micro.finish())
         .field_raw("dense_prepare", &shares.finish())
-        .field_f64("lookup_ratio_median", median)
-        .field_f64("eytzinger_over_flat_median", eyt_median);
+        .field_f64("lookup_ratio_median", median);
     doc.finish()
 }
 

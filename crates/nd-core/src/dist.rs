@@ -103,7 +103,7 @@ enum Node {
 }
 
 /// Row-major bitmap of `n` balls over an `n`-vertex base graph. The bit
-/// words are a [`nd_persist::Slab`]: decoded from a mapped padded
+/// words are a [`nd_persist::Slab`]: decoded from a mapped
 /// container they are served straight out of the file pages (this is the
 /// dominant section of a dense-family index, so it is where zero-copy
 /// loading pays).
@@ -118,10 +118,6 @@ impl BallGrid {
     fn contains(&self, a: Vertex, b: Vertex) -> bool {
         let w = self.bits[a as usize * self.words_per_row + (b as usize >> 6)];
         w >> (b as usize & 63) & 1 == 1
-    }
-
-    fn row(&self, a: usize) -> &[u64] {
-        &self.bits[a * self.words_per_row..(a + 1) * self.words_per_row]
     }
 }
 
@@ -207,12 +203,10 @@ impl DistOracle {
     /// already-validated graph section, never from the file, so a corrupt
     /// count cannot drive allocations). Re-validates every invariant
     /// `test` relies on: per-level vertex counts, bag/sub embeddings,
-    /// recoloring-table lengths. `format_version` selects the embedded
-    /// membership-store decoder (v2 = trie, v3 = flat arena).
+    /// recoloring-table lengths.
     pub fn read_from(
         r: &mut nd_persist::Reader<'_>,
         n: usize,
-        format_version: u32,
     ) -> Result<DistOracle, nd_persist::PersistError> {
         let radius = r.u32("oracle radius")?;
         let to_usize = |v: u64, what: &str| {
@@ -226,7 +220,7 @@ impl DistOracle {
             depth: r.u32("oracle depth")?,
             bags: to_usize(r.u64("oracle bags")?, "oracle bags")?,
         };
-        let root = read_node(r, n, 0, format_version)?;
+        let root = read_node(r, n, 0)?;
         Ok(DistOracle {
             r: radius,
             root,
@@ -380,16 +374,8 @@ fn write_node(node: &Node, w: &mut nd_persist::Writer) {
         Node::NaiveDense(grid) => {
             w.u8(3);
             w.seq_len(grid.n);
-            if w.is_padded() {
-                // Raw aligned bit rows a mapped load can borrow in place;
-                // the adaptive per-row set encoding below only ever saves
-                // bytes on rows a dense grid does not have.
-                w.u64_slab(&grid.bits);
-            } else {
-                for a in 0..grid.n {
-                    w.sorted_set_words(grid.row(a), grid.n as u32);
-                }
-            }
+            // Raw aligned bit rows a mapped load can borrow in place.
+            w.u64_slab(&grid.bits);
         }
         Node::Bfs(g) => {
             w.u8(1);
@@ -418,7 +404,6 @@ fn read_node(
     r: &mut nd_persist::Reader<'_>,
     n: usize,
     depth: u32,
-    format_version: u32,
 ) -> Result<Node, nd_persist::PersistError> {
     use nd_persist::malformed;
     if depth > MAX_DECODE_DEPTH {
@@ -449,7 +434,7 @@ fn read_node(
             Node::Bfs(g)
         }
         2 => {
-            let cover = Cover::read_from(r, format_version)?;
+            let cover = Cover::read_from(r)?;
             if cover.n() != n {
                 return Err(malformed("oracle cover does not match the vertex count"));
             }
@@ -478,7 +463,7 @@ fn read_node(
                 if ri.len() != sub.n() {
                     return Err(malformed("oracle recoloring table has the wrong length"));
                 }
-                let inner = read_node(r, sub.n(), depth + 1, format_version)?;
+                let inner = read_node(r, sub.n(), depth + 1)?;
                 bags.push(BagNode { sub, s, ri, inner });
             }
             Node::Split(Box::new(SplitNode { cover, bags }))
@@ -491,33 +476,22 @@ fn read_node(
                 ));
             }
             let words_per_row = n.div_ceil(64);
-            if r.is_padded() {
-                let bits = r.u64_slab("oracle ball grid")?;
-                if bits.len() != count * words_per_row {
-                    return Err(malformed("oracle ball grid has the wrong word count"));
-                }
-                if r.should_validate() && !n.is_multiple_of(64) {
-                    let mask = !0u64 << (n % 64);
-                    for row in bits.chunks_exact(words_per_row) {
-                        if row[words_per_row - 1] & mask != 0 {
-                            return Err(malformed("oracle ball grid has bits beyond n"));
-                        }
+            let bits = r.u64_slab("oracle ball grid")?;
+            if bits.len() != count * words_per_row {
+                return Err(malformed("oracle ball grid has the wrong word count"));
+            }
+            if r.should_validate() && !n.is_multiple_of(64) {
+                let mask = !0u64 << (n % 64);
+                for row in bits.chunks_exact(words_per_row) {
+                    if row[words_per_row - 1] & mask != 0 {
+                        return Err(malformed("oracle ball grid has bits beyond n"));
                     }
                 }
-                return Ok(Node::NaiveDense(BallGrid {
-                    n,
-                    words_per_row,
-                    bits,
-                }));
-            }
-            let mut bits = vec![0u64; count * words_per_row];
-            for row in bits.chunks_exact_mut(words_per_row.max(1)) {
-                r.sorted_set_into_words(n as u32, row, "oracle ball")?;
             }
             Node::NaiveDense(BallGrid {
                 n,
                 words_per_row,
-                bits: bits.into(),
+                bits,
             })
         }
         other => return Err(malformed(format!("unknown oracle node tag {other}"))),
@@ -682,7 +656,7 @@ mod tests {
             oracle.write_into(&mut w);
             let bytes = w.into_bytes();
             let mut rd = nd_persist::Reader::new(&bytes);
-            let back = DistOracle::read_from(&mut rd, g.n(), nd_persist::FORMAT_VERSION).unwrap();
+            let back = DistOracle::read_from(&mut rd, g.n()).unwrap();
             rd.finish().unwrap();
             assert_eq!(back.radius(), r);
             assert_eq!(back.stats().total_vertices, oracle.stats().total_vertices);
@@ -708,33 +682,19 @@ mod tests {
         // Every truncation is a typed error, never a panic.
         for cut in (0..bytes.len()).step_by(7) {
             assert!(
-                DistOracle::read_from(
-                    &mut nd_persist::Reader::new(&bytes[..cut]),
-                    g.n(),
-                    nd_persist::FORMAT_VERSION
-                )
-                .is_err(),
+                DistOracle::read_from(&mut nd_persist::Reader::new(&bytes[..cut]), g.n()).is_err(),
                 "cut {cut}"
             );
         }
         // A mismatched vertex count is rejected outright.
-        assert!(DistOracle::read_from(
-            &mut nd_persist::Reader::new(&bytes),
-            g.n() + 1,
-            nd_persist::FORMAT_VERSION
-        )
-        .is_err());
+        assert!(DistOracle::read_from(&mut nd_persist::Reader::new(&bytes), g.n() + 1).is_err());
         // Hostile intact-looking bytes: either a typed error, or a decoded
         // oracle whose queries are safe to run (possibly wrong, never a
         // panic). Overwrite one byte at a stride across the payload.
         for i in (0..bytes.len()).step_by(11) {
             let mut c = bytes.clone();
             c[i] = c[i].wrapping_add(1);
-            if let Ok(back) = DistOracle::read_from(
-                &mut nd_persist::Reader::new(&c),
-                g.n(),
-                nd_persist::FORMAT_VERSION,
-            ) {
+            if let Ok(back) = DistOracle::read_from(&mut nd_persist::Reader::new(&c), g.n()) {
                 for a in (0..g.n() as Vertex).step_by(5) {
                     for b in (0..g.n() as Vertex).step_by(5) {
                         let _ = back.test(a, b);

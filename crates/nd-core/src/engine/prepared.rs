@@ -152,7 +152,8 @@ pub struct UpdateLineage {
     pub repaired_bags: usize,
     /// Whether the latest apply fell back to a full re-prepare.
     pub rebuilt: bool,
-    /// Wall-clock milliseconds of the latest apply.
+    /// Wall-clock milliseconds of the latest apply (0 on a loaded index:
+    /// index files persist no wall-clock field).
     pub update_ms: u64,
     /// The typed reason when `rebuilt` is set.
     pub rebuild_reason: Option<RebuildReason>,
@@ -172,7 +173,8 @@ pub struct PrepareStats {
     /// the `partial` stats of [`PrepareError::BudgetExceeded`], by the
     /// last rung attempted).
     pub budget_nodes_spent: u64,
-    /// Wall-clock milliseconds consumed by the same rung.
+    /// Wall-clock milliseconds consumed by the same rung (0 on a loaded
+    /// index, like every wall-clock field below).
     pub budget_ms_spent: u64,
     /// Union branches compiled.
     pub branches: usize,
@@ -1820,11 +1822,7 @@ impl BranchEngine {
             }
         }
         for list in &self.unary_lists {
-            if w.is_padded() {
-                w.u32_slab(list);
-            } else {
-                w.u32_slice(list);
-            }
+            w.u32_slab(list);
         }
         for sp in &self.skips {
             match sp {
@@ -1836,10 +1834,6 @@ impl BranchEngine {
             }
         }
         w.bool(self.extend_check);
-        w.u64(self.timings.cover_ms);
-        w.u64(self.timings.kernel_ms);
-        w.u64(self.timings.store_ms);
-        w.u64(self.timings.skip_ms);
         let mut overlay_radii: Vec<u32> = self.overlays.keys().copied().collect();
         overlay_radii.sort_unstable();
         w.seq_len(overlay_radii.len());
@@ -1867,7 +1861,6 @@ impl BranchEngine {
         r: &mut Reader<'_>,
         g: &ColoredGraph,
         fq: FragmentQuery,
-        format_version: u32,
     ) -> Result<BranchEngine, PersistError> {
         let n = g.n();
         let active = r.bool("branch active flag")?;
@@ -1880,7 +1873,7 @@ impl BranchEngine {
                 return Err(malformed("oracle radii not strictly increasing"));
             }
             prev = Some(d);
-            let oracle = DistOracle::read_from(r, n, format_version)?;
+            let oracle = DistOracle::read_from(r, n)?;
             if oracle.radius() != d {
                 return Err(malformed("oracle radius does not match its key"));
             }
@@ -1889,7 +1882,7 @@ impl BranchEngine {
         let cover = match r.u8("cover presence tag")? {
             0 => None,
             1 => {
-                let c = Cover::read_from(r, format_version)?;
+                let c = Cover::read_from(r)?;
                 if c.n() != n {
                     return Err(malformed("cover vertex count does not match graph"));
                 }
@@ -1914,11 +1907,7 @@ impl BranchEngine {
         let mut unary_lists = Vec::with_capacity(fq.k);
         let mut unary_bits = Vec::with_capacity(fq.k);
         for _ in 0..fq.k {
-            let list: nd_persist::Slab<Vertex> = if r.is_padded() {
-                r.u32_slab_sorted(n as u32, "unary list")?
-            } else {
-                r.u32_slice_sorted(n as u32, "unary list")?.into()
-            };
+            let list = r.u32_slab_sorted(n as u32, "unary list")?;
             let mut bits = vec![false; n];
             for &v in list.iter() {
                 bits[v as usize] = true;
@@ -1935,12 +1924,6 @@ impl BranchEngine {
             });
         }
         let extend_check = r.bool("extendability flag")?;
-        let timings = PhaseTimings {
-            cover_ms: r.u64("branch cover_ms")?,
-            kernel_ms: r.u64("branch kernel_ms")?,
-            store_ms: r.u64("branch store_ms")?,
-            skip_ms: r.u64("branch skip_ms")?,
-        };
         let num_overlays = r.seq_len(5, "overlay count")?;
         let mut overlays = HashMap::new();
         let mut prev_ov: Option<u32> = None;
@@ -2016,7 +1999,7 @@ impl BranchEngine {
             unary_bits,
             skips,
             extend_check,
-            timings,
+            timings: PhaseTimings::default(),
         })
     }
 }
@@ -2029,7 +2012,7 @@ pub struct LoadedIndex {
     pub prepared: SharedPreparedQuery,
     pub query: Query,
     pub query_src: String,
-    /// Bulk-section checksums postponed by a `--verify lazy` mapped load;
+    /// The engine-section checksum postponed by a `--verify lazy` mapped load;
     /// `None` after any eager (full or owned) load. The caller decides
     /// when to pay for it — the CLI after the first probe, the serving
     /// session before replying to `load-mmap`.
@@ -2053,7 +2036,7 @@ pub struct LoadStats {
 pub struct MmapLoadOpts {
     /// CRC policy: [`VerifyPolicy::Full`] checksums and structurally
     /// validates everything before returning; [`VerifyPolicy::Lazy`]
-    /// defers the bulk-section CRCs into [`LoadedIndex::deferred`].
+    /// defers the engine-section CRC into [`LoadedIndex::deferred`].
     pub verify: VerifyPolicy,
     /// Eagerly fault in every page (sequential read) instead of paying
     /// page faults on first probe.
@@ -2071,27 +2054,6 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
         query: &Query,
         query_src: &str,
     ) -> Result<Vec<u8>, PersistError> {
-        self.save_index_bytes_impl(query, query_src, true)
-    }
-
-    /// [`PreparedQuery::save_index_bytes`] in the legacy unpadded (v3.0)
-    /// section layout. Only for tests exercising the owned fallback load
-    /// path; real saves always emit the padded, mmap-ready layout.
-    #[doc(hidden)]
-    pub fn save_index_bytes_unpadded(
-        &self,
-        query: &Query,
-        query_src: &str,
-    ) -> Result<Vec<u8>, PersistError> {
-        self.save_index_bytes_impl(query, query_src, false)
-    }
-
-    fn save_index_bytes_impl(
-        &self,
-        query: &Query,
-        query_src: &str,
-        padded: bool,
-    ) -> Result<Vec<u8>, PersistError> {
         let g = self.g.borrow();
         if query.arity() != self.arity {
             return Err(malformed("query arity does not match the prepared index"));
@@ -2102,29 +2064,18 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
                 _ => return Err(malformed("query does not compile to the prepared branches")),
             }
         }
-        let mut cw = if padded {
-            ContainerWriter::new()
-        } else {
-            ContainerWriter::with_version(nd_persist::FORMAT_VERSION)
-        };
-        let fresh = || {
-            if padded {
-                Writer::new()
-            } else {
-                Writer::new_unpadded()
-            }
-        };
+        let mut cw = ContainerWriter::new();
 
-        let mut w = fresh();
+        let mut w = Writer::new();
         g.write_into(&mut w);
         cw.section(SEC_GRAPH, w.into_bytes());
 
-        let mut w = fresh();
+        let mut w = Writer::new();
         nd_logic::codec::write_query(query, &mut w);
         w.str(query_src);
         cw.section(SEC_QUERY, w.into_bytes());
 
-        let mut w = fresh();
+        let mut w = Writer::new();
         w.u64(self.arity as u64);
         w.u8(match self.rung {
             DegradationRung::Indexed => 0,
@@ -2133,13 +2084,11 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
         });
         write_degradation_opt(&mut w, &self.degradation_reason);
         w.u64(self.budget_nodes_spent);
-        // Wall-clock timings are canonicalized to zero: the saved bytes
-        // must be a pure function of the index's logical state, so two
-        // applies of the same log re-save bit-identically regardless of
-        // how many milliseconds each rebuild happened to take. The
-        // in-memory stats keep the real values; loads of older
-        // containers may still carry nonzero historical timings.
-        w.u64(0); // budget_ms_spent
+        // No wall-clock field is persisted: the saved bytes must be a pure
+        // function of the index's logical state, so two applies of the
+        // same log re-save bit-identically regardless of how many
+        // milliseconds each step happened to take. A loaded index reports
+        // 0 for every timing.
         w.u64(self.threads_used as u64);
         // Snapshot lineage: which update epoch this index is at, the
         // chained digest of the mutation logs that produced it, and what
@@ -2148,11 +2097,10 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
         w.u64(self.lineage.log_digest);
         w.u64(self.lineage.repaired_bags as u64);
         w.bool(self.lineage.rebuilt);
-        w.u64(0); // lineage.update_ms — canonicalized, see above
         write_rebuild_opt(&mut w, &self.lineage.rebuild_reason);
         cw.section(SEC_META, w.into_bytes());
 
-        let mut w = fresh();
+        let mut w = Writer::new();
         match &self.engine {
             EngineImpl::Indexed(bs) => {
                 w.u8(0);
@@ -2184,17 +2132,30 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
     }
 }
 
-impl SharedPreparedQuery {
-    /// Decode an index container. Every section is CRC-checked by the
-    /// container layer; every structural invariant of the engine is then
-    /// re-validated, so any corruption — truncation, bit flips, or a
-    /// forged payload behind valid CRCs — yields a typed error, never a
-    /// panic or an engine that panics later.
-    pub fn load_index_bytes(bytes: &[u8]) -> Result<LoadedIndex, PersistError> {
-        let parsed = parse_container_frames(bytes)?;
-        let format_version = parsed.version;
-        let frames = parsed.frames;
-        let frame = |tag: [u8; 4]| -> Result<SectionFrame<'_>, PersistError> {
+/// A reader over a bulk section: zero-copy slabs when `slab` carries the
+/// mapping, owned decode otherwise.
+fn slab_reader<'a>(payload: &'a [u8], slab: Option<&SlabCtx>) -> Reader<'a> {
+    match slab {
+        Some(ctx) => Reader::with_slab(payload, ctx.clone()),
+        None => Reader::new(payload),
+    }
+}
+
+/// The four sections of an index container, located but not yet
+/// checksummed — the prologue both loads share.
+struct IndexFrames<'a> {
+    graph: SectionFrame<'a>,
+    query: SectionFrame<'a>,
+    meta: SectionFrame<'a>,
+    engine: SectionFrame<'a>,
+}
+
+impl<'a> IndexFrames<'a> {
+    /// Parse the container framing (magic, version, section lengths) and
+    /// find each section by tag.
+    fn locate(data: &'a [u8]) -> Result<IndexFrames<'a>, PersistError> {
+        let frames = parse_container_frames(data)?.frames;
+        let find = |tag: [u8; 4]| {
             frames
                 .iter()
                 .find(|f| f.tag == tag)
@@ -2203,7 +2164,32 @@ impl SharedPreparedQuery {
                     malformed(format!("missing section {}", String::from_utf8_lossy(&tag)))
                 })
         };
-        let engine_frame = frame(SEC_ENGINE)?;
+        Ok(IndexFrames {
+            graph: find(SEC_GRAPH)?,
+            query: find(SEC_QUERY)?,
+            meta: find(SEC_META)?,
+            engine: find(SEC_ENGINE)?,
+        })
+    }
+
+    /// Checksum every section but the engine. The engine decode reads the
+    /// graph, so it must be intact before any decode starts.
+    fn verify_small(&self) -> Result<(), PersistError> {
+        self.graph.verify()?;
+        self.query.verify()?;
+        self.meta.verify()
+    }
+}
+
+impl SharedPreparedQuery {
+    /// Decode an index container. Every section is CRC-checked by the
+    /// container layer; every structural invariant of the engine is then
+    /// re-validated, so any corruption — truncation, bit flips, or a
+    /// forged payload behind valid CRCs — yields a typed error, never a
+    /// panic or an engine that panics later.
+    pub fn load_index_bytes(bytes: &[u8]) -> Result<LoadedIndex, PersistError> {
+        let frames = IndexFrames::locate(bytes)?;
+        frames.verify_small()?;
         std::thread::scope(|s| {
             // The engine section is the overwhelming bulk of a large
             // index; its CRC pass runs concurrently with decoding. That
@@ -2212,8 +2198,9 @@ impl SharedPreparedQuery {
             // invariant) — but nothing decoded may be returned before
             // `verify` has passed, so the checksum result is checked
             // below before the engine value escapes.
-            let engine_crc = s.spawn(move || engine_frame.verify());
-            let result = Self::load_index_sections(&frame, engine_frame, format_version, None);
+            let engine = frames.engine;
+            let engine_crc = s.spawn(move || engine.verify());
+            let result = Self::load_index_sections(&frames, None);
             match engine_crc.join() {
                 Ok(Ok(())) => result,
                 Ok(Err(e)) => Err(e),
@@ -2226,10 +2213,10 @@ impl SharedPreparedQuery {
     /// arrays (graph CSR, stores, skip tables, ball grids, unary lists)
     /// straight out of the mapped pages. Small or variable sections (AST,
     /// metadata, cover structure) still decode owned. Falls back to the
-    /// owned decode transparently for v2 / unpadded-v3 containers and on
-    /// platforms without mmap. The mapping stays alive for as long as any
-    /// decoded structure borrows from it (`Arc`-pinned per slab), and a
-    /// later mutation promotes only the touched arrays to owned memory.
+    /// owned decode on platforms without mmap. The mapping stays alive for
+    /// as long as any decoded structure borrows from it (`Arc`-pinned per
+    /// slab), and a later mutation promotes only the touched arrays to
+    /// owned memory.
     ///
     /// SIGBUS safety: every section length is checked against the mapping
     /// length up front by `parse_container_frames`, and saves go through
@@ -2249,97 +2236,54 @@ impl SharedPreparedQuery {
             }
             Err(e) => return Err(e),
         };
-        let parsed = parse_container_frames(file.as_slice())?;
-        let format_version = parsed.version;
-        if !nd_persist::version_is_padded(format_version) {
-            // v2 / unpadded-v3: the sections are not 16-byte aligned, so
-            // zero-copy slice casts are unavailable — decode owned off
-            // the mapping instead.
-            return Self::load_index_bytes(file.as_slice());
-        }
+        let frames = IndexFrames::locate(file.as_slice())?;
         file.advise_willneed();
         if opts.prewarm {
             file.prewarm();
         }
-        let frames = parsed.frames;
-        let mut deferred = DeferredVerify::new();
-        for f in &frames {
-            // Under lazy verification the two bulk sections skip their
-            // up-front CRC pass (that pass would fault in every page);
-            // the small sections are always checked before use.
-            if opts.verify == VerifyPolicy::Lazy && (f.tag == SEC_GRAPH || f.tag == SEC_ENGINE) {
-                deferred.push(&file, f);
-            } else {
-                f.verify()?;
-            }
-        }
-        let frame = |tag: [u8; 4]| -> Result<SectionFrame<'_>, PersistError> {
-            frames
-                .iter()
-                .find(|f| f.tag == tag)
-                .copied()
-                .ok_or_else(|| {
-                    malformed(format!("missing section {}", String::from_utf8_lossy(&tag)))
-                })
+        frames.verify_small()?;
+        // Under lazy verification the engine section — the bulk of the
+        // file — skips its up-front CRC pass (that pass would fault in
+        // every page); the caller settles it through `deferred`.
+        let deferred = if opts.verify == VerifyPolicy::Lazy {
+            let mut d = DeferredVerify::new();
+            d.push(&file, &frames.engine);
+            Some(d)
+        } else {
+            frames.engine.verify()?;
+            None
         };
-        let engine_frame = frame(SEC_ENGINE)?;
         let ctx = SlabCtx {
             file: Arc::clone(&file),
             validate: opts.verify == VerifyPolicy::Full,
         };
-        let mut loaded =
-            Self::load_index_sections(&frame, engine_frame, format_version, Some(&ctx))?;
-        if !deferred.is_empty() {
-            loaded.deferred = Some(deferred);
-        }
+        let mut loaded = Self::load_index_sections(&frames, Some(&ctx))?;
+        loaded.deferred = deferred;
         Ok(loaded)
     }
 
-    /// Reader for one section of a container of `format_version`: padded
-    /// containers read the aligned slab layout (zero-copy when `slab`
-    /// carries the mapping), legacy containers the unpadded one.
-    fn section_reader<'a>(
-        payload: &'a [u8],
-        format_version: u32,
-        slab: Option<&SlabCtx>,
-    ) -> Reader<'a> {
-        if nd_persist::version_is_padded(format_version) {
-            match slab {
-                Some(ctx) => Reader::with_slab(payload, ctx.clone()),
-                None => Reader::new(payload),
-            }
-        } else {
-            Reader::new_unpadded(payload)
-        }
-    }
-
-    fn load_index_sections<'a>(
-        frame: &dyn Fn([u8; 4]) -> Result<SectionFrame<'a>, PersistError>,
-        engine_frame: SectionFrame<'a>,
-        format_version: u32,
+    /// Decode the four sections. The caller has verified the small ones
+    /// ([`IndexFrames::verify_small`]) and owns the engine CRC (verified,
+    /// running concurrently, or deferred).
+    fn load_index_sections(
+        frames: &IndexFrames<'_>,
         slab: Option<&SlabCtx>,
     ) -> Result<LoadedIndex, PersistError> {
         let mut stats = LoadStats::default();
 
-        let f = frame(SEC_GRAPH)?;
-        f.verify()?;
-        let mut r = Self::section_reader(f.payload, format_version, slab);
+        let mut r = slab_reader(frames.graph.payload, slab);
         let g = ColoredGraph::read_from(&mut r)?;
-        stats.bytes_total += f.payload.len();
+        stats.bytes_total += frames.graph.payload.len();
         stats.bytes_mapped += r.mapped_bytes();
         r.finish()?;
 
-        let f = frame(SEC_QUERY)?;
-        f.verify()?;
-        let mut r = Self::section_reader(f.payload, format_version, None);
+        let mut r = Reader::new(frames.query.payload);
         let query = nd_logic::codec::read_query(&mut r)?;
         let query_src = r.str("query source text")?;
-        stats.bytes_total += f.payload.len();
+        stats.bytes_total += frames.query.payload.len();
         r.finish()?;
 
-        let f = frame(SEC_META)?;
-        f.verify()?;
-        let mut r = Self::section_reader(f.payload, format_version, None);
+        let mut r = Reader::new(frames.meta.payload);
         let arity = r.u64("index arity")? as usize;
         if arity != query.arity() {
             return Err(malformed("stored arity does not match the query"));
@@ -2352,20 +2296,19 @@ impl SharedPreparedQuery {
         };
         let degradation_reason = read_degradation_opt(&mut r)?;
         let budget_nodes_spent = r.u64("budget nodes spent")?;
-        let budget_ms_spent = r.u64("budget ms spent")?;
         let threads_used = r.u64("threads used")? as usize;
         let lineage = UpdateLineage {
             epoch: r.u64("update epoch")?,
             log_digest: r.u64("lineage log digest")?,
             repaired_bags: r.u64("repaired bag count")? as usize,
             rebuilt: r.bool("rebuilt flag")?,
-            update_ms: r.u64("update ms")?,
+            update_ms: 0,
             rebuild_reason: read_rebuild_opt(&mut r)?,
         };
-        stats.bytes_total += f.payload.len();
+        stats.bytes_total += frames.meta.payload.len();
         r.finish()?;
 
-        let mut r = Self::section_reader(engine_frame.payload, format_version, slab);
+        let mut r = slab_reader(frames.engine.payload, slab);
         let engine = match r.u8("engine tag")? {
             0 => {
                 if rung == DegradationRung::NaiveFallback {
@@ -2379,7 +2322,7 @@ impl SharedPreparedQuery {
                 }
                 let mut bs = Vec::with_capacity(count);
                 for fq in branches {
-                    bs.push(BranchEngine::read_from(&mut r, &g, fq, format_version)?);
+                    bs.push(BranchEngine::read_from(&mut r, &g, fq)?);
                 }
                 EngineImpl::Indexed(bs)
             }
@@ -2391,7 +2334,7 @@ impl SharedPreparedQuery {
             }
             _ => return Err(malformed("invalid engine tag")),
         };
-        stats.bytes_total += engine_frame.payload.len();
+        stats.bytes_total += frames.engine.payload.len();
         stats.bytes_mapped += r.mapped_bytes();
         r.finish()?;
         stats.bytes_decoded = stats.bytes_total - stats.bytes_mapped;
@@ -2404,7 +2347,7 @@ impl SharedPreparedQuery {
                 rung,
                 degradation_reason,
                 budget_nodes_spent,
-                budget_ms_spent,
+                budget_ms_spent: 0,
                 threads_used,
                 lineage,
             },
@@ -2661,6 +2604,29 @@ mod tests {
         }
     }
 
+    /// `s` with the six wall-clock fields zeroed: exactly the fields an
+    /// index file does not persist.
+    fn without_wall_clock(s: PrepareStats) -> PrepareStats {
+        PrepareStats {
+            budget_ms_spent: 0,
+            cover_ms: 0,
+            kernel_ms: 0,
+            store_ms: 0,
+            skip_ms: 0,
+            update_ms: 0,
+            ..s
+        }
+    }
+
+    /// A loaded index reports 0 for every wall-clock field.
+    fn assert_wall_clock_free(s: &PrepareStats) {
+        assert_eq!(
+            *s,
+            without_wall_clock(s.clone()),
+            "loaded index kept a timing"
+        );
+    }
+
     /// Tentpole roundtrip: save → load reproduces bit-identical probe
     /// behavior (enumeration, membership tests, successor probes) and a
     /// bit-identical re-save, across the indexed engine (all fragment
@@ -2682,7 +2648,12 @@ mod tests {
                 .unwrap_or_else(|e| panic!("load failed for {src}: {e}"));
             assert_eq!(loaded.query_src, *src);
             assert_eq!(loaded.query, q);
-            assert_eq!(loaded.prepared.stats(), pq.stats(), "{src}");
+            assert_wall_clock_free(&loaded.prepared.stats());
+            assert_eq!(
+                without_wall_clock(loaded.prepared.stats()),
+                without_wall_clock(pq.stats()),
+                "{src}"
+            );
 
             let want: Vec<_> = pq.enumerate().collect();
             let got: Vec<_> = loaded.prepared.enumerate().collect();
@@ -2708,81 +2679,13 @@ mod tests {
         }
     }
 
-    /// Container-level v2 forward-load. The v2→v3 bump changed only the
-    /// embedded store payloads (node-allocated trie → flat arena), so
-    /// for an engine that embeds no stores a v2 container is
-    /// byte-identical to its v3 counterpart except the version field.
-    /// Patching the declared version therefore produces a *genuine* v2
-    /// container, and loading it drives the whole version-threading
-    /// path — `parse_container_frames` accepting `MIN_READ_VERSION`,
-    /// `load_index_sections` → `BranchEngine::read_from` →
-    /// `DistOracle`/`Cover`/`KeySet::read_from` all branching on
-    /// `format_version = 2`. (v2 *trie payload* decoding is covered by
-    /// the forward-load tests in `nd-store` and `nd-cover`, which write
-    /// real trie bytes via the retained v2 writers.)
-    #[test]
-    fn index_loads_v2_container_and_resaves_as_v3() {
-        let g = colored(generators::grid(4, 4), 7);
-        for src in [
-            "Blue(x)",                                // unary-only indexed engine
-            "exists u. (E(x,u) && E(u,y)) && x != y", // naive fallback
-            "exists x. Blue(x)",                      // Boolean
-        ] {
-            let q = parse_query(src).unwrap();
-            let pq = PreparedQuery::prepare(&g, &q, &small_opts()).unwrap();
-            let v3 = pq.save_index_bytes(&q, src).unwrap();
-            assert_eq!(
-                nd_persist::version_major(u32::from_le_bytes(v3[8..12].try_into().unwrap())),
-                nd_persist::FORMAT_VERSION,
-                "saved container must declare the current format"
-            );
-
-            // The unpadded writer shares the legacy section layouts with
-            // v2, so patching its version field yields a genuine v2
-            // container.
-            let v3_unpadded = pq.save_index_bytes_unpadded(&q, src).unwrap();
-            assert_eq!(
-                u32::from_le_bytes(v3_unpadded[8..12].try_into().unwrap()),
-                nd_persist::FORMAT_VERSION,
-                "unpadded container must declare major 3, minor 0"
-            );
-
-            // Unpadded v3 still loads (owned decode)...
-            let loaded_unpadded = SharedPreparedQuery::load_index_bytes(&v3_unpadded)
-                .unwrap_or_else(|e| panic!("unpadded-v3 load failed for {src}: {e}"));
-            let want: Vec<_> = pq.enumerate().collect();
-            let got: Vec<_> = loaded_unpadded.prepared.enumerate().collect();
-            assert_eq!(got, want, "unpadded-v3 index diverged for {src}");
-
-            // ...as does v2.
-            let mut v2 = v3_unpadded.clone();
-            v2[8..12].copy_from_slice(&nd_persist::MIN_READ_VERSION.to_le_bytes());
-            let loaded = SharedPreparedQuery::load_index_bytes(&v2)
-                .unwrap_or_else(|e| panic!("v2 forward-load failed for {src}: {e}"));
-            let got: Vec<_> = loaded.prepared.enumerate().collect();
-            assert_eq!(got, want, "v2-loaded index diverged for {src}");
-
-            // Saving a v2-loaded index upgrades it: the writer only
-            // speaks padded v3, and that re-save is bit-identical to
-            // saving the freshly prepared query.
-            let resaved = loaded
-                .prepared
-                .save_index_bytes(&loaded.query, &loaded.query_src)
-                .unwrap();
-            assert_eq!(
-                resaved, v3,
-                "v2 load did not upgrade to padded v3 for {src}"
-            );
-        }
-    }
-
     fn mmap_tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("ndq-prepared-{}-{name}.ndqidx", std::process::id()))
     }
 
     /// The zero-copy loader serves the same answers as the owned decode,
     /// actually maps the bulk sections, and under lazy verification
-    /// defers exactly the bulk CRCs.
+    /// defers exactly the engine CRC.
     #[test]
     fn index_mmap_load_matches_owned_and_maps_bulk() {
         let g = colored(generators::grid(6, 6), 11);
@@ -2819,7 +2722,10 @@ mod tests {
             },
         )
         .expect("mmap load (lazy verify)");
-        let deferred = lazy.deferred.expect("lazy verify must defer bulk CRCs");
+        let deferred = lazy
+            .deferred
+            .expect("lazy verify must defer the engine CRC");
+        assert_eq!(deferred.len(), 1, "only the engine section is deferred");
         let got: Vec<_> = lazy.prepared.enumerate().collect();
         assert_eq!(got, want, "lazy mmap-loaded answers diverged");
         deferred
@@ -2871,28 +2777,41 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Unpadded containers cannot be served zero-copy; `load_index_mmap`
-    /// falls back to the owned decode transparently.
+    /// Pre-v4 containers (v2, unpadded v3.0, padded v3.1) are refused with
+    /// the typed version error by the owned load and by the mapped load
+    /// under both verify policies — no decoder runs on their payloads.
     #[test]
-    fn index_mmap_falls_back_to_owned_for_unpadded() {
+    fn pre_v4_containers_are_rejected_by_every_load() {
         let g = colored(generators::grid(4, 4), 7);
-        let src = "Blue(x)";
+        let src = "dist(x,y) > 2 && Blue(y)";
         let q = parse_query(src).unwrap();
         let pq = PreparedQuery::prepare(&g, &q, &small_opts()).unwrap();
-        let path = mmap_tmp("unpadded");
-        let bytes = pq.save_index_bytes_unpadded(&q, src).unwrap();
-        nd_persist::write_file_atomic(&path, &bytes).unwrap();
-
-        let loaded = SharedPreparedQuery::load_index_mmap(&path, &MmapLoadOpts::default())
-            .expect("unpadded fallback load");
-        assert!(loaded.deferred.is_none());
-        assert_eq!(
-            loaded.stats.bytes_mapped, 0,
-            "fallback decode is fully owned"
-        );
-        let got: Vec<_> = loaded.prepared.enumerate().collect();
-        assert_eq!(got, pq.enumerate().collect::<Vec<_>>());
-
+        let bytes = pq.save_index_bytes(&q, src).unwrap();
+        let path = mmap_tmp("pre-v4");
+        for word in [2u32, 3, 3 | 1 << 16] {
+            let mut old = bytes.clone();
+            old[8..12].copy_from_slice(&word.to_le_bytes());
+            let want = PersistError::UnsupportedVersion {
+                found: word,
+                supported: nd_persist::FORMAT_VERSION,
+            };
+            assert_eq!(
+                SharedPreparedQuery::load_index_bytes(&old).err(),
+                Some(want.clone())
+            );
+            nd_persist::write_file_atomic(&path, &old).unwrap();
+            for verify in [VerifyPolicy::Full, VerifyPolicy::Lazy] {
+                let opts = MmapLoadOpts {
+                    verify,
+                    prewarm: false,
+                };
+                assert_eq!(
+                    SharedPreparedQuery::load_index_mmap(&path, &opts).err(),
+                    Some(want.clone()),
+                    "{verify:?}"
+                );
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -3191,7 +3110,8 @@ mod tests {
     }
 
     /// An applied (repaired) index survives save → load: same stats
-    /// (including lineage), same answers, bit-identical re-save.
+    /// (including lineage) up to the unpersisted wall-clock fields, same
+    /// answers, bit-identical re-save.
     #[test]
     fn applied_index_roundtrips_through_persistence() {
         let g = colored(generators::grid(5, 5), 11);
@@ -3208,8 +3128,21 @@ mod tests {
 
             let bytes = upd.save_index_bytes(&q, src).unwrap();
             let loaded = SharedPreparedQuery::load_index_bytes(&bytes).unwrap();
-            assert_eq!(loaded.prepared.stats(), upd.stats(), "{src}");
-            assert_eq!(loaded.prepared.lineage(), upd.lineage(), "{src}");
+            assert_wall_clock_free(&loaded.prepared.stats());
+            assert_eq!(
+                without_wall_clock(loaded.prepared.stats()),
+                without_wall_clock(upd.stats()),
+                "{src}"
+            );
+            assert_eq!(loaded.prepared.lineage().update_ms, 0, "{src}");
+            assert_eq!(
+                *loaded.prepared.lineage(),
+                UpdateLineage {
+                    update_ms: 0,
+                    ..upd.lineage().clone()
+                },
+                "{src}"
+            );
             assert_eq!(
                 loaded.prepared.enumerate().collect::<Vec<_>>(),
                 upd.enumerate().collect::<Vec<_>>(),

@@ -99,7 +99,7 @@ pub struct SkipPointers {
     /// CSR row offsets: vertex `v`'s closure entries live at
     /// `starts[v] .. starts[v+1]` in `sets` / `vals`. Length `n + 1`.
     /// The three CSR arrays are [`Slab`]s: file-backed when decoded from
-    /// a mapped padded container, promoted to owned on the first repair.
+    /// a mapped container, promoted to owned on the first repair.
     starts: Slab<u32>,
     /// Bag sets of the closure, sorted within each row.
     sets: Slab<BagSet>,
@@ -533,42 +533,16 @@ impl SkipPointers {
     /// Append the structure's binary encoding to `w` (DESIGN.md §9).
     ///
     /// The tabulated `SC(b)` closure — the expensive part — is serialized
-    /// as sorted `(vertex, bag-set, skip)` triples. The CSR layout *is*
-    /// that order (rows ascending by vertex, sets ascending within a row),
-    /// so the byte format of the hash-map era is reproduced by a straight
-    /// walk, with no sort; the cheap `in_list` / `next_in_list` arrays are
-    /// rebuilt on load in `O(n)`.
-    ///
-    /// The padded (mmap-ready) layout instead writes the three CSR arrays
-    /// raw and 16-byte aligned — the offsets already carry the vertex of
-    /// every entry, so the per-entry triples collapse into straight slab
-    /// copies a mapped load can borrow in place.
+    /// as its three CSR arrays, raw and 16-byte aligned, so a mapped load
+    /// borrows them in place; the cheap `in_list` / `next_in_list` arrays
+    /// are rebuilt on load in `O(n)`.
     pub fn write_into(&self, w: &mut nd_persist::Writer) {
         w.u32(self.k as u32);
         w.u32_slice(&self.list);
         w.bool(self.truncated);
-        if w.is_padded() {
-            w.u32_slab(&self.starts);
-            w.u128_slab(&self.sets);
-            w.u32_slab(&self.vals);
-            return;
-        }
-        w.seq_len(self.sets.len());
-        for v in 0..self.starts.len() - 1 {
-            let lo = self.starts[v] as usize;
-            let hi = self.starts[v + 1] as usize;
-            for i in lo..hi {
-                w.u32(v as u32);
-                w.u128(self.sets[i]);
-                match self.vals[i] {
-                    NO_SKIP => w.u8(0),
-                    x => {
-                        w.u8(1);
-                        w.u32(x);
-                    }
-                }
-            }
-        }
+        w.u32_slab(&self.starts);
+        w.u128_slab(&self.sets);
+        w.u32_slab(&self.vals);
     }
 
     /// Decode the structure for an `n`-vertex graph (`n` supplied by the
@@ -586,96 +560,35 @@ impl SkipPointers {
         }
         let list = r.u32_slice_sorted(n as u32, "skip list")?;
         let truncated = r.bool("skip truncated flag")?;
-        if r.is_padded() {
-            let starts = r.u32_slab("skip row offsets")?;
-            let sets: Slab<BagSet> = r.u128_slab("skip table sets")?;
-            let vals = r.u32_slab("skip table values")?;
-            // Always-on O(1) shape checks: every `starts[v]`/`starts[v+1]`
-            // row probe must be in bounds even under lazy verification
-            // (a hostile *offset* can still raise a safe slice panic
-            // there; the deferred CRC is the backstop).
-            if starts.len() != n + 1 {
-                return Err(malformed("skip row offsets sized for another n"));
-            }
-            if vals.len() != sets.len() {
-                return Err(malformed("skip set/value lengths disagree"));
-            }
-            if r.should_validate() {
-                if starts.first() != Some(&0) || starts[n] as usize != sets.len() {
-                    return Err(malformed("skip row offsets do not span the table"));
-                }
-                if starts.windows(2).any(|w| w[0] > w[1]) {
-                    return Err(malformed("skip row offsets not monotone"));
-                }
-                for v in 0..n {
-                    let row = &sets[starts[v] as usize..starts[v + 1] as usize];
-                    if row.windows(2).any(|w| w[0] >= w[1]) {
-                        return Err(malformed("skip table sets not sorted within a row"));
-                    }
-                }
-                if vals.iter().any(|&x| x != NO_SKIP && (x as usize) >= n) {
-                    return Err(malformed("skip table value out of range"));
-                }
-            }
-            let mut in_list = vec![false; n];
-            for &v in &list {
-                in_list[v as usize] = true;
-            }
-            let mut next_in_list: Vec<Option<Vertex>> = vec![None; n];
-            let mut next = None;
-            for v in (0..n).rev() {
-                next_in_list[v] = next;
-                if in_list[v] {
-                    next = Some(v as Vertex);
-                }
-            }
-            return Ok(SkipPointers {
-                k,
-                n,
-                list,
-                in_list,
-                next_in_list,
-                starts,
-                sets,
-                vals,
-                truncated,
-            });
+        let starts = r.u32_slab("skip row offsets")?;
+        let sets: Slab<BagSet> = r.u128_slab("skip table sets")?;
+        let vals = r.u32_slab("skip table values")?;
+        // Always-on O(1) shape checks: every `starts[v]`/`starts[v+1]`
+        // row probe must be in bounds even under lazy verification
+        // (a hostile *offset* can still raise a safe slice panic
+        // there; the deferred CRC is the backstop).
+        if starts.len() != n + 1 {
+            return Err(malformed("skip row offsets sized for another n"));
         }
-        let count = r.seq_len(21, "skip table")?;
-        // Triples arrive sorted by (vertex, set) — which is CSR order, so
-        // the arrays fill front-to-back with no staging map.
-        let mut sets = Vec::with_capacity(count.min(1 << 20));
-        let mut vals = Vec::with_capacity(count.min(1 << 20));
-        let mut counts = vec![0u32; n];
-        let mut prev: Option<(Vertex, BagSet)> = None;
-        for _ in 0..count {
-            let v = r.u32("skip table vertex")?;
-            if (v as usize) >= n {
-                return Err(malformed("skip table vertex out of range"));
-            }
-            let set = r.u128("skip table bag set")?;
-            if prev.is_some_and(|p| p >= (v, set)) {
-                return Err(malformed("skip table keys not strictly sorted"));
-            }
-            prev = Some((v, set));
-            let val = match r.u8("skip table value tag")? {
-                0 => NO_SKIP,
-                1 => {
-                    let x = r.u32("skip table value")?;
-                    if (x as usize) >= n {
-                        return Err(malformed("skip table value out of range"));
-                    }
-                    x
-                }
-                other => return Err(malformed(format!("unknown skip value tag {other}"))),
-            };
-            counts[v as usize] += 1;
-            sets.push(set);
-            vals.push(val);
+        if vals.len() != sets.len() {
+            return Err(malformed("skip set/value lengths disagree"));
         }
-        let mut starts = vec![0u32; n + 1];
-        for v in 0..n {
-            starts[v + 1] = starts[v] + counts[v];
+        if r.should_validate() {
+            if starts.first() != Some(&0) || starts[n] as usize != sets.len() {
+                return Err(malformed("skip row offsets do not span the table"));
+            }
+            if starts.windows(2).any(|w| w[0] > w[1]) {
+                return Err(malformed("skip row offsets not monotone"));
+            }
+            for v in 0..n {
+                let row = &sets[starts[v] as usize..starts[v + 1] as usize];
+                if row.windows(2).any(|w| w[0] >= w[1]) {
+                    return Err(malformed("skip table sets not sorted within a row"));
+                }
+            }
+            if vals.iter().any(|&x| x != NO_SKIP && (x as usize) >= n) {
+                return Err(malformed("skip table value out of range"));
+            }
         }
         let mut in_list = vec![false; n];
         for &v in &list {
@@ -695,9 +608,9 @@ impl SkipPointers {
             list,
             in_list,
             next_in_list,
-            starts: starts.into(),
-            sets: sets.into(),
-            vals: vals.into(),
+            starts,
+            sets,
+            vals,
             truncated,
         })
     }
@@ -850,34 +763,6 @@ mod tests {
         }
         // Deterministic re-encode despite the hash-map table.
         let mut w2 = nd_persist::Writer::new();
-        back.write_into(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes);
-    }
-
-    /// The legacy unpadded (v3.0 per-entry triple) layout still round-trips
-    /// bit-identically — the owned fallback path for old containers.
-    #[test]
-    fn unpadded_codec_roundtrip_answers_identically() {
-        let g = generators::grid(7, 7);
-        let list: Vec<Vertex> = (0..g.n() as Vertex).filter(|v| v % 4 != 2).collect();
-        let (kernels, sp) = setup(&g, 2, list, 2);
-        let mut w = nd_persist::Writer::new_unpadded();
-        sp.write_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = nd_persist::Reader::new_unpadded(&bytes);
-        let back = SkipPointers::read_from(&mut r, g.n()).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back.table_len(), sp.table_len());
-        let mut rng = StdRng::seed_from_u64(6);
-        for bags in random_bagsets(&kernels, g.n(), 2, &mut rng) {
-            for probe in 0..g.n() as Vertex {
-                assert_eq!(
-                    back.skip(&kernels, probe, &bags),
-                    sp.skip(&kernels, probe, &bags)
-                );
-            }
-        }
-        let mut w2 = nd_persist::Writer::new_unpadded();
         back.write_into(&mut w2);
         assert_eq!(w2.into_bytes(), bytes);
     }

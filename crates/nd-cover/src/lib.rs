@@ -249,7 +249,7 @@ impl Cover {
 
     /// Append the cover's binary encoding to `w` (DESIGN.md §9).
     ///
-    /// The Storing-Theorem membership trie — the expensive part of a
+    /// The Storing-Theorem membership store — the expensive part of a
     /// cover build (`store_ms` dominates on dense families) — is
     /// serialized verbatim; the cheap inverted indexes (`bags_of`,
     /// `assigned_members`) are rebuilt on load in `O(Σ_X |X| + n)`.
@@ -267,33 +267,9 @@ impl Cover {
         self.membership.write_into(w);
     }
 
-    /// [`Cover::write_into`] with the membership store in the legacy v2
-    /// (pointer trie) encoding. Only for tests exercising the v2→v3
-    /// forward-load path; new files are always v3.
-    #[doc(hidden)]
-    pub fn write_into_v2(&self, w: &mut nd_persist::Writer) {
-        w.u32(self.r);
-        w.seq_len(self.assignment.len());
-        for &id in &self.assignment {
-            w.u32(id);
-        }
-        w.seq_len(self.bags.len());
-        for bag in &self.bags {
-            w.u32(bag.center);
-            w.u32_slice(&bag.verts);
-        }
-        self.membership.write_into_v2(w);
-    }
-
-    /// Decode a cover written by a container of the given
-    /// `format_version`, re-validating the invariants the accessors index
+    /// Decode a cover, re-validating the invariants the accessors index
     /// by (assignment targets exist, bag members in range and sorted).
-    /// The version only affects the embedded membership store (v2 = trie,
-    /// v3 = flat arena).
-    pub fn read_from(
-        r: &mut nd_persist::Reader<'_>,
-        format_version: u32,
-    ) -> Result<Cover, nd_persist::PersistError> {
+    pub fn read_from(r: &mut nd_persist::Reader<'_>) -> Result<Cover, nd_persist::PersistError> {
         use nd_persist::malformed;
         let radius = r.u32("cover radius")?;
         let n = r.seq_len(4, "cover assignment")?;
@@ -317,7 +293,7 @@ impl Cover {
         if assignment.iter().any(|&id| (id as usize) >= num_bags) {
             return Err(malformed("cover assignment targets a missing bag"));
         }
-        let membership = KeySet::read_from(r, format_version)?;
+        let membership = KeySet::read_from(r)?;
         // successor_in_bag packs (bag, vertex) pairs through these params;
         // a mismatched shape would trip the packer's arity contract.
         if membership.params().k != 2 {
@@ -636,7 +612,7 @@ mod tests {
             cover.write_into(&mut w);
             let bytes = w.into_bytes();
             let mut rd = nd_persist::Reader::new(&bytes);
-            let back = Cover::read_from(&mut rd, nd_persist::FORMAT_VERSION).unwrap();
+            let back = Cover::read_from(&mut rd).unwrap();
             rd.finish().unwrap();
             assert_eq!(back.r, cover.r);
             assert_eq!(back.num_bags(), cover.num_bags());
@@ -802,44 +778,15 @@ mod tests {
         let mut c = bytes.clone();
         c[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            Cover::read_from(&mut nd_persist::Reader::new(&c), nd_persist::FORMAT_VERSION),
+            Cover::read_from(&mut nd_persist::Reader::new(&c)),
             Err(nd_persist::PersistError::Malformed { .. })
         ));
         // Truncations are typed, never panics.
         for cut in 0..bytes.len() {
             assert!(
-                Cover::read_from(
-                    &mut nd_persist::Reader::new(&bytes[..cut]),
-                    nd_persist::FORMAT_VERSION
-                )
-                .is_err(),
+                Cover::read_from(&mut nd_persist::Reader::new(&bytes[..cut])).is_err(),
                 "cut {cut}"
             );
         }
-    }
-
-    #[test]
-    fn v2_cover_payload_forward_loads() {
-        let g = generators::grid(8, 8);
-        let cover = Cover::build(&g, 2, 0.5);
-        let mut w = nd_persist::Writer::new();
-        cover.write_into_v2(&mut w);
-        let v2_bytes = w.into_bytes();
-        let mut rd = nd_persist::Reader::new(&v2_bytes);
-        let back = Cover::read_from(&mut rd, 2).unwrap();
-        rd.finish().unwrap();
-        for id in 0..cover.num_bags() as BagId {
-            assert_eq!(back.bag(id).verts, cover.bag(id).verts);
-            for v in 0..g.n() as Vertex {
-                assert_eq!(back.contains(id, v), cover.contains(id, v));
-                assert_eq!(back.successor_in_bag(id, v), cover.successor_in_bag(id, v));
-            }
-        }
-        // Forward-loaded covers re-save in the current (v3) encoding,
-        // bit-identical to a save of the original in-memory cover.
-        let (mut w1, mut w2) = (nd_persist::Writer::new(), nd_persist::Writer::new());
-        back.write_into(&mut w1);
-        cover.write_into(&mut w2);
-        assert_eq!(w1.into_bytes(), w2.into_bytes());
     }
 }

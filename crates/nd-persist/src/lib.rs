@@ -29,52 +29,17 @@ pub use mmap::{DeferredVerify, MmapFile, Pod, Slab, SlabCtx, VerifyPolicy};
 /// First 8 bytes of every index file.
 pub const MAGIC: [u8; 8] = *b"NDQIDX\r\n";
 
-/// Current container format **major** version (low 16 bits of the on-disk
-/// version word). Bump on any layout change old readers cannot decode;
-/// readers reject majors outside `[MIN_READ_VERSION, FORMAT_VERSION]` with
-/// [`PersistError::UnsupportedVersion`] rather than guessing.
+/// Container format version: the 32-bit word after the magic. Bump on any
+/// layout change old readers cannot decode. Readers accept exactly this
+/// word and reject every other one with [`PersistError::UnsupportedVersion`]
+/// rather than guessing; older files must be re-prepared from their graph.
 ///
-/// v3 switched the store sections inside `ENGN` from the node-allocated
-/// trie encoding to the flat sorted-arena encoding; everything else is
-/// unchanged, so v2 files forward-load (the store decoder branches on the
-/// container version) and re-save as v3.
-pub const FORMAT_VERSION: u32 = 3;
-
-/// Current container format **minor** revision (high 16 bits of the
-/// version word). Minor 1 adds 16-byte alignment padding: section payloads
-/// start on 16-byte file offsets and bulk arrays inside payloads are padded
-/// to 16-byte payload offsets, which is what lets a mapped file be served
-/// in place as `&[u32]`/`&[u64]`/`&[u128]` slices with zero copies.
-///
-/// Minor bumps are deliberately *rejected* by older binaries (the full
-/// 32-bit version word falls outside their accepted range) because the pad
-/// bytes shift section framing; new binaries read minor 0 (unpadded)
-/// containers through the owned-decode fallback path.
-pub const FORMAT_MINOR: u32 = 1;
-
-/// Oldest container format major version this binary still loads.
-pub const MIN_READ_VERSION: u32 = 2;
-
-/// The version word written into new containers: current major in the low
-/// 16 bits, current minor in the high 16.
-pub const fn current_version() -> u32 {
-    FORMAT_VERSION | (FORMAT_MINOR << 16)
-}
-
-/// Major format version of an on-disk version word.
-pub const fn version_major(v: u32) -> u32 {
-    v & 0xffff
-}
-
-/// Minor format revision of an on-disk version word.
-pub const fn version_minor(v: u32) -> u32 {
-    v >> 16
-}
-
-/// Whether a version word declares the 16-byte-aligned (padded) layout.
-pub const fn version_is_padded(v: u32) -> bool {
-    version_minor(v) >= 1
-}
+/// v4 is the 16-byte-aligned layout: section payloads start on 16-byte
+/// file offsets and bulk arrays inside payloads are padded to 16-byte
+/// payload offsets, which is what lets a mapped file be served in place as
+/// `&[u32]`/`&[u64]`/`&[u128]` slices with zero copies. It persists no
+/// wall-clock field, so re-saving an index is bit-identical.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Decoders refuse single length prefixes beyond this many elements, so a
 /// corrupted length field fails typed instead of attempting a huge
@@ -106,9 +71,15 @@ impl fmt::Display for PersistError {
             PersistError::Io(e) => write!(f, "io failure: {e}"),
             PersistError::BadMagic => write!(f, "bad magic (not an ndq index file)"),
             PersistError::UnsupportedVersion { found, supported } => {
+                // Pre-v4 files split the word into major (low 16 bits) and
+                // minor (high 16 bits); print it that way so a v3.1 file
+                // reads as "3.1", not 65539.
                 write!(
                     f,
-                    "unsupported index format version {found} (this build reads {supported})"
+                    "unsupported index format version {}.{} (this build reads {supported}); \
+                     re-prepare the index from its graph",
+                    found & 0xffff,
+                    found >> 16
                 )
             }
             PersistError::Truncated { context } => {
@@ -354,50 +325,22 @@ mod pclmul {
 // ---------------------------------------------------------------------
 
 /// Append-only little-endian encoder over a byte vector.
+#[derive(Default)]
 pub struct Writer {
     buf: Vec<u8>,
-    padded: bool,
-}
-
-impl Default for Writer {
-    fn default() -> Writer {
-        Writer::new()
-    }
 }
 
 impl Writer {
-    /// A writer producing the current (padded, minor ≥ 1) layout: the
-    /// `*_slab` methods align their raw data to 16-byte payload offsets.
+    /// An empty writer. Its `*_slab` methods align their raw data to
+    /// 16-byte payload offsets.
     pub fn new() -> Writer {
-        Writer {
-            buf: Vec::new(),
-            padded: true,
-        }
+        Writer::default()
     }
 
-    /// A writer producing the legacy (minor 0) layout: `*_slab` methods
-    /// degrade to their exact pre-padding `*_slice` byte format. Used to
-    /// emit containers older binaries can read and to exercise the owned
-    /// fallback decode path in tests.
-    pub fn new_unpadded() -> Writer {
-        Writer {
-            buf: Vec::new(),
-            padded: false,
-        }
-    }
-
-    /// Whether this writer emits the padded (minor ≥ 1) layout. Codecs with
-    /// version-dependent field sets branch on this.
-    pub fn is_padded(&self) -> bool {
-        self.padded
-    }
-
-    /// Zero-fill to the next 16-byte payload offset (no-op when unpadded).
+    /// Zero-fill to the next 16-byte payload offset.
     fn pad16(&mut self) {
-        if self.padded {
-            while !self.buf.len().is_multiple_of(16) {
-                self.buf.push(0);
-            }
+        while !self.buf.len().is_multiple_of(16) {
+            self.buf.push(0);
         }
     }
 
@@ -463,31 +406,10 @@ impl Writer {
         }
     }
 
-    /// Length-prefixed `u64` slice.
-    pub fn u64_slice(&mut self, v: &[u64]) {
-        self.seq_len(v.len());
-        self.buf.reserve(8 * v.len());
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-
-    /// Length-prefixed `u128` slice. With [`Reader::u128_slice_sorted`]
-    /// this is what makes a flat store section "its own serialization":
-    /// the payload is the in-memory key arena, byte for byte.
-    pub fn u128_slice(&mut self, v: &[u128]) {
-        self.seq_len(v.len());
-        self.buf.reserve(16 * v.len());
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-
     /// Length-prefixed `u32` array with the raw data aligned to a 16-byte
-    /// payload offset when the writer is padded (identical bytes to
-    /// [`Writer::u32_slice`] when unpadded). Together with 16-byte section
-    /// placement in the container this is what makes the array directly
-    /// mappable: the on-disk bytes at an aligned offset ARE the `&[u32]`.
+    /// payload offset. Together with 16-byte section placement in the
+    /// container this is what makes the array directly mappable: the
+    /// on-disk bytes at an aligned offset ARE the `&[u32]`.
     pub fn u32_slab(&mut self, v: &[u32]) {
         self.seq_len(v.len());
         self.pad16();
@@ -542,33 +464,6 @@ impl Writer {
             self.u32_slice(v);
         }
     }
-
-    /// [`Writer::sorted_set`] for a set already held as a bitmap of
-    /// `bound.div_ceil(64)` words. Produces byte-identical output to
-    /// encoding the equivalent sorted list, so the two in-memory
-    /// representations are interchangeable on disk.
-    pub fn sorted_set_words(&mut self, words: &[u64], bound: u32) {
-        debug_assert_eq!(words.len(), (bound as usize).div_ceil(64));
-        let count: usize = words.iter().map(|w| w.count_ones() as usize).sum();
-        if words.len() * 8 < 8 + 4 * count {
-            self.u8(1);
-            for &w in words {
-                self.u64(w);
-            }
-        } else {
-            self.u8(0);
-            self.seq_len(count);
-            self.buf.reserve(4 * count);
-            for (i, &w) in words.iter().enumerate() {
-                let mut w = w;
-                while w != 0 {
-                    let x = (i as u32) * 64 + w.trailing_zeros();
-                    self.buf.extend_from_slice(&x.to_le_bytes());
-                    w &= w - 1;
-                }
-            }
-        }
-    }
 }
 
 /// Bounds-checked little-endian decoder over a byte slice. Every method
@@ -577,36 +472,24 @@ impl Writer {
 pub struct Reader<'a> {
     data: &'a [u8],
     pos: usize,
-    padded: bool,
     slab: Option<SlabCtx>,
     mapped_bytes: usize,
 }
 
 impl<'a> Reader<'a> {
-    /// A reader for the current (padded, minor ≥ 1) layout, decoding
-    /// everything into owned storage.
+    /// A reader decoding everything into owned storage.
     pub fn new(data: &'a [u8]) -> Reader<'a> {
         Reader {
             data,
             pos: 0,
-            padded: true,
             slab: None,
             mapped_bytes: 0,
         }
     }
 
-    /// A reader for the legacy (minor 0) layout: `*_slab` methods read the
-    /// exact pre-padding `*_slice` byte format and always decode owned.
-    pub fn new_unpadded(data: &'a [u8]) -> Reader<'a> {
-        Reader {
-            padded: false,
-            ..Reader::new(data)
-        }
-    }
-
-    /// A padded-layout reader over a slice of a live file mapping: `*_slab`
-    /// methods return [`Slab::Mapped`] views into the mapping (when aligned
-    /// and little-endian) instead of copying. `data` must lie inside
+    /// A reader over a slice of a live file mapping: `*_slab` methods
+    /// return [`Slab::Mapped`] views into the mapping (when aligned and
+    /// little-endian) instead of copying. `data` must lie inside
     /// `ctx.file`'s mapped range.
     pub fn with_slab(data: &'a [u8], ctx: SlabCtx) -> Reader<'a> {
         debug_assert!(ctx.contains(data));
@@ -614,12 +497,6 @@ impl<'a> Reader<'a> {
             slab: Some(ctx),
             ..Reader::new(data)
         }
-    }
-
-    /// Whether this reader expects the padded (minor ≥ 1) layout. Codecs
-    /// with version-dependent field sets branch on this.
-    pub fn is_padded(&self) -> bool {
-        self.padded
     }
 
     /// Whether decoders should run full structural validation. True except
@@ -638,14 +515,12 @@ impl<'a> Reader<'a> {
         self.data.len() - self.pos
     }
 
-    /// Consume zero padding up to the next 16-byte payload offset (no-op
-    /// when unpadded). Nonzero pad bytes mean corruption.
+    /// Consume zero padding up to the next 16-byte payload offset. Nonzero
+    /// pad bytes mean corruption.
     fn pad_align(&mut self, context: &'static str) -> Result<(), PersistError> {
-        if self.padded {
-            while !self.pos.is_multiple_of(16) {
-                if self.u8(context)? != 0 {
-                    return Err(malformed(format!("{context}: nonzero alignment padding")));
-                }
+        while !self.pos.is_multiple_of(16) {
+            if self.u8(context)? != 0 {
+                return Err(malformed(format!("{context}: nonzero alignment padding")));
             }
         }
         Ok(())
@@ -731,43 +606,6 @@ impl<'a> Reader<'a> {
             raw.chunks_exact(4)
                 .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
         );
-        Ok(out)
-    }
-
-    /// Length-prefixed `u64` slice.
-    pub fn u64_slice(&mut self, context: &'static str) -> Result<Vec<u64>, PersistError> {
-        let n = self.seq_len(8, context)?;
-        let raw = self.take(8 * n, context)?;
-        let mut out = Vec::with_capacity(n);
-        out.extend(
-            raw.chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().unwrap())),
-        );
-        Ok(out)
-    }
-
-    /// Length-prefixed `u128` slice fused with the strictly-increasing and
-    /// `< bound` checks a flat key arena needs: one bounds check, one pass
-    /// over the raw bytes, and the decoded vector IS the runtime structure.
-    pub fn u128_slice_sorted(
-        &mut self,
-        bound: u128,
-        context: &'static str,
-    ) -> Result<Vec<u128>, PersistError> {
-        let n = self.seq_len(16, context)?;
-        let raw = self.take(16 * n, context)?;
-        let mut out = Vec::with_capacity(n);
-        out.extend(
-            raw.chunks_exact(16)
-                .map(|c| u128::from_le_bytes(c.try_into().unwrap())),
-        );
-        if out.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(malformed(format!("{context}: not strictly sorted")));
-        }
-        // Strictly sorted, so only the maximum needs the range check.
-        if out.last().is_some_and(|&x| x >= bound) {
-            return Err(malformed(format!("{context}: element out of range")));
-        }
         Ok(out)
     }
 
@@ -911,41 +749,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Decode a [`Writer::sorted_set`] straight into a zeroed bitmap row of
-    /// `bound.div_ceil(64)` words. Bitmap payloads become a bulk copy (the
-    /// fast path for dense ball tables on warm restart); list payloads are
-    /// validated as in [`Reader::u32_slice_sorted`] and scattered into bits.
-    pub fn sorted_set_into_words(
-        &mut self,
-        bound: u32,
-        row: &mut [u64],
-        context: &'static str,
-    ) -> Result<(), PersistError> {
-        debug_assert_eq!(row.len(), (bound as usize).div_ceil(64));
-        match self.u8(context)? {
-            0 => {
-                for x in self.u32_slice_sorted(bound, context)? {
-                    row[(x / 64) as usize] |= 1u64 << (x % 64);
-                }
-                Ok(())
-            }
-            1 => {
-                let raw = self.take(8 * row.len(), context)?;
-                for (w, c) in row.iter_mut().zip(raw.chunks_exact(8)) {
-                    *w = u64::from_le_bytes(c.try_into().unwrap());
-                }
-                if !bound.is_multiple_of(64) && row.last().is_some_and(|&w| w >> (bound % 64) != 0)
-                {
-                    return Err(malformed(format!("{context}: element out of range")));
-                }
-                Ok(())
-            }
-            other => Err(malformed(format!(
-                "{context}: unknown set encoding {other}"
-            ))),
-        }
-    }
-
     /// Assert the input is fully consumed.
     pub fn finish(&self) -> Result<(), PersistError> {
         if self.remaining() == 0 {
@@ -960,34 +763,16 @@ impl<'a> Reader<'a> {
 // Section container.
 // ---------------------------------------------------------------------
 
-/// Assembles a versioned, per-section-checksummed container.
+/// Assembles a versioned, per-section-checksummed container: every
+/// section payload starts at a 16-byte file offset.
+#[derive(Default)]
 pub struct ContainerWriter {
-    version: u32,
     sections: Vec<([u8; 4], Vec<u8>)>,
 }
 
-impl Default for ContainerWriter {
-    fn default() -> ContainerWriter {
-        ContainerWriter::new()
-    }
-}
-
 impl ContainerWriter {
-    /// A writer for the current version word ([`current_version`]): padded
-    /// placement, every section payload starting at a 16-byte file offset.
     pub fn new() -> ContainerWriter {
-        ContainerWriter::with_version(current_version())
-    }
-
-    /// A writer stamping an explicit version word. Minor 0 words produce
-    /// the legacy unpadded placement; payloads must have been encoded with
-    /// a [`Writer`] whose padded flag matches [`version_is_padded`] of this
-    /// word, or decoding will mis-frame.
-    pub fn with_version(version: u32) -> ContainerWriter {
-        ContainerWriter {
-            version,
-            sections: Vec::new(),
-        }
+        ContainerWriter::default()
     }
 
     pub fn section(&mut self, tag: [u8; 4], payload: Vec<u8>) {
@@ -995,31 +780,27 @@ impl ContainerWriter {
     }
 
     pub fn finish(self) -> Vec<u8> {
-        let padded = version_is_padded(self.version);
         let total: usize = self
             .sections
             .iter()
-            .map(|(_, p)| p.len() + 16 + if padded { 15 } else { 0 })
+            .map(|(_, p)| p.len() + 16 + 15)
             .sum::<usize>()
             + 16;
         let mut out = Vec::with_capacity(total);
         out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&self.version.to_le_bytes());
+        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
         for (tag, payload) in &self.sections {
             out.extend_from_slice(tag);
             out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
             out.extend_from_slice(&section_crc(tag, payload).to_le_bytes());
             out.extend_from_slice(payload);
-            if padded {
-                // The 16-byte container header and 16-byte section headers
-                // keep every payload start ≡ 0 (mod 16) as long as each
-                // payload is zero-filled out to a 16-byte file offset.
-                // Padding lives outside the section CRC; the parser
-                // requires it to be zero.
-                while !out.len().is_multiple_of(16) {
-                    out.push(0);
-                }
+            // The 16-byte container header and 16-byte section headers keep
+            // every payload start ≡ 0 (mod 16) as long as each payload is
+            // zero-filled out to a 16-byte file offset. Padding lives
+            // outside the section CRC; the parser requires it to be zero.
+            while !out.len().is_multiple_of(16) {
+                out.push(0);
             }
         }
         out
@@ -1090,21 +871,17 @@ impl SectionFrame<'_> {
     }
 }
 
-/// A container's parsed framing plus the format version it declared.
-/// Decoders whose encoding changed across versions branch on `version`
-/// (currently only the store sections: v2 = pointer trie, v3 = flat arena).
+/// A container's parsed framing.
 #[derive(Debug)]
 pub struct ContainerFrames<'a> {
-    pub version: u32,
     pub frames: Vec<SectionFrame<'a>>,
 }
 
 /// Parse a container's framing — magic, version, section lengths, no
 /// trailing bytes — WITHOUT verifying section checksums. Callers must
 /// [`SectionFrame::verify`] every frame before trusting any decoded
-/// payload. Never panics on hostile input. Accepts any major version in
-/// `[MIN_READ_VERSION, FORMAT_VERSION]` with minor ≤ [`FORMAT_MINOR`] and
-/// reports the full version word found.
+/// payload. Never panics on hostile input. Accepts exactly
+/// [`FORMAT_VERSION`] and reports the full version word of anything else.
 pub fn parse_container_frames(data: &[u8]) -> Result<ContainerFrames<'_>, PersistError> {
     if data.len() < 8 {
         return Err(PersistError::Truncated { context: "magic" });
@@ -1114,15 +891,12 @@ pub fn parse_container_frames(data: &[u8]) -> Result<ContainerFrames<'_>, Persis
     }
     let mut r = Reader::new(&data[8..]);
     let version = r.u32("format version")?;
-    if !(MIN_READ_VERSION..=FORMAT_VERSION).contains(&version_major(version))
-        || version_minor(version) > FORMAT_MINOR
-    {
+    if version != FORMAT_VERSION {
         return Err(PersistError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
         });
     }
-    let padded = version_is_padded(version);
     let count = r.u32("section count")?;
     let mut frames = Vec::new();
     for _ in 0..count {
@@ -1135,15 +909,13 @@ pub fn parse_container_frames(data: &[u8]) -> Result<ContainerFrames<'_>, Persis
         }
         let want_crc = r.u32("section crc")?;
         let payload = r.take(len as usize, "section payload")?;
-        if padded {
-            // `r` starts 8 bytes into the file (after the magic), so file
-            // offset ≡ r.pos + 8; every section payload must be zero-filled
-            // out to a 16-byte file offset. The zero check means a bit flip
-            // in the (un-checksummed) padding is still detected.
-            while !(r.pos + 8).is_multiple_of(16) {
-                if r.u8("section padding")? != 0 {
-                    return Err(malformed("nonzero section alignment padding"));
-                }
+        // `r` starts 8 bytes into the file (after the magic), so file
+        // offset ≡ r.pos + 8; every section payload must be zero-filled out
+        // to a 16-byte file offset. The zero check means a bit flip in the
+        // (un-checksummed) padding is still detected.
+        while !(r.pos + 8).is_multiple_of(16) {
+            if r.u8("section padding")? != 0 {
+                return Err(malformed("nonzero section alignment padding"));
             }
         }
         frames.push(SectionFrame {
@@ -1153,7 +925,7 @@ pub fn parse_container_frames(data: &[u8]) -> Result<ContainerFrames<'_>, Persis
         });
     }
     r.finish()?;
-    Ok(ContainerFrames { version, frames })
+    Ok(ContainerFrames { frames })
 }
 
 /// Parse and verify a container: magic, version, section framing, per-
@@ -1283,15 +1055,6 @@ mod tests {
         let bytes = sample_container();
         for i in 0..bytes.len() {
             for bit in 0..8 {
-                // The version field (bytes 8..12) is outside every section
-                // CRC, and a flip there can land on another *accepted*
-                // version (v3 → v2): that changes how store payloads are
-                // decoded, not the framing, and the store decoders
-                // re-validate structure themselves. Skip those bytes here;
-                // `stale_version` covers out-of-range values.
-                if (8..12).contains(&i) {
-                    continue;
-                }
                 let mut c = bytes.clone();
                 c[i] ^= 1 << bit;
                 assert!(
@@ -1302,47 +1065,28 @@ mod tests {
         }
     }
 
-    /// Genuine legacy containers (minor 0, no padding) must keep parsing.
-    /// Built with the unpadded writer: byte-patching a padded container's
-    /// version down would leave pad bytes a legacy parser mis-frames.
-    fn unpadded_container(version: u32) -> Vec<u8> {
-        let mut a = Writer::new_unpadded();
-        a.u64(7);
-        a.str("hello");
-        a.u32_slice(&[1, 2, 3]);
-        let mut c = ContainerWriter::with_version(version);
-        c.section(*b"AAAA", a.into_bytes());
-        c.finish()
-    }
-
+    /// Pre-v4 version words (v2, unpadded v3.0, padded v3.1) are refused
+    /// typed, and the message names the version as major.minor and tells
+    /// the user to re-prepare.
     #[test]
-    fn previous_format_version_still_parses() {
-        let mut bytes = unpadded_container(MIN_READ_VERSION);
-        let parsed = parse_container_frames(&bytes).unwrap();
-        assert_eq!(parsed.version, MIN_READ_VERSION);
-        assert!(!version_is_padded(parsed.version));
-        assert_eq!(parsed.frames.len(), 1);
-        for f in &parsed.frames {
-            f.verify().unwrap();
+    fn pre_v4_versions_are_rejected() {
+        for (word, shown) in [(2u32, "2.0"), (3, "3.0"), (3 | 1 << 16, "3.1")] {
+            let mut bytes = sample_container();
+            bytes[8..12].copy_from_slice(&word.to_le_bytes());
+            let err = parse_container_frames(&bytes).unwrap_err();
+            assert_eq!(
+                err,
+                PersistError::UnsupportedVersion {
+                    found: word,
+                    supported: FORMAT_VERSION
+                }
+            );
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("version {shown} ")) && msg.contains("re-prepare"),
+                "{msg}"
+            );
         }
-        // Unpadded current-major containers (v3 minor 0) also still parse.
-        let v3_flat = unpadded_container(FORMAT_VERSION);
-        assert!(parse_container(&v3_flat).is_ok());
-        // ... and versions below the floor stay rejected.
-        bytes[8..12].copy_from_slice(&(MIN_READ_VERSION - 1).to_le_bytes());
-        assert!(matches!(
-            parse_container_frames(&bytes),
-            Err(PersistError::UnsupportedVersion { .. })
-        ));
-        // Unknown future minors are rejected too: the pad layout could
-        // have changed, so guessing would mis-frame.
-        let mut bytes = sample_container();
-        let future = FORMAT_VERSION | ((FORMAT_MINOR + 1) << 16);
-        bytes[8..12].copy_from_slice(&future.to_le_bytes());
-        assert!(matches!(
-            parse_container_frames(&bytes),
-            Err(PersistError::UnsupportedVersion { .. })
-        ));
     }
 
     #[test]
@@ -1352,8 +1096,6 @@ mod tests {
         // always land after the last pad and trip TrailingData.
         assert!(bytes.len().is_multiple_of(16));
         let parsed = parse_container_frames(&bytes).unwrap();
-        assert_eq!(parsed.version, current_version());
-        assert!(version_is_padded(parsed.version));
         for f in &parsed.frames {
             f.verify().unwrap();
             let off = f.payload.as_ptr() as usize - bytes.as_ptr() as usize;
@@ -1399,42 +1141,6 @@ mod tests {
             Reader::new(&w.into_bytes()).u32_slab_sorted(9, "c"),
             Err(PersistError::Malformed { .. })
         ));
-    }
-
-    #[test]
-    fn wide_slices_roundtrip() {
-        let mut w = Writer::new();
-        w.u64_slice(&[0, 1, u64::MAX]);
-        w.u128_slice(&[3, 9, 1 << 100]);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.u64_slice("a").unwrap(), vec![0, 1, u64::MAX]);
-        assert_eq!(
-            r.u128_slice_sorted(1 << 101, "b").unwrap(),
-            vec![3, 9, 1 << 100]
-        );
-        r.finish().unwrap();
-        // The same bytes through the fused decoder fail on a tight bound…
-        let mut r = Reader::new(&bytes);
-        r.u64_slice("a").unwrap();
-        assert!(matches!(
-            r.u128_slice_sorted(1 << 100, "b"),
-            Err(PersistError::Malformed { .. })
-        ));
-        // …and unsorted payloads are rejected.
-        let mut w = Writer::new();
-        w.u128_slice(&[9, 3]);
-        let bytes = w.into_bytes();
-        assert!(matches!(
-            Reader::new(&bytes).u128_slice_sorted(100, "b"),
-            Err(PersistError::Malformed { .. })
-        ));
-        // Truncated wide payloads fail typed, not with a huge allocation.
-        let mut w = Writer::new();
-        w.u64(u64::MAX);
-        let bytes = w.into_bytes();
-        assert!(Reader::new(&bytes).u128_slice_sorted(100, "b").is_err());
-        assert!(Reader::new(&bytes).u64_slice("a").is_err());
     }
 
     #[test]

@@ -338,17 +338,14 @@ fn mmap_load_hostile_inputs_yield_typed_errors_and_keep_serving() {
         assert!(reply.starts_with("err read:"), "len {len}: {reply}");
     }
 
-    // Misaligned sections: an unpadded container whose version field
-    // claims the padded layout. The framing checks reject it before any
-    // unaligned zero-copy cast can happen.
+    // Misaligned sections: a clean file with one byte spliced between the
+    // 16-byte container header and the first section, which shifts every
+    // section off its 16-byte alignment. The framing checks reject it
+    // before any unaligned zero-copy cast can happen.
     {
-        let q = parse_query(QUERY).unwrap();
-        let prepared =
-            SharedPreparedQuery::prepare(chaos_graph().into_shared(), &q, &PrepareOpts::default())
-                .unwrap();
-        let mut lying = prepared.save_index_bytes_unpadded(&q, QUERY).unwrap();
-        lying[8..12].copy_from_slice(&nd_persist::current_version().to_le_bytes());
-        std::fs::write(&path, &lying).unwrap();
+        let mut misaligned = clean.clone();
+        misaligned.insert(16, 0);
+        std::fs::write(&path, &misaligned).unwrap();
         let reply = line(session.handle(&cmd));
         assert!(reply.starts_with("err read:"), "misaligned: {reply}");
     }

@@ -22,7 +22,7 @@
 //! successor-on-miss in `O(1)`; sorted adjacency answers it for free.
 //!
 //! The three bulk arrays are [`nd_persist::Slab`]s: decoded from an owned
-//! buffer they are plain vectors, decoded from a mapped padded container
+//! buffer they are plain vectors, decoded from a mapped container
 //! they borrow the file pages directly, and the first mutation promotes
 //! the touched array to owned (copy-on-write) without disturbing the rest
 //! of the snapshot.
@@ -39,14 +39,13 @@
 //!   Appends past the current maximum (the cover-repair pattern: a newly
 //!   spawned bag always has the largest id) skip the memmove entirely.
 //! * **Serialization is free**: the sorted key array is its own canonical
-//!   encoding, so the v3 codec is a length check plus a slice decode. The
-//!   padded layout additionally serializes the *canonical* directory
-//!   (recomputed from the keys at save time, so the bytes stay a pure
-//!   function of the stored mapping) so a mapped load does no `O(|Dom|)`
-//!   recount at all.
+//!   encoding, so the codec is a length check plus a slice decode. It
+//!   also serializes the *canonical* directory (recomputed from the keys
+//!   at save time, so the bytes stay a pure function of the stored
+//!   mapping) so a mapped load does no `O(|Dom|)` recount at all.
 
 use crate::params::StoreParams;
-use crate::trie::{FnStore, Lookup, LookupPacked};
+use crate::trie::{Lookup, LookupPacked};
 use nd_persist::Slab;
 
 /// Hard ceiling on directory buckets (2²² ⇒ ≤ 16 MiB of `u32` offsets),
@@ -54,7 +53,7 @@ use nd_persist::Slab;
 const MAX_DIR_BITS: u32 = 22;
 
 /// A partial `k`-ary function `f : [n]^k ⇀ u64` in the flat arena layout.
-/// Same lookup/successor semantics as [`FnStore`]; see the module docs for
+/// Same lookup/successor semantics as [`crate::FnStore`]; see the module docs for
 /// the complexity trade.
 #[derive(Clone, Debug)]
 pub struct FlatStore {
@@ -70,13 +69,6 @@ pub struct FlatStore {
     /// Rebuild the directory when the domain outgrows this (2× the bucket
     /// count at the last sizing), keeping buckets ≈ keys.
     rebuild_at: usize,
-    /// Eytzinger (BFS heap order) mirror of `keys`, maintained only when
-    /// [`StoreParams::eytzinger`] is set: `eyt_keys[i-1]` holds the key at
-    /// 1-based heap slot `i`, `eyt_rank[i-1]` its rank in sorted order.
-    /// Runtime-only — never serialized.
-    eyt_keys: Vec<u128>,
-    /// Sorted-order rank of each eytzinger slot, parallel to `eyt_keys`.
-    eyt_rank: Vec<u32>,
 }
 
 impl FlatStore {
@@ -89,8 +81,6 @@ impl FlatStore {
             dir: Slab::default(),
             shift: 0,
             rebuild_at: 0,
-            eyt_keys: Vec::new(),
-            eyt_rank: Vec::new(),
         };
         s.rebuild_dir();
         s
@@ -138,8 +128,6 @@ impl FlatStore {
             dir: Slab::default(),
             shift: 0,
             rebuild_at: 0,
-            eyt_keys: Vec::new(),
-            eyt_rank: Vec::new(),
         };
         s.rebuild_dir();
         s
@@ -159,7 +147,7 @@ impl FlatStore {
     }
 
     /// Machine words of storage (space accounting, mirrors
-    /// [`FnStore::registers`]): two per packed key, one per value, and the
+    /// [`crate::FnStore::registers`]): two per packed key, one per value, and the
     /// `u32` directory packed two per word.
     pub fn registers(&self) -> usize {
         3 * self.keys.len() + self.dir.len().div_ceil(2)
@@ -178,39 +166,6 @@ impl FlatStore {
         self.shift = shift;
         self.rebuild_at = (2 * (dir.len() - 1)).max(16);
         self.dir = dir.into();
-        self.rebuild_eyt();
-    }
-
-    /// Rebuild the eytzinger mirror from the sorted arena (no-op unless
-    /// the layout flag is set). In-order traversal of the implicit heap
-    /// visits slots in sorted-key order, so one pass fills both arrays.
-    fn rebuild_eyt(&mut self) {
-        self.eyt_keys.clear();
-        self.eyt_rank.clear();
-        if !self.params.eytzinger {
-            return;
-        }
-        fn fill(keys: &[u128], eyt: &mut [u128], rank: &mut [u32], next: &mut usize, i: usize) {
-            if i > keys.len() {
-                return;
-            }
-            fill(keys, eyt, rank, next, 2 * i);
-            eyt[i - 1] = keys[*next];
-            rank[i - 1] = *next as u32;
-            *next += 1;
-            fill(keys, eyt, rank, next, 2 * i + 1);
-        }
-        let n = self.keys.len();
-        self.eyt_keys.resize(n, 0);
-        self.eyt_rank.resize(n, 0);
-        let mut next = 0usize;
-        fill(
-            &self.keys,
-            &mut self.eyt_keys,
-            &mut self.eyt_rank,
-            &mut next,
-            1,
-        );
     }
 
     #[inline]
@@ -218,32 +173,10 @@ impl FlatStore {
         (packed >> self.shift) as usize
     }
 
-    /// Branchless eytzinger lower bound: walk the implicit heap left/right
-    /// on compare, then cancel the trailing "went right" steps to recover
-    /// the last left-turn ancestor, whose rank is the insertion point.
-    #[inline]
-    fn eyt_insertion_point(&self, packed: u128) -> usize {
-        let n = self.eyt_keys.len();
-        let mut j = 1usize;
-        while j <= n {
-            j = 2 * j + usize::from(self.eyt_keys[j - 1] < packed);
-        }
-        j >>= j.trailing_ones() + 1;
-        if j == 0 {
-            n
-        } else {
-            self.eyt_rank[j - 1] as usize
-        }
-    }
-
     /// Global index of the smallest key `≥ packed` (may be `len`). One
-    /// directory probe, then binary search within the bucket's range —
-    /// or a cache-friendly eytzinger descent when the layout flag is set.
+    /// directory probe, then binary search within the bucket's range.
     #[inline]
     fn insertion_point(&self, packed: u128) -> usize {
-        if self.params.eytzinger {
-            return self.eyt_insertion_point(packed);
-        }
         let b = self.bucket(packed);
         let lo = self.dir[b] as usize;
         let hi = self.dir[b + 1] as usize;
@@ -328,8 +261,6 @@ impl FlatStore {
         }
         if self.keys.len() > self.rebuild_at {
             self.rebuild_dir();
-        } else {
-            self.rebuild_eyt();
         }
         None
     }
@@ -352,8 +283,6 @@ impl FlatStore {
         // far below the bucket count, keeping point updates `O(|Dom|)`.
         if self.dir.len() > 16 && 8 * self.keys.len() < self.dir.len() {
             self.rebuild_dir();
-        } else {
-            self.rebuild_eyt();
         }
         Some(old)
     }
@@ -374,8 +303,7 @@ impl FlatStore {
 
     /// Exhaustively verify the structural invariants: strict key order,
     /// key range, parallel-array lengths, directory consistency (every
-    /// offset range exactly brackets its bucket's keys), and — when the
-    /// layout flag is set — the eytzinger mirror. Tests only.
+    /// offset range exactly brackets its bucket's keys). Tests only.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         assert_eq!(self.keys.len(), self.vals.len(), "parallel arrays");
@@ -404,31 +332,16 @@ impl FlatStore {
                 "key {i} outside its directory range"
             );
         }
-        if self.params.eytzinger {
-            assert_eq!(self.eyt_keys.len(), self.keys.len(), "eytzinger mirror");
-            assert_eq!(self.eyt_rank.len(), self.keys.len(), "eytzinger ranks");
-            let mut seen = vec![false; self.keys.len()];
-            for (j, &p) in self.eyt_keys.iter().enumerate() {
-                let rank = self.eyt_rank[j] as usize;
-                assert_eq!(self.keys[rank], p, "eytzinger slot {j} mismatches arena");
-                assert!(!seen[rank], "eytzinger rank {rank} duplicated");
-                seen[rank] = true;
-            }
-        } else {
-            assert!(self.eyt_keys.is_empty() && self.eyt_rank.is_empty());
-        }
     }
 
     // ------------------------------------------------------------------
     // Binary persistence (DESIGN.md §11–12). The sorted key arena is its
-    // own canonical serialization. The padded (v3.1, mmap-ready) layout
-    // additionally carries the directory so a mapped load is pure slice
-    // casts: shape params, shift, canonical dir, keys, vals — the bulk
-    // arrays 16-byte aligned. The directory is *recomputed canonically*
-    // from the keys at save time (never the in-memory one, which depends
-    // on rebuild history), keeping the bytes a pure function of the
-    // stored mapping. The unpadded layout is the legacy v3.0 encoding:
-    // shape params + keys + vals, directory recounted on load.
+    // own canonical serialization, and the directory rides along so a
+    // mapped load is pure slice casts: shape params, shift, canonical dir,
+    // keys, vals — the bulk arrays 16-byte aligned. The directory is
+    // *recomputed canonically* from the keys at save time (never the
+    // in-memory one, which depends on rebuild history), keeping the bytes
+    // a pure function of the stored mapping.
     // ------------------------------------------------------------------
 
     /// Append the store's binary encoding to `w`. A pure function of the
@@ -438,16 +351,11 @@ impl FlatStore {
         w.u64(self.params.k as u64);
         w.u32(self.params.d);
         w.u32(self.params.h);
-        if w.is_padded() {
-            let (shift, dir) = canonical_dir(&self.params, &self.keys);
-            w.u32(shift);
-            w.u32_slab(&dir);
-            w.u128_slab(&self.keys);
-            w.u64_slab(&self.vals);
-        } else {
-            w.u128_slice(&self.keys);
-            w.u64_slice(&self.vals);
-        }
+        let (shift, dir) = canonical_dir(&self.params, &self.keys);
+        w.u32(shift);
+        w.u32_slab(&dir);
+        w.u128_slab(&self.keys);
+        w.u64_slab(&self.vals);
     }
 
     /// Decode a store, re-validating shape parameters, strict key order,
@@ -460,14 +368,6 @@ impl FlatStore {
         use nd_persist::malformed;
         let params = read_params(r)?;
         let span = span_of(&params);
-        if !r.is_padded() {
-            let keys = r.u128_slice_sorted(span, "flat store keys")?;
-            let vals = r.u64_slice("flat store values")?;
-            if vals.len() != keys.len() {
-                return Err(malformed("flat store key/value lengths disagree"));
-            }
-            return Ok(Self::from_sorted_packed(params, keys, vals));
-        }
         let shift = r.u32("flat store shift")?;
         // Always bound the shift: a hostile value would make `>>` itself
         // undefined before any gated validation could run.
@@ -492,36 +392,14 @@ impl FlatStore {
                 return Err(malformed("flat store directory is not canonical"));
             }
         }
-        let mut s = FlatStore {
+        Ok(FlatStore {
             params,
             keys,
             vals,
             dir,
             shift,
             rebuild_at: (2 * buckets).max(16),
-            eyt_keys: Vec::new(),
-            eyt_rank: Vec::new(),
-        };
-        // Decoded params never carry the (runtime-only) eytzinger flag,
-        // so this is a no-op today; kept for symmetry with the builders.
-        s.rebuild_eyt();
-        Ok(s)
-    }
-
-    /// Convert a decoded pointer trie (the v2 on-disk encoding) into the
-    /// flat layout — the forward-load path for old index files. The
-    /// conversion is canonical: re-saving writes the same v3 bytes as an
-    /// index built flat from scratch.
-    pub fn from_fn_store(t: &FnStore) -> FlatStore {
-        let params = *t.params();
-        let pairs = t.iter();
-        let mut keys = Vec::with_capacity(pairs.len());
-        let mut vals = Vec::with_capacity(pairs.len());
-        for (k, v) in pairs {
-            keys.push(params.pack(&k));
-            vals.push(v);
-        }
-        Self::from_sorted_packed(params, keys, vals)
+        })
     }
 }
 
@@ -556,8 +434,7 @@ fn canonical_dir(params: &StoreParams, keys: &[u128]) -> (u32, Vec<u32>) {
     (shift, dir)
 }
 
-/// Decode and validate the shape-parameter header shared with the trie
-/// codec (same field order, so the two store encodings stay comparable).
+/// Decode and validate the shape-parameter header.
 fn read_params(r: &mut nd_persist::Reader<'_>) -> Result<StoreParams, nd_persist::PersistError> {
     use nd_persist::malformed;
     let n = r.u64("store n")?;
@@ -568,8 +445,8 @@ fn read_params(r: &mut nd_persist::Reader<'_>) -> Result<StoreParams, nd_persist
         return Err(malformed("store shape parameters out of range"));
     }
     let k = usize::try_from(k).map_err(|_| malformed("store arity overflows usize"))?;
-    // Same digit-count cap as the trie decoder: bounds the `d^h` loop
-    // below against a hostile height before anything iterates over it.
+    // Same digit-count cap as the trie's digit scratch: bounds the `d^h`
+    // loop below against a hostile height before anything iterates over it.
     if (k as u64).saturating_mul(u64::from(h)) > 160 {
         return Err(malformed("store digit count exceeds the scratch cap"));
     }
@@ -585,18 +462,13 @@ fn read_params(r: &mut nd_persist::Reader<'_>) -> Result<StoreParams, nd_persist
     if pow < u128::from(n.max(1)) {
         return Err(malformed("store digits cannot represent the key range"));
     }
-    Ok(StoreParams {
-        n,
-        k,
-        d,
-        h,
-        eytzinger: false,
-    })
+    Ok(StoreParams { n, k, d, h })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FnStore;
 
     fn keyspace(n: u64, k: usize) -> Vec<Vec<u64>> {
         let mut out: Vec<Vec<u64>> = vec![vec![]];
@@ -647,61 +519,6 @@ mod tests {
             );
         }
         assert_eq!(trie.iter(), flat.iter());
-    }
-
-    /// The eytzinger layout is probe-for-probe identical to the sorted
-    /// layout across the whole key space, through growth and shrink.
-    #[test]
-    fn eytzinger_agrees_with_sorted_everywhere() {
-        let params = StoreParams::new(7, 2, 0.5);
-        let mut sorted = FlatStore::new(params);
-        let mut eyt = FlatStore::new(params.with_eytzinger());
-        let keys: Vec<Vec<u64>> = vec![vec![0, 1], vec![1, 6], vec![2, 3], vec![5, 0], vec![6, 6]];
-        for (i, k) in keys.iter().enumerate() {
-            sorted.insert(k, i as u64);
-            eyt.insert(k, i as u64);
-            eyt.check_invariants();
-        }
-        for probe in keyspace(7, 2) {
-            assert_eq!(sorted.lookup(&probe), eyt.lookup(&probe), "probe {probe:?}");
-            assert_eq!(
-                sorted.successor_inclusive(&probe),
-                eyt.successor_inclusive(&probe),
-                "succ {probe:?}"
-            );
-            assert_eq!(
-                sorted.predecessor_strict(&probe),
-                eyt.predecessor_strict(&probe),
-                "pred {probe:?}"
-            );
-        }
-        for k in &keys {
-            sorted.remove(k);
-            eyt.remove(k);
-            eyt.check_invariants();
-            for probe in keyspace(7, 2) {
-                assert_eq!(sorted.lookup(&probe), eyt.lookup(&probe), "after remove");
-            }
-        }
-        assert!(eyt.is_empty());
-    }
-
-    /// The eytzinger flag changes probes only, never bytes: both layouts
-    /// serialize identically (the flag is runtime-only).
-    #[test]
-    fn eytzinger_flag_does_not_change_serialization() {
-        let params = StoreParams::new(40, 2, 0.5);
-        let mut sorted = FlatStore::new(params);
-        let mut eyt = FlatStore::new(params.with_eytzinger());
-        for i in 0..30u64 {
-            let key = [(i * 7) % 40, (i * 11) % 40];
-            sorted.insert(&key, i);
-            eyt.insert(&key, i);
-        }
-        let (mut w1, mut w2) = (nd_persist::Writer::new(), nd_persist::Writer::new());
-        sorted.write_into(&mut w1);
-        eyt.write_into(&mut w2);
-        assert_eq!(w1.into_bytes(), w2.into_bytes());
     }
 
     #[test]
@@ -789,28 +606,6 @@ mod tests {
         assert_eq!(w2.into_bytes(), bytes, "re-save must be bit-identical");
     }
 
-    /// The legacy unpadded (v3.0) layout still round-trips bit-identically
-    /// — the owned fallback path for old containers.
-    #[test]
-    fn unpadded_codec_roundtrip_is_bit_identical() {
-        let params = StoreParams::new(64, 2, 0.4);
-        let mut s = FlatStore::new(params);
-        for (i, key) in [[3u64, 7], [3, 9], [60, 0], [0, 0]].iter().enumerate() {
-            s.insert(key, i as u64);
-        }
-        let mut w = nd_persist::Writer::new_unpadded();
-        s.write_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = nd_persist::Reader::new_unpadded(&bytes);
-        let back = FlatStore::read_from(&mut r).unwrap();
-        r.finish().unwrap();
-        back.check_invariants();
-        assert_eq!(back.iter(), s.iter());
-        let mut w2 = nd_persist::Writer::new_unpadded();
-        back.write_into(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes, "re-save must be bit-identical");
-    }
-
     #[test]
     fn codec_rejects_corruption() {
         let params = StoreParams::new(64, 2, 0.4);
@@ -857,25 +652,6 @@ mod tests {
         let mid = dir_at + 4 * (dir.len() / 2);
         c[mid] = c[mid].wrapping_add(1);
         assert!(FlatStore::read_from(&mut nd_persist::Reader::new(&c)).is_err());
-    }
-
-    #[test]
-    fn trie_conversion_is_canonical() {
-        let params = StoreParams::new(40, 2, 0.5);
-        let mut trie = FnStore::new(params);
-        let mut flat = FlatStore::new(params);
-        for i in 0..30u64 {
-            let key = [(i * 7) % 40, (i * 11) % 40];
-            trie.insert(&key, i);
-            flat.insert(&key, i);
-        }
-        let converted = FlatStore::from_fn_store(&trie);
-        converted.check_invariants();
-        assert_eq!(converted.iter(), flat.iter());
-        let (mut w1, mut w2) = (nd_persist::Writer::new(), nd_persist::Writer::new());
-        converted.write_into(&mut w1);
-        flat.write_into(&mut w2);
-        assert_eq!(w1.into_bytes(), w2.into_bytes());
     }
 
     #[test]

@@ -40,9 +40,9 @@ pub use trie::{FnStore, Lookup, LookupPacked};
 ///
 /// Backed by the flat sorted arena ([`FlatStore`]): bulk builds are one
 /// sorted pass instead of insert-at-a-time, lookup-or-successor is a radix
-/// probe plus an expected-`O(1)` binary search, and the on-disk v3 form is
+/// probe plus an expected-`O(1)` binary search, and the on-disk form is
 /// the arena itself. The pointer trie ([`FnStore`]) remains available for
-/// sustained random-update workloads and as the v2 decode path.
+/// sustained random-update workloads.
 #[derive(Clone)]
 pub struct KeySet {
     inner: FlatStore,
@@ -147,36 +147,16 @@ impl KeySet {
     }
 
     /// Append the set's binary encoding to `w` (DESIGN.md §11): the flat
-    /// arena's v3 form — the sorted key array is the serialization.
+    /// arena's form — the sorted key array is the serialization.
     pub fn write_into(&self, w: &mut nd_persist::Writer) {
         self.inner.write_into(w);
     }
 
-    /// Decode a set written by a container of the given `format_version`,
-    /// re-validating the store's invariants. v2 payloads carry the pointer
-    /// trie encoding and are converted to the flat layout on load (the
-    /// conversion is canonical, so a subsequent save is a normal v3 file);
-    /// v3 payloads decode in place.
-    pub fn read_from(
-        r: &mut nd_persist::Reader<'_>,
-        format_version: u32,
-    ) -> Result<KeySet, nd_persist::PersistError> {
-        let inner = match nd_persist::version_major(format_version) {
-            2 => FlatStore::from_fn_store(&FnStore::read_from(r)?),
-            _ => FlatStore::read_from(r)?,
-        };
-        Ok(KeySet { inner })
-    }
-
-    /// Encode in the legacy v2 (pointer trie) layout. Only for tests that
-    /// exercise the v2→v3 forward-load path; new files are always v3.
-    #[doc(hidden)]
-    pub fn write_into_v2(&self, w: &mut nd_persist::Writer) {
-        let mut t = FnStore::new(*self.inner.params());
-        for (key, v) in self.inner.iter() {
-            t.insert(&key, v);
-        }
-        t.write_into(w);
+    /// Decode a set, re-validating the store's invariants.
+    pub fn read_from(r: &mut nd_persist::Reader<'_>) -> Result<KeySet, nd_persist::PersistError> {
+        Ok(KeySet {
+            inner: FlatStore::read_from(r)?,
+        })
     }
 }
 
@@ -211,39 +191,12 @@ mod keyset_tests {
         s.write_into(&mut w);
         let bytes = w.into_bytes();
         let mut r = nd_persist::Reader::new(&bytes);
-        let back = KeySet::read_from(&mut r, nd_persist::FORMAT_VERSION).unwrap();
+        let back = KeySet::read_from(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back.len(), 3);
         assert!(back.contains(&[3, 7]));
         assert!(!back.contains(&[3, 8]));
         assert_eq!(back.successor_inclusive(&[3, 8]), Some(vec![3, 9]));
         assert_eq!(back.iter_keys(), s.iter_keys());
-    }
-
-    #[test]
-    fn v2_trie_payload_forward_loads_and_resaves_as_v3() {
-        let mut s = KeySet::new(StoreParams::new(64, 2, 0.4));
-        for key in [[3u64, 7], [3, 9], [60, 0], [0, 0]] {
-            s.insert(&key);
-        }
-        // Encode in the legacy trie layout, decode as a v2 payload.
-        let mut w = nd_persist::Writer::new();
-        s.write_into_v2(&mut w);
-        let v2_bytes = w.into_bytes();
-        let mut r = nd_persist::Reader::new(&v2_bytes);
-        let back = KeySet::read_from(&mut r, 2).unwrap();
-        r.finish().unwrap();
-        back.check_invariants();
-        assert_eq!(back.iter_keys(), s.iter_keys());
-        // The forward-loaded set re-saves as a normal v3 payload, bit-
-        // identical to one built flat from scratch.
-        let (mut w1, mut w2) = (nd_persist::Writer::new(), nd_persist::Writer::new());
-        back.write_into(&mut w1);
-        s.write_into(&mut w2);
-        let v3_bytes = w1.into_bytes();
-        assert_eq!(v3_bytes, w2.into_bytes());
-        // And a v3 payload is NOT decodable under the v2 rules (the trie
-        // decoder re-validates structure), so version mixups fail typed.
-        assert!(KeySet::read_from(&mut nd_persist::Reader::new(&v3_bytes), 2).is_err());
     }
 }

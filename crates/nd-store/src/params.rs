@@ -12,11 +12,6 @@ pub struct StoreParams {
     pub d: u32,
     /// Digits per key component; minimal with `d^h ≥ n`.
     pub h: u32,
-    /// Runtime-only layout flag for [`crate::FlatStore`]: maintain an
-    /// eytzinger (BFS-order) mirror of the key arena and binary-search
-    /// that instead of the sorted run. Never serialized — decoded stores
-    /// always come back `false` — so it cannot affect on-disk canonicality.
-    pub eytzinger: bool,
 }
 
 impl StoreParams {
@@ -53,19 +48,7 @@ impl StoreParams {
             pow *= d as u128;
             h += 1;
         }
-        Ok(StoreParams {
-            n,
-            k,
-            d,
-            h,
-            eytzinger: false,
-        })
-    }
-
-    /// Opt in to the eytzinger probe layout (see the `eytzinger` field).
-    pub fn with_eytzinger(mut self) -> Self {
-        self.eytzinger = true;
-        self
+        Ok(StoreParams { n, k, d, h })
     }
 
     /// Check that `key` has arity `k` with every component in `[0, n)` —
@@ -96,13 +79,7 @@ impl StoreParams {
             pow *= d as u128;
             h += 1;
         }
-        StoreParams {
-            n,
-            k,
-            d,
-            h,
-            eytzinger: false,
-        }
+        StoreParams { n, k, d, h }
     }
 
     /// Total digits per key: `k·h`.

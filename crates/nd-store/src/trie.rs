@@ -616,172 +616,6 @@ impl FnStore {
         assert_eq!(reachable, self.nodes.len(), "arena leak: unreachable nodes");
     }
 
-    // ------------------------------------------------------------------
-    // Binary persistence (DESIGN.md §9). Serializing the trie verbatim —
-    // arena nodes, slots, successor caches — is what makes warm restarts
-    // skip the O(|Dom(f)| · n^ε) rebuild. The decoder re-validates every
-    // structural invariant the constant-time walk relies on (tree shape,
-    // depth discipline, parent pointers, packed-key ranges), so hostile
-    // bytes yield a typed error instead of a structure that panics or
-    // loops during lookups.
-    // ------------------------------------------------------------------
-
-    /// Append the trie's binary encoding to `w`.
-    pub fn write_into(&self, w: &mut nd_persist::Writer) {
-        w.u64(self.params.n);
-        w.u64(self.params.k as u64);
-        w.u32(self.params.d);
-        w.u32(self.params.h);
-        w.u64(self.len as u64);
-        w.seq_len(self.nodes.len());
-        for node in &self.nodes {
-            w.u32(node.parent);
-            w.u32(node.parent_slot);
-            for slot in node.slots.iter() {
-                match slot {
-                    Slot::Next(None) => w.u8(0),
-                    Slot::Next(Some(p)) => {
-                        w.u8(1);
-                        w.u128(*p);
-                    }
-                    Slot::Child(c) => {
-                        w.u8(2);
-                        w.u32(*c);
-                    }
-                    Slot::Val(v) => {
-                        w.u8(3);
-                        w.u64(*v);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Decode a trie, re-validating shape parameters and arena structure.
-    pub fn read_from(r: &mut nd_persist::Reader<'_>) -> Result<FnStore, nd_persist::PersistError> {
-        use nd_persist::malformed;
-        let n = r.u64("store n")?;
-        let k = r.u64("store k")?;
-        let d = r.u32("store d")?;
-        let h = r.u32("store h")?;
-        if k == 0 || d < 2 || h == 0 {
-            return Err(malformed("store shape parameters out of range"));
-        }
-        let k = usize::try_from(k).map_err(|_| malformed("store arity overflows usize"))?;
-        let params = StoreParams {
-            n,
-            k,
-            d,
-            h,
-            eytzinger: false,
-        };
-        let kh = params.total_digits();
-        if kh > MAX_DIGITS {
-            return Err(malformed("store digit count exceeds the scratch cap"));
-        }
-        if (k as u64) * u64::from(64 - n.max(1).leading_zeros().min(63)) > 120 {
-            return Err(malformed("store key space too wide to pack"));
-        }
-        let mut pow = 1u128;
-        for _ in 0..h {
-            pow = pow.saturating_mul(u128::from(d));
-        }
-        if pow < u128::from(n.max(1)) {
-            return Err(malformed("store digits cannot represent the key range"));
-        }
-        // k·⌈log₂ n⌉ ≤ 120 was checked above, so n^k fits in a u128.
-        let max_packed = u128::from(n.max(1)).pow(k as u32);
-        let len = r.u64("store len")?;
-        let count = r.seq_len(9, "store node count")?;
-        if count == 0 {
-            return Err(malformed("store has no root node"));
-        }
-        let mut nodes = Vec::with_capacity(count);
-        for i in 0..count {
-            let parent = r.u32("store node parent")?;
-            let parent_slot = r.u32("store node parent slot")?;
-            if i == 0 {
-                if parent != NO_PARENT {
-                    return Err(malformed("store root has a parent"));
-                }
-            } else if parent as usize >= count || parent_slot >= d {
-                return Err(malformed("store parent pointer out of range"));
-            }
-            let mut slots = Vec::with_capacity(d as usize);
-            for _ in 0..d {
-                slots.push(match r.u8("store slot tag")? {
-                    0 => Slot::Next(None),
-                    1 => {
-                        let p = r.u128("store cached successor")?;
-                        if p >= max_packed {
-                            return Err(malformed("store cached successor out of range"));
-                        }
-                        Slot::Next(Some(p))
-                    }
-                    2 => {
-                        let c = r.u32("store child pointer")?;
-                        if c as usize >= count || c == ROOT {
-                            return Err(malformed("store child pointer out of range"));
-                        }
-                        Slot::Child(c)
-                    }
-                    3 => Slot::Val(r.u64("store value")?),
-                    other => return Err(malformed(format!("unknown store slot tag {other}"))),
-                });
-            }
-            nodes.push(Node {
-                slots: slots.into_boxed_slice(),
-                parent,
-                parent_slot,
-            });
-        }
-        // Structural sweep: the arena must be a tree rooted at ROOT with
-        // Child edges strictly above leaf depth, Val slots exactly at leaf
-        // depth, and parent back-pointers agreeing with the child edges.
-        let mut seen = vec![false; count];
-        seen[ROOT as usize] = true;
-        let mut vals = 0u64;
-        let mut stack = vec![(ROOT, 0usize)];
-        while let Some((nd, depth)) = stack.pop() {
-            for (idx, slot) in nodes[nd as usize].slots.iter().enumerate() {
-                match slot {
-                    Slot::Next(_) => {}
-                    Slot::Val(_) => {
-                        if depth + 1 != kh {
-                            return Err(malformed("store value above leaf depth"));
-                        }
-                        vals += 1;
-                    }
-                    Slot::Child(c) => {
-                        if depth + 2 > kh {
-                            return Err(malformed("store child edge at leaf depth"));
-                        }
-                        let ci = *c as usize;
-                        if seen[ci] {
-                            return Err(malformed("store node reachable twice (cycle)"));
-                        }
-                        seen[ci] = true;
-                        if nodes[ci].parent != nd || nodes[ci].parent_slot as usize != idx {
-                            return Err(malformed("store parent back-pointer mismatch"));
-                        }
-                        stack.push((*c, depth + 1));
-                    }
-                }
-            }
-        }
-        if seen.iter().any(|s| !s) {
-            return Err(malformed("store arena contains unreachable nodes"));
-        }
-        if vals != len {
-            return Err(malformed("store length disagrees with stored values"));
-        }
-        Ok(FnStore {
-            params,
-            nodes,
-            len: len as usize,
-        })
-    }
-
     fn check_node(&self, node: NodeId, prefix: &mut Vec<u32>, keys: &[Vec<u64>]) {
         let kh = self.params.total_digits();
         let mut buf = [0u32; MAX_DIGITS];
@@ -928,66 +762,6 @@ mod tests {
         }
         let got: Vec<u64> = s.iter().into_iter().map(|(k, _)| k[0]).collect();
         assert_eq!(got, vec![0, 5, 17, 500, 981, 999]);
-    }
-
-    #[test]
-    fn binary_codec_roundtrips_figure1() {
-        let s = figure1_store();
-        let mut w = nd_persist::Writer::new();
-        s.write_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = nd_persist::Reader::new(&bytes);
-        let back = FnStore::read_from(&mut r).unwrap();
-        r.finish().unwrap();
-        back.check_invariants();
-        assert_eq!(back.len(), 6);
-        assert_eq!(back.params(), s.params());
-        // Identical bytes on re-encode: the arena layout round-trips
-        // verbatim, which is what the conformance bit-identity check
-        // relies on.
-        let mut w2 = nd_persist::Writer::new();
-        back.write_into(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes);
-        assert_eq!(back.lookup(&[3]), Lookup::Missing(Some(vec![4])));
-        assert_eq!(back.lookup(&[19]), Lookup::Found(19));
-        assert_eq!(back.lookup(&[26]), Lookup::Missing(None));
-    }
-
-    #[test]
-    fn binary_codec_rejects_structural_corruption() {
-        use nd_persist::{PersistError, Reader};
-        let s = figure1_store();
-        let mut w = nd_persist::Writer::new();
-        s.write_into(&mut w);
-        let bytes = w.into_bytes();
-        // Every truncation fails typed.
-        for cut in 0..bytes.len() {
-            assert!(
-                FnStore::read_from(&mut Reader::new(&bytes[..cut])).is_err(),
-                "cut {cut}"
-            );
-        }
-        // Every single-byte overwrite either fails typed or yields a
-        // structure that still satisfies the walk invariants (no panic).
-        for i in 0..bytes.len() {
-            let mut c = bytes.clone();
-            c[i] = c[i].wrapping_add(1);
-            if let Ok(back) = FnStore::read_from(&mut Reader::new(&c)) {
-                let _ = back.lookup(&[3]);
-                let _ = back.successor_inclusive(&[0]);
-            }
-        }
-        // d < 2 is rejected.
-        let mut w = nd_persist::Writer::new();
-        w.u64(27);
-        w.u64(1);
-        w.u32(1);
-        w.u32(3);
-        let b = w.into_bytes();
-        assert!(matches!(
-            FnStore::read_from(&mut Reader::new(&b)),
-            Err(PersistError::Malformed { .. } | PersistError::Truncated { .. })
-        ));
     }
 
     #[test]

@@ -40,7 +40,6 @@ fn op_strategy(n: u64, k: usize) -> impl Strategy<Value = Op> {
 fn run_model(n: u64, k: usize, eps: f64, ops: Vec<Op>) {
     let params = StoreParams::new(n, k, eps);
     let mut store = FlatStore::new(params);
-    let mut eyt = FlatStore::new(params.with_eytzinger());
     let mut model: BTreeMap<Vec<u64>, u64> = BTreeMap::new();
 
     for op in ops {
@@ -48,16 +47,13 @@ fn run_model(n: u64, k: usize, eps: f64, ops: Vec<Op>) {
             Op::Insert(key, val) => {
                 let expected = model.insert(key.clone(), val);
                 assert_eq!(store.insert(&key, val), expected, "insert {key:?}");
-                assert_eq!(eyt.insert(&key, val), expected, "eyt insert {key:?}");
             }
             Op::Remove(key) => {
                 let expected = model.remove(&key);
                 assert_eq!(store.remove(&key), expected, "remove {key:?}");
-                assert_eq!(eyt.remove(&key), expected, "eyt remove {key:?}");
             }
             Op::Lookup(key) => {
                 let got = store.lookup(&key);
-                assert_eq!(eyt.lookup(&key), got, "eyt lookup {key:?}");
                 match model.get(&key) {
                     Some(&v) => assert_eq!(got, Lookup::Found(v), "hit {key:?}"),
                     None => {
@@ -72,7 +68,6 @@ fn run_model(n: u64, k: usize, eps: f64, ops: Vec<Op>) {
                     .next_back()
                     .map(|(k2, _)| k2.clone());
                 assert_eq!(store.predecessor_strict(&key), expected, "pred {key:?}");
-                assert_eq!(eyt.predecessor_strict(&key), expected, "eyt pred {key:?}");
             }
             Op::SuccStrict(key) => {
                 let expected = model
@@ -80,18 +75,14 @@ fn run_model(n: u64, k: usize, eps: f64, ops: Vec<Op>) {
                     .find(|(k2, _)| **k2 != key)
                     .map(|(k2, _)| k2.clone());
                 assert_eq!(store.successor_strict(&key), expected, "succ> {key:?}");
-                assert_eq!(eyt.successor_strict(&key), expected, "eyt succ> {key:?}");
             }
         }
         assert_eq!(store.len(), model.len());
-        assert_eq!(eyt.len(), model.len());
     }
     store.check_invariants();
-    eyt.check_invariants();
     let got: Vec<(Vec<u64>, u64)> = store.iter();
     let expected: Vec<(Vec<u64>, u64)> = model.into_iter().collect();
     assert_eq!(got, expected, "final contents");
-    assert_eq!(eyt.iter(), expected, "eyt final contents");
 }
 
 /// Random insert set → bulk build must equal the incremental build and the
@@ -106,12 +97,6 @@ fn run_bulk(n: u64, k: usize, eps: f64, pairs: Vec<(Vec<u64>, u64)>) {
     }
     let expected: Vec<(Vec<u64>, u64)> = model.into_iter().collect();
     assert_eq!(bulk.iter(), expected, "bulk contents");
-    let bulk_eyt = FlatStore::from_pairs(
-        params.with_eytzinger(),
-        pairs.iter().map(|(k, v)| (k.as_slice(), *v)),
-    );
-    bulk_eyt.check_invariants();
-    assert_eq!(bulk_eyt.iter(), expected, "eyt bulk contents");
 
     let mut w = nd_persist::Writer::new();
     bulk.write_into(&mut w);
@@ -124,10 +109,6 @@ fn run_bulk(n: u64, k: usize, eps: f64, pairs: Vec<(Vec<u64>, u64)>) {
     let mut w2 = nd_persist::Writer::new();
     back.write_into(&mut w2);
     assert_eq!(w2.into_bytes(), bytes, "re-save not bit-identical");
-    // The runtime-only eytzinger flag must not leak into the bytes.
-    let mut w3 = nd_persist::Writer::new();
-    bulk_eyt.write_into(&mut w3);
-    assert_eq!(w3.into_bytes(), bytes, "eytzinger flag changed the bytes");
 }
 
 proptest! {

@@ -140,8 +140,9 @@ GRAPH / QUERY OPTIONS (all modes):
                                          of the mapped pages
       [--verify full|lazy]               CRC policy for --load-mmap: check
                                          everything up front (default) or
-                                         defer bulk-section CRCs until after
-                                         the probes (then exit 15 on mismatch)
+                                         defer the engine-section CRC until
+                                         after the probes (then exit 15 on
+                                         mismatch)
       [--prewarm]                        touch every mapped page up front
                                          (trades first-probe latency for
                                          load latency)
@@ -233,7 +234,7 @@ struct Common {
     /// zero-copy out of the mapped pages.
     load_mmap: Option<String>,
     /// CRC policy for `--load-mmap`: check everything up front (default)
-    /// or defer the bulk-section CRCs until after the probes.
+    /// or defer the engine-section CRC until after the probes.
     verify: VerifyPolicy,
     /// Touch every mapped page up front instead of faulting on demand.
     prewarm: bool,
