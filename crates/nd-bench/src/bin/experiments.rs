@@ -8,7 +8,6 @@
 //! cargo run --release -p nd-bench --bin experiments -- --json  # + @json lines
 //! cargo run --release -p nd-bench --bin experiments -- a7 --smoke --json
 //! cargo run --release -p nd-bench --bin experiments -- a8 --smoke   # warm restart
-//! cargo run --release -p nd-bench --bin experiments -- a9 --smoke   # incremental update
 //! cargo run --release -p nd-bench --bin experiments -- a10 --smoke  # flat store layout
 //! cargo run --release -p nd-bench --bin experiments -- a11 --smoke  # zero-copy mmap load
 //! ```
@@ -108,9 +107,6 @@ fn main() {
     // whichever subset runs writes the sections it produced.
     let a7_doc = want("a7").then(|| a7_prepare(&cfg));
     let a8_doc = want("a8").then(|| a8_warm_start(&cfg));
-    if want("a9") {
-        a9_update(&cfg);
-    }
     let a10_doc = want("a10").then(|| a10_flat_store(&cfg));
     let a11_doc = want("a11").then(|| a11_mmap_start(&cfg));
     if a7_doc.is_some() || a8_doc.is_some() || a10_doc.is_some() || a11_doc.is_some() {
@@ -1538,185 +1534,6 @@ fn write_bench_prepare(
         doc.field_raw("mmap_start", &mmap);
     }
     let path = "BENCH_prepare.json";
-    match std::fs::write(path, doc.finish() + "\n") {
-        Ok(()) => println!("\n  wrote {path}"),
-        Err(e) => println!("\n  WARNING: could not write {path}: {e}"),
-    }
-}
-
-/// Deterministic edge-mutation log: even slots add an absent edge, odd
-/// slots remove a present one, all picked by the `mix` stream so reruns
-/// see the same batch.
-fn a9_log(g: &nd_graph::ColoredGraph, batch: usize, seed: u64) -> nd_update::MutationLog {
-    use nd_update::Mutation;
-    let n = g.n() as u64;
-    let mut log = nd_update::MutationLog::new();
-    let mut salt = seed;
-    for i in 0..batch {
-        salt = salt.wrapping_add(1);
-        if i % 2 == 0 {
-            // Add: first non-adjacent distinct pair the stream yields.
-            loop {
-                let u = (mix(salt, 71) % n) as u32;
-                let v = (mix(salt, 73) % n) as u32;
-                if u != v && g.neighbors(u).binary_search(&v).is_err() {
-                    log.push(Mutation::AddEdge(u, v));
-                    break;
-                }
-                salt = salt.wrapping_add(1);
-            }
-        } else {
-            // Remove: first vertex with a neighbor; drop its lowest edge.
-            loop {
-                let u = (mix(salt, 79) % n) as u32;
-                if let Some(&v) = g.neighbors(u).first() {
-                    log.push(Mutation::RemoveEdge(u, v));
-                    break;
-                }
-                salt = salt.wrapping_add(1);
-            }
-        }
-    }
-    log
-}
-
-/// A9 — incremental update (PR 7): `PreparedQuery::apply` (dirty-bag
-/// repair) vs a full re-prepare of the mutated graph, across mutation
-/// batch sizes, on the grid and dense families. Each batch applies to the
-/// same base index, so rows are independent measurements, and both paths
-/// are asserted to answer identically (shared enumeration prefix + probe
-/// sweep). The win comes from skipping the cover build and re-kernelizing
-/// only dirty bags — largest exactly where prepare is most expensive, the
-/// dense family, where the single-edge row is *asserted* ≥5x faster than
-/// re-prepare (the PR's acceptance floor). Writes `BENCH_update.json`.
-///
-/// Honesty: the report carries `host_cores`/`parallelism_limited` like
-/// BENCH_prepare.json — both timed paths here are single-threaded, so the
-/// flag only records that the host was not the bottleneck.
-fn a9_update(cfg: &Config) {
-    use nd_core::SharedPreparedQuery;
-    use nd_graph::json::{JsonArray, JsonObject};
-    use std::sync::Arc;
-
-    println!("\n[A9] incremental update: apply (dirty-bag repair) vs full re-prepare");
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let opts = PrepareOpts::default();
-    println!("(host cores: {cores}; both paths single-threaded)");
-    let t = Table::new(
-        &[
-            "family", "n", "batch", "repair", "re-prep", "speedup", "bags", "rebuilt",
-        ],
-        &[7, 8, 6, 9, 9, 9, 6, 8],
-    );
-    let q = parse_query(E5_QUERY).unwrap();
-    let n_sparse = if cfg.quick { 2_000 } else { 16_000 };
-    // Same dense sizing rationale as A8: prepare scales ~n^1.7 there, so
-    // the repair-vs-rebuild contrast is widest without a crawling run.
-    let n_dense = 2_400;
-    let batches: &[usize] = if cfg.quick { &[1, 8] } else { &[1, 4, 16, 64] };
-    let check_prefix = 2_000usize;
-    let probes = 2_000usize;
-    let mut runs = JsonArray::new();
-    for &f in &[GraphFamily::Grid, GraphFamily::DenseGnm] {
-        let n = if f.sparse() { n_sparse } else { n_dense };
-        let g = f.build_colored(n, 17).into_shared();
-        let base = SharedPreparedQuery::prepare(Arc::clone(&g), &q, &opts).expect("a9 prepare");
-        // Untimed warm-up of both paths (first-touch page faults,
-        // allocator growth), exactly as A7/A8 do for their baselines.
-        {
-            let warm = base
-                .apply(&a9_log(&g, 1, 0xa9), &q, &opts)
-                .expect("a9 warm apply");
-            std::hint::black_box(
-                SharedPreparedQuery::prepare(warm.graph_shared(), &q, &opts).expect("a9 warm prep"),
-            );
-        }
-        for &batch in batches {
-            let log = a9_log(&g, batch, 0xa900 + batch as u64);
-            let (inc, repair) = time_it(|| base.apply(&log, &q, &opts).expect("a9 apply"));
-            let mg = inc.graph_shared();
-            let (full, reprep) = time_it(|| {
-                SharedPreparedQuery::prepare(Arc::clone(&mg), &q, &opts).expect("a9 re-prepare")
-            });
-            // Both paths must answer identically on the mutated graph.
-            let got: Vec<_> = inc.enumerate().take(check_prefix).collect();
-            let want: Vec<_> = full.enumerate().take(check_prefix).collect();
-            assert_eq!(
-                got,
-                want,
-                "A9: repair diverged from re-prepare on {}",
-                f.name()
-            );
-            for i in 0..probes {
-                let a = (mix(i as u64, 83) % mg.n() as u64) as u32;
-                let b = (mix(i as u64, 89) % mg.n() as u64) as u32;
-                assert_eq!(
-                    inc.test(&[a, b]),
-                    full.test(&[a, b]),
-                    "A9: probe ({a},{b}) diverged on {}",
-                    f.name()
-                );
-            }
-            let s = inc.stats();
-            let speedup = reprep.as_secs_f64() / repair.as_secs_f64().max(1e-9);
-            if !f.sparse() && batch == 1 {
-                assert!(
-                    !s.rebuilt,
-                    "A9: single-edge mutation on {} fell back to a full rebuild ({:?})",
-                    f.name(),
-                    s.rebuild_reason
-                );
-                assert!(
-                    speedup >= 5.0,
-                    "A9: single-edge repair on {} only {speedup:.1}x faster than \
-                     re-prepare (acceptance floor is 5x)",
-                    f.name()
-                );
-            }
-            t.row(&[
-                f.name().to_string(),
-                format!("{n}"),
-                format!("{batch}"),
-                fmt_dur(repair),
-                fmt_dur(reprep),
-                format!("{speedup:.1}x"),
-                format!("{}", s.repaired_bags),
-                format!("{}", s.rebuilt),
-            ]);
-            emit_json(cfg.json, "a9", |o| {
-                o.field_str("family", f.name())
-                    .field_u64("n", n as u64)
-                    .field_u64("batch", batch as u64)
-                    .field_f64("repair_s", repair.as_secs_f64())
-                    .field_f64("reprepare_s", reprep.as_secs_f64())
-                    .field_f64("speedup", speedup)
-                    .field_u64("repaired_bags", s.repaired_bags as u64)
-                    .field_bool("rebuilt", s.rebuilt);
-            });
-            let mut o = JsonObject::new();
-            o.field_str("family", f.name())
-                .field_u64("n", n as u64)
-                .field_str("query", E5_QUERY)
-                .field_u64("batch", batch as u64)
-                .field_u64("ops", log.len() as u64)
-                .field_f64("repair_s", repair.as_secs_f64())
-                .field_f64("reprepare_s", reprep.as_secs_f64())
-                .field_f64("speedup", speedup)
-                .field_u64("repaired_bags", s.repaired_bags as u64)
-                .field_bool("rebuilt", s.rebuilt)
-                .field_u64("epoch", s.epoch)
-                .field_bool("dense", !f.sparse())
-                .field_bool("answers_identical", true);
-            runs.push_raw(&o.finish());
-        }
-    }
-    let mut doc = JsonObject::new();
-    doc.field_str("bench", "update")
-        .field_u64("host_cores", cores as u64)
-        .field_bool("parallelism_limited", cores < 2)
-        .field_bool("quick", cfg.quick)
-        .field_raw("runs", &runs.finish());
-    let path = "BENCH_update.json";
     match std::fs::write(path, doc.finish() + "\n") {
         Ok(()) => println!("\n  wrote {path}"),
         Err(e) => println!("\n  WARNING: could not write {path}: {e}"),

@@ -97,8 +97,8 @@ pub struct ConformOpts {
     pub shrink: bool,
     /// Mutations per mutate-then-query sequence (0 disables the update
     /// checks): each case also applies a random [`MutationLog`] to the
-    /// prepared index and diffs the incremental repair against a fresh
-    /// full re-prepare and the naive oracle on the mutated graph.
+    /// prepared index and diffs the applied epoch against a fresh full
+    /// re-prepare and the naive oracle on the mutated graph.
     pub update_ops: usize,
 }
 
@@ -470,8 +470,7 @@ enum Config {
     /// `nd-store` — per-level sorted key arrays behind a radix directory
     /// instead of the node-allocated trie — answers exactly like the
     /// naive semantics on every probe panel, including the
-    /// mutate-then-query dimension (the repair path rebuilds flat
-    /// arenas in place). A regression report naming `flat-store`
+    /// mutate-then-query dimension. A regression report naming `flat-store`
     /// points at the store layout, not at an unrelated ε.
     FlatStore,
     NaiveStream,
@@ -487,8 +486,8 @@ enum Config {
     /// probe, as the serve verb does), and serve the whole probe panel
     /// out of the mapped pages. Before the panel runs, a deterministic
     /// mutation is applied to both the mapped index and an owned decode
-    /// of the same bytes — the copy-on-write promotion path — and the
-    /// two are required to enumerate identically and re-save
+    /// of the same bytes, and the two are required to enumerate
+    /// identically and re-save
     /// bit-identically (the `ndq --load-mmap` / serve `load-mmap` +
     /// `update`/`commit` path).
     MmapLoad,
@@ -677,9 +676,9 @@ fn build_engine<'g>(
             }
             let owned =
                 SharedPreparedQuery::load_index_bytes(&bytes).map_err(|e| format!("load: {e}"))?;
-            // Copy-on-write promotion: one deterministic mutation through
-            // `apply` on both backings, then the results must agree
-            // tuple-for-tuple and byte-for-byte.
+            // One deterministic mutation through `apply` on both
+            // backings, then the results must agree tuple-for-tuple and
+            // byte-for-byte.
             if let Some((u, v)) = absent_edge(g) {
                 let mut log = MutationLog::new();
                 log.push(Mutation::AddEdge(u, v));
@@ -696,7 +695,7 @@ fn build_engine<'g>(
                 let b: Vec<_> = from_owned.enumerate().collect();
                 if a != b {
                     return Err(format!(
-                        "CoW promotion diverged after add-edge {u} {v}: mapped {} vs owned {}",
+                        "apply diverged after add-edge {u} {v}: mapped {} vs owned {}",
                         render_tuples(&a),
                         render_tuples(&b),
                     ));
@@ -709,7 +708,8 @@ fn build_engine<'g>(
                     .map_err(|e| format!("re-save owned: {e}"))?;
                 if ra != rb {
                     return Err(
-                        "re-save after CoW promotion is not bit-identical to the owned path".into(),
+                        "re-save after a mapped apply is not bit-identical to the owned path"
+                            .into(),
                     );
                 }
             }
@@ -725,8 +725,8 @@ fn build_engine<'g>(
     }
 }
 
-/// First absent non-loop edge in scan order, for the deterministic CoW
-/// mutation — `None` on complete (or sub-2-vertex) graphs.
+/// First absent non-loop edge in scan order, for the deterministic
+/// mapped-vs-owned mutation — `None` on complete (or sub-2-vertex) graphs.
 fn absent_edge(g: &ColoredGraph) -> Option<(Vertex, Vertex)> {
     let n = g.n() as Vertex;
     for u in 0..n {
@@ -917,7 +917,7 @@ fn deletion_fails(g: &ColoredGraph, q: &Query, victim: Vertex) -> Option<String>
 }
 
 // ---------------------------------------------------------------------
-// Mutate-then-query: incremental repair vs fresh re-prepare.
+// Mutate-then-query: applied epoch vs fresh re-prepare.
 // ---------------------------------------------------------------------
 
 /// A seeded random mutation log against `g`: edge flips (biased toward
@@ -978,7 +978,7 @@ fn random_mutation_log(g: &ColoredGraph, s: &mut Stream, ops: usize) -> Mutation
 
 /// The opts-bearing configurations the update checks run under — every
 /// way of *building* an index that [`PreparedQuery::apply`] can then
-/// repair. (Wrapper configs — naive-stream, serve-protocol,
+/// update. (Wrapper configs — naive-stream, serve-protocol,
 /// persist-roundtrip — have no apply path of their own; the serve `commit`
 /// verb is covered by `nd_serve`'s session tests and the protocol fuzzer.)
 fn update_configs() -> Vec<Config> {
@@ -1019,7 +1019,7 @@ fn update_config_fails(g: &ColoredGraph, q: &Query, config: Config, log: &Mutati
         Err(_) => return !config.tolerates_errors(),
     };
     let mg = match log.apply_to(g) {
-        Ok(a) => a.graph,
+        Ok(mg) => mg,
         Err(_) => return true,
     };
     let oracle = MaterializingEnumerator::prepare(&mg, q);
@@ -1031,7 +1031,7 @@ fn update_config_fails(g: &ColoredGraph, q: &Query, config: Config, log: &Mutati
 /// Deletion monotonicity *under real updates*: for negation-free
 /// (monotone) queries, a `remove-node` mutation — which isolates the
 /// vertex and strips its colors via the Removal-Lemma recoloring — only
-/// ever falsifies atoms, so the repaired index must not report any
+/// ever falsifies atoms, so the applied epoch must not report any
 /// solution the original graph lacked.
 fn update_deletion_fails(g: &ColoredGraph, q: &Query, victim: Vertex) -> Option<String> {
     let mut log = MutationLog::new();
@@ -1159,9 +1159,9 @@ pub fn run_case(
         }
     }
 
-    // Mutate-then-query: apply a random mutation log incrementally under
-    // every opts-bearing configuration, and diff the repaired index
-    // against both a fresh full re-prepare of the mutated graph and the
+    // Mutate-then-query: apply a random mutation log under every
+    // opts-bearing configuration, and diff the applied epoch against
+    // both a fresh full re-prepare of the mutated graph and the
     // naive oracle on it.
     if update_ops > 0 {
         let log = random_mutation_log(&g, &mut s, update_ops);
@@ -1177,8 +1177,7 @@ pub fn run_case(
                     &mut |_| false,
                 );
             }
-            Ok(applied) => {
-                let mg = applied.graph;
+            Ok(mg) => {
                 let moracle = MaterializingEnumerator::prepare(&mg, &q);
                 let mprobes = make_probes(&mg, q.arity(), &moracle, &mut s);
                 for config in update_configs() {
@@ -1219,7 +1218,7 @@ pub fn run_case(
                         }
                     };
                     out.configs_checked += 1;
-                    // Incremental repair vs the naive oracle on the
+                    // Applied epoch vs the naive oracle on the
                     // mutated graph (one representative failure, as for
                     // the base configs).
                     let mut engine = PreparedEngine { pq: upd };
@@ -1237,7 +1236,7 @@ pub fn run_case(
                         );
                         continue;
                     }
-                    // Incremental repair vs a fresh full re-prepare of the
+                    // Applied epoch vs a fresh full re-prepare of the
                     // mutated graph: identical answer streams.
                     out.probes += 1;
                     if let Ok(fresh) = PreparedQuery::prepare(&mg, &q, &opts) {

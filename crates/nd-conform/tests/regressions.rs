@@ -74,18 +74,18 @@ const CORPUS: &[(&str, u64)] = &[
     // maps — curated when `mmap-load` landed.
     ("mmap-load-star-union", 0xfeedbeef0002),
     // gnm(8,12) with negated adjacency: a dense membership store behind
-    // the mapped pages, plus the CoW add-edge promotion on a graph where
-    // absent edges are scarce.
+    // the mapped pages, plus the mapped-vs-owned add-edge apply on a graph
+    // where absent edges are scarce.
     ("mmap-load-dense-gnm", 0x77aa22bb0001),
     // grid(4,3) with nested guarded existentials over dist<=1: ball
     // grids and skip CSR both populated, exercising every mapped
     // section kind through the lazy-verify load.
     ("mmap-load-grid-distance", 0xabadcafe0002),
     // Found by the 500-case sweep: a common-neighbor (naive-rung) query
-    // whose add-edge apply always rebuilds, so the mapped and owned
-    // paths each re-captured wall-clock timings into SEC_META and the
-    // "re-save after CoW promotion is bit-identical" check failed
-    // whenever the two rebuilds crossed a millisecond boundary
+    // whose add-edge apply re-prepares, so the mapped and owned paths
+    // each re-captured wall-clock timings into SEC_META and the "re-save
+    // after a mapped-vs-owned apply is bit-identical" check failed
+    // whenever the two re-prepares crossed a millisecond boundary
     // differently. Fixed by canonicalizing saved timings to zero
     // (save_index_bytes is now a pure function of logical state).
     ("mmap-cow-resave-timing", 5038869353284556469),

@@ -69,7 +69,7 @@ pub struct BinaryConstraint {
 }
 
 /// One compiled conjunctive branch of a query.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FragmentQuery {
     /// Arity `k`.
     pub k: usize,

@@ -42,7 +42,6 @@ use crate::skip::SkipPointers;
 use nd_cover::{Cover, KernelIndex};
 use nd_graph::budget::{Budget, BudgetExceeded, BudgetTracker, Phase, Resource};
 use nd_graph::par::try_parallel_map;
-use nd_graph::BfsScratch;
 use nd_graph::{ColoredGraph, Vertex};
 use nd_logic::ast::{ColorRef, Formula, Query};
 use nd_logic::eval::eval;
@@ -51,7 +50,7 @@ use nd_persist::{
     malformed, parse_container_frames, ContainerWriter, DeferredVerify, MmapFile, PersistError,
     Reader, SectionFrame, SlabCtx, VerifyPolicy, Writer,
 };
-use nd_update::{dirty_bags, AppliedLog, MutationLog};
+use nd_update::MutationLog;
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -119,26 +118,9 @@ pub enum DegradationReason {
     BudgetExceeded(BudgetExceeded),
 }
 
-/// Why [`PreparedQuery::apply`] fell back to a full re-prepare instead of
-/// an in-place repair.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RebuildReason {
-    /// A branch's sentences flipped from false to true: its index
-    /// structures were never built (inactive branches are inert), so
-    /// there is nothing to repair.
-    SentenceActivated { branch: usize },
-    /// The index is on the naive rung — a materialized solution list has
-    /// no incremental structure.
-    NaiveRung,
-    /// The dirty-vertex overlay of a distance oracle passed half the
-    /// vertex set: per-pair BFS fallbacks would dominate, so rebuilding
-    /// the oracle is cheaper than limping on.
-    OracleSaturated { radius: u32, dirty: usize, n: usize },
-}
-
 /// Update lineage of a prepared index: how many [`PreparedQuery::apply`]
 /// epochs it is away from its original prepare, the chained digest of the
-/// mutation logs that got it there, and what the latest apply did.
+/// mutation logs that got it there, and how long the latest apply took.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct UpdateLineage {
     /// Number of applied mutation logs since the original prepare.
@@ -148,15 +130,9 @@ pub struct UpdateLineage {
     /// value, so two indexes agree on the digest iff they were produced
     /// by the same log sequence.
     pub log_digest: u64,
-    /// Cover bags re-kernelized by the latest apply (0 on rebuild).
-    pub repaired_bags: usize,
-    /// Whether the latest apply fell back to a full re-prepare.
-    pub rebuilt: bool,
     /// Wall-clock milliseconds of the latest apply (0 on a loaded index:
     /// index files persist no wall-clock field).
     pub update_ms: u64,
-    /// The typed reason when `rebuilt` is set.
-    pub rebuild_reason: Option<RebuildReason>,
 }
 
 /// Sizes of a prepared query's index structures (see
@@ -208,7 +184,8 @@ pub struct PrepareStats {
     pub cover_ms: u64,
     /// … per-bag kernel computation (Lemma 5.7), …
     pub kernel_ms: u64,
-    /// … the Storing-Theorem membership store build (trie inserts), …
+    /// … the Storing-Theorem membership store build (one sorted bulk
+    /// pass), …
     pub store_ms: u64,
     /// … and the skip-pointer closure (Lemma 5.8).
     pub skip_ms: u64,
@@ -216,14 +193,15 @@ pub struct PrepareStats {
     pub epoch: u64,
     /// Chained digest of the applied mutation logs (0 at epoch 0).
     pub log_digest: u64,
-    /// Cover bags re-kernelized by the latest [`PreparedQuery::apply`].
+    /// Always 0: [`PreparedQuery::apply`] re-prepares the mutated graph
+    /// and repairs no bag in place. Kept so existing stats readers still
+    /// find the field.
     pub repaired_bags: usize,
-    /// Whether the latest apply fell back to a full re-prepare.
+    /// Whether this index came out of an [`PreparedQuery::apply`] (a
+    /// re-prepare of the mutated graph): derived as `epoch > 0`.
     pub rebuilt: bool,
     /// Wall-clock milliseconds of the latest apply.
     pub update_ms: u64,
-    /// Why the latest apply rebuilt instead of repairing.
-    pub rebuild_reason: Option<RebuildReason>,
 }
 
 impl DegradationRung {
@@ -276,10 +254,6 @@ impl PrepareStats {
             .field_u64("repaired_bags", self.repaired_bags as u64)
             .field_bool("rebuilt", self.rebuilt)
             .field_u64("update_ms", self.update_ms);
-        match &self.rebuild_reason {
-            Some(r) => o.field_str("rebuild_reason", &format!("{r:?}")),
-            None => o.field_null("rebuild_reason"),
-        };
         o.finish()
     }
 
@@ -288,9 +262,8 @@ impl PrepareStats {
     /// (e.g. sequential vs. parallel), with wall-clock measurements and
     /// the thread count zeroed out. `budget_nodes_spent` is kept — charge
     /// totals are deterministic counts of work done, not timings. Update
-    /// lineage is also ignored: a repaired index and a fresh prepare of
-    /// the mutated graph are compared by answers, not by how they were
-    /// reached.
+    /// lineage is also ignored: an applied epoch and a fresh prepare of
+    /// the mutated graph are the same index reached by different routes.
     pub fn structural(&self) -> PrepareStats {
         PrepareStats {
             budget_ms_spent: 0,
@@ -304,7 +277,6 @@ impl PrepareStats {
             repaired_bags: 0,
             rebuilt: false,
             update_ms: 0,
-            rebuild_reason: None,
             ..self.clone()
         }
     }
@@ -576,10 +548,8 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
             threads: self.threads_used,
             epoch: self.lineage.epoch,
             log_digest: self.lineage.log_digest,
-            repaired_bags: self.lineage.repaired_bags,
-            rebuilt: self.lineage.rebuilt,
+            rebuilt: self.lineage.epoch > 0,
             update_ms: self.lineage.update_ms,
-            rebuild_reason: self.lineage.rebuild_reason.clone(),
             ..PrepareStats::default()
         };
         match &self.engine {
@@ -749,40 +719,41 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
         None
     }
 
+    /// Is `query` the query this index was prepared for? Same arity and,
+    /// on the indexed engine, every compiled branch equal to the stored
+    /// one. A naive-rung index keeps no compiled query, so only the arity
+    /// is checked there.
+    fn prepared_for(&self, query: &Query) -> bool {
+        if query.arity() != self.arity {
+            return false;
+        }
+        match &self.engine {
+            EngineImpl::Naive(_) => true,
+            EngineImpl::Indexed(bs) => compile(query).is_ok_and(|branches| {
+                branches.len() == bs.len() && branches.iter().zip(bs).all(|(fq, b)| *fq == b.fq)
+            }),
+        }
+    }
+
     /// Update lineage: epoch distance from the original prepare, chained
-    /// log digest, and what the latest [`PreparedQuery::apply`] did.
+    /// log digest, and how long the latest [`PreparedQuery::apply`] took.
     pub fn lineage(&self) -> &UpdateLineage {
         &self.lineage
     }
 
-    /// **Incremental maintenance**: apply a mutation log and return a new
-    /// prepared query over the mutated graph, answering exactly like a
-    /// fresh prepare of that graph would.
+    /// **Dynamic update**: apply a mutation log and return a new prepared
+    /// query over the mutated graph; `self` is untouched.
     ///
-    /// The repair path (clone-then-patch, `self` untouched):
+    /// The paper builds its index for a fixed graph, so the update path
+    /// is that build: validate `query` against this index, apply `log` to
+    /// the graph, [`PreparedQuery::prepare`] the result under `opts`, and
+    /// advance the lineage one epoch. The new index is exactly what a
+    /// fresh prepare of the mutated graph yields, lineage aside.
     ///
-    /// * sentences and unary lists are re-evaluated on the new graph
-    ///   (they are cheap full passes);
-    /// * distance oracles stay as built. An additions-only log leaves
-    ///   every tabulated answer valid as a lower bound (insertions only
-    ///   shrink distances) and installs a per-radius *insertion patch* —
-    ///   exact distance tables from the touched endpoints — for the
-    ///   newly-close pairs; a log with deletions instead puts every
-    ///   vertex whose `d`-ball may have changed (within `d` of a flipped
-    ///   edge's endpoint, in the old or the new graph) into a
-    ///   *dirty-vertex overlay* answered by capped BFS on the new graph;
-    /// * the cover is repaired ([`nd_cover::Cover::repair`]), dirty bags —
-    ///   those containing a flipped edge's endpoint, plus freshly spawned
-    ///   ones — are re-kernelized ([`nd_cover::KernelIndex::repair`]), and
-    ///   the skip tables evict entries invalidated by kernel or list
-    ///   changes ([`SkipPointers::repair`]).
-    ///
-    /// When a mutation invalidates the whole index — the naive rung, a
-    /// sentence flipping a dormant branch active, or an oracle overlay
-    /// saturating — the call falls back to a full re-prepare of `query`
-    /// (which must be the query this index was prepared for) under
-    /// `opts`, and records the typed [`RebuildReason`] in the stats.
-    /// Either way the result's [`UpdateLineage`] advances one epoch.
+    /// `query` must be the query this index was prepared for: every
+    /// compiled branch must equal the stored one, or the call returns
+    /// [`ApplyError::QueryMismatch`]. A naive-rung index keeps no compiled
+    /// query, so only its arity is checked.
     pub fn apply(
         &self,
         log: &MutationLog,
@@ -790,73 +761,18 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
         opts: &PrepareOpts,
     ) -> Result<SharedPreparedQuery, ApplyError> {
         let t0 = Instant::now();
-        if query.arity() != self.arity {
+        if !self.prepared_for(query) {
             return Err(ApplyError::QueryMismatch);
         }
-        if let EngineImpl::Indexed(bs) = &self.engine {
-            match compile(query) {
-                Ok(branches) if branches.len() == bs.len() => {}
-                _ => return Err(ApplyError::QueryMismatch),
-            }
-        }
-        let old_g = self.g.borrow();
-        let AppliedLog {
-            graph,
-            added_edges,
-            removed_edges,
-            edge_touched,
-            ..
-        } = log.apply_to(old_g).map_err(ApplyError::Update)?;
-        let new_g = Arc::new(graph);
-        let mut lineage = UpdateLineage {
+        let graph = log.apply_to(self.g.borrow()).map_err(ApplyError::Update)?;
+        let mut pq =
+            PreparedQuery::prepare(Arc::new(graph), query, opts).map_err(ApplyError::Prepare)?;
+        pq.lineage = UpdateLineage {
             epoch: self.lineage.epoch + 1,
             log_digest: chain_digest(self.lineage.log_digest, log.digest()),
-            ..UpdateLineage::default()
+            update_ms: t0.elapsed().as_millis() as u64,
         };
-
-        let rebuild = |mut lineage: UpdateLineage,
-                       reason: RebuildReason|
-         -> Result<SharedPreparedQuery, ApplyError> {
-            let mut pq = PreparedQuery::prepare(Arc::clone(&new_g), query, opts)
-                .map_err(ApplyError::Prepare)?;
-            lineage.rebuilt = true;
-            lineage.rebuild_reason = Some(reason);
-            lineage.update_ms = t0.elapsed().as_millis() as u64;
-            pq.lineage = lineage;
-            Ok(pq)
-        };
-
-        let bs = match &self.engine {
-            EngineImpl::Naive(_) => return rebuild(lineage, RebuildReason::NaiveRung),
-            EngineImpl::Indexed(bs) => bs,
-        };
-        let mut new_bs = Vec::with_capacity(bs.len());
-        for (bi, b) in bs.iter().enumerate() {
-            let diff = LogFootprint {
-                added_edges: &added_edges,
-                removed_edges: &removed_edges,
-                edge_touched: &edge_touched,
-            };
-            match b.repaired(bi, old_g, &new_g, &diff, opts) {
-                Ok((eng, bags)) => {
-                    lineage.repaired_bags += bags;
-                    new_bs.push(eng);
-                }
-                Err(reason) => return rebuild(lineage, reason),
-            }
-        }
-        lineage.update_ms = t0.elapsed().as_millis() as u64;
-        Ok(PreparedQuery {
-            g: new_g,
-            arity: self.arity,
-            engine: EngineImpl::Indexed(new_bs),
-            rung: self.rung,
-            degradation_reason: self.degradation_reason.clone(),
-            budget_nodes_spent: self.budget_nodes_spent,
-            budget_ms_spent: self.budget_ms_spent,
-            threads_used: self.threads_used,
-            lineage,
-        })
+        Ok(pq)
     }
 }
 
@@ -923,30 +839,19 @@ impl<G: Borrow<ColoredGraph>> std::iter::FusedIterator for Enumerate<'_, G> {}
 /// graph itself is passed into each method by the `PreparedQuery`
 /// front-end, so the branch carries no lifetime and the whole engine can
 /// be owned by an `Arc`-backed snapshot.
-#[derive(Clone)]
 struct BranchEngine {
     fq: FragmentQuery,
     /// All sentences hold (otherwise the branch is empty and inert).
     active: bool,
     /// One distance oracle per distinct constraint radius `≥ 1`.
     oracles: HashMap<u32, DistOracle>,
-    /// Dirty-vertex overlays accumulated by [`PreparedQuery::apply`]: for
-    /// radius `d`, vertices whose `d`-ball may differ from what the
-    /// oracle tabulated. Pairs touching the overlay are answered by a
-    /// capped BFS on the live graph. Empty until the first apply.
-    overlays: HashMap<u32, OracleOverlay>,
-    /// Insertion patches accumulated by additions-only applies: per
-    /// radius, exact distance tables from addition-touched vertices that
-    /// answer "newly within `d`" pairs the tabulated oracle predates.
-    /// Empty until the first additions-only apply.
-    patches: HashMap<u32, OraclePatch>,
     /// `2r`-cover (present iff some constraint is `Le` or `Gt`).
     cover: Option<Cover>,
     /// `r`-kernels of the cover bags (present iff some constraint is `Gt`).
     kernels: Option<KernelIndex>,
-    /// Sorted `L_j` per position.
-    /// Per-position sorted unary candidate lists. [`nd_persist::Slab`]s:
-    /// file-backed after a mapped load, owned after any re-evaluation.
+    /// Per-position sorted unary candidate lists `L_j`.
+    /// [`nd_persist::Slab`]s: file-backed after a mapped load, owned after
+    /// a prepare.
     unary_lists: Vec<nd_persist::Slab<Vertex>>,
     /// Membership bitsets per position.
     unary_bits: Vec<Vec<bool>>,
@@ -965,118 +870,6 @@ struct PhaseTimings {
     kernel_ms: u64,
     store_ms: u64,
     skip_ms: u64,
-}
-
-/// A distance oracle's dirty-vertex set after mutations: a bitmap for the
-/// O(1) hot-path check plus the dirty count for the saturation heuristic.
-#[derive(Clone, Default)]
-struct OracleOverlay {
-    bits: Vec<bool>,
-    count: usize,
-}
-
-impl OracleOverlay {
-    fn grow(&mut self, n: usize) {
-        if self.bits.len() < n {
-            self.bits.resize(n, false);
-        }
-    }
-
-    fn mark(&mut self, v: Vertex) {
-        let slot = &mut self.bits[v as usize];
-        if !*slot {
-            *slot = true;
-            self.count += 1;
-        }
-    }
-
-    fn is_dirty(&self, v: Vertex) -> bool {
-        self.bits.get(v as usize).copied().unwrap_or(true)
-    }
-
-    /// Sorted dirty-vertex list (the persisted form).
-    fn sorted(&self) -> Vec<Vertex> {
-        self.bits
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &b)| b.then_some(i as Vertex))
-            .collect()
-    }
-
-    fn from_sorted(list: &[Vertex], n: usize) -> OracleOverlay {
-        let mut ov = OracleOverlay::default();
-        ov.grow(n);
-        for &v in list {
-            ov.mark(v);
-        }
-        ov
-    }
-}
-
-/// Accumulated insertion-patch sources per oracle radius, capped so the
-/// per-pair `through` scan stays constant-time. Past the cap the apply
-/// falls back to a rebuild (reported as oracle saturation).
-const PATCH_SOURCE_CAP: usize = 64;
-
-/// Insertion patch for one oracle radius: edge insertions can only
-/// *shrink* distances, and any strictly-shorter path passes through an
-/// endpoint of an inserted edge. So for additions-only mutation logs the
-/// tabulated oracle stays authoritative for "already within `d`", and
-/// this patch — exact current-graph distance tables BFS'd from every
-/// addition-touched vertex — answers the "newly within `d`" side in
-/// `O(|sources|)` per pair. No dirty region, no saturation: a radius-`d`
-/// ball can be a constant fraction of a dense graph, but the patch never
-/// looks at balls, only at the handful of touched vertices.
-///
-/// Tables hold distances on the *current* graph — they are recomputed
-/// against the newest graph on every apply (and on load; only `sources`
-/// persists), which keeps them exact across chained applies: a later
-/// deletion that would invalidate a table entry also dirties, via the
-/// overlay of that apply, every vertex whose answers could depend on it.
-#[derive(Clone, Default)]
-struct OraclePatch {
-    /// Sorted addition-touched vertices (the persisted form).
-    sources: Vec<Vertex>,
-    /// `tables[i][v]`: exact current-graph distance from `sources[i]` to
-    /// `v`, or [`nd_graph::bfs::UNREACHED`] beyond the patch radius.
-    tables: Vec<Vec<u32>>,
-}
-
-impl OraclePatch {
-    /// Merge newly touched vertices into the source set (sorted, deduped).
-    fn add_sources(&mut self, vs: &[Vertex]) {
-        self.sources.extend_from_slice(vs);
-        self.sources.sort_unstable();
-        self.sources.dedup();
-    }
-
-    /// Recompute every table against `g`: one depth-`d` BFS per source.
-    fn rebuild_tables(&mut self, g: &ColoredGraph, d: u32, scratch: &mut BfsScratch) {
-        self.tables.clear();
-        for &s in &self.sources {
-            scratch.run_multi(g, &[s], d);
-            let mut dist = vec![nd_graph::bfs::UNREACHED; g.n()];
-            for &v in scratch.reached() {
-                dist[v as usize] = scratch.dist(v);
-            }
-            self.tables.push(dist);
-        }
-    }
-
-    /// Is there a path `a … s … b` of length ≤ `d` through some source?
-    fn through(&self, a: Vertex, b: Vertex, d: u32) -> bool {
-        self.tables
-            .iter()
-            .any(|t| t[a as usize].saturating_add(t[b as usize]) <= d)
-    }
-}
-
-/// The edge-level footprint of an [`AppliedLog`], as [`BranchEngine::repaired`]
-/// consumes it (borrowed — the log keeps ownership).
-struct LogFootprint<'a> {
-    added_edges: &'a [(Vertex, Vertex)],
-    removed_edges: &'a [(Vertex, Vertex)],
-    edge_touched: &'a [Vertex],
 }
 
 impl BranchEngine {
@@ -1110,8 +903,6 @@ impl BranchEngine {
         let mut engine = BranchEngine {
             active,
             oracles: HashMap::new(),
-            overlays: HashMap::new(),
-            patches: HashMap::new(),
             cover: None,
             kernels: None,
             unary_lists: vec![nd_persist::Slab::default(); fq.k],
@@ -1218,194 +1009,6 @@ impl BranchEngine {
         Ok(engine)
     }
 
-    /// Clone-then-patch repair of one branch against the mutated graph.
-    /// Returns the repaired engine plus the number of re-kernelized bags,
-    /// or the typed reason a full rebuild is required instead.
-    fn repaired(
-        &self,
-        branch: usize,
-        old_g: &ColoredGraph,
-        new_g: &ColoredGraph,
-        diff: &LogFootprint<'_>,
-        opts: &PrepareOpts,
-    ) -> Result<(BranchEngine, usize), RebuildReason> {
-        let LogFootprint {
-            added_edges,
-            removed_edges,
-            edge_touched,
-        } = *diff;
-        let n = new_g.n();
-
-        // Sentences re-check (they read colors and edges, both mutable).
-        // false → true means structures were never built for this branch;
-        // true → false just deactivates it.
-        let mut active = true;
-        for s in &self.fq.sentences {
-            let holds = if let Some(ind) = crate::independence::recognize(s) {
-                let witnesses = evaluate_unary(new_g, &ind.psi, ind.var);
-                crate::independence::holds(new_g, &ind, &witnesses)
-            } else {
-                eval(new_g, &Query::new(s.clone(), vec![]), &[])
-            };
-            if !holds {
-                active = false;
-                break;
-            }
-        }
-        if active && !self.active {
-            return Err(RebuildReason::SentenceActivated { branch });
-        }
-        if !active {
-            // Inert branch: drop any structures (they would go stale and
-            // fail codec validation), exactly like a fresh prepare of an
-            // inactive branch.
-            return Ok((
-                BranchEngine {
-                    fq: self.fq.clone(),
-                    active: false,
-                    oracles: HashMap::new(),
-                    overlays: HashMap::new(),
-                    patches: HashMap::new(),
-                    cover: None,
-                    kernels: None,
-                    unary_lists: vec![nd_persist::Slab::default(); self.fq.k],
-                    unary_bits: vec![Vec::new(); self.fq.k],
-                    skips: (0..self.fq.k).map(|_| None).collect(),
-                    extend_check: self.extend_check,
-                    timings: self.timings,
-                },
-                0,
-            ));
-        }
-
-        let mut eng = self.clone();
-
-        // Unary lists: always a full re-evaluation — any color flip or
-        // edge flip can change a guarded unary formula anywhere, and the
-        // pass is linear.
-        for j in 0..eng.fq.k {
-            let list: Vec<Vertex> = match &eng.fq.unary[j] {
-                Formula::True => (0..n as Vertex).collect(),
-                f => evaluate_unary(new_g, f, eng.fq.vars[j]),
-            };
-            let mut bits = vec![false; n];
-            for &v in &list {
-                bits[v as usize] = true;
-            }
-            eng.unary_lists[j] = list.into();
-            eng.unary_bits[j] = bits;
-        }
-
-        // Oracle staleness. Two regimes:
-        //
-        // * Additions only (no net edge deletion): insertions can only
-        //   shrink distances, so every tabulated "yes" stays exact and
-        //   only "newly within d" pairs need help — which the per-radius
-        //   [`OraclePatch`] gives in `O(|sources|)` per pair, with no
-        //   dirty region. This is what keeps a single-edge insert cheap
-        //   even on dense graphs, where a radius-d ball (and hence a
-        //   dirty overlay) would engulf a constant fraction of the
-        //   vertex set. Appended vertices predate no tabulation at all,
-        //   so they are marked dirty and their pairs BFS.
-        //
-        // * Deletions present: lost paths can invalidate tabulated
-        //   answers anywhere within d of a deleted edge — on the old
-        //   graph (lost paths) or the new one (gained ones) — so the
-        //   whole touched ball goes into the dirty overlay and its pairs
-        //   are answered by capped BFS on the live graph. Overlays
-        //   accumulate across applies; past half the vertex set,
-        //   per-pair BFS stops being cheap and a rebuild is the honest
-        //   answer.
-        let mut scratch = BfsScratch::new(n.max(old_g.n()));
-        let radii: Vec<u32> = eng.oracles.keys().copied().collect();
-        if removed_edges.is_empty() {
-            let appended: Vec<Vertex> = edge_touched
-                .iter()
-                .copied()
-                .filter(|&v| (v as usize) >= old_g.n())
-                .collect();
-            for &d in &radii {
-                if !appended.is_empty() {
-                    let ov = eng.overlays.entry(d).or_default();
-                    ov.grow(n);
-                    for &v in &appended {
-                        ov.mark(v);
-                    }
-                }
-                if edge_touched.is_empty() {
-                    continue;
-                }
-                let patch = eng.patches.entry(d).or_default();
-                patch.add_sources(edge_touched);
-                if patch.sources.len() > PATCH_SOURCE_CAP {
-                    return Err(RebuildReason::OracleSaturated {
-                        radius: d,
-                        dirty: patch.sources.len(),
-                        n,
-                    });
-                }
-            }
-        } else {
-            let old_sources: Vec<Vertex> = edge_touched
-                .iter()
-                .copied()
-                .filter(|&v| (v as usize) < old_g.n())
-                .collect();
-            for &d in &radii {
-                let ov = eng.overlays.entry(d).or_default();
-                ov.grow(n);
-                scratch.run_multi(old_g, &old_sources, d);
-                for &v in scratch.reached() {
-                    ov.mark(v);
-                }
-                scratch.run_multi(new_g, edge_touched, d);
-                for &v in scratch.reached() {
-                    ov.mark(v);
-                }
-                if ov.count * 2 > n {
-                    return Err(RebuildReason::OracleSaturated {
-                        radius: d,
-                        dirty: ov.count,
-                        n,
-                    });
-                }
-            }
-        }
-        // Patch tables hold *current*-graph distances: recompute against
-        // the mutated graph whichever regime ran, so chained applies
-        // never see a stale table.
-        for (&d, patch) in eng.patches.iter_mut() {
-            patch.rebuild_tables(new_g, d, &mut scratch);
-        }
-
-        // Cover repair, dirty-bag re-kernelization, skip-table eviction.
-        let mut repaired_bags = 0usize;
-        let BranchEngine {
-            ref mut cover,
-            ref mut kernels,
-            ref mut skips,
-            ref unary_lists,
-            ..
-        } = eng;
-        if let Some(cover) = cover {
-            let old_bags = cover.num_bags();
-            let report = cover.repair(new_g, added_edges, opts.epsilon);
-            if let Some(kernels) = kernels {
-                let dirty = dirty_bags(cover, edge_touched, old_bags);
-                let changed = kernels.repair(new_g, cover, &dirty);
-                repaired_bags = dirty.len();
-                for (j, sp) in skips.iter_mut().enumerate() {
-                    if let Some(sp) = sp {
-                        sp.repair(n, unary_lists[j].to_vec(), &changed);
-                    }
-                }
-            } else {
-                repaired_bags = report.new_bags;
-            }
-        }
-        Ok((eng, repaired_bags))
-    }
-
     /// Pseudo-linear counting (see `engine::counting`).
     fn fast_count(&self, g: &ColoredGraph) -> Option<u64> {
         crate::engine::counting::fast_count(
@@ -1417,28 +1020,16 @@ impl BranchEngine {
         )
     }
 
-    /// `dist(a, b) ≤ d`, mutation-aware: pairs touching a dirty vertex
-    /// (whose tabulated ball may be stale after mutations) are answered
-    /// by a capped BFS on the live graph; clean pairs hit the oracle,
-    /// and a "no" there still consults the insertion patch for paths
-    /// through an edge added after the oracle was tabulated.
-    fn dist_le(&self, g: &ColoredGraph, d: u32, a: Vertex, b: Vertex) -> bool {
-        if let Some(ov) = self.overlays.get(&d) {
-            if ov.is_dirty(a) || ov.is_dirty(b) {
-                return nd_graph::bfs::within_distance(g, a, b, d);
-            }
-        }
-        if self.oracles[&d].test(a, b) {
-            return true;
-        }
-        self.patches.get(&d).is_some_and(|p| p.through(a, b, d))
+    /// `dist(a, b) ≤ d`: one lookup in the radius-`d` oracle.
+    fn dist_le(&self, d: u32, a: Vertex, b: Vertex) -> bool {
+        self.oracles[&d].test(a, b)
     }
 
     /// Constant-time binary-constraint test.
     fn test_bin(&self, g: &ColoredGraph, kind: BinKind, a: Vertex, b: Vertex) -> bool {
         match kind {
-            BinKind::Le(d) => self.dist_le(g, d, a, b),
-            BinKind::Gt(d) => !self.dist_le(g, d, a, b),
+            BinKind::Le(d) => self.dist_le(d, a, b),
+            BinKind::Gt(d) => !self.dist_le(d, a, b),
             BinKind::Edge => g.has_edge(a, b),
             BinKind::NotEdge => !g.has_edge(a, b),
             BinKind::Eq => a == b,
@@ -1744,39 +1335,6 @@ fn write_degradation_opt(w: &mut Writer, reason: &Option<DegradationReason>) {
     }
 }
 
-fn write_rebuild_opt(w: &mut Writer, reason: &Option<RebuildReason>) {
-    match reason {
-        None => w.u8(0),
-        Some(RebuildReason::SentenceActivated { branch }) => {
-            w.u8(1);
-            w.u64(*branch as u64);
-        }
-        Some(RebuildReason::NaiveRung) => w.u8(2),
-        Some(RebuildReason::OracleSaturated { radius, dirty, n }) => {
-            w.u8(3);
-            w.u32(*radius);
-            w.u64(*dirty as u64);
-            w.u64(*n as u64);
-        }
-    }
-}
-
-fn read_rebuild_opt(r: &mut Reader<'_>) -> Result<Option<RebuildReason>, PersistError> {
-    Ok(match r.u8("rebuild-reason tag")? {
-        0 => None,
-        1 => Some(RebuildReason::SentenceActivated {
-            branch: r.u64("rebuilt branch")? as usize,
-        }),
-        2 => Some(RebuildReason::NaiveRung),
-        3 => Some(RebuildReason::OracleSaturated {
-            radius: r.u32("saturated radius")?,
-            dirty: r.u64("saturated dirty count")? as usize,
-            n: r.u64("saturated n")? as usize,
-        }),
-        _ => return Err(malformed("invalid rebuild-reason tag")),
-    })
-}
-
 fn read_degradation_opt(r: &mut Reader<'_>) -> Result<Option<DegradationReason>, PersistError> {
     Ok(match r.u8("degradation-reason tag")? {
         0 => None,
@@ -1834,23 +1392,6 @@ impl BranchEngine {
             }
         }
         w.bool(self.extend_check);
-        let mut overlay_radii: Vec<u32> = self.overlays.keys().copied().collect();
-        overlay_radii.sort_unstable();
-        w.seq_len(overlay_radii.len());
-        for d in overlay_radii {
-            w.u32(d);
-            w.u32_slice(&self.overlays[&d].sorted());
-        }
-        // Insertion patches persist as their source lists only: tables
-        // are exact current-graph distances, so the loader recomputes
-        // them against the decoded graph (a few capped BFS runs).
-        let mut patch_radii: Vec<u32> = self.patches.keys().copied().collect();
-        patch_radii.sort_unstable();
-        w.seq_len(patch_radii.len());
-        for d in patch_radii {
-            w.u32(d);
-            w.u32_slice(&self.patches[&d].sources);
-        }
     }
 
     /// Decode one branch against its recompiled fragment `fq`. Re-checks
@@ -1859,10 +1400,9 @@ impl BranchEngine {
     /// typed error here, never as a panic inside `next_value`.
     fn read_from(
         r: &mut Reader<'_>,
-        g: &ColoredGraph,
+        n: usize,
         fq: FragmentQuery,
     ) -> Result<BranchEngine, PersistError> {
-        let n = g.n();
         let active = r.bool("branch active flag")?;
         let num_oracles = r.seq_len(5, "branch oracle count")?;
         let mut oracles = HashMap::new();
@@ -1924,45 +1464,6 @@ impl BranchEngine {
             });
         }
         let extend_check = r.bool("extendability flag")?;
-        let num_overlays = r.seq_len(5, "overlay count")?;
-        let mut overlays = HashMap::new();
-        let mut prev_ov: Option<u32> = None;
-        for _ in 0..num_overlays {
-            let d = r.u32("overlay radius key")?;
-            if prev_ov.is_some_and(|p| p >= d) {
-                return Err(malformed("overlay radii not strictly increasing"));
-            }
-            prev_ov = Some(d);
-            if !oracles.contains_key(&d) {
-                return Err(malformed("dirty overlay without a matching oracle"));
-            }
-            let list = r.u32_slice_sorted(n as u32, "overlay dirty list")?;
-            overlays.insert(d, OracleOverlay::from_sorted(&list, n));
-        }
-        let num_patches = r.seq_len(5, "patch count")?;
-        let mut patches = HashMap::new();
-        let mut prev_pt: Option<u32> = None;
-        let mut scratch = BfsScratch::new(n);
-        for _ in 0..num_patches {
-            let d = r.u32("patch radius key")?;
-            if prev_pt.is_some_and(|p| p >= d) {
-                return Err(malformed("patch radii not strictly increasing"));
-            }
-            prev_pt = Some(d);
-            if !oracles.contains_key(&d) {
-                return Err(malformed("insertion patch without a matching oracle"));
-            }
-            let sources = r.u32_slice_sorted(n as u32, "patch source list")?;
-            if sources.len() > PATCH_SOURCE_CAP {
-                return Err(malformed("insertion patch source list over cap"));
-            }
-            let mut patch = OraclePatch {
-                sources,
-                tables: Vec::new(),
-            };
-            patch.rebuild_tables(g, d, &mut scratch);
-            patches.insert(d, patch);
-        }
         if active {
             for c in &fq.binary {
                 if let BinKind::Le(d) | BinKind::Gt(d) = c.kind {
@@ -1991,8 +1492,6 @@ impl BranchEngine {
             fq,
             active,
             oracles,
-            overlays,
-            patches,
             cover,
             kernels,
             unary_lists,
@@ -2046,23 +1545,16 @@ pub struct MmapLoadOpts {
 impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
     /// Serialize the index (graph + engine + provenance metadata) into the
     /// versioned, checksummed container of DESIGN.md §9. `query` must be
-    /// the query this index was prepared for — its compiled branch
-    /// structure is cross-checked against the engine before any byte is
-    /// written.
+    /// the query this index was prepared for — its compiled branches are
+    /// cross-checked against the engine before any byte is written.
     pub fn save_index_bytes(
         &self,
         query: &Query,
         query_src: &str,
     ) -> Result<Vec<u8>, PersistError> {
         let g = self.g.borrow();
-        if query.arity() != self.arity {
-            return Err(malformed("query arity does not match the prepared index"));
-        }
-        if let EngineImpl::Indexed(bs) = &self.engine {
-            match compile(query) {
-                Ok(branches) if branches.len() == bs.len() => {}
-                _ => return Err(malformed("query does not compile to the prepared branches")),
-            }
+        if !self.prepared_for(query) {
+            return Err(malformed("query does not match the prepared index"));
         }
         let mut cw = ContainerWriter::new();
 
@@ -2090,14 +1582,10 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
         // milliseconds each step happened to take. A loaded index reports
         // 0 for every timing.
         w.u64(self.threads_used as u64);
-        // Snapshot lineage: which update epoch this index is at, the
-        // chained digest of the mutation logs that produced it, and what
-        // the latest apply did.
+        // Snapshot lineage: which update epoch this index is at and the
+        // chained digest of the mutation logs that produced it.
         w.u64(self.lineage.epoch);
         w.u64(self.lineage.log_digest);
-        w.u64(self.lineage.repaired_bags as u64);
-        w.bool(self.lineage.rebuilt);
-        write_rebuild_opt(&mut w, &self.lineage.rebuild_reason);
         cw.section(SEC_META, w.into_bytes());
 
         let mut w = Writer::new();
@@ -2215,8 +1703,9 @@ impl SharedPreparedQuery {
     /// metadata, cover structure) still decode owned. Falls back to the
     /// owned decode on platforms without mmap. The mapping stays alive for
     /// as long as any decoded structure borrows from it (`Arc`-pinned per
-    /// slab), and a later mutation promotes only the touched arrays to
-    /// owned memory.
+    /// slab). A mapped index is never written to: an
+    /// [`PreparedQuery::apply`] reads its graph and prepares a new, owned
+    /// index.
     ///
     /// SIGBUS safety: every section length is checked against the mapping
     /// length up front by `parse_container_frames`, and saves go through
@@ -2300,10 +1789,7 @@ impl SharedPreparedQuery {
         let lineage = UpdateLineage {
             epoch: r.u64("update epoch")?,
             log_digest: r.u64("lineage log digest")?,
-            repaired_bags: r.u64("repaired bag count")? as usize,
-            rebuilt: r.bool("rebuilt flag")?,
             update_ms: 0,
-            rebuild_reason: read_rebuild_opt(&mut r)?,
         };
         stats.bytes_total += frames.meta.payload.len();
         r.finish()?;
@@ -2316,13 +1802,15 @@ impl SharedPreparedQuery {
                 }
                 let branches = compile(&query)
                     .map_err(|_| malformed("stored query does not compile to branches"))?;
-                let count = r.seq_len(16, "branch count")?;
+                // The smallest branch is a Boolean one: four flag/tag
+                // bytes plus an empty oracle list.
+                let count = r.seq_len(12, "branch count")?;
                 if count != branches.len() {
                     return Err(malformed("stored branch count does not match the query"));
                 }
                 let mut bs = Vec::with_capacity(count);
                 for fq in branches {
-                    bs.push(BranchEngine::read_from(&mut r, &g, fq)?);
+                    bs.push(BranchEngine::read_from(&mut r, g.n(), fq)?);
                 }
                 EngineImpl::Indexed(bs)
             }
@@ -2735,10 +2223,10 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// A mutation applied to an mmap-backed index promotes the touched
-    /// arrays to owned memory (copy-on-write) and keeps answering
-    /// identically to the same mutation applied to an owned-decoded
-    /// index; the re-save of either is bit-identical.
+    /// A mutation applied to an mmap-backed index answers identically to
+    /// the same mutation applied to an owned-decoded index, the re-save of
+    /// either is bit-identical, and the mapped snapshot it started from
+    /// keeps serving unchanged.
     #[test]
     fn index_mmap_mutation_promotes_copy_on_write() {
         let g = colored(generators::grid(5, 5), 13);
@@ -2760,10 +2248,7 @@ mod tests {
         let from_owned = owned.prepared.apply(&log, &q, &small_opts()).unwrap();
         let a: Vec<_> = from_mapped.enumerate().collect();
         let b: Vec<_> = from_owned.enumerate().collect();
-        assert_eq!(
-            a, b,
-            "CoW-promoted index diverged from owned after mutation"
-        );
+        assert_eq!(a, b, "mapped-base apply diverged from owned-base apply");
         assert_eq!(
             from_mapped.save_index_bytes(&q, src).unwrap(),
             from_owned.save_index_bytes(&q, src).unwrap(),
@@ -2777,18 +2262,19 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Pre-v4 containers (v2, unpadded v3.0, padded v3.1) are refused with
-    /// the typed version error by the owned load and by the mapped load
-    /// under both verify policies — no decoder runs on their payloads.
+    /// Older containers (v2, unpadded v3.0, padded v3.1, and v4 with its
+    /// overlay/patch lists and repair lineage) are refused with the typed
+    /// version error by the owned load and by the mapped load under both
+    /// verify policies — no decoder runs on their payloads.
     #[test]
-    fn pre_v4_containers_are_rejected_by_every_load() {
+    fn older_containers_are_rejected_by_every_load() {
         let g = colored(generators::grid(4, 4), 7);
         let src = "dist(x,y) > 2 && Blue(y)";
         let q = parse_query(src).unwrap();
         let pq = PreparedQuery::prepare(&g, &q, &small_opts()).unwrap();
         let bytes = pq.save_index_bytes(&q, src).unwrap();
-        let path = mmap_tmp("pre-v4");
-        for word in [2u32, 3, 3 | 1 << 16] {
+        let path = mmap_tmp("older");
+        for word in [2u32, 3, 3 | 1 << 16, 4] {
             let mut old = bytes.clone();
             old[8..12].copy_from_slice(&word.to_le_bytes());
             let want = PersistError::UnsupportedVersion {
@@ -2936,12 +2422,30 @@ mod tests {
         log
     }
 
-    /// The tentpole contract: a repaired index answers exactly like a
-    /// fresh prepare of the mutated graph — enumeration, membership, and
-    /// successor probes — across graph families, query shapes, and random
-    /// mutation logs, including chained applies.
+    /// Payload of the section tagged `tag` in an index container.
+    fn section(bytes: &[u8], tag: [u8; 4]) -> Vec<u8> {
+        let frames = parse_container_frames(bytes).unwrap().frames;
+        frames
+            .iter()
+            .find(|f| f.tag == tag)
+            .unwrap()
+            .payload
+            .to_vec()
+    }
+
+    /// An applied epoch *is* a fresh prepare of the mutated graph: same
+    /// answers (enumeration, count, membership, successor probes), same
+    /// structural stats, and byte-identical graph, query and engine
+    /// sections on save — only the META lineage words (epoch, digest)
+    /// differ. Across graph families, every query shape plus a naive-rung
+    /// query and a sentence that random color flips can switch on or off,
+    /// and random mutation logs, including chained applies.
     #[test]
     fn apply_matches_fresh_prepare_over_random_logs() {
+        let extra = [
+            "exists u. (E(x,u) && E(u,y)) && x != y",
+            "(exists u. (Blue(u) && Red(u))) && E(x,y)",
+        ];
         for (gi, base) in [
             generators::random_tree(30, 3),
             generators::grid(5, 5),
@@ -2951,17 +2455,17 @@ mod tests {
         .enumerate()
         {
             let g = colored(base, gi as u64 + 40);
-            for (qi, src) in QUERIES.iter().enumerate() {
+            for (qi, src) in QUERIES.iter().chain(extra.iter()).enumerate() {
                 let q = parse_query(src).unwrap();
                 let pq = PreparedQuery::prepare(&g, &q, &small_opts()).unwrap();
                 let mut rng = StdRng::seed_from_u64((gi * 131 + qi) as u64);
 
                 let log1 = random_log(&g, &mut rng, 6);
                 let inc1 = pq.apply(&log1, &q, &small_opts()).unwrap();
-                let g1 = log1.apply_to(&g).unwrap().graph;
+                let g1 = log1.apply_to(&g).unwrap();
                 let log2 = random_log(&g1, &mut rng, 4);
                 let inc2 = inc1.apply(&log2, &q, &small_opts()).unwrap();
-                let g2 = log2.apply_to(&g1).unwrap().graph;
+                let g2 = log2.apply_to(&g1).unwrap();
 
                 for (step, (inc, gn)) in [(&inc1, &g1), (&inc2, &g2)].into_iter().enumerate() {
                     let fresh = PreparedQuery::prepare(gn, &q, &small_opts()).unwrap();
@@ -2969,6 +2473,26 @@ mod tests {
                     let got: Vec<_> = inc.enumerate().collect();
                     assert_eq!(got, want, "{src} gi={gi} step={step}");
                     assert_eq!(inc.count(), fresh.count(), "{src} gi={gi} step={step}");
+                    assert_eq!(
+                        inc.stats().structural(),
+                        fresh.stats().structural(),
+                        "{src} gi={gi} step={step}"
+                    );
+                    let (a, b) = (
+                        inc.save_index_bytes(&q, src).unwrap(),
+                        fresh.save_index_bytes(&q, src).unwrap(),
+                    );
+                    for tag in [SEC_GRAPH, SEC_QUERY, SEC_ENGINE] {
+                        assert!(
+                            section(&a, tag) == section(&b, tag),
+                            "{src} gi={gi} step={step}: {} section differs",
+                            String::from_utf8_lossy(&tag)
+                        );
+                    }
+                    // META ends with the two lineage words.
+                    let (ma, mb) = (section(&a, SEC_META), section(&b, SEC_META));
+                    assert_eq!(ma.len(), mb.len());
+                    assert_eq!(ma[..ma.len() - 16], mb[..mb.len() - 16], "{src}");
                     for _ in 0..25 {
                         let probe: Vec<Vertex> = (0..q.arity())
                             .map(|_| rng.random_range(0..gn.n() as Vertex))
@@ -2989,107 +2513,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_rebuild_triggers_are_typed() {
-        // Naive rung: nothing to repair.
-        let g = colored(generators::cycle(12), 6);
-        let q = parse_query("exists u. (E(x,u) && E(u,y)) && x != y").unwrap();
-        let pq = PreparedQuery::prepare(&g, &q, &small_opts()).unwrap();
-        let log = nd_update::MutationLog::parse("add-edge 0 6").unwrap();
-        let upd = pq.apply(&log, &q, &small_opts()).unwrap();
-        let st = upd.stats();
-        assert!(st.rebuilt);
-        assert_eq!(st.rebuild_reason, Some(RebuildReason::NaiveRung));
-        assert_eq!(st.epoch, 1);
-        let gn = log.apply_to(&g).unwrap().graph;
-        let fresh = PreparedQuery::prepare(&gn, &q, &small_opts()).unwrap();
-        assert_eq!(
-            upd.enumerate().collect::<Vec<_>>(),
-            fresh.enumerate().collect::<Vec<_>>()
-        );
-
-        // Sentence flipping false → true: the dormant branch was never
-        // built, so the apply must rebuild.
-        let mut g = colored(generators::path(8), 2);
-        g.add_color(vec![], Some("Mark".into()));
-        let q = parse_query("(exists u. Mark(u)) && E(x,y)").unwrap();
-        let pq = PreparedQuery::prepare(&g, &q, &small_opts()).unwrap();
-        assert_eq!(pq.enumerate().count(), 0);
-        let log = nd_update::MutationLog::parse("color 3 Mark").unwrap();
-        let upd = pq.apply(&log, &q, &small_opts()).unwrap();
-        let st = upd.stats();
-        assert!(st.rebuilt);
-        assert_eq!(
-            st.rebuild_reason,
-            Some(RebuildReason::SentenceActivated { branch: 0 })
-        );
-        assert_eq!(upd.enumerate().count(), 2 * 7);
-
-        // … and true → false deactivates in place (no rebuild).
-        let log = nd_update::MutationLog::parse("uncolor 3 Mark").unwrap();
-        let back = upd.apply(&log, &q, &small_opts()).unwrap();
-        assert!(!back.stats().rebuilt);
-        assert_eq!(back.enumerate().count(), 0);
-        assert_eq!(back.lineage().epoch, 2);
-
-        // An added chord does NOT saturate: insertions ride the patch
-        // (dirty region stays empty), even though its radius-3 ball
-        // would cover most of this short path.
-        let g = colored(generators::path(12), 9);
-        let q = parse_query("dist(x,y) <= 3").unwrap();
-        let pq = PreparedQuery::prepare(&g, &q, &small_opts()).unwrap();
-        let log = nd_update::MutationLog::parse("add-edge 0 11").unwrap();
-        let upd = pq.apply(&log, &q, &small_opts()).unwrap();
-        assert!(!upd.stats().rebuilt, "{:?}", upd.stats().rebuild_reason);
-        let gn = log.apply_to(&g).unwrap().graph;
-        let fresh = PreparedQuery::prepare(&gn, &q, &small_opts()).unwrap();
-        assert_eq!(
-            upd.enumerate().collect::<Vec<_>>(),
-            fresh.enumerate().collect::<Vec<_>>()
-        );
-
-        // Oracle saturation: a *deleted* edge dirties the whole radius-3
-        // ball around its endpoints — most of a short path.
-        let log = nd_update::MutationLog::parse("remove-edge 5 6").unwrap();
-        let upd = pq.apply(&log, &q, &small_opts()).unwrap();
-        let st = upd.stats();
-        assert!(st.rebuilt);
-        assert!(
-            matches!(
-                st.rebuild_reason,
-                Some(RebuildReason::OracleSaturated { radius: 3, .. })
-            ),
-            "{:?}",
-            st.rebuild_reason
-        );
-        let gn = log.apply_to(&g).unwrap().graph;
-        let fresh = PreparedQuery::prepare(&gn, &q, &small_opts()).unwrap();
-        assert_eq!(
-            upd.enumerate().collect::<Vec<_>>(),
-            fresh.enumerate().collect::<Vec<_>>()
-        );
-
-        // The rebuild-reason codec round-trips.
-        for reason in [
-            None,
-            Some(RebuildReason::SentenceActivated { branch: 2 }),
-            Some(RebuildReason::NaiveRung),
-            Some(RebuildReason::OracleSaturated {
-                radius: 3,
-                dirty: 9,
-                n: 12,
-            }),
-        ] {
-            let mut w = Writer::new();
-            write_rebuild_opt(&mut w, &reason);
-            let bytes = w.into_bytes();
-            let mut r = Reader::new(&bytes);
-            assert_eq!(read_rebuild_opt(&mut r).unwrap(), reason);
-            r.finish().unwrap();
-        }
-        assert!(read_rebuild_opt(&mut Reader::new(&[9])).is_err());
-    }
-
-    #[test]
     fn apply_rejects_bad_inputs() {
         let g = colored(generators::grid(4, 4), 7);
         let q = parse_query("dist(x,y) > 2 && Blue(y)").unwrap();
@@ -3100,16 +2523,20 @@ mod tests {
             pq.apply(&bad, &q, &small_opts()),
             Err(ApplyError::Update(_))
         ));
-        // Mismatched query for the rebuild fallback.
-        let other = parse_query("Blue(x)").unwrap();
+        // A query other than the prepared one: different arity, and same
+        // shape with another radius (a radius-3 index is not a radius-2
+        // one).
         let log = nd_update::MutationLog::parse("add-edge 0 5").unwrap();
-        assert!(matches!(
-            pq.apply(&log, &other, &small_opts()),
-            Err(ApplyError::QueryMismatch)
-        ));
+        for other in ["Blue(x)", "dist(x,y) > 3 && Blue(y)"] {
+            let other = parse_query(other).unwrap();
+            assert!(matches!(
+                pq.apply(&log, &other, &small_opts()),
+                Err(ApplyError::QueryMismatch)
+            ));
+        }
     }
 
-    /// An applied (repaired) index survives save → load: same stats
+    /// An applied index survives save → load: same stats
     /// (including lineage) up to the unpersisted wall-clock fields, same
     /// answers, bit-identical re-save.
     #[test]
@@ -3151,7 +2578,7 @@ mod tests {
             let again = loaded.prepared.save_index_bytes(&q, src).unwrap();
             assert_eq!(again, bytes, "re-save not bit-identical for {src}");
 
-            // Corruption of the persisted overlay / lineage still rejects.
+            // Truncation through the engine tail still rejects.
             for cut in (bytes.len().saturating_sub(64))..bytes.len() {
                 assert!(SharedPreparedQuery::load_index_bytes(&bytes[..cut]).is_err());
             }

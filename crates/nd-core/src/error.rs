@@ -106,10 +106,10 @@ pub enum ApplyError {
     /// The mutation log itself is invalid (bad vertex, removed-vertex
     /// reference, reserved color, …).
     Update(nd_update::UpdateError),
-    /// The repair fell back to a full re-prepare and that prepare failed.
+    /// The re-prepare of the mutated graph failed.
     Prepare(PrepareError),
-    /// The query passed for the rebuild fallback is not the query this
-    /// index was prepared for.
+    /// The query passed to `apply` is not the query this index was
+    /// prepared for.
     QueryMismatch,
 }
 
@@ -117,7 +117,7 @@ impl fmt::Display for ApplyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ApplyError::Update(e) => write!(f, "invalid mutation log: {e}"),
-            ApplyError::Prepare(e) => write!(f, "rebuild after mutation failed: {e}"),
+            ApplyError::Prepare(e) => write!(f, "re-prepare after mutation failed: {e}"),
             ApplyError::QueryMismatch => {
                 write!(f, "query does not match the prepared index")
             }

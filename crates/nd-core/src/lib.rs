@@ -45,8 +45,7 @@ pub use dynamic::{DynamicFarIndex, DynamicFarQuery};
 pub use engine::fragment::{BinKind, FragmentQuery, UnsupportedReason};
 pub use engine::prepared::{
     DegradationReason, DegradationRung, EngineKind, Enumerate, LoadStats, LoadedIndex,
-    MmapLoadOpts, PrepareOpts, PrepareStats, PreparedQuery, RebuildReason, SharedPreparedQuery,
-    UpdateLineage,
+    MmapLoadOpts, PrepareOpts, PrepareStats, PreparedQuery, SharedPreparedQuery, UpdateLineage,
 };
 pub use error::{ApplyError, InvalidInput, NdError, PrepareError, QueryError};
 pub use nd_graph::budget::{Budget, BudgetExceeded, BudgetTracker, Phase, Resource};

@@ -99,7 +99,7 @@ pub struct SkipPointers {
     /// CSR row offsets: vertex `v`'s closure entries live at
     /// `starts[v] .. starts[v+1]` in `sets` / `vals`. Length `n + 1`.
     /// The three CSR arrays are [`Slab`]s: file-backed when decoded from
-    /// a mapped container, promoted to owned on the first repair.
+    /// a mapped container.
     starts: Slab<u32>,
     /// Bag sets of the closure, sorted within each row.
     sets: Slab<BagSet>,
@@ -109,7 +109,8 @@ pub struct SkipPointers {
     /// degrees blow up on expander-like inputs), the closure is truncated;
     /// queries stay correct via a linear-scan fallback. Truncation is
     /// all-or-nothing per vertex: a partially-tabulated row would break
-    /// the Claim 5.9 subset-growing argument (see [`Self::repair`]).
+    /// the Claim 5.9 subset-growing argument, which needs every
+    /// tabulated closure complete.
     truncated: bool,
 }
 
@@ -420,116 +421,6 @@ impl SkipPointers {
         self.n
     }
 
-    /// Patch the structure after an index repair: install the re-evaluated
-    /// target list for a (possibly grown) domain of `n` vertices and drop
-    /// every table entry a mutation could have staled. Returns the number
-    /// of entries dropped.
-    ///
-    /// `kernel_changed` is the sorted set of vertices whose kernel
-    /// membership changed in any bag (from `KernelIndex::repair`); the
-    /// list diff is computed here. An entry `SKIP(v, S) = val` stays exact
-    /// when no changed vertex lies in `[v, val]` (`[v, ∞)` for `val =
-    /// None`): every candidate it rejected still fails and `val` itself
-    /// still qualifies, since both judgments read only list and kernel
-    /// membership of vertices in that interval.
-    ///
-    /// Exactness of each surviving entry is not enough, though: the
-    /// Claim 5.9 query grows a *maximal tabulated* subset `S' ⊆ S` and
-    /// relies on the closure property "`val(S') ∈ K(Y)` ⇒ `S' ∪ {Y}` is
-    /// tabulated" to conclude that `val(S')` escapes all of `S`. Deleting
-    /// a superset entry while keeping a subset entry would break that
-    /// implication and let a query return a vertex still inside some
-    /// kernel. So staleness evicts a vertex's *entire* tabulated closure:
-    /// queries landing there fall through to the verified linear scan,
-    /// exactly like past-the-cap truncation, while untouched vertices keep
-    /// a complete (hence consistent) closure. Repair therefore keeps every
-    /// answer exact but the table possibly sparser — constant delay
-    /// re-tightens on the next full rebuild, answers never drift.
-    pub fn repair(
-        &mut self,
-        n: usize,
-        mut new_list: Vec<Vertex>,
-        kernel_changed: &[Vertex],
-    ) -> usize {
-        new_list.sort_unstable();
-        new_list.dedup();
-        let mut changed: Vec<Vertex> = kernel_changed.to_vec();
-        // Symmetric difference of the old and new target lists.
-        {
-            let (a, b) = (&self.list, &new_list);
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() || j < b.len() {
-                if j == b.len() || (i < a.len() && a[i] < b[j]) {
-                    changed.push(a[i]);
-                    i += 1;
-                } else if i == a.len() || b[j] < a[i] {
-                    changed.push(b[j]);
-                    j += 1;
-                } else {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        changed.sort_unstable();
-        changed.dedup();
-        self.n = n;
-        self.list = new_list;
-        self.in_list = vec![false; n];
-        for &v in &self.list {
-            self.in_list[v as usize] = true;
-        }
-        self.next_in_list = vec![None; n];
-        let mut next = None;
-        for v in (0..n).rev() {
-            self.next_in_list[v] = next;
-            if self.in_list[v] {
-                next = Some(v as Vertex);
-            }
-        }
-        // The domain may have grown: give appended vertices empty rows so
-        // the CSR index always spans `0..=n`.
-        let old_n = self.starts.len() - 1;
-        if n > old_n {
-            let last = *self.starts.last().expect("starts is never empty");
-            self.starts.to_mut().resize(n + 1, last);
-        }
-        if changed.is_empty() {
-            return 0;
-        }
-        let before = self.sets.len();
-        // Compact the CSR arrays in place, dropping every stale row whole.
-        // CoW promotion point: a mapped table copies its arrays once here.
-        let mut starts = vec![0u32; n + 1];
-        let mut w = 0usize;
-        let sets = self.sets.to_mut();
-        let vals = self.vals.to_mut();
-        for v in 0..n {
-            let lo = self.starts[v] as usize;
-            let hi = self.starts[v + 1] as usize;
-            // First changed vertex ≥ v; an entry `SKIP(v, S) = val` is
-            // stale when one lies in `[v, val]` (`[v, ∞)` for None).
-            let idx = changed.partition_point(|&c| c < v as Vertex);
-            let stale = match changed.get(idx) {
-                None => false, // no changed vertex ≥ v: interval untouched
-                Some(&c) => vals[lo..hi].iter().any(|&x| match x {
-                    NO_SKIP => true,
-                    x => c <= x,
-                }),
-            };
-            if !stale {
-                sets.copy_within(lo..hi, w);
-                vals.copy_within(lo..hi, w);
-                w += hi - lo;
-            }
-            starts[v + 1] = w as u32;
-        }
-        sets.truncate(w);
-        vals.truncate(w);
-        self.starts = starts.into();
-        before - self.sets.len()
-    }
-
     /// Append the structure's binary encoding to `w` (DESIGN.md §9).
     ///
     /// The tabulated `SC(b)` closure — the expensive part — is serialized
@@ -785,85 +676,6 @@ mod tests {
         // Out-of-range table vertices / values are rejected (they would
         // otherwise index per-position bitsets out of bounds downstream).
         assert!(SkipPointers::read_from(&mut nd_persist::Reader::new(&bytes), 3).is_err());
-    }
-
-    #[test]
-    fn repaired_skip_stays_exact_after_mutations() {
-        let mut rng = StdRng::seed_from_u64(31);
-        for (gi, g) in [
-            generators::grid(9, 9),
-            generators::path(70),
-            generators::random_tree(80, 6),
-        ]
-        .iter()
-        .enumerate()
-        {
-            for seed in 0..4u64 {
-                let r = 2u32;
-                let mut cover = Cover::build(g, 2 * r, 0.5);
-                let mut kernels = KernelIndex::build(g, &cover, r);
-                let list: Vec<Vertex> = (0..g.n() as Vertex).filter(|v| v % 3 != 1).collect();
-                let mut sp = SkipPointers::build(g.n(), &kernels, list, 2);
-                let old_bags = cover.num_bags();
-                // Mutate.
-                let mut mrng = StdRng::seed_from_u64(seed * 13 + gi as u64);
-                let mut d = nd_graph::CsrDelta::new();
-                for _ in 0..8 {
-                    let m = d.n(g) as Vertex;
-                    match mrng.random_range(0..6u32) {
-                        0 => {
-                            d.try_add_node(g).unwrap();
-                        }
-                        x => {
-                            let u = mrng.random_range(0..m);
-                            let v = mrng.random_range(0..m);
-                            if u != v {
-                                if x < 4 {
-                                    d.try_add_edge(g, u, v).unwrap();
-                                } else {
-                                    d.try_remove_edge(g, u, v).unwrap();
-                                }
-                            }
-                        }
-                    }
-                }
-                let h = d.apply(g);
-                let added: Vec<(Vertex, Vertex)> = h
-                    .edges()
-                    .filter(|&(u, v)| (v as usize) >= g.n() || !g.has_edge(u, v))
-                    .collect();
-                let removed: Vec<(Vertex, Vertex)> =
-                    g.edges().filter(|&(u, v)| !h.has_edge(u, v)).collect();
-                cover.repair(&h, &added, 0.5);
-                let mut dirty: Vec<BagId> = added
-                    .iter()
-                    .chain(&removed)
-                    .flat_map(|&(u, v)| [u, v])
-                    .flat_map(|v| cover.bags_containing(v).iter().copied())
-                    .chain(old_bags as BagId..cover.num_bags() as BagId)
-                    .collect();
-                dirty.sort_unstable();
-                dirty.dedup();
-                let changed = kernels.repair(&h, &cover, &dirty);
-                // New target list on the mutated domain (same predicate).
-                let new_list: Vec<Vertex> = (0..h.n() as Vertex).filter(|v| v % 3 != 1).collect();
-                sp.repair(h.n(), new_list.clone(), &changed);
-                // Every surviving or fallback answer must equal the naive
-                // scan on the *new* kernels.
-                let fresh = SkipPointers::build(h.n(), &kernels, new_list, 2);
-                for bags in random_bagsets(&kernels, h.n(), 2, &mut rng) {
-                    for probe in 0..h.n() as Vertex {
-                        let want = fresh.skip_naive(&kernels, probe, &bags);
-                        assert_eq!(
-                            sp.skip(&kernels, probe, &bags),
-                            want,
-                            "repaired skip drifted: b={probe}, S={bags:?}, seed={seed}, g={gi}"
-                        );
-                        assert_eq!(fresh.skip(&kernels, probe, &bags), want);
-                    }
-                }
-            }
-        }
     }
 
     #[test]

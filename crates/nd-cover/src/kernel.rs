@@ -228,75 +228,6 @@ impl KernelIndex {
         })
     }
 
-    /// Recompute the kernels of `dirty` bags on the (mutated) graph `g` and
-    /// patch the inverted index, returning the sorted set of vertices whose
-    /// kernel membership changed in *any* dirty bag — the invalidation seed
-    /// for the skip tables.
-    ///
-    /// A bag's kernel can only change when a mutated edge has an endpoint
-    /// in the bag: `K_p(X)` is determined by distances *inside* `G[X]` to
-    /// the boundary of `X`, and both the boundary predicate and those
-    /// distances read only edges incident to `X` (Lemma 5.7). Callers
-    /// therefore pass the bags containing a mutation endpoint, plus any
-    /// bags the cover repair created.
-    ///
-    /// New bag ids must extend the index contiguously (the cover appends
-    /// bags, never reorders them).
-    pub fn repair(&mut self, g: &ColoredGraph, cover: &Cover, dirty: &[BagId]) -> Vec<Vertex> {
-        let mut ids: Vec<BagId> = dirty.to_vec();
-        ids.sort_unstable();
-        ids.dedup();
-        if self.kernel_bags_of.len() < g.n() {
-            self.kernel_bags_of.resize(g.n(), Vec::new());
-        }
-        let mut scratch = KernelScratch::new(g.n());
-        let mut changed: Vec<Vertex> = Vec::new();
-        for id in ids {
-            assert!(
-                (id as usize) < cover.num_bags(),
-                "dirty bag {id} beyond the cover"
-            );
-            let verts = &cover.bag(id).verts;
-            let fresh = kernel_of_bag_with(g, verts, self.p, &mut scratch);
-            if (id as usize) < self.kernels.len() {
-                let old = std::mem::take(&mut self.kernels[id as usize]);
-                // Patch the inverted index by the symmetric difference.
-                for &v in old.iter().filter(|v| fresh.binary_search(v).is_err()) {
-                    let bags = &mut self.kernel_bags_of[v as usize];
-                    if let Ok(i) = bags.binary_search(&id) {
-                        bags.remove(i);
-                    }
-                    changed.push(v);
-                }
-                for &v in fresh.iter().filter(|v| old.binary_search(v).is_err()) {
-                    let bags = &mut self.kernel_bags_of[v as usize];
-                    if let Err(i) = bags.binary_search(&id) {
-                        bags.insert(i, id);
-                    }
-                    changed.push(v);
-                }
-                self.kernels[id as usize] = fresh;
-            } else {
-                assert_eq!(
-                    id as usize,
-                    self.kernels.len(),
-                    "new kernel bags must be contiguous"
-                );
-                for &v in &fresh {
-                    let bags = &mut self.kernel_bags_of[v as usize];
-                    if let Err(i) = bags.binary_search(&id) {
-                        bags.insert(i, id);
-                    }
-                    changed.push(v);
-                }
-                self.kernels.push(fresh);
-            }
-        }
-        changed.sort_unstable();
-        changed.dedup();
-        changed
-    }
-
     /// Number of bags the index holds kernels for.
     pub fn num_bags(&self) -> usize {
         self.kernels.len()
@@ -454,78 +385,6 @@ mod tests {
                 KernelIndex::read_from(&mut nd_persist::Reader::new(&bytes[..cut]), g.n()).is_err(),
                 "cut {cut}"
             );
-        }
-    }
-
-    #[test]
-    fn kernel_repair_matches_fresh_build_after_mutations() {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
-        for (gi, g) in [
-            generators::grid(8, 8),
-            generators::path(60),
-            generators::random_tree(70, 7),
-            generators::clique(12),
-        ]
-        .iter()
-        .enumerate()
-        {
-            for seed in 0..5u64 {
-                let p = 2u32;
-                let mut cover = Cover::build(g, 2 * p, 0.5);
-                let mut ki = KernelIndex::build(g, &cover, p);
-                let old_bags = cover.num_bags();
-                // Random edge/vertex mutations.
-                let mut rng = StdRng::seed_from_u64(900 + seed * 7 + gi as u64);
-                let mut d = nd_graph::CsrDelta::new();
-                for _ in 0..10 {
-                    let m = d.n(g) as u32;
-                    match rng.random_range(0..6u32) {
-                        0 => {
-                            d.try_add_node(g).unwrap();
-                        }
-                        x if m > 1 => {
-                            let u = rng.random_range(0..m);
-                            let v = rng.random_range(0..m);
-                            if u != v {
-                                if x < 4 {
-                                    d.try_add_edge(g, u, v).unwrap();
-                                } else {
-                                    d.try_remove_edge(g, u, v).unwrap();
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                let h = d.apply(g);
-                let added: Vec<(Vertex, Vertex)> = h
-                    .edges()
-                    .filter(|&(u, v)| (v as usize) >= g.n() || !g.has_edge(u, v))
-                    .collect();
-                let removed: Vec<(Vertex, Vertex)> =
-                    g.edges().filter(|&(u, v)| !h.has_edge(u, v)).collect();
-                cover.repair(&h, &added, 0.5);
-                // Dirty bags: every bag containing a mutated-edge endpoint,
-                // plus the bags the cover repair spawned.
-                let mut dirty: Vec<BagId> = added
-                    .iter()
-                    .chain(&removed)
-                    .flat_map(|&(u, v)| [u, v])
-                    .flat_map(|v| cover.bags_containing(v).iter().copied())
-                    .chain(old_bags as BagId..cover.num_bags() as BagId)
-                    .collect();
-                dirty.sort_unstable();
-                dirty.dedup();
-                let changed = ki.repair(&h, &cover, &dirty);
-                let fresh = KernelIndex::build(&h, &cover, p);
-                assert_eq!(ki.kernels, fresh.kernels, "seed {seed} family {gi}");
-                assert_eq!(
-                    ki.kernel_bags_of, fresh.kernel_bags_of,
-                    "seed {seed} family {gi}"
-                );
-                assert!(changed.windows(2).all(|w| w[0] < w[1]));
-            }
         }
     }
 

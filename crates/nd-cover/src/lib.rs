@@ -40,15 +40,6 @@ pub struct CoverTimings {
     pub store_ms: u64,
 }
 
-/// Outcome of a [`Cover::repair`] pass (feeds `PrepareStats`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CoverRepair {
-    /// Bags spawned for vertices no existing bag could cover.
-    pub new_bags: usize,
-    /// Pre-existing vertices whose canonical assignment moved.
-    pub reassigned: usize,
-}
-
 /// One bag of a cover.
 #[derive(Clone, Debug)]
 pub struct Bag {
@@ -323,181 +314,6 @@ impl Cover {
         })
     }
 
-    /// Repair the cover after a graph mutation so that the *covering*
-    /// invariant — `N_r(a) ⊆ X(a)` for every vertex `a`, on the mutated
-    /// graph `g` — holds again. This is the only property the enumeration
-    /// engine's correctness rests on (Case I/II of Section 5.2.2); the
-    /// build-time bound `X ⊆ N_{2r}(center)` may lapse for *pre-existing*
-    /// bags after edge removals, which affects cover-degree statistics but
-    /// never answers.
-    ///
-    /// `g` is the post-mutation graph (it may have more vertices than the
-    /// cover; appended vertices are assigned here), `added_edges` the edges
-    /// present in `g` but not in the graph the cover was built on, and
-    /// `epsilon` parameterizes membership-store growth. Edge *removals*
-    /// only shrink balls and need no repair.
-    ///
-    /// Existing bags are frozen: a vertex whose `r`-ball escaped its bag is
-    /// reassigned to another bag already containing the ball, or spawns a
-    /// fresh `N_{2r}` bag. Cost is proportional to the mutated
-    /// neighborhoods, not to `n`.
-    pub fn repair(
-        &mut self,
-        g: &ColoredGraph,
-        added_edges: &[(Vertex, Vertex)],
-        epsilon: f64,
-    ) -> CoverRepair {
-        let old_n = self.assignment.len();
-        let n = g.n();
-        assert!(n >= old_n, "repair graph must extend the covered domain");
-        self.assignment.resize(n, 0);
-        self.bags_of.resize(n, Vec::new());
-        let mut report = CoverRepair::default();
-        let mut scratch = BfsScratch::new(n);
-
-        // Appended vertices first: they need an assignment before the
-        // violation scan below can consult `bag_of` for them.
-        for v in old_n as Vertex..n as Vertex {
-            self.assign_vertex(g, v, None, &mut scratch, epsilon, &mut report);
-        }
-
-        // A vertex `v` can violate `N_r(v) ⊆ X(v)` only through a shortest
-        // path crossing an added edge `{u, w}`: `v` within `r-1` of `u`,
-        // then the residual ball around `w`. Checking that residual ball
-        // against `X(v)` is exact for the edge-reachable part of `N_r(v)`;
-        // the rest was covered before the mutation (paths avoiding every
-        // added edge already existed). Group the subset checks per
-        // `(bag, residual radius)` pair so dense regions — where one bag
-        // covers everyone — cost one check, not one per vertex.
-        let mut violating = std::collections::BTreeSet::new();
-        if self.r > 0 {
-            let mut checked: std::collections::HashMap<(BagId, u32), bool> =
-                std::collections::HashMap::new();
-            let mut residual_balls: Vec<Option<Vec<Vertex>>> = vec![None; self.r as usize];
-            for &(eu, ew) in added_edges {
-                for (u, w) in [(eu, ew), (ew, eu)] {
-                    residual_balls.fill(None);
-                    checked.clear();
-                    scratch.run(g, u, self.r - 1);
-                    for i in 0..scratch.reached().len() {
-                        let v = scratch.reached()[i];
-                        let rad = self.r - 1 - scratch.dist(v);
-                        let id = self.assignment[v as usize];
-                        let ok = *checked.entry((id, rad)).or_insert_with(|| {
-                            let ball = residual_balls[rad as usize].get_or_insert_with(|| {
-                                let mut s = BfsScratch::new(n);
-                                s.run(g, w, rad);
-                                let mut b = s.reached().to_vec();
-                                b.sort_unstable();
-                                b
-                            });
-                            let verts = &self.bags[id as usize].verts;
-                            ball.iter().all(|x| verts.binary_search(x).is_ok())
-                        });
-                        if !ok {
-                            violating.insert(v);
-                        }
-                    }
-                }
-            }
-        }
-        for v in violating {
-            let old_id = self.assignment[v as usize];
-            self.assign_vertex(g, v, Some(old_id), &mut scratch, epsilon, &mut report);
-        }
-        report
-    }
-
-    /// Point `v`'s canonical assignment at a bag containing `N_r(v)` on
-    /// `g`, preferring bags that already contain `v` and spawning a fresh
-    /// `N_{2r}(v)` bag otherwise. `prev` is `v`'s current assignment, if it
-    /// has one to be moved off of.
-    fn assign_vertex(
-        &mut self,
-        g: &ColoredGraph,
-        v: Vertex,
-        prev: Option<BagId>,
-        scratch: &mut BfsScratch,
-        epsilon: f64,
-        report: &mut CoverRepair,
-    ) {
-        let ball = scratch.ball_sorted(g, v, self.r);
-        let target = self.bags_of[v as usize]
-            .iter()
-            .copied()
-            .find(|&id| {
-                let verts = &self.bags[id as usize].verts;
-                ball.iter().all(|x| verts.binary_search(x).is_ok())
-            })
-            .unwrap_or_else(|| {
-                // No existing bag works: spawn N_{2r}(v), which contains
-                // N_r(v) and satisfies the 2r-ball bound by construction.
-                let id = self.bags.len() as BagId;
-                let verts = scratch.ball_sorted(g, v, 2 * self.r);
-                self.ensure_membership_capacity(self.n().max(self.bags.len() + 1) as u64, epsilon);
-                for &x in &verts {
-                    // `id` is the largest bag id so far: pushing keeps the
-                    // per-vertex bag lists sorted.
-                    self.bags_of[x as usize].push(id);
-                    self.membership.insert(&[id as u64, x as u64]);
-                }
-                self.bags.push(Bag { center: v, verts });
-                self.assigned_members.push(Vec::new());
-                report.new_bags += 1;
-                id
-            });
-        match prev {
-            Some(old_id) if old_id == target => return,
-            Some(old_id) => {
-                let members = &mut self.assigned_members[old_id as usize];
-                if let Ok(i) = members.binary_search(&v) {
-                    members.remove(i);
-                }
-                report.reassigned += 1;
-            }
-            None => {}
-        }
-        self.assignment[v as usize] = target;
-        let members = &mut self.assigned_members[target as usize];
-        if let Err(i) = members.binary_search(&v) {
-            members.insert(i, v);
-        }
-    }
-
-    /// Grow the Storing-Theorem membership store when bag or vertex ids
-    /// outgrow its key range. Doubling keeps repeated single-mutation
-    /// repairs from rebuilding the store every time; the rebuild itself is
-    /// a bulk sorted pass (bags in id order, members sorted).
-    fn ensure_membership_capacity(&mut self, needed: u64, epsilon: f64) {
-        if self.membership.params().n >= needed.max(1) {
-            return;
-        }
-        let params = StoreParams::new(needed.max(1) * 2, 2, epsilon.max(1e-9));
-        let mut packed = Vec::with_capacity(self.bags.iter().map(|b| b.verts.len()).sum());
-        for (id, bag) in self.bags.iter().enumerate() {
-            for &v in &bag.verts {
-                packed.push(params.pack(&[id as u64, v as u64]));
-            }
-        }
-        self.membership = KeySet::from_sorted_packed(params, packed);
-    }
-
-    /// Verify only the covering half of the invariant — `N_r(a) ⊆ X(a)` on
-    /// `g` — which is what [`Cover::repair`] maintains (test helper).
-    pub fn validate_covering(&self, g: &ColoredGraph) {
-        let mut scratch = BfsScratch::new(g.n());
-        for a in g.vertices() {
-            let ball = scratch.ball_sorted(g, a, self.r);
-            let bag = &self.bags[self.assignment[a as usize] as usize];
-            for v in ball {
-                assert!(
-                    bag.verts.binary_search(&v).is_ok(),
-                    "N_r({a}) not inside X({a})"
-                );
-            }
-        }
-    }
-
     /// Verify the `(r, 2r)`-cover conditions exhaustively (test helper).
     pub fn validate(&self, g: &ColoredGraph) {
         let mut scratch = BfsScratch::new(g.n());
@@ -632,138 +448,6 @@ mod tests {
                 back.validate(&g);
             }
         }
-    }
-
-    /// Random mutation batch against `g`: returns the mutated graph and
-    /// the list of edges present after but not before.
-    fn mutate(
-        g: &ColoredGraph,
-        seed: u64,
-        ops: usize,
-    ) -> (ColoredGraph, Vec<(nd_graph::Vertex, nd_graph::Vertex)>) {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut d = nd_graph::CsrDelta::new();
-        for _ in 0..ops {
-            let m = d.n(g) as Vertex;
-            match rng.random_range(0..8u32) {
-                0 => {
-                    d.try_add_node(g).unwrap();
-                }
-                1 if m > 1 => {
-                    let v = rng.random_range(0..m);
-                    d.try_isolate(g, v).unwrap();
-                }
-                x if m > 1 => {
-                    let u = rng.random_range(0..m);
-                    let v = rng.random_range(0..m);
-                    if u != v {
-                        if x < 5 {
-                            d.try_add_edge(g, u, v).unwrap();
-                        } else {
-                            d.try_remove_edge(g, u, v).unwrap();
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        let h = d.apply(g);
-        let added = h
-            .edges()
-            .filter(|&(u, v)| (v as usize) >= g.n() || !g.has_edge(u, v))
-            .collect();
-        (h, added)
-    }
-
-    #[test]
-    fn repair_restores_covering_after_random_mutations() {
-        for (gi, g) in [
-            generators::grid(9, 9),
-            generators::path(60),
-            generators::random_tree(70, 5),
-            generators::bounded_degree(80, 4, 3),
-            generators::clique(14),
-        ]
-        .iter()
-        .enumerate()
-        {
-            for seed in 0..6u64 {
-                for r in [2u32, 4] {
-                    let mut cover = Cover::build(g, r, 0.5);
-                    let (h, added) = mutate(g, seed * 31 + gi as u64, 12);
-                    let report = cover.repair(&h, &added, 0.5);
-                    cover.validate_covering(&h);
-                    assert_eq!(cover.n(), h.n());
-                    // Assignment bookkeeping stays a partition.
-                    let total: usize = (0..cover.num_bags() as BagId)
-                        .map(|id| cover.assigned_members(id).len())
-                        .sum();
-                    assert_eq!(total, h.n());
-                    for v in h.vertices() {
-                        let id = cover.bag_of(v);
-                        assert!(cover.contains(id, v));
-                        assert!(cover.assigned_members(id).binary_search(&v).is_ok());
-                        for &b in cover.bags_containing(v) {
-                            assert!(cover.bag(b).verts.binary_search(&v).is_ok());
-                        }
-                    }
-                    // Membership store and successor queries agree with the
-                    // bag lists, including for repair-spawned bags.
-                    for id in 0..cover.num_bags() as BagId {
-                        let verts = &cover.bag(id).verts;
-                        for v in 0..h.n() as Vertex {
-                            assert_eq!(cover.contains(id, v), verts.binary_search(&v).is_ok());
-                            let want = verts.iter().copied().find(|&w| w >= v);
-                            assert_eq!(cover.successor_in_bag(id, v), want);
-                        }
-                    }
-                    // An untouched graph repairs to a no-op.
-                    let mut untouched = Cover::build(g, r, 0.5);
-                    let noop = untouched.repair(g, &[], 0.5);
-                    assert_eq!(noop, CoverRepair::default());
-                    let _ = report;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn repair_spawns_bags_only_when_needed() {
-        // Connecting the two ends of a long path forces the ends' balls
-        // through the new edge; nearby bags cannot absorb them.
-        let g = generators::path(100);
-        let mut cover = Cover::build(&g, 2, 0.5);
-        let mut h = g.clone();
-        assert!(h.try_add_edge(0, 99).unwrap());
-        let report = cover.repair(&h, &[(0, 99)], 0.5);
-        assert!(report.new_bags > 0 || report.reassigned > 0);
-        cover.validate_covering(&h);
-    }
-
-    #[test]
-    fn repair_grows_the_membership_store() {
-        // Enough appended vertices to outgrow the original key range.
-        let g = generators::path(6);
-        let mut cover = Cover::build(&g, 2, 0.5);
-        let mut d = nd_graph::CsrDelta::new();
-        let mut prev = None;
-        for _ in 0..20 {
-            let v = d.try_add_node(&g).unwrap();
-            if let Some(p) = prev {
-                d.try_add_edge(&g, p, v).unwrap();
-            }
-            prev = Some(v);
-        }
-        let h = d.apply(&g);
-        let added: Vec<_> = h
-            .edges()
-            .filter(|&(u, v)| (v as usize) >= g.n() || !g.has_edge(u, v))
-            .collect();
-        cover.repair(&h, &added, 0.5);
-        cover.validate_covering(&h);
-        assert!(cover.membership.params().n >= h.n() as u64);
     }
 
     #[test]

@@ -7,14 +7,11 @@
 //! ordered pair, plus a count of appended isolated vertices — and reconciles
 //! everything in **one** O(n + m + Δ log Δ) merge pass in [`CsrDelta::apply`].
 //! Until then the merged graph is queryable through the delta
-//! ([`CsrDelta::has_edge`], [`CsrDelta::neighbors_into`]), which is what the
-//! dirty-bag analysis of the update subsystem uses to reason about the
-//! post-mutation graph before committing to a rebuilt CSR.
+//! ([`CsrDelta::has_edge`], [`CsrDelta::neighbors_into`]).
 //!
 //! Invariant kept at all times: an edit `(e → true)` is recorded only when
 //! `e` is absent from the base, `(e → false)` only when present. Redundant
-//! operations cancel in place, so the delta is always a *minimal* diff and
-//! `touched()` never over-reports.
+//! operations cancel in place, so the delta is always a *minimal* diff.
 
 use crate::error::GraphError;
 use crate::graph::{ColoredGraph, Vertex};
@@ -39,16 +36,6 @@ impl CsrDelta {
     /// Whether the delta records no changes.
     pub fn is_empty(&self) -> bool {
         self.edits.is_empty() && self.added_nodes == 0
-    }
-
-    /// Number of recorded edge flips.
-    pub fn num_edge_edits(&self) -> usize {
-        self.edits.len()
-    }
-
-    /// Number of appended vertices.
-    pub fn num_added_nodes(&self) -> usize {
-        self.added_nodes
     }
 
     /// Domain size of the merged graph.
@@ -180,29 +167,6 @@ impl CsrDelta {
         Ok(removed)
     }
 
-    /// The recorded net edge flips in sorted key order: `(u, v, present)`
-    /// with `u < v`. `present = true` means the merged graph gains the
-    /// edge relative to the base; `false` means it loses it. Redundant
-    /// operations have already cancelled, so this is the exact symmetric
-    /// difference between the base and merged edge sets.
-    pub fn edge_edits(&self) -> impl Iterator<Item = (Vertex, Vertex, bool)> + '_ {
-        self.edits.iter().map(|(&(u, v), &p)| (u, v, p))
-    }
-
-    /// Sorted, deduplicated endpoints of every recorded edge flip plus all
-    /// appended vertices — the seed set for dirty-bag analysis.
-    pub fn touched(&self, g: &ColoredGraph) -> Vec<Vertex> {
-        let mut out: Vec<Vertex> = self
-            .edits
-            .keys()
-            .flat_map(|&(u, v)| [u, v])
-            .chain(g.n() as Vertex..self.n(g) as Vertex)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Sorted neighbors of `v` in the merged graph, written into `out`.
     pub fn neighbors_into(&self, g: &ColoredGraph, v: Vertex, out: &mut Vec<Vertex>) {
         out.clear();
@@ -315,18 +279,6 @@ impl ColoredGraph {
         } else {
             Ok(false)
         }
-    }
-
-    /// Append a fresh isolated vertex in place (O(1): one CSR offset).
-    pub fn try_add_node(&mut self) -> Result<Vertex, GraphError> {
-        let id = self.n();
-        if id >= Vertex::MAX as usize {
-            return Err(GraphError::TooManyVertices { n: id + 1 });
-        }
-        let tail = *self.offsets.last().unwrap();
-        // CoW promotion point: a mapped graph copies its offsets once here.
-        self.offsets.to_mut().push(tail);
-        Ok(id as Vertex)
     }
 
     /// Add or remove `v` from color `c`'s membership list. Returns `true`
@@ -452,7 +404,6 @@ mod tests {
         let h = d.apply(&g);
         assert_eq!(h.neighbors(2), &[] as &[Vertex]);
         assert_eq!(h.m(), 2);
-        assert_eq!(d.touched(&g), vec![1, 2, 3]);
     }
 
     #[test]
@@ -518,13 +469,6 @@ mod tests {
                     assert_eq!(d.has_edge(&g, u, v), h.has_edge(u, v));
                 }
             }
-            // Untouched vertices keep their base adjacency.
-            let touched = d.touched(&g);
-            for v in 0..g.n() as Vertex {
-                if touched.binary_search(&v).is_err() {
-                    assert_eq!(h.neighbors(v), g.neighbors(v));
-                }
-            }
         }
     }
 
@@ -537,15 +481,11 @@ mod tests {
         assert!(g.has_edge(0, 4));
         assert!(g.try_remove_edge(1, 2).unwrap());
         assert!(!g.has_edge(1, 2));
-        let v = g.try_add_node().unwrap();
-        assert_eq!(v, 5);
-        assert_eq!(g.n(), 6);
-        assert_eq!(g.degree(5), 0);
-        assert!(g.try_set_color_membership(5, blue, true).unwrap());
-        assert_eq!(g.color_members(blue), &[1, 5]);
+        assert!(g.try_set_color_membership(4, blue, true).unwrap());
+        assert_eq!(g.color_members(blue), &[1, 4]);
         assert!(g.try_set_color_membership(1, blue, false).unwrap());
         assert!(!g.try_set_color_membership(1, blue, false).unwrap());
-        assert_eq!(g.color_members(blue), &[5]);
+        assert_eq!(g.color_members(blue), &[4]);
         assert!(g.try_set_color_membership(99, ColorId(0), true).is_err());
         // The mutated graph still round-trips the validating codec.
         let mut w = nd_persist::Writer::new();

@@ -34,12 +34,14 @@ pub const MAGIC: [u8; 8] = *b"NDQIDX\r\n";
 /// word and reject every other one with [`PersistError::UnsupportedVersion`]
 /// rather than guessing; older files must be re-prepared from their graph.
 ///
-/// v4 is the 16-byte-aligned layout: section payloads start on 16-byte
-/// file offsets and bulk arrays inside payloads are padded to 16-byte
-/// payload offsets, which is what lets a mapped file be served in place as
+/// The layout is 16-byte aligned: section payloads start on 16-byte file
+/// offsets and bulk arrays inside payloads are padded to 16-byte payload
+/// offsets, which is what lets a mapped file be served in place as
 /// `&[u32]`/`&[u64]`/`&[u128]` slices with zero copies. It persists no
-/// wall-clock field, so re-saving an index is bit-identical.
-pub const FORMAT_VERSION: u32 = 4;
+/// wall-clock field, so re-saving an index is bit-identical. v5 keeps v4's
+/// layout but drops the index fields of in-place repair (per-branch
+/// oracle overlay and patch lists, and the repair outcome in META).
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Decoders refuse single length prefixes beyond this many elements, so a
 /// corrupted length field fails typed instead of attempting a huge
@@ -1065,12 +1067,12 @@ mod tests {
         }
     }
 
-    /// Pre-v4 version words (v2, unpadded v3.0, padded v3.1) are refused
-    /// typed, and the message names the version as major.minor and tells
-    /// the user to re-prepare.
+    /// Older version words (v2, unpadded v3.0, padded v3.1, v4) are
+    /// refused typed, and the message names the version as major.minor
+    /// and tells the user to re-prepare.
     #[test]
-    fn pre_v4_versions_are_rejected() {
-        for (word, shown) in [(2u32, "2.0"), (3, "3.0"), (3 | 1 << 16, "3.1")] {
+    fn older_versions_are_rejected() {
+        for (word, shown) in [(2u32, "2.0"), (3, "3.0"), (3 | 1 << 16, "3.1"), (4, "4.0")] {
             let mut bytes = sample_container();
             bytes[8..12].copy_from_slice(&word.to_le_bytes());
             let err = parse_container_frames(&bytes).unwrap_err();

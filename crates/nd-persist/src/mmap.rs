@@ -5,13 +5,14 @@
 //! graph arrays, ball-grid bitmaps, unary lists — directly out of the
 //! mapped pages. Three pieces make that sound:
 //!
-//! * the v4 container layout places every such array at a 16-byte file
+//! * the container layout places every such array at a 16-byte file
 //!   offset, so the on-disk bytes reinterpret as
 //!   `&[u32]`/`&[u64]`/`&[u128]` on little-endian hosts;
 //! * [`Slab`] is the ownership abstraction threaded through the index
 //!   structures: either an owned `Vec<T>` or a `(Arc<MmapFile>, offset,
-//!   len)` view, deref-ing to `&[T]` either way, with [`Slab::to_mut`] as
-//!   the copy-on-write promotion point every mutation path funnels through;
+//!   len)` view, deref-ing to `&[T]` either way, and read-only — an
+//!   update prepares a new owned index instead of writing into a mapped
+//!   one;
 //! * [`VerifyPolicy`] decides how much integrity work happens before first
 //!   use: `Full` checksums every section up front (touching each page
 //!   once), `Lazy` defers the bulk section's CRC into a [`DeferredVerify`]
@@ -255,10 +256,10 @@ impl_pod!(u32, u64, u128);
 
 /// A borrowed-or-owned array: either a plain `Vec<T>` or a view into a
 /// live file mapping. Derefs to `&[T]` either way, so read paths are
-/// oblivious to the backing; mutation paths call [`Slab::to_mut`], which
-/// promotes a mapped view to an owned copy (copy-on-write). Cloning a
-/// mapped slab bumps the mapping's refcount instead of copying — that is
-/// what keeps a mapping alive across snapshot epochs for free.
+/// oblivious to the backing. A slab is read-only: there is no `DerefMut`
+/// and no in-place mutation, so a mapped view never needs copying out.
+/// Cloning a mapped slab bumps the mapping's refcount instead of copying —
+/// that is what keeps a mapping alive across snapshot epochs for free.
 pub enum Slab<T: Pod> {
     Owned(Vec<T>),
     Mapped {
@@ -297,26 +298,6 @@ impl<T: Pod> Slab<T> {
             Slab::Owned(_) => 0,
             Slab::Mapped { len, .. } => len * T::SIZE,
         }
-    }
-
-    /// Mutable access, promoting a mapped view to an owned copy first.
-    /// This is the single copy-on-write promotion point: any update path
-    /// that touches a slab pays one copy of that slab and drops its pin on
-    /// the mapping.
-    pub fn to_mut(&mut self) -> &mut Vec<T> {
-        if let Slab::Mapped { .. } = self {
-            let owned = self.as_ref().to_vec();
-            *self = Slab::Owned(owned);
-        }
-        match self {
-            Slab::Owned(v) => v,
-            Slab::Mapped { .. } => unreachable!("promoted above"),
-        }
-    }
-
-    /// Consume into an owned vector (no-op for `Owned`).
-    pub fn into_vec(mut self) -> Vec<T> {
-        std::mem::take(self.to_mut())
     }
 }
 
@@ -563,12 +544,6 @@ mod tests {
         // ... and the data sits 16-byte aligned in the file.
         assert!((p - base).is_multiple_of(16));
 
-        // CoW promotion: mutation copies out and the view becomes owned.
-        let mut a = a;
-        a.to_mut().push(99);
-        assert!(!a.is_mapped());
-        assert_eq!(&*a, &[1, 2, 3, 4, 5, 99]);
-
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -636,6 +611,5 @@ mod tests {
         assert_eq!(owned.mapped_bytes(), 0);
         let v: Slab<u64> = Slab::default();
         assert!(v.is_empty());
-        assert_eq!(Slab::<u32>::from(vec![9]).into_vec(), vec![9]);
     }
 }

@@ -244,8 +244,8 @@ impl Session {
     }
 
     /// Apply every staged mutation at once (the `commit` verb): the
-    /// current index is repaired (or rebuilt, with a typed reason) off to
-    /// the side while probes keep answering on the old epoch, then the
+    /// mutated graph is prepared afresh off to the side while probes keep
+    /// answering on the old epoch, then the
     /// serving snapshot is swapped atomically — the replaced pool drains
     /// fully, so in-flight requests all complete against the graph they
     /// were admitted under. On failure (an invalid log, say a vertex out
@@ -286,12 +286,10 @@ impl Session {
         self.install(snapshot);
         self.commits += 1;
         format!(
-            "committed epoch={} ops={} index_epoch={} repaired_bags={} rebuilt={} update_ms={}",
+            "committed epoch={} ops={} index_epoch={} update_ms={}",
             self.epoch,
             log.len(),
             lineage.epoch,
-            lineage.repaired_bags,
-            lineage.rebuilt,
             lineage.update_ms,
         )
     }
@@ -309,8 +307,8 @@ impl Session {
     /// sections are served zero-copy straight out of the page cache, and
     /// the mapping stays alive for exactly as long as any snapshot
     /// (current or draining) still references it — the `Arc` pinning is
-    /// per-slab, so a later `update`+`commit` promotes only the touched
-    /// arrays to owned memory and the rest keeps reading mapped pages.
+    /// per-slab, so a later `update`+`commit` prepares a new owned index
+    /// while the mapped snapshot keeps serving until the swap.
     /// Bulk CRCs are deferred past decode but settled here, before the
     /// swap is acknowledged: a corrupt file yields `err read:` and the
     /// old snapshot keeps serving, same as the owned path.

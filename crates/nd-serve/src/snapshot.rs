@@ -20,8 +20,8 @@ use std::time::Instant;
 struct SnapshotInner {
     query: SharedPreparedQuery,
     stats: PrepareStats,
-    /// The parsed query, kept so operations that need to re-prepare or
-    /// repair the index (`commit`) never re-parse `query_src` — the
+    /// The parsed query, kept so operations that re-prepare the index
+    /// (`commit`) never re-parse `query_src` — the
     /// display form is not guaranteed to round-trip through the parser.
     ast: Query,
     query_src: String,

@@ -22,22 +22,19 @@
 //! successor-on-miss in `O(1)`; sorted adjacency answers it for free.
 //!
 //! The three bulk arrays are [`nd_persist::Slab`]s: decoded from an owned
-//! buffer they are plain vectors, decoded from a mapped container
-//! they borrow the file pages directly, and the first mutation promotes
-//! the touched array to owned (copy-on-write) without disturbing the rest
-//! of the snapshot.
+//! buffer they are plain vectors, decoded from a mapped container they
+//! borrow the file pages directly.
 //!
 //! Trade-offs against the trie, stated honestly:
 //!
 //! * **Bulk build** is one sorted pass, `O(|Dom| + buckets)` after
 //!   sorting, versus the trie's `O(|Dom| · n^ε)` insert-at-a-time with
 //!   `Clean` repairs — this is where the dense-family prepare time goes.
-//! * **Point updates** are an `O(|Dom|)` memmove plus an `O(buckets)`
-//!   directory fix-up, weaker than the paper's `O(n^ε)` bound but with a
-//!   far smaller constant; callers with sustained random-update workloads
-//!   (e.g. the dynamic far index) deliberately stay on [`crate::FnStore`].
-//!   Appends past the current maximum (the cover-repair pattern: a newly
-//!   spawned bag always has the largest id) skip the memmove entirely.
+//! * **No point updates**: the arena is built once and then only read —
+//!   an index over a mutated graph is prepared afresh. Callers with
+//!   sustained random-update workloads (e.g. the dynamic far index) use
+//!   [`crate::FnStore`], whose `O(n^ε)` inserts and removals are the
+//!   paper's bound.
 //! * **Serialization is free**: the sorted key array is its own canonical
 //!   encoding, so the codec is a length check plus a slice decode. It
 //!   also serializes the *canonical* directory (recomputed from the keys
@@ -66,28 +63,11 @@ pub struct FlatStore {
     dir: Slab<u32>,
     /// `bucket(packed) = (packed >> shift) as usize`.
     shift: u32,
-    /// Rebuild the directory when the domain outgrows this (2× the bucket
-    /// count at the last sizing), keeping buckets ≈ keys.
-    rebuild_at: usize,
 }
 
 impl FlatStore {
-    /// An empty function.
-    pub fn new(params: StoreParams) -> Self {
-        let mut s = FlatStore {
-            params,
-            keys: Slab::default(),
-            vals: Slab::default(),
-            dir: Slab::default(),
-            shift: 0,
-            rebuild_at: 0,
-        };
-        s.rebuild_dir();
-        s
-    }
-
     /// Build from `(key, value)` pairs in any order; on duplicate keys the
-    /// last pair wins (matching repeated [`FlatStore::insert`]).
+    /// last pair wins.
     pub fn from_pairs<'a>(
         params: StoreParams,
         pairs: impl IntoIterator<Item = (&'a [u64], u64)>,
@@ -121,16 +101,14 @@ impl FlatStore {
             "bulk build requires strictly sorted keys"
         );
         debug_assert!(keys.last().is_none_or(|&p| p < span_of(&params)));
-        let mut s = FlatStore {
+        let (shift, dir) = canonical_dir(&params, &keys);
+        FlatStore {
             params,
             keys: keys.into(),
             vals: vals.into(),
-            dir: Slab::default(),
-            shift: 0,
-            rebuild_at: 0,
-        };
-        s.rebuild_dir();
-        s
+            dir: dir.into(),
+            shift,
+        }
     }
 
     pub fn params(&self) -> &StoreParams {
@@ -157,15 +135,6 @@ impl FlatStore {
     /// (zero when fully owned).
     pub fn mapped_bytes(&self) -> usize {
         self.keys.mapped_bytes() + self.vals.mapped_bytes() + self.dir.mapped_bytes()
-    }
-
-    /// Size the directory to the live domain and recount bucket offsets.
-    /// `O(|Dom| + buckets)`.
-    fn rebuild_dir(&mut self) {
-        let (shift, dir) = canonical_dir(&self.params, &self.keys);
-        self.shift = shift;
-        self.rebuild_at = (2 * (dir.len() - 1)).max(16);
-        self.dir = dir.into();
     }
 
     #[inline]
@@ -240,53 +209,6 @@ impl FlatStore {
             .map(|p| self.params.unpack(p))
     }
 
-    /// Insert / overwrite; returns the previous value if the key was
-    /// present. `O(|Dom| + buckets)` memmove in general; `O(buckets)` when
-    /// appending past the current maximum. On a mapped store the first
-    /// mutation promotes the touched arrays to owned (copy-on-write).
-    pub fn insert(&mut self, key: &[u64], val: u64) -> Option<u64> {
-        assert_eq!(key.len(), self.params.k, "key arity mismatch");
-        let packed = self.params.pack(key);
-        let idx = self.insertion_point(packed);
-        if let Some(&k) = self.keys.get(idx) {
-            if k == packed {
-                return Some(std::mem::replace(&mut self.vals.to_mut()[idx], val));
-            }
-        }
-        self.keys.to_mut().insert(idx, packed);
-        self.vals.to_mut().insert(idx, val);
-        let b = self.bucket(packed);
-        for d in &mut self.dir.to_mut()[b + 1..] {
-            *d += 1;
-        }
-        if self.keys.len() > self.rebuild_at {
-            self.rebuild_dir();
-        }
-        None
-    }
-
-    /// Remove; returns the removed value. `O(|Dom| + buckets)`.
-    pub fn remove(&mut self, key: &[u64]) -> Option<u64> {
-        assert_eq!(key.len(), self.params.k, "key arity mismatch");
-        let packed = self.params.pack(key);
-        let idx = self.insertion_point(packed);
-        if self.keys.get(idx) != Some(&packed) {
-            return None;
-        }
-        self.keys.to_mut().remove(idx);
-        let old = self.vals.to_mut().remove(idx);
-        let b = self.bucket(packed);
-        for d in &mut self.dir.to_mut()[b + 1..] {
-            *d -= 1;
-        }
-        // Shrink hysteresis: resize the directory when the domain drops
-        // far below the bucket count, keeping point updates `O(|Dom|)`.
-        if self.dir.len() > 16 && 8 * self.keys.len() < self.dir.len() {
-            self.rebuild_dir();
-        }
-        Some(old)
-    }
-
     /// All `(key, value)` pairs in increasing key order. Linear.
     pub fn iter(&self) -> Vec<(Vec<u64>, u64)> {
         self.keys
@@ -339,9 +261,8 @@ impl FlatStore {
     // own canonical serialization, and the directory rides along so a
     // mapped load is pure slice casts: shape params, shift, canonical dir,
     // keys, vals — the bulk arrays 16-byte aligned. The directory is
-    // *recomputed canonically* from the keys at save time (never the
-    // in-memory one, which depends on rebuild history), keeping the bytes
-    // a pure function of the stored mapping.
+    // recomputed canonically from the keys at save time, keeping the
+    // bytes a pure function of the stored mapping.
     // ------------------------------------------------------------------
 
     /// Append the store's binary encoding to `w`. A pure function of the
@@ -398,7 +319,6 @@ impl FlatStore {
             vals,
             dir,
             shift,
-            rebuild_at: (2 * buckets).max(16),
         })
     }
 }
@@ -412,7 +332,7 @@ fn span_of(params: &StoreParams) -> u128 {
 /// The canonical directory for a key arena: sizing is a pure function of
 /// `(params, keys.len())` — never of how the store reached this state —
 /// so two stores holding the same mapping always produce identical
-/// `(shift, dir)`. This is both the rebuild rule and the serialized form.
+/// `(shift, dir)`. This is both the build rule and the serialized form.
 fn canonical_dir(params: &StoreParams, keys: &[u128]) -> (u32, Vec<u32>) {
     let span = span_of(params);
     let span_bits = if span <= 1 {
@@ -487,6 +407,10 @@ mod tests {
         out
     }
 
+    fn store_of(params: StoreParams, keys: &[&[u64]]) -> FlatStore {
+        FlatStore::from_pairs(params, keys.iter().enumerate().map(|(i, k)| (*k, i as u64)))
+    }
+
     /// Flat store and pointer trie agree on every probe of a small dense
     /// key space, across every API entry point.
     #[test]
@@ -494,11 +418,15 @@ mod tests {
         let params = StoreParams::new(7, 2, 0.5);
         let keys: Vec<Vec<u64>> = vec![vec![0, 0], vec![0, 6], vec![2, 3], vec![2, 4], vec![6, 6]];
         let mut trie = FnStore::new(params);
-        let mut flat = FlatStore::new(params);
         for (i, k) in keys.iter().enumerate() {
             trie.insert(k, i as u64 * 10);
-            flat.insert(k, i as u64 * 10);
         }
+        let flat = FlatStore::from_pairs(
+            params,
+            keys.iter()
+                .enumerate()
+                .map(|(i, k)| (k.as_slice(), i as u64 * 10)),
+        );
         flat.check_invariants();
         for probe in keyspace(7, 2) {
             assert_eq!(trie.lookup(&probe), flat.lookup(&probe), "probe {probe:?}");
@@ -522,21 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn bulk_build_matches_incremental() {
-        let params = StoreParams::new(50, 2, 0.5);
-        let pairs: Vec<(Vec<u64>, u64)> = (0..40)
-            .map(|i| (vec![(i * 7) % 50, (i * 13) % 50], i))
-            .collect();
-        let bulk = FlatStore::from_pairs(params, pairs.iter().map(|(k, v)| (k.as_slice(), *v)));
-        let mut inc = FlatStore::new(params);
-        for (k, v) in &pairs {
-            inc.insert(k, *v);
-        }
-        bulk.check_invariants();
-        assert_eq!(bulk.iter(), inc.iter());
-    }
-
-    #[test]
     fn duplicate_keys_last_wins_in_bulk_build() {
         let params = StoreParams::new(10, 1, 0.5);
         let pairs: [(&[u64], u64); 3] = [(&[3], 1), (&[5], 2), (&[3], 9)];
@@ -548,51 +461,23 @@ mod tests {
     #[test]
     fn empty_and_single_key_edges() {
         let params = StoreParams::new(9, 2, 0.5);
-        let mut s = FlatStore::new(params);
+        let s = store_of(params, &[]);
         s.check_invariants();
         assert!(s.is_empty());
         assert_eq!(s.lookup(&[4, 4]), Lookup::Missing(None));
         assert_eq!(s.predecessor_strict(&[8, 8]), None);
-        assert!(s.insert(&[4, 4], 7).is_none());
+        let s = store_of(params, &[&[4, 4]]);
         s.check_invariants();
-        assert_eq!(s.lookup(&[4, 4]), Lookup::Found(7));
+        assert_eq!(s.lookup(&[4, 4]), Lookup::Found(0));
         assert_eq!(s.lookup(&[4, 3]), Lookup::Missing(Some(vec![4, 4])));
         assert_eq!(s.lookup(&[4, 5]), Lookup::Missing(None));
         assert_eq!(s.predecessor_strict(&[8, 8]), Some(vec![4, 4]));
-        assert_eq!(s.remove(&[4, 4]), Some(7));
-        assert_eq!(s.remove(&[4, 4]), None);
-        s.check_invariants();
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn directory_rebuild_keeps_answers_under_growth_and_shrink() {
-        let params = StoreParams::new(4000, 1, 0.5);
-        let mut s = FlatStore::new(params);
-        for i in 0..1000u64 {
-            s.insert(&[(i * 37) % 4000], i);
-        }
-        s.check_invariants();
-        for i in 0..1000u64 {
-            assert_eq!(s.lookup(&[(i * 37) % 4000]), Lookup::Found(i));
-        }
-        for i in 0..990u64 {
-            s.remove(&[(i * 37) % 4000]);
-        }
-        s.check_invariants();
-        assert_eq!(s.len(), 10);
-        for i in 990..1000u64 {
-            assert_eq!(s.lookup(&[(i * 37) % 4000]), Lookup::Found(i));
-        }
     }
 
     #[test]
     fn codec_roundtrip_is_bit_identical() {
         let params = StoreParams::new(64, 2, 0.4);
-        let mut s = FlatStore::new(params);
-        for (i, key) in [[3u64, 7], [3, 9], [60, 0], [0, 0]].iter().enumerate() {
-            s.insert(key, i as u64);
-        }
+        let s = store_of(params, &[&[3, 7], &[3, 9], &[60, 0], &[0, 0]]);
         let mut w = nd_persist::Writer::new();
         s.write_into(&mut w);
         let bytes = w.into_bytes();
@@ -609,10 +494,7 @@ mod tests {
     #[test]
     fn codec_rejects_corruption() {
         let params = StoreParams::new(64, 2, 0.4);
-        let mut s = FlatStore::new(params);
-        for key in [[3u64, 7], [3, 9], [60, 0]] {
-            s.insert(&key, 1);
-        }
+        let s = store_of(params, &[&[3, 7], &[3, 9], &[60, 0]]);
         let mut w = nd_persist::Writer::new();
         s.write_into(&mut w);
         let bytes = w.into_bytes();
@@ -657,15 +539,13 @@ mod tests {
     #[test]
     fn space_stays_proportional_to_domain() {
         let params = StoreParams::new(1 << 20, 2, 0.25);
-        let mut s = FlatStore::new(params);
-        for i in 0..500u64 {
-            s.insert(&[i * 1000, i], i);
-        }
+        let keys: Vec<[u64; 2]> = (0..500u64).map(|i| [i * 1000, i]).collect();
+        let s = FlatStore::from_pairs(params, keys.iter().map(|k| (k.as_slice(), k[1])));
         // 3 words per entry + directory ≈ 2 slots per key, packed 2/word.
         assert!(s.registers() <= 3 * 500 + 1024 + 16, "directory oversized");
-        for i in 0..500u64 {
-            s.remove(&[i * 1000, i]);
-        }
-        assert!(s.registers() <= 32, "directory failed to shrink");
+        assert!(
+            store_of(params, &[]).registers() <= 32,
+            "empty directory oversized"
+        );
     }
 }

@@ -49,13 +49,6 @@ pub struct KeySet {
 }
 
 impl KeySet {
-    /// An empty set of `k`-tuples over `[n]^k`.
-    pub fn new(params: StoreParams) -> Self {
-        KeySet {
-            inner: FlatStore::new(params),
-        }
-    }
-
     /// Build from an iterator of keys in any order.
     pub fn from_keys<'a>(params: StoreParams, keys: impl IntoIterator<Item = &'a [u64]>) -> Self {
         KeySet {
@@ -92,16 +85,6 @@ impl KeySet {
 
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
-    }
-
-    /// Insert a key; returns `true` if it was new.
-    pub fn insert(&mut self, key: &[u64]) -> bool {
-        self.inner.insert(key, 0).is_none()
-    }
-
-    /// Remove a key; returns `true` if it was present.
-    pub fn remove(&mut self, key: &[u64]) -> bool {
-        self.inner.remove(key).is_some()
     }
 
     /// Membership test. `O(k·h)` — constant for fixed `k`, `ε`.
@@ -166,27 +149,21 @@ mod keyset_tests {
 
     #[test]
     fn basic_set_ops() {
-        let mut s = KeySet::new(StoreParams::new(100, 2, 0.5));
-        assert!(s.insert(&[3, 7]));
-        assert!(!s.insert(&[3, 7]));
-        assert!(s.insert(&[3, 9]));
+        let keys: [&[u64]; 3] = [&[3, 9], &[3, 7], &[3, 7]];
+        let s = KeySet::from_keys(StoreParams::new(100, 2, 0.5), keys);
+        assert_eq!(s.len(), 2);
         assert!(s.contains(&[3, 7]));
         assert!(!s.contains(&[3, 8]));
         assert_eq!(s.successor_inclusive(&[3, 8]), Some(vec![3, 9]));
         assert_eq!(s.successor_strict(&[3, 9]), None);
         assert_eq!(s.predecessor_strict(&[3, 9]), Some(vec![3, 7]));
-        assert!(s.remove(&[3, 7]));
-        assert!(!s.remove(&[3, 7]));
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.iter_keys(), vec![vec![3, 9]]);
+        assert_eq!(s.iter_keys(), vec![vec![3, 7], vec![3, 9]]);
     }
 
     #[test]
     fn codec_roundtrip_preserves_membership() {
-        let mut s = KeySet::new(StoreParams::new(64, 2, 0.4));
-        for key in [[3u64, 7], [3, 9], [60, 0]] {
-            s.insert(&key);
-        }
+        let keys: [&[u64]; 3] = [&[3, 7], &[3, 9], &[60, 0]];
+        let s = KeySet::from_keys(StoreParams::new(64, 2, 0.4), keys);
         let mut w = nd_persist::Writer::new();
         s.write_into(&mut w);
         let bytes = w.into_bytes();

@@ -1,8 +1,9 @@
 //! Model-based property tests for the flat arena store: [`FlatStore`]
-//! against a `BTreeMap` reference model — random insert sets and
-//! interleaved mutations, with exhaustive lookup / successor / predecessor
-//! / range-iteration agreement, across several arities, `ε` regimes
-//! (directory shapes), and the empty-store and single-key edge cases.
+//! against a `BTreeMap` reference model — random key sets shaped by
+//! insert/remove sequences on the model, with lookup / successor /
+//! predecessor / range-iteration agreement, across several arities, `ε`
+//! regimes (directory shapes), and the empty-store and single-key edge
+//! cases.
 //!
 //! This is the test armor for the trie → arena rewrite: every answer the
 //! enumeration hot path can ask of the store is checked against ordered-map
@@ -37,21 +38,28 @@ fn op_strategy(n: u64, k: usize) -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The inserts and removes shape the model; the store is bulk-built from
+/// the final model, and every probe op must agree with it.
 fn run_model(n: u64, k: usize, eps: f64, ops: Vec<Op>) {
     let params = StoreParams::new(n, k, eps);
-    let mut store = FlatStore::new(params);
     let mut model: BTreeMap<Vec<u64>, u64> = BTreeMap::new();
+    for op in &ops {
+        match op {
+            Op::Insert(key, val) => {
+                model.insert(key.clone(), *val);
+            }
+            Op::Remove(key) => {
+                model.remove(key);
+            }
+            _ => {}
+        }
+    }
+    let store = FlatStore::from_pairs(params, model.iter().map(|(k, v)| (k.as_slice(), *v)));
+    assert_eq!(store.len(), model.len());
 
     for op in ops {
         match op {
-            Op::Insert(key, val) => {
-                let expected = model.insert(key.clone(), val);
-                assert_eq!(store.insert(&key, val), expected, "insert {key:?}");
-            }
-            Op::Remove(key) => {
-                let expected = model.remove(&key);
-                assert_eq!(store.remove(&key), expected, "remove {key:?}");
-            }
+            Op::Insert(..) | Op::Remove(_) => {}
             Op::Lookup(key) => {
                 let got = store.lookup(&key);
                 match model.get(&key) {
@@ -77,7 +85,6 @@ fn run_model(n: u64, k: usize, eps: f64, ops: Vec<Op>) {
                 assert_eq!(store.successor_strict(&key), expected, "succ> {key:?}");
             }
         }
-        assert_eq!(store.len(), model.len());
     }
     store.check_invariants();
     let got: Vec<(Vec<u64>, u64)> = store.iter();
@@ -85,8 +92,8 @@ fn run_model(n: u64, k: usize, eps: f64, ops: Vec<Op>) {
     assert_eq!(got, expected, "final contents");
 }
 
-/// Random insert set → bulk build must equal the incremental build and the
-/// model, and the codec round-trip must preserve everything bit-for-bit.
+/// Random insert set → bulk build must equal the model, and the codec
+/// round-trip must preserve everything bit-for-bit.
 fn run_bulk(n: u64, k: usize, eps: f64, pairs: Vec<(Vec<u64>, u64)>) {
     let params = StoreParams::new(n, k, eps);
     let bulk = FlatStore::from_pairs(params, pairs.iter().map(|(k, v)| (k.as_slice(), *v)));
@@ -152,7 +159,7 @@ proptest! {
 #[test]
 fn empty_store_answers_every_probe() {
     let params = StoreParams::new(100, 2, 0.5);
-    let s = FlatStore::new(params);
+    let s = FlatStore::from_pairs(params, []);
     s.check_invariants();
     for probe in [[0u64, 0], [50, 50], [99, 99]] {
         assert_eq!(s.lookup(&probe), Lookup::Missing(None));
@@ -166,8 +173,7 @@ fn empty_store_answers_every_probe() {
 #[test]
 fn single_key_store_brackets_correctly() {
     let params = StoreParams::new(100, 2, 0.5);
-    let mut s = FlatStore::new(params);
-    s.insert(&[50, 50], 7);
+    let s = FlatStore::from_pairs(params, [(&[50u64, 50][..], 7)]);
     s.check_invariants();
     // Probes strictly below, at, and strictly above the lone key.
     assert_eq!(s.lookup(&[50, 49]), Lookup::Missing(Some(vec![50, 50])));

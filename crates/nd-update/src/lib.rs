@@ -1,5 +1,4 @@
-//! Mutation logs: the update language of the incremental maintenance
-//! subsystem.
+//! Mutation logs: the update language of `PreparedQuery::apply`.
 //!
 //! The paper's data structure is built for a *fixed* graph; Section 5.5's
 //! Removal Lemma is the one dynamic concession — a deleted element is
@@ -19,13 +18,11 @@
 //!   membership.
 //!
 //! [`MutationLog::apply_to`] validates and applies a whole log against a
-//! [`ColoredGraph`], returning the mutated graph together with the net
-//! edge diff and the touched-vertex sets that seed dirty-bag analysis
-//! ([`dirty_bags`]) in the repair engine. The canonical text rendering is
-//! stable, and [`MutationLog::digest`] hashes it (FNV-1a) so snapshot
-//! lineage can record *which* log produced an epoch.
+//! [`ColoredGraph`] and returns the mutated graph, which the engine then
+//! prepares afresh. The canonical text rendering is stable, and
+//! [`MutationLog::digest`] hashes it (FNV-1a) so snapshot lineage can
+//! record *which* log produced an epoch.
 
-use nd_cover::{BagId, Cover};
 use nd_graph::{ColorId, ColoredGraph, CsrDelta, GraphError, Vertex};
 use std::fmt;
 
@@ -228,8 +225,8 @@ impl MutationLog {
     /// Apply the whole log against `g`, sequentially and transactionally:
     /// the first invalid op aborts with a typed error and `g` is untouched
     /// (the log only ever builds a [`CsrDelta`] plus a color-op tape, then
-    /// materializes). Returns the mutated graph with the net diff.
-    pub fn apply_to(&self, g: &ColoredGraph) -> Result<AppliedLog, UpdateError> {
+    /// materializes). Returns the mutated graph.
+    pub fn apply_to(&self, g: &ColoredGraph) -> Result<ColoredGraph, UpdateError> {
         let mut delta = CsrDelta::new();
         let mut removed: Vec<Vertex> = Vec::new();
         // Color edits can reference colors created mid-log, so they run as
@@ -282,20 +279,7 @@ impl MutationLog {
             }
         }
 
-        let mut added_edges = Vec::new();
-        let mut removed_edges = Vec::new();
-        for (u, v, present) in delta.edge_edits() {
-            if present {
-                added_edges.push((u, v));
-            } else {
-                removed_edges.push((u, v));
-            }
-        }
-        let edge_touched = delta.touched(g);
-        let added_nodes = delta.num_added_nodes();
         let mut graph = delta.apply(g);
-
-        let mut color_touched: Vec<Vertex> = Vec::new();
         for op in tape {
             match op {
                 ColorOp::Set(v, name, member) => {
@@ -304,9 +288,7 @@ impl MutationLog {
                         None if member => graph.add_color(Vec::new(), Some(name)),
                         None => return Err(UpdateError::UnknownColor(name)),
                     };
-                    if graph.try_set_color_membership(v, cid, member)? {
-                        color_touched.push(v);
-                    }
+                    graph.try_set_color_membership(v, cid, member)?;
                 }
                 ColorOp::Strip(v) => {
                     for c in 0..graph.num_colors() {
@@ -317,23 +299,10 @@ impl MutationLog {
                         None => graph.add_color(Vec::new(), Some(REMOVED_COLOR.into())),
                     };
                     graph.try_set_color_membership(v, rid, true)?;
-                    color_touched.push(v);
                 }
             }
         }
-
-        let mut touched = edge_touched.clone();
-        touched.extend_from_slice(&color_touched);
-        touched.sort_unstable();
-        touched.dedup();
-        Ok(AppliedLog {
-            graph,
-            added_edges,
-            removed_edges,
-            added_nodes,
-            edge_touched,
-            touched,
-        })
+        Ok(graph)
     }
 }
 
@@ -344,46 +313,6 @@ impl fmt::Display for MutationLog {
         }
         Ok(())
     }
-}
-
-/// The result of applying a [`MutationLog`]: the mutated graph plus the
-/// exact diff the repair engine consumes.
-pub struct AppliedLog {
-    /// The mutated graph (colors included).
-    pub graph: ColoredGraph,
-    /// Net edge insertions `(u, v)` with `u < v`, sorted.
-    pub added_edges: Vec<(Vertex, Vertex)>,
-    /// Net edge deletions `(u, v)` with `u < v`, sorted.
-    pub removed_edges: Vec<(Vertex, Vertex)>,
-    /// Vertices appended by `add-node` ops.
-    pub added_nodes: usize,
-    /// Sorted endpoints of net edge flips plus appended vertices — the
-    /// seed set for distance-sensitive staleness (bags, kernels, oracles).
-    pub edge_touched: Vec<Vertex>,
-    /// [`AppliedLog::edge_touched`] plus every vertex whose color
-    /// membership changed.
-    pub touched: Vec<Vertex>,
-}
-
-/// The dirty-bag analysis of the repair engine: which cover bags must be
-/// re-kernelized after a mutation batch.
-///
-/// A kernel `K_p(X)` is computed from distances *inside* `G[X]` to the
-/// bag's boundary (Lemma 5.7), so it reads only edges with both endpoints
-/// in `X` — a bag's kernel can change only if some net edge flip has an
-/// endpoint in the bag. `first_new_bag..cover.num_bags()` are the bags
-/// spawned by [`Cover::repair`], which have no kernel yet and are always
-/// dirty.
-pub fn dirty_bags(cover: &Cover, edge_touched: &[Vertex], first_new_bag: usize) -> Vec<BagId> {
-    let mut out: Vec<BagId> = (first_new_bag as BagId..cover.num_bags() as BagId).collect();
-    for &v in edge_touched {
-        if (v as usize) < cover.n() {
-            out.extend_from_slice(cover.bags_containing(v));
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
 }
 
 #[cfg(test)]
@@ -441,20 +370,19 @@ mod tests {
             "add-node\nadd-edge 0 4\nremove-edge 1 2\ncolor 4 Blue\ncolor 0 Green\nuncolor 1 Blue",
         );
         let out = log.apply_to(&g).unwrap();
-        assert_eq!(out.graph.n(), 5);
-        assert!(out.graph.has_edge(0, 4));
-        assert!(!out.graph.has_edge(1, 2));
-        assert_eq!(out.added_edges, vec![(0, 4)]);
-        assert_eq!(out.removed_edges, vec![(1, 2)]);
-        assert_eq!(out.added_nodes, 1);
-        assert_eq!(out.edge_touched, vec![0, 1, 2, 4]);
-        assert_eq!(out.touched, vec![0, 1, 2, 4]);
-        let blue = out.graph.color_by_name("Blue").unwrap();
-        assert!(out.graph.has_color(4, blue));
-        assert!(!out.graph.has_color(1, blue));
-        assert!(out.graph.has_color(2, blue));
-        let green = out.graph.color_by_name("Green").unwrap();
-        assert!(out.graph.has_color(0, green));
+        assert_eq!(out.n(), 5);
+        assert!(out.has_edge(0, 4));
+        assert!(!out.has_edge(1, 2));
+        assert_eq!(
+            out.edges().collect::<Vec<_>>(),
+            vec![(0, 1), (0, 4), (2, 3)]
+        );
+        let blue = out.color_by_name("Blue").unwrap();
+        assert!(out.has_color(4, blue));
+        assert!(!out.has_color(1, blue));
+        assert!(out.has_color(2, blue));
+        let green = out.color_by_name("Green").unwrap();
+        assert!(out.has_color(0, green));
         // The base graph is untouched.
         assert_eq!(g.n(), 4);
         assert!(g.has_edge(1, 2));
@@ -466,15 +394,17 @@ mod tests {
         g.add_color(vec![2, 3], Some("Blue".into()));
         let out = log_of("remove-node 2").apply_to(&g).unwrap();
         // Same domain, isolated, stripped, marked.
-        assert_eq!(out.graph.n(), 5);
-        assert_eq!(out.graph.neighbors(2), &[] as &[u32]);
-        let blue = out.graph.color_by_name("Blue").unwrap();
-        assert!(!out.graph.has_color(2, blue));
-        assert!(out.graph.has_color(3, blue));
-        let rem = out.graph.color_by_name(REMOVED_COLOR).unwrap();
-        assert_eq!(out.graph.color_members(rem), &[2]);
-        assert_eq!(out.removed_edges, vec![(1, 2), (2, 3)]);
-        assert!(out.touched.contains(&2));
+        assert_eq!(out.n(), 5);
+        assert_eq!(out.neighbors(2), &[] as &[u32]);
+        assert_eq!(
+            out.edges().collect::<Vec<_>>(),
+            vec![(0, 1), (0, 4), (3, 4)]
+        );
+        let blue = out.color_by_name("Blue").unwrap();
+        assert!(!out.has_color(2, blue));
+        assert!(out.has_color(3, blue));
+        let rem = out.color_by_name(REMOVED_COLOR).unwrap();
+        assert_eq!(out.color_members(rem), &[2]);
 
         // Ops referencing the removed vertex afterwards are rejected.
         for later in ["remove-node 2\nadd-edge 2 4", "remove-node 2\ncolor 2 Blue"] {
@@ -520,30 +450,10 @@ mod tests {
         let out = log_of("add-edge 0 2\nremove-edge 0 2\nremove-edge 1 2\nadd-edge 1 2")
             .apply_to(&g)
             .unwrap();
-        assert!(out.added_edges.is_empty());
-        assert!(out.removed_edges.is_empty());
-        assert!(out.edge_touched.is_empty());
-    }
-
-    #[test]
-    fn dirty_bags_cover_endpoints_and_new_bags() {
-        let g = generators::grid(5, 5);
-        let cover = Cover::build(&g, 2, 0.5);
-        let touched = vec![0, 12];
-        let dirty = dirty_bags(&cover, &touched, cover.num_bags());
-        // Every bag containing a touched vertex is dirty, and nothing else
-        // unless spawned.
-        for &b in &dirty {
-            let bag = cover.bag(b);
-            assert!(touched.iter().any(|&v| bag.verts.binary_search(&v).is_ok()));
-        }
-        for &v in &touched {
-            for &b in cover.bags_containing(v) {
-                assert!(dirty.binary_search(&b).is_ok());
-            }
-        }
-        // The synthetic "spawned" range is always included.
-        let with_new = dirty_bags(&cover, &[], cover.num_bags().saturating_sub(2));
-        assert!(with_new.len() >= 2.min(cover.num_bags()));
+        assert_eq!(out.n(), g.n());
+        assert_eq!(
+            out.edges().collect::<Vec<_>>(),
+            g.edges().collect::<Vec<_>>()
+        );
     }
 }

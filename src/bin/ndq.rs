@@ -115,7 +115,7 @@ ndq — constant-delay FO query evaluation over sparse graphs
 
 USAGE:
   ndq [OPTIONS]               one-shot query evaluation
-  ndq update [OPTIONS]        apply a mutation log to an index (incremental repair)
+  ndq update [OPTIONS]        apply a mutation log and re-prepare the index
   ndq serve [OPTIONS]         serve probes over stdin or TCP (line protocol)
   ndq bench-serve [OPTIONS]   closed-loop serving benchmark
   ndq conform [OPTIONS]       differential conformance run (all engines vs oracle)
@@ -158,8 +158,8 @@ UPDATE OPTIONS (plus all one-shot probe flags, run on the mutated index):
       --mutate LOG                       mutations, ';'- or newline-separated
                                          (repeatable; see MUTATIONS below)
       [--mutate-file PATH]               read mutations from a file
-      --load starts from a persisted index; --save persists the repaired
-      one (lineage epoch and chained log digest travel with the file)
+      --load starts from a persisted index; --save persists the new one
+      (lineage epoch and chained log digest travel with the file)
 
 SERVE OPTIONS:
       [--workers N]                      worker threads (0 = all cores)
@@ -660,12 +660,12 @@ fn cmd_query(argv: Vec<String>) -> Result<(), CliError> {
 }
 
 // ---------------------------------------------------------------------------
-// update mode: incremental index maintenance
+// update mode: mutate the graph, re-prepare the index
 // ---------------------------------------------------------------------------
 
-/// Map an incremental-apply failure onto the existing exit codes: a bad
-/// log or mismatched query is client input (2), a failed rebuild is a
-/// prepare error (13).
+/// Map an apply failure onto the existing exit codes: a bad log or
+/// mismatched query is client input (2), a failed re-prepare is a prepare
+/// error (13).
 fn apply_err(e: nowhere_dense::core::ApplyError) -> CliError {
     use nowhere_dense::core::ApplyError;
     match e {
@@ -714,8 +714,8 @@ fn cmd_update(argv: Vec<String>) -> Result<(), CliError> {
     let opts = args.common.prepare_opts()?;
     let (base, query, query_src) = if let Some((path, mmap)) = args.common.warm_start()? {
         let loaded = args.common.load_index(path, mmap)?;
-        // Mutations must not repair a corrupt index: settle any deferred
-        // bulk CRCs before the apply reads mapped data.
+        // Mutations must not start from a corrupt index: settle any
+        // deferred bulk CRCs before the apply reads mapped data.
         if let Some(deferred) = &loaded.deferred {
             deferred.verify().map_err(read_err)?;
         }
@@ -743,13 +743,8 @@ fn cmd_update(argv: Vec<String>) -> Result<(), CliError> {
 
     let updated = base.apply(&log, &query, &opts).map_err(apply_err)?;
     let lin = updated.lineage();
-    let outcome = if lin.rebuilt {
-        format!("full rebuild ({:?})", lin.rebuild_reason)
-    } else {
-        format!("repaired {} bag(s)", lin.repaired_bags)
-    };
     eprintln!(
-        "applied {} mutation(s) in {}ms: epoch {}, log digest {:016x}, {outcome}",
+        "applied {} mutation(s) in {}ms: epoch {}, log digest {:016x}",
         log.len(),
         lin.update_ms,
         lin.epoch,
