@@ -1,12 +1,13 @@
-//! A10 / Thm 3.1 — lookup-or-successor per store layout.
+//! Thm 3.1 — lookup-or-successor per store layout.
 //!
 //! The Storing Theorem's constant-time claim, measured separately for the
 //! pointer trie (`FnStore`, the paper's node-allocated `T(f)`) and the
 //! flat sorted arena (`FlatStore`, radix directory + bucket binary
 //! search). Identical domains and probe streams, packed-key API on both
 //! sides so neither layout pays tuple packing inside the timed loop. The
-//! A10 experiment records the same contrast in `BENCH_prepare.json`; this
-//! bench is the statistically-disciplined version of that number.
+//! flat layout's probe cost inside a served index is the benchmark's
+//! `store.successor_ns`; this bench keeps the flat-vs-trie contrast
+//! (EXPERIMENTS.md A10 holds the last in-binary ratios).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nd_bench::mix;

@@ -6,13 +6,7 @@
 //! cargo run --release -p nd-bench --bin experiments -- e1 e4   # subset
 //! cargo run --release -p nd-bench --bin experiments -- --quick # smaller sweeps
 //! cargo run --release -p nd-bench --bin experiments -- --json  # + @json lines
-//! cargo run --release -p nd-bench --bin experiments -- a7 --smoke --json
-//! cargo run --release -p nd-bench --bin experiments -- a8 --smoke   # warm restart
-//! cargo run --release -p nd-bench --bin experiments -- a10 --smoke  # flat store layout
-//! cargo run --release -p nd-bench --bin experiments -- a11 --smoke  # zero-copy mmap load
 //! ```
-//!
-//! `--smoke` is an alias for `--quick` (CI-sized sweeps).
 
 use nd_baseline::{BfsDistanceBaseline, NaiveEnumerator, NaiveTester};
 use nd_bench::*;
@@ -24,7 +18,7 @@ use nd_logic::parse_query;
 use nd_splitter::{
     play_game, BallCenter, ConnectorStrategy, MaxDegree, SplitterStrategy, TakeCenter,
 };
-use nd_store::{FlatStore, FnStore, Lookup, StoreParams};
+use nd_store::{FnStore, Lookup, StoreParams};
 use std::time::Instant;
 
 struct Config {
@@ -34,107 +28,58 @@ struct Config {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "--smoke");
+    let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
+    let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
-    let selected: Vec<String> = args
+    let selected: Vec<&str> = args
         .iter()
+        .map(String::as_str)
         .filter(|a| !a.starts_with("--"))
-        .map(|a| a.to_lowercase())
         .collect();
+    if let Some(bad) = args.iter().find(|a| {
+        !matches!(a.as_str(), "--quick" | "--json") && !EXPERIMENTS.iter().any(|(id, _)| id == a)
+    }) {
+        eprintln!(
+            "unknown argument {bad:?}: expected e1..e11, a1..a4, --quick or --json \
+             (see EXPERIMENTS.md)"
+        );
+        std::process::exit(2);
+    }
     let cfg = Config { quick, json };
-    let all = selected.is_empty();
-    let want = |name: &str| all || selected.iter().any(|s| s == name);
 
     println!("== nowhere-dense experiment harness ==");
     println!(
         "(mode: {}; see EXPERIMENTS.md for the claim each table validates)\n",
         if quick { "quick" } else { "full" }
     );
-
-    if want("e1") {
-        e1_storing(&cfg);
-    }
-    if want("e2") {
-        e2_cover(&cfg);
-    }
-    if want("e3") {
-        e3_splitter(&cfg);
-    }
-    if want("e4") {
-        e4_dist_oracle(&cfg);
-    }
-    if want("e5") {
-        e5_next_solution(&cfg);
-    }
-    if want("e6") {
-        e6_testing(&cfg);
-    }
-    if want("e7") {
-        e7_enumeration(&cfg);
-    }
-    if want("e8") {
-        e8_skip(&cfg);
-    }
-    if want("e9") {
-        e9_kernel(&cfg);
-    }
-    if want("e10") {
-        e10_relational(&cfg);
-    }
-    if want("e11") {
-        e11_dynamic(&cfg);
-    }
-    if want("a1") {
-        a1_ablation_extend(&cfg);
-    }
-    if want("a2") {
-        a2_ablation_splitter(&cfg);
-    }
-    if want("a3") {
-        a3_sparse_vs_dense(&cfg);
-    }
-    if want("a4") {
-        a4_budget_ladder(&cfg);
-    }
-    if want("a5") {
-        a5_serving(&cfg);
-    }
-    if want("a6") {
-        a6_conform(&cfg);
-    }
-    // A7, A8 and A10 share one results document (`BENCH_prepare.json`):
-    // whichever subset runs writes the sections it produced.
-    let a7_doc = want("a7").then(|| a7_prepare(&cfg));
-    let a8_doc = want("a8").then(|| a8_warm_start(&cfg));
-    let a10_doc = want("a10").then(|| a10_flat_store(&cfg));
-    let a11_doc = want("a11").then(|| a11_mmap_start(&cfg));
-    if a7_doc.is_some() || a8_doc.is_some() || a10_doc.is_some() || a11_doc.is_some() {
-        write_bench_prepare(&cfg, a7_doc, a8_doc, a10_doc, a11_doc);
+    for (id, run) in EXPERIMENTS {
+        if selected.is_empty() || selected.contains(&id) {
+            run(&cfg);
+        }
     }
 }
 
-/// Resident set size in bytes, read from `/proc/self/status` (0 where
-/// that interface is absent). Coarse — page-granular and subject to the
-/// allocator's retention policy — but exactly the figure an operator
-/// watching `ps` sees, which is what A11's RSS column claims.
-fn rss_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|text| {
-            text.lines().find_map(|l| {
-                l.strip_prefix("VmRSS:")?
-                    .trim()
-                    .strip_suffix("kB")
-                    .and_then(|kb| kb.trim().parse::<u64>().ok())
-            })
-        })
-        .map_or(0, |kb| kb * 1024)
-}
+type Experiment = fn(&Config);
 
-/// Thread counts swept by A7; also decides `parallelism_limited` in the
-/// written report.
-const A7_THREADS: [usize; 3] = [1, 2, 4];
+/// Every table by its command-line id, in run order: the paper's claims
+/// (E1–E11), then the ablations (A1–A4).
+const EXPERIMENTS: [(&str, Experiment); 15] = [
+    ("e1", e1_storing),
+    ("e2", e2_cover),
+    ("e3", e3_splitter),
+    ("e4", e4_dist_oracle),
+    ("e5", e5_next_solution),
+    ("e6", e6_testing),
+    ("e7", e7_enumeration),
+    ("e8", e8_skip),
+    ("e9", e9_kernel),
+    ("e10", e10_relational),
+    ("e11", e11_dynamic),
+    ("a1", a1_ablation_extend),
+    ("a2", a2_ablation_splitter),
+    ("a3", a3_sparse_vs_dense),
+    ("a4", a4_budget_ladder),
+];
 
 /// E1 — Storing Theorem (Thm 3.1): init ~ |Dom|·n^ε, lookup flat in n.
 fn e1_storing(cfg: &Config) {
@@ -818,936 +763,4 @@ fn a4_budget_ladder(cfg: &Config) {
             });
         }
     }
-}
-
-/// A5 — serving throughput (nd-serve): closed-loop clients submit batches
-/// of `test` probes against one shared snapshot while the worker count is
-/// swept. Validates that the prepare-once/probe-many serving runtime keeps
-/// the paper's constant-time probes constant *under concurrency* — and
-/// shows where worker scaling lands on the current host (on a single-core
-/// host multi-worker rows can only tie the single-worker row).
-fn a5_serving(cfg: &Config) {
-    use nd_graph::Vertex;
-    use nd_serve::{Request, ServeOpts, ServerPool, Snapshot};
-    use std::sync::Arc;
-
-    println!("\n[A5] serving throughput: worker scaling over one shared snapshot");
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    println!("(host cores: {cores}; closed loop, 4 clients x batches of 256 test probes)");
-    let t = Table::new(
-        &["family", "n", "workers", "req/s", "p50 ns", "p99 ns"],
-        &[7, 7, 8, 12, 9, 9],
-    );
-    let n = if cfg.quick { 1_000 } else { 4_000 };
-    let total_requests: u64 = if cfg.quick { 40_000 } else { 200_000 };
-    let (clients, batch) = (4usize, 256usize);
-    let q = parse_query(E5_QUERY).unwrap();
-    for &f in &[GraphFamily::Grid, GraphFamily::RandomTree] {
-        let g = f.build_colored(n, 12);
-        let gn = g.n();
-        let snap =
-            Snapshot::build_owned(g, &q, &PrepareOpts::default()).expect("a5 snapshot build");
-        for workers in [1usize, 2, 4] {
-            let pool = Arc::new(ServerPool::start(
-                snap.clone(),
-                &ServeOpts {
-                    workers,
-                    ..Default::default()
-                },
-            ));
-            // Pre-generate the batches so the timed section measures the
-            // serving runtime, not the load generator.
-            let per_client = total_requests / clients as u64;
-            let all_batches: Vec<Vec<Vec<Request>>> = (0..clients)
-                .map(|c| {
-                    let seed = 0xa5 + c as u64;
-                    let mut made = 0u64;
-                    let mut batches = Vec::new();
-                    while made < per_client {
-                        let b = batch.min((per_client - made) as usize);
-                        batches.push(
-                            (0..b)
-                                .map(|i| Request::Test {
-                                    tuple: vec![
-                                        (mix(made + i as u64, seed) % gn as u64) as Vertex,
-                                        (mix(made + i as u64, seed ^ 0xffff) % gn as u64) as Vertex,
-                                    ],
-                                })
-                                .collect(),
-                        );
-                        made += b as u64;
-                    }
-                    batches
-                })
-                .collect();
-            let (completed, elapsed) = time_it(|| {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = all_batches
-                        .into_iter()
-                        .map(|batches| {
-                            let pool = Arc::clone(&pool);
-                            s.spawn(move || {
-                                let mut ok = 0u64;
-                                for reqs in batches {
-                                    if let Ok(h) = pool.submit(reqs) {
-                                        ok += h.wait().iter().filter(|r| r.is_ok()).count() as u64;
-                                    }
-                                }
-                                ok
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).sum::<u64>()
-                })
-            });
-            assert_eq!(completed, per_client * clients as u64, "a5 lost requests");
-            let rps = completed as f64 / elapsed.as_secs_f64().max(1e-9);
-            let m = pool.metrics_snapshot();
-            let lat = &m.kind(nd_serve::RequestKind::Test).latency;
-            let fmt_q = |q: Option<u64>| q.map_or_else(|| "-".into(), |v| v.to_string());
-            t.row(&[
-                f.name().to_string(),
-                format!("{gn}"),
-                format!("{workers}"),
-                format!("{rps:.0}"),
-                fmt_q(lat.quantile_ns(0.50)),
-                fmt_q(lat.quantile_ns(0.99)),
-            ]);
-            emit_json(cfg.json, "a5", |o| {
-                o.field_str("family", f.name())
-                    .field_u64("n", gn as u64)
-                    .field_u64("host_cores", cores as u64)
-                    .field_u64("workers", workers as u64)
-                    .field_u64("completed", completed)
-                    .field_f64("throughput_rps", rps);
-                match lat.quantile_ns(0.50) {
-                    Some(v) => o.field_u64("p50_ns", v),
-                    None => o.field_null("p50_ns"),
-                };
-                match lat.quantile_ns(0.99) {
-                    Some(v) => o.field_u64("p99_ns", v),
-                    None => o.field_null("p99_ns"),
-                };
-            });
-        }
-    }
-}
-
-/// A6 — conformance throughput: the differential harness as an experiment.
-/// Reports how many engine configurations and probes per second the
-/// harness covers, per seed — and loudly fails the table if any
-/// configuration ever disagrees with the naive-semantics oracle.
-fn a6_conform(cfg: &Config) {
-    use nd_conform::{protocol_fuzz, run, ConformOpts};
-
-    println!("\n[A6] conformance: all engine configs vs the naive oracle");
-    let t = Table::new(
-        &[
-            "seed", "cases", "configs", "probes", "skipped", "disagree", "time",
-        ],
-        &[6, 7, 8, 9, 8, 9, 9],
-    );
-    let cases = if cfg.quick { 40 } else { 200 };
-    for seed in [42u64, 7, 0xbeef] {
-        let opts = ConformOpts {
-            seed,
-            cases,
-            ..ConformOpts::default()
-        };
-        let t0 = Instant::now();
-        let mut report = run(&opts);
-        let fuzz = protocol_fuzz::fuzz_protocol(seed, 200);
-        report.probes += fuzz.probes;
-        report.disagreements.extend(fuzz.disagreements);
-        let dt = t0.elapsed();
-        t.row(&[
-            format!("{seed}"),
-            format!("{cases}"),
-            format!("{}", report.configs_checked),
-            format!("{}", report.probes),
-            format!("{}", report.skipped),
-            format!("{}", report.disagreements.len()),
-            fmt_dur(dt),
-        ]);
-        emit_json(cfg.json, "a6", |o| {
-            o.field_u64("seed", seed)
-                .field_u64("cases", cases as u64)
-                .field_u64("configs_checked", report.configs_checked)
-                .field_u64("probes", report.probes)
-                .field_u64("skipped", report.skipped)
-                .field_u64("disagreements", report.disagreements.len() as u64)
-                .field_bool("ok", report.disagreements.is_empty())
-                .field_f64("secs", dt.as_secs_f64());
-        });
-        for d in &report.disagreements {
-            println!("  DISAGREEMENT {}", d.to_json());
-        }
-        assert!(
-            report.disagreements.is_empty(),
-            "A6: conformance disagreements found (seed {seed})"
-        );
-    }
-}
-
-/// Full-graph BFS from each source over the CSR adjacency, returning a
-/// checksum so the traversal cannot be optimized away.
-fn a7_bfs_csr(g: &nd_graph::ColoredGraph, sources: &[u32]) -> u64 {
-    let mut dist = vec![u32::MAX; g.n()];
-    let mut queue: Vec<u32> = Vec::with_capacity(g.n());
-    let mut sum = 0u64;
-    for &s in sources {
-        dist.iter_mut().for_each(|d| *d = u32::MAX);
-        queue.clear();
-        dist[s as usize] = 0;
-        queue.push(s);
-        let mut head = 0usize;
-        while head < queue.len() {
-            let v = queue[head];
-            head += 1;
-            let dv = dist[v as usize];
-            for &w in g.neighbors(v) {
-                if dist[w as usize] == u32::MAX {
-                    dist[w as usize] = dv + 1;
-                    sum += (dv + 1) as u64;
-                    queue.push(w);
-                }
-            }
-        }
-    }
-    sum
-}
-
-/// The same BFS over a `Vec<Vec<u32>>` adjacency (the layout the CSR core
-/// replaces): one heap allocation per vertex, no cache-contiguous edges.
-fn a7_bfs_vecvec(adj: &[Vec<u32>], sources: &[u32]) -> u64 {
-    let mut dist = vec![u32::MAX; adj.len()];
-    let mut queue: Vec<u32> = Vec::with_capacity(adj.len());
-    let mut sum = 0u64;
-    for &s in sources {
-        dist.iter_mut().for_each(|d| *d = u32::MAX);
-        queue.clear();
-        dist[s as usize] = 0;
-        queue.push(s);
-        let mut head = 0usize;
-        while head < queue.len() {
-            let v = queue[head];
-            head += 1;
-            let dv = dist[v as usize];
-            for &w in &adj[v as usize] {
-                if dist[w as usize] == u32::MAX {
-                    dist[w as usize] = dv + 1;
-                    sum += (dv + 1) as u64;
-                    queue.push(w);
-                }
-            }
-        }
-    }
-    sum
-}
-
-/// A7 — parallel pseudo-linear preprocessing: prepare wall clock at 1/2/4
-/// worker threads over far-constraint queries (cover + kernels + skip
-/// pointers all build), with the parallel index *asserted* structurally
-/// identical to the sequential one, plus a CSR-vs-`Vec<Vec<_>>` adjacency
-/// microbenchmark. Returns the `(runs, csr_microbench)` JSON fragments
-/// for [`write_bench_prepare`].
-///
-/// Honesty: the report always carries `host_cores` and
-/// `parallelism_limited` — on a single-core host the extra threads cannot
-/// win, and the JSON says so rather than hiding the speedup column.
-fn a7_prepare(cfg: &Config) -> (String, String) {
-    use nd_graph::json::{JsonArray, JsonObject};
-
-    println!("\n[A7] parallel prepare: wall clock vs threads (identical indexes)");
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let thread_counts = A7_THREADS;
-    let max_threads = thread_counts.iter().copied().max().unwrap_or(1);
-    let parallelism_limited = max_threads > cores;
-    println!(
-        "(host cores: {cores}{})",
-        if parallelism_limited {
-            "; thread counts above the core count cannot show real scaling"
-        } else {
-            ""
-        }
-    );
-    let t = Table::new(
-        &["family", "n", "threads", "prep", "speedup", "identical"],
-        &[7, 8, 7, 9, 8, 9],
-    );
-    let n = if cfg.quick { 2_000 } else { 16_000 };
-    let q = parse_query(E5_QUERY3).unwrap();
-    let mut runs = JsonArray::new();
-    let families = [
-        GraphFamily::Grid,
-        GraphFamily::RandomTree,
-        GraphFamily::BoundedDegree4,
-    ];
-    for &f in &families {
-        let g = f.build_colored(n, 15);
-        // Untimed warm-up: the very first prepare pays first-touch page
-        // faults and allocator growth that later runs reuse; without it
-        // the threads=1 baseline looks slower than it is and the speedup
-        // column overstates parallelism.
-        std::hint::black_box(
-            PreparedQuery::prepare(&g, &q, &PrepareOpts::default()).expect("a7 warm-up"),
-        );
-        let mut baseline: Option<(nd_core::PrepareStats, f64)> = None;
-        for &threads in &thread_counts {
-            let opts = PrepareOpts {
-                threads,
-                ..PrepareOpts::default()
-            };
-            let (pq, prep) = time_it(|| PreparedQuery::prepare(&g, &q, &opts).expect("a7 prepare"));
-            let stats = pq.stats();
-            let secs = prep.as_secs_f64();
-            let (identical, speedup) = match &baseline {
-                None => {
-                    baseline = Some((stats.structural(), secs));
-                    (true, 1.0)
-                }
-                Some((base, base_secs)) => {
-                    (stats.structural() == *base, base_secs / secs.max(1e-9))
-                }
-            };
-            assert!(
-                identical,
-                "A7: parallel prepare (threads={threads}) diverged from sequential on {}",
-                f.name()
-            );
-            t.row(&[
-                f.name().to_string(),
-                format!("{}", g.n()),
-                format!("{threads}"),
-                fmt_dur(prep),
-                format!("{speedup:.2}x"),
-                format!("{identical}"),
-            ]);
-            emit_json(cfg.json, "a7", |o| {
-                o.field_str("family", f.name())
-                    .field_u64("n", g.n() as u64)
-                    .field_u64("threads", threads as u64)
-                    .field_f64("prep_s", secs)
-                    .field_f64("speedup_vs_1", speedup)
-                    .field_bool("identical_to_sequential", identical);
-            });
-            let mut o = JsonObject::new();
-            o.field_str("family", f.name())
-                .field_u64("n", g.n() as u64)
-                .field_str("query", E5_QUERY3)
-                .field_u64("threads", threads as u64)
-                .field_f64("prep_s", secs)
-                .field_f64("speedup_vs_1", speedup)
-                .field_bool("identical_to_sequential", identical)
-                .field_raw("stats", &stats.to_json());
-            runs.push_raw(&o.finish());
-        }
-    }
-
-    // CSR-vs-Vec-of-Vec adjacency microbenchmark: the same BFS workload
-    // the cover/kernel builders run, over both layouts of the same graph.
-    println!("  csr microbench: full-graph BFS, CSR vs Vec<Vec<_>> adjacency");
-    let tm = Table::new(
-        &["family", "n", "csr", "vec-of-vec", "csr/vecvec"],
-        &[7, 8, 9, 11, 10],
-    );
-    let sources_n = if cfg.quick { 8 } else { 32 };
-    let mut micro = JsonArray::new();
-    for &f in &families {
-        let g = f.build(n, 15);
-        let adj: Vec<Vec<u32>> = (0..g.n() as u32).map(|v| g.neighbors(v).to_vec()).collect();
-        let sources = random_vertices(g.n(), sources_n, 51);
-        // Warm both layouts once so neither pays first-touch page faults
-        // inside the timed section.
-        std::hint::black_box(a7_bfs_csr(&g, &sources));
-        std::hint::black_box(a7_bfs_vecvec(&adj, &sources));
-        let (csr_sum, csr_dur) = time_it(|| a7_bfs_csr(&g, &sources));
-        let (vv_sum, vv_dur) = time_it(|| a7_bfs_vecvec(&adj, &sources));
-        assert_eq!(csr_sum, vv_sum, "A7: CSR and Vec-of-Vec BFS disagree");
-        let ratio = csr_dur.as_secs_f64() / vv_dur.as_secs_f64().max(1e-9);
-        tm.row(&[
-            f.name().to_string(),
-            format!("{}", g.n()),
-            fmt_dur(csr_dur),
-            fmt_dur(vv_dur),
-            format!("{ratio:.2}"),
-        ]);
-        let mut o = JsonObject::new();
-        o.field_str("family", f.name())
-            .field_u64("n", g.n() as u64)
-            .field_u64("bfs_sources", sources_n as u64)
-            .field_f64("csr_s", csr_dur.as_secs_f64())
-            .field_f64("vecvec_s", vv_dur.as_secs_f64())
-            .field_f64("csr_over_vecvec", ratio);
-        micro.push_raw(&o.finish());
-    }
-
-    (runs.finish(), micro.finish())
-}
-
-/// A8 — warm restart (PR 6): cold prepare vs `--save`/`--load`, measured
-/// to the *first answered probe* (the restart-latency a server operator
-/// cares about). Loading a saved index skips the cover/kernel/skip-pointer
-/// builds entirely and only pays decode + re-validation, so the win is
-/// largest exactly where prepare is most expensive — the dense contrast
-/// family. Asserted there: warm start is ≥10x faster than cold.
-fn a8_warm_start(cfg: &Config) -> String {
-    use nd_core::SharedPreparedQuery;
-    use nd_graph::json::{JsonArray, JsonObject};
-    use std::sync::Arc;
-
-    println!("\n[A8] warm restart: cold prepare vs load-from-disk, to first probe");
-    let t = Table::new(
-        &["family", "n", "cold", "warm", "speedup", "bytes", "rung"],
-        &[7, 8, 9, 9, 9, 10, 9],
-    );
-    let q = parse_query(E5_QUERY).unwrap();
-    let n_sparse = if cfg.quick { 2_000 } else { 16_000 };
-    // Dense prepare scales ~n^1.7 while the saved index (and hence warm
-    // decode) scales ~n^2 bytes, so the contrast is sized where the gap is
-    // widest without making the quick run crawl.
-    let n_dense = 2_400;
-    let families = [
-        GraphFamily::Grid,
-        GraphFamily::RandomTree,
-        GraphFamily::BoundedDegree4,
-        GraphFamily::DenseGnm,
-    ];
-    let mut runs = JsonArray::new();
-    for &f in &families {
-        let n = if f.sparse() { n_sparse } else { n_dense };
-        let g = f.build_colored(n, 16).into_shared();
-        let probe = [0u32, 1];
-        // Untimed warm-up (first-touch page faults, allocator growth),
-        // exactly as A7 does for its threads=1 baseline.
-        std::hint::black_box(
-            SharedPreparedQuery::prepare(Arc::clone(&g), &q, &PrepareOpts::default())
-                .expect("a8 warm-up"),
-        );
-        // Cold start: build the index from the graph, answer one probe.
-        let ((cold_pq, cold_first), cold) = time_it(|| {
-            let pq = SharedPreparedQuery::prepare(Arc::clone(&g), &q, &PrepareOpts::default())
-                .expect("a8 prepare");
-            let first = pq.test(&probe);
-            (pq, first)
-        });
-        let path =
-            std::env::temp_dir().join(format!("nd-a8-{}-{}.idx", f.name(), std::process::id()));
-        cold_pq.save_index(&q, E5_QUERY, &path).expect("a8 save");
-        let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
-        // Warm start: load the saved index, answer the same probe.
-        let ((loaded, warm_first), warm) = time_it(|| {
-            let loaded = SharedPreparedQuery::load_index(&path).expect("a8 load");
-            let first = loaded.prepared.test(&probe);
-            (loaded, first)
-        });
-        std::fs::remove_file(&path).ok();
-        assert_eq!(
-            cold_first,
-            warm_first,
-            "A8: warm index diverged from cold on {}",
-            f.name()
-        );
-        let rung = loaded.prepared.stats().rung.name().to_string();
-        // Honesty: say how the bytes came back. The owned loader decodes
-        // every payload byte, so `bytes_mapped` is 0 here — the contrast
-        // with A11's mmap loader is the point of recording it.
-        let (bytes_decoded, bytes_mapped) = (
-            loaded.stats.bytes_decoded as u64,
-            loaded.stats.bytes_mapped as u64,
-        );
-        let speedup = cold.as_secs_f64() / warm.as_secs_f64().max(1e-9);
-        if !f.sparse() {
-            assert!(
-                speedup >= 10.0,
-                "A8: warm start on {} only {speedup:.1}x faster than cold prepare \
-                 (acceptance floor is 10x)",
-                f.name()
-            );
-        }
-        t.row(&[
-            f.name().to_string(),
-            format!("{n}"),
-            fmt_dur(cold),
-            fmt_dur(warm),
-            format!("{speedup:.1}x"),
-            format!("{bytes}"),
-            rung.clone(),
-        ]);
-        emit_json(cfg.json, "a8", |o| {
-            o.field_str("family", f.name())
-                .field_u64("n", n as u64)
-                .field_f64("cold_s", cold.as_secs_f64())
-                .field_f64("warm_s", warm.as_secs_f64())
-                .field_f64("warm_speedup", speedup)
-                .field_u64("index_bytes", bytes)
-                .field_u64("bytes_decoded", bytes_decoded)
-                .field_u64("bytes_mapped", bytes_mapped)
-                .field_str("rung", &rung);
-        });
-        let mut o = JsonObject::new();
-        o.field_str("family", f.name())
-            .field_u64("n", n as u64)
-            .field_str("query", E5_QUERY)
-            .field_f64("cold_s", cold.as_secs_f64())
-            .field_f64("warm_s", warm.as_secs_f64())
-            .field_f64("warm_speedup", speedup)
-            .field_u64("index_bytes", bytes)
-            .field_u64("bytes_decoded", bytes_decoded)
-            .field_u64("bytes_mapped", bytes_mapped)
-            .field_str("rung", &rung)
-            .field_bool("dense", !f.sparse())
-            .field_bool("first_probe_identical", cold_first == warm_first);
-        runs.push_raw(&o.finish());
-    }
-    runs.finish()
-}
-
-/// Deterministic probe-panel checksum over a prepared index: count plus
-/// 64 mixed `test`/`next_solution` probes folded into one u64. Cheap
-/// enough to run on every load path, strong enough that any divergence
-/// between two indices claiming the same answers shows up.
-fn probe_checksum<G: std::borrow::Borrow<nd_graph::ColoredGraph>>(
-    pq: &PreparedQuery<G>,
-    seed: u64,
-) -> u64 {
-    let n = pq.graph().n() as u64;
-    let arity = pq.arity();
-    let mut acc = pq.count() as u64;
-    for i in 0..64u64 {
-        let probe: Vec<u32> = (0..arity)
-            .map(|j| (mix(seed ^ i, 91 + j as u64) % n.max(1)) as u32)
-            .collect();
-        acc = mix(acc ^ u64::from(pq.test(&probe)), 97);
-        if let Some(next) = pq.next_solution(&probe) {
-            for v in next {
-                acc = mix(acc ^ v as u64, 101);
-            }
-        }
-    }
-    acc
-}
-
-/// A11 — zero-copy mmap serving (this PR): time to first probe for a cold
-/// prepare, an owned decode (`--load`) and an mmap load (`--load-mmap
-/// --verify lazy`), plus the RSS each load path costs. The mmap figure is
-/// the tentpole claim: the bulk sections come back as borrowed slices
-/// over the mapped pages, so "load" is framing + small-section decode +
-/// O(1) shape checks — no O(bytes) copy, no CRC sweep before the first
-/// answer (the deferred bulk CRCs are settled right after, untimed here
-/// but asserted to pass). On the dense family the mmap path is
-/// *asserted* ≥5x faster to first probe than the owned decode (the PR's
-/// acceptance floor), and every path is checksum-asserted to answer
-/// identically. RSS is page-granular and the mapped pages are shared
-/// with the page cache, so the mmap RSS delta measures only what the
-/// first probe actually touched.
-///
-/// The returned JSON lands in `BENCH_prepare.json` as `mmap_start`.
-fn a11_mmap_start(cfg: &Config) -> String {
-    use nd_core::{MmapLoadOpts, SharedPreparedQuery, VerifyPolicy};
-    use nd_graph::json::{JsonArray, JsonObject};
-    use std::sync::Arc;
-
-    println!("\n[A11] zero-copy mmap load: cold prepare vs owned decode vs mmap, to first probe");
-    let t = Table::new(
-        &[
-            "family", "n", "cold", "owned", "mmap", "own/mmap", "mapped", "rss_own", "rss_mmap",
-        ],
-        &[7, 8, 9, 9, 9, 9, 10, 9, 9],
-    );
-    let q = parse_query(E5_QUERY).unwrap();
-    let n_sparse = if cfg.quick { 2_000 } else { 16_000 };
-    let n_dense = 2_400;
-    let families = [
-        GraphFamily::Grid,
-        GraphFamily::RandomTree,
-        GraphFamily::BoundedDegree4,
-        GraphFamily::DenseGnm,
-    ];
-    let mut runs = JsonArray::new();
-    for &f in &families {
-        let n = if f.sparse() { n_sparse } else { n_dense };
-        let g = f.build_colored(n, 16).into_shared();
-        let probe = [0u32, 1];
-        // Untimed warm-up, as in A7/A8: first-touch faults and allocator
-        // growth belong to the process, not to either load path.
-        std::hint::black_box(
-            SharedPreparedQuery::prepare(Arc::clone(&g), &q, &PrepareOpts::default())
-                .expect("a11 warm-up"),
-        );
-        let ((cold_pq, cold_first), cold) = time_it(|| {
-            let pq = SharedPreparedQuery::prepare(Arc::clone(&g), &q, &PrepareOpts::default())
-                .expect("a11 prepare");
-            let first = pq.test(&probe);
-            (pq, first)
-        });
-        let want_sum = probe_checksum(&cold_pq, 0xA11);
-        let path =
-            std::env::temp_dir().join(format!("nd-a11-{}-{}.idx", f.name(), std::process::id()));
-        cold_pq.save_index(&q, E5_QUERY, &path).expect("a11 save");
-        let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
-
-        let rss0 = rss_bytes();
-        let ((owned, owned_first), owned_t) = time_it(|| {
-            let loaded = SharedPreparedQuery::load_index(&path).expect("a11 owned load");
-            let first = loaded.prepared.test(&probe);
-            (loaded, first)
-        });
-        let rss_owned = rss_bytes().saturating_sub(rss0);
-        assert_eq!(
-            owned_first,
-            cold_first,
-            "A11: owned load diverged on {}",
-            f.name()
-        );
-        assert_eq!(
-            probe_checksum(&owned.prepared, 0xA11),
-            want_sum,
-            "A11: owned-load answers diverged on {}",
-            f.name()
-        );
-        drop(owned);
-
-        let rss0 = rss_bytes();
-        let ((mapped, mmap_first), mmap_t) = time_it(|| {
-            let opts = MmapLoadOpts {
-                verify: VerifyPolicy::Lazy,
-                prewarm: false,
-            };
-            let loaded = SharedPreparedQuery::load_index_mmap(&path, &opts).expect("a11 mmap load");
-            let first = loaded.prepared.test(&probe);
-            (loaded, first)
-        });
-        let rss_mmap = rss_bytes().saturating_sub(rss0);
-        assert_eq!(
-            mmap_first,
-            cold_first,
-            "A11: mmap load diverged on {}",
-            f.name()
-        );
-        assert_eq!(
-            probe_checksum(&mapped.prepared, 0xA11),
-            want_sum,
-            "A11: mmap-load answers diverged on {}",
-            f.name()
-        );
-        // Settle the deferred bulk CRCs (untimed: the claim is time to
-        // first probe, and the CLI's lazy mode does exactly this — probe
-        // first, verify after, exit 15 on mismatch).
-        if let Some(deferred) = &mapped.deferred {
-            deferred.verify().expect("a11 deferred CRC pass");
-        }
-        let mapped_bytes = mapped.stats.bytes_mapped as u64;
-        let decoded_bytes = mapped.stats.bytes_decoded as u64;
-        assert!(
-            mapped_bytes > 0,
-            "A11: mmap load of {} mapped nothing — zero-copy path not taken",
-            f.name()
-        );
-        drop(mapped);
-        std::fs::remove_file(&path).ok();
-
-        let speedup = owned_t.as_secs_f64() / mmap_t.as_secs_f64().max(1e-9);
-        if !f.sparse() {
-            assert!(
-                speedup >= 5.0,
-                "A11: mmap load on {} only {speedup:.1}x faster to first probe than owned \
-                 decode (acceptance floor is 5x)",
-                f.name()
-            );
-        }
-        t.row(&[
-            f.name().to_string(),
-            format!("{n}"),
-            fmt_dur(cold),
-            fmt_dur(owned_t),
-            fmt_dur(mmap_t),
-            format!("{speedup:.1}x"),
-            format!("{mapped_bytes}"),
-            format!("{}K", rss_owned / 1024),
-            format!("{}K", rss_mmap / 1024),
-        ]);
-        emit_json(cfg.json, "a11", |o| {
-            o.field_str("family", f.name())
-                .field_u64("n", n as u64)
-                .field_f64("cold_s", cold.as_secs_f64())
-                .field_f64("owned_s", owned_t.as_secs_f64())
-                .field_f64("mmap_s", mmap_t.as_secs_f64())
-                .field_f64("mmap_speedup_vs_owned", speedup)
-                .field_u64("bytes_mapped", mapped_bytes)
-                .field_u64("bytes_decoded", decoded_bytes);
-        });
-        let mut o = JsonObject::new();
-        o.field_str("family", f.name())
-            .field_u64("n", n as u64)
-            .field_str("query", E5_QUERY)
-            .field_str("verify", "lazy")
-            .field_f64("cold_s", cold.as_secs_f64())
-            .field_f64("owned_s", owned_t.as_secs_f64())
-            .field_f64("mmap_s", mmap_t.as_secs_f64())
-            .field_f64("mmap_speedup_vs_owned", speedup)
-            .field_u64("index_bytes", bytes)
-            .field_u64("bytes_mapped", mapped_bytes)
-            .field_u64("bytes_decoded", decoded_bytes)
-            .field_u64("rss_delta_owned", rss_owned)
-            .field_u64("rss_delta_mmap", rss_mmap)
-            .field_bool("dense", !f.sparse())
-            .field_bool("answers_identical", true);
-        runs.push_raw(&o.finish());
-    }
-    // The RSS and timing figures above depend on page-cache state: the
-    // save immediately precedes both loads, so the file is warm in cache
-    // for each — the contrast isolates decode-and-copy vs map-and-fault.
-    runs.finish()
-}
-
-/// Write `BENCH_prepare.json`: host facts plus whichever of the A7
-/// (`runs`, `csr_microbench`), A8 (`warm_start`), A10 (`flat_store`) and
-/// A11 (`mmap_start`) sections ran.
-fn write_bench_prepare(
-    cfg: &Config,
-    a7: Option<(String, String)>,
-    a8: Option<String>,
-    a10: Option<String>,
-    a11: Option<String>,
-) {
-    use nd_graph::json::JsonObject;
-
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let max_threads = A7_THREADS.iter().copied().max().unwrap_or(1);
-    let mut doc = JsonObject::new();
-    doc.field_str("bench", "prepare")
-        .field_u64("host_cores", cores as u64)
-        .field_bool("parallelism_limited", max_threads > cores)
-        .field_bool("quick", cfg.quick);
-    if let Some((runs, micro)) = a7 {
-        doc.field_raw("runs", &runs)
-            .field_raw("csr_microbench", &micro);
-    }
-    if let Some(warm) = a8 {
-        doc.field_raw("warm_start", &warm);
-    }
-    if let Some(flat) = a10 {
-        doc.field_raw("flat_store", &flat);
-    }
-    if let Some(mmap) = a11 {
-        doc.field_raw("mmap_start", &mmap);
-    }
-    let path = "BENCH_prepare.json";
-    match std::fs::write(path, doc.finish() + "\n") {
-        Ok(()) => println!("\n  wrote {path}"),
-        Err(e) => println!("\n  WARNING: could not write {path}: {e}"),
-    }
-}
-
-/// A10 — flat arena store (this PR): the Storing-Theorem structure after
-/// the trie → flat-arena rewrite, measured two ways.
-///
-/// * **Layout microbench** — lookup-or-successor (Thm 3.1's `O(1)` claim)
-///   and bulk build over identical domains and probe streams, pointer
-///   trie vs flat arena, packed-key API on both sides. The flat layout is
-///   *asserted* no slower than the trie on lookup-or-successor (the
-///   regression gate CI runs on every push; `benches/store_lookup.rs` is
-///   the criterion-disciplined version of the same number).
-/// * **Dense-family prepare share** — the store+skip fraction of a full
-///   prepare on the bounded-degree family, the number this PR set out to
-///   shrink: the seed's insert-at-a-time trie build put store+skip at
-///   ~71% of dense prepare (store 1991ms + skip 565ms of 3594ms at
-///   n=16000); the bulk-sorted arena build collapses the store phase, and
-///   the full-size run asserts the share stays below 55%.
-///
-/// The returned JSON lands in `BENCH_prepare.json` as `flat_store`.
-fn a10_flat_store(cfg: &Config) -> String {
-    use nd_graph::json::{JsonArray, JsonObject};
-
-    println!("\n[A10] flat arena store: layout microbench + dense prepare share");
-    let t = Table::new(
-        &["probe-set", "n", "trie", "flat", "flat/trie"],
-        &[11, 9, 9, 9, 9],
-    );
-    let mut micro = JsonArray::new();
-    let probe_count = 1_024usize;
-    let mut lookup_ratios: Vec<f64> = Vec::new();
-    for log_n in if cfg.quick {
-        vec![12u32, 16]
-    } else {
-        vec![12u32, 16, 20]
-    } {
-        let n = 1u64 << log_n;
-        let params = StoreParams::new(n, 2, 0.25);
-        let dom = keys_for(n, 2, 8_192, 3);
-        let trie = FnStore::from_pairs(params, dom.iter().map(|k| (k.as_slice(), 1u64)));
-        let flat = FlatStore::from_pairs(params, dom.iter().map(|k| (k.as_slice(), 1u64)));
-        let probes: Vec<u128> = keys_for(n, 2, probe_count, 5)
-            .iter()
-            .map(|k| params.pack(k))
-            .collect();
-        // Repeat the sweep enough for a stable per-probe number, with an
-        // untimed warm-up against first-touch effects, same as A7.
-        let reps = if cfg.quick { 200 } else { 1_000 };
-        let sweep_trie = || {
-            let mut acc = 0u64;
-            for _ in 0..reps {
-                for &p in &probes {
-                    acc = acc.wrapping_add(
-                        std::hint::black_box(trie.successor_inclusive_packed(p))
-                            .map_or(1, |s| s as u64),
-                    );
-                }
-            }
-            acc
-        };
-        let sweep_flat = || {
-            let mut acc = 0u64;
-            for _ in 0..reps {
-                for &p in &probes {
-                    acc = acc.wrapping_add(
-                        std::hint::black_box(flat.successor_inclusive_packed(p))
-                            .map_or(1, |s| s as u64),
-                    );
-                }
-            }
-            acc
-        };
-        std::hint::black_box(sweep_trie());
-        std::hint::black_box(sweep_flat());
-        let (trie_acc, trie_dur) = time_it(sweep_trie);
-        let (flat_acc, flat_dur) = time_it(sweep_flat);
-        assert_eq!(trie_acc, flat_acc, "A10: layouts disagree on a probe sweep");
-        let per_probe = |d: std::time::Duration| d.as_secs_f64() / (reps * probe_count) as f64;
-        let (trie_ns, flat_ns) = (per_probe(trie_dur) * 1e9, per_probe(flat_dur) * 1e9);
-        let ratio = flat_ns / trie_ns.max(1e-12);
-        lookup_ratios.push(ratio);
-        t.row(&[
-            "lookup-or-succ".to_string(),
-            format!("{n}"),
-            format!("{trie_ns:.1}ns"),
-            format!("{flat_ns:.1}ns"),
-            format!("{ratio:.2}"),
-        ]);
-        emit_json(cfg.json, "a10", |o| {
-            o.field_str("probe_set", "lookup_or_successor")
-                .field_u64("n", n)
-                .field_f64("trie_ns", trie_ns)
-                .field_f64("flat_ns", flat_ns)
-                .field_f64("flat_over_trie", ratio);
-        });
-        let mut o = JsonObject::new();
-        o.field_str("probe_set", "lookup_or_successor")
-            .field_u64("n", n)
-            .field_u64("domain", dom.len() as u64)
-            .field_u64("probes", (reps * probe_count) as u64)
-            .field_f64("trie_ns", trie_ns)
-            .field_f64("flat_ns", flat_ns)
-            .field_f64("flat_over_trie", ratio);
-        micro.push_raw(&o.finish());
-
-        // Bulk build, same pairs: one sorted pass vs insert-at-a-time.
-        let (_, trie_build) =
-            time_it(|| FnStore::from_pairs(params, dom.iter().map(|k| (k.as_slice(), 1u64))));
-        let (_, flat_build) =
-            time_it(|| FlatStore::from_pairs(params, dom.iter().map(|k| (k.as_slice(), 1u64))));
-        let bratio = flat_build.as_secs_f64() / trie_build.as_secs_f64().max(1e-12);
-        t.row(&[
-            "bulk-build".to_string(),
-            format!("{n}"),
-            fmt_dur(trie_build),
-            fmt_dur(flat_build),
-            format!("{bratio:.2}"),
-        ]);
-        let mut o = JsonObject::new();
-        o.field_str("probe_set", "bulk_build")
-            .field_u64("n", n)
-            .field_u64("domain", dom.len() as u64)
-            .field_f64("trie_s", trie_build.as_secs_f64())
-            .field_f64("flat_s", flat_build.as_secs_f64())
-            .field_f64("flat_over_trie", bratio);
-        micro.push_raw(&o.finish());
-    }
-    // The regression gate: flat lookup-or-successor must not be slower
-    // than the trie (median across sizes; 10% head-room for timer noise).
-    let mut sorted = lookup_ratios.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("ratios are finite"));
-    let median = sorted[sorted.len() / 2];
-    assert!(
-        median <= 1.10,
-        "A10: flat lookup-or-successor regressed vs the pointer trie \
-         (median flat/trie = {median:.2}, gate is 1.10)"
-    );
-
-    // Dense-family prepare share: where does the wall clock go now?
-    println!("  dense-family prepare: store+skip share of total");
-    let ts = Table::new(
-        &["family", "n", "prep", "store", "skip", "share"],
-        &[7, 8, 9, 8, 8, 7],
-    );
-    let n = if cfg.quick { 2_000 } else { 16_000 };
-    let q = parse_query(E5_QUERY3).unwrap();
-    let mut shares = JsonArray::new();
-    for &f in &[GraphFamily::BoundedDegree4, GraphFamily::Grid] {
-        let g = f.build_colored(n, 15);
-        std::hint::black_box(
-            PreparedQuery::prepare(&g, &q, &PrepareOpts::default()).expect("a10 warm-up"),
-        );
-        let (pq, prep) = time_it(|| {
-            PreparedQuery::prepare(&g, &q, &PrepareOpts::default()).expect("a10 prepare")
-        });
-        let stats = pq.stats();
-        let store_skip_ms = stats.store_ms + stats.skip_ms;
-        let share = store_skip_ms as f64 / (prep.as_millis() as f64).max(1.0);
-        ts.row(&[
-            f.name().to_string(),
-            format!("{}", g.n()),
-            fmt_dur(prep),
-            format!("{}ms", stats.store_ms),
-            format!("{}ms", stats.skip_ms),
-            format!("{:.0}%", share * 100.0),
-        ]);
-        emit_json(cfg.json, "a10", |o| {
-            o.field_str("family", f.name())
-                .field_u64("n", g.n() as u64)
-                .field_f64("prep_s", prep.as_secs_f64())
-                .field_u64("store_ms", stats.store_ms)
-                .field_u64("skip_ms", stats.skip_ms)
-                .field_f64("store_skip_share", share);
-        });
-        let mut o = JsonObject::new();
-        o.field_str("family", f.name())
-            .field_u64("n", g.n() as u64)
-            .field_str("query", E5_QUERY3)
-            .field_f64("prep_s", prep.as_secs_f64())
-            .field_u64("store_ms", stats.store_ms)
-            .field_u64("skip_ms", stats.skip_ms)
-            .field_f64("store_skip_share", share);
-        shares.push_raw(&o.finish());
-        // The headline claim, asserted only at full size (quick-mode
-        // phases are a handful of milliseconds and the ratio is noise):
-        // the seed's trie build put store+skip at ~71% of dense prepare.
-        if !cfg.quick && f == GraphFamily::BoundedDegree4 {
-            assert!(
-                share < 0.55,
-                "A10: store+skip share of dense prepare is {:.0}% — the flat \
-                 layout should have brought it below 55% (seed baseline ~71%)",
-                share * 100.0
-            );
-        }
-    }
-
-    let mut doc = JsonObject::new();
-    doc.field_raw("microbench", &micro.finish())
-        .field_raw("dense_prepare", &shares.finish())
-        .field_f64("lookup_ratio_median", median);
-    doc.finish()
-}
-
-/// Deterministic pseudo-random keys for the A10 store microbench (same
-/// stream as `benches/bench_store.rs` / `benches/store_lookup.rs`).
-fn keys_for(n: u64, k: usize, count: usize, seed: u64) -> Vec<Vec<u64>> {
-    (0..count as u64)
-        .map(|i| {
-            (0..k)
-                .map(|c| mix(i * k as u64 + c as u64, seed) % n)
-                .collect()
-        })
-        .collect()
 }

@@ -2058,35 +2058,66 @@ mod tests {
 
     #[test]
     fn parallel_prepare_is_identical_to_sequential() {
-        // The tentpole invariant: the prepared index is the same value for
-        // every thread count. Checked across ≥ 3 seeds via (a) structural
-        // stats equality — bag counts, store sizes, skip entries, charge
-        // totals — and (b) full enumeration equality.
-        for seed in [11u64, 22, 33] {
-            let g = colored(generators::random_tree(60, seed), seed);
+        // The prepared index is the same value for every thread count:
+        // equal structural stats, equal enumeration, and the same saved
+        // bytes. Random trees over three seeds, a grid, and a
+        // bounded-degree-4 expander (where the skip closure dominates
+        // prepare).
+        let mut inputs: Vec<(String, ColoredGraph)> = [11u64, 22, 33]
+            .into_iter()
+            .map(|seed| {
+                let g = colored(generators::random_tree(60, seed), seed);
+                (format!("tree seed={seed}"), g)
+            })
+            .collect();
+        inputs.push(("grid".into(), colored(generators::grid(6, 6), 44)));
+        inputs.push((
+            "bdeg4".into(),
+            colored(generators::bounded_degree(40, 4, 55), 55),
+        ));
+        for (name, g) in &inputs {
             for src in [
                 "dist(x,y) > 2 && Blue(y)",
                 "dist(x,z) > 2 && dist(y,z) > 2 && Blue(z)",
                 "E(x,y) || (dist(x,y) > 3 && Blue(y))",
             ] {
                 let q = parse_query(src).unwrap();
-                let seq = PreparedQuery::prepare(&g, &q, &small_opts()).unwrap();
+                let seq = PreparedQuery::prepare(g, &q, &small_opts()).unwrap();
                 let seq_sols: Vec<_> = seq.enumerate().collect();
+                let seq_bytes = seq.save_index_bytes(&q, src).unwrap();
                 for threads in [2usize, 4] {
                     let mut opts = small_opts();
                     opts.threads = threads;
-                    let par = PreparedQuery::prepare(&g, &q, &opts).unwrap();
+                    let par = PreparedQuery::prepare(g, &q, &opts).unwrap();
                     assert_eq!(
                         seq.stats().structural(),
                         par.stats().structural(),
-                        "stats diverged for {src} seed={seed} threads={threads}"
+                        "stats diverged for {src} on {name} threads={threads}"
                     );
                     assert_eq!(par.stats().threads, threads);
                     let par_sols: Vec<_> = par.enumerate().collect();
                     assert_eq!(
                         seq_sols, par_sols,
-                        "solutions diverged for {src} seed={seed} threads={threads}"
+                        "solutions diverged for {src} on {name} threads={threads}"
                     );
+                    // Graph, query and engine sections are byte-identical.
+                    // META differs in one word only: the thread count the
+                    // index was built with, which it records (followed by
+                    // the two lineage words).
+                    let par_bytes = par.save_index_bytes(&q, src).unwrap();
+                    for tag in [SEC_GRAPH, SEC_QUERY, SEC_ENGINE] {
+                        assert!(
+                            section(&seq_bytes, tag) == section(&par_bytes, tag),
+                            "{src} on {name} threads={threads}: {} section differs",
+                            String::from_utf8_lossy(&tag)
+                        );
+                    }
+                    let (ms, mp) = (section(&seq_bytes, SEC_META), section(&par_bytes, SEC_META));
+                    assert_eq!(ms.len(), mp.len());
+                    let t = ms.len() - 24;
+                    assert_eq!(ms[..t], mp[..t], "{src} on {name} threads={threads}");
+                    assert_eq!(ms[t + 8..], mp[t + 8..], "{src} on {name}");
+                    assert_eq!(mp[t..t + 8], (threads as u64).to_le_bytes());
                 }
             }
         }
@@ -2173,54 +2204,71 @@ mod tests {
 
     /// The zero-copy loader serves the same answers as the owned decode,
     /// actually maps the bulk sections, and under lazy verification
-    /// defers exactly the engine CRC.
+    /// defers exactly the engine CRC. On a grid and on the dense contrast
+    /// family (`gnm` with `m = n^1.5`), a cold prepare, the owned decode
+    /// and the mapped loads under both verify policies enumerate the same
+    /// answers and re-save the same bytes.
     #[test]
     fn index_mmap_load_matches_owned_and_maps_bulk() {
-        let g = colored(generators::grid(6, 6), 11);
         let src = "dist(x,y) > 2 && Blue(y)";
         let q = parse_query(src).unwrap();
-        let pq = PreparedQuery::prepare(&g, &q, &small_opts()).unwrap();
-        let want: Vec<_> = pq.enumerate().collect();
-        let path = mmap_tmp("roundtrip");
-        pq.save_index(&q, src, &path).unwrap();
+        for (name, g) in [
+            ("grid", colored(generators::grid(6, 6), 11)),
+            ("gnm1.5", colored(generators::gnm(64, 512, 17), 17)),
+        ] {
+            let pq = PreparedQuery::prepare(&g, &q, &small_opts()).unwrap();
+            let want: Vec<_> = pq.enumerate().collect();
+            assert!(!want.is_empty(), "no answers on {name}");
+            let bytes = pq.save_index_bytes(&q, src).unwrap();
+            let path = mmap_tmp(&format!("roundtrip-{name}"));
+            pq.save_index(&q, src, &path).unwrap();
 
-        let full = SharedPreparedQuery::load_index_mmap(&path, &MmapLoadOpts::default())
-            .expect("mmap load (full verify)");
-        assert!(full.deferred.is_none(), "full verify must not defer CRCs");
-        assert!(
-            full.stats.bytes_mapped > 0,
-            "bulk sections should be mapped"
-        );
-        assert_eq!(
-            full.stats.bytes_mapped + full.stats.bytes_decoded,
-            full.stats.bytes_total,
-            "every payload byte is either mapped or decoded"
-        );
-        let got: Vec<_> = full.prepared.enumerate().collect();
-        assert_eq!(got, want, "mmap-loaded answers diverged");
-        for probe in &want {
-            assert!(full.prepared.test(probe));
+            let owned = SharedPreparedQuery::load_index_bytes(&bytes).expect("owned load");
+            let full = SharedPreparedQuery::load_index_mmap(&path, &MmapLoadOpts::default())
+                .expect("mmap load (full verify)");
+            assert!(full.deferred.is_none(), "full verify must not defer CRCs");
+            assert!(
+                full.stats.bytes_mapped > 0,
+                "bulk sections should be mapped on {name}"
+            );
+            assert_eq!(
+                full.stats.bytes_mapped + full.stats.bytes_decoded,
+                full.stats.bytes_total,
+                "every payload byte is either mapped or decoded"
+            );
+            for probe in &want {
+                assert!(full.prepared.test(probe));
+            }
+
+            let lazy = SharedPreparedQuery::load_index_mmap(
+                &path,
+                &MmapLoadOpts {
+                    verify: VerifyPolicy::Lazy,
+                    prewarm: true,
+                },
+            )
+            .expect("mmap load (lazy verify)");
+            let deferred = lazy
+                .deferred
+                .as_ref()
+                .expect("lazy verify must defer the engine CRC");
+            assert_eq!(deferred.len(), 1, "only the engine section is deferred");
+
+            for (how, loaded) in [("owned", &owned), ("full", &full), ("lazy", &lazy)] {
+                let got: Vec<_> = loaded.prepared.enumerate().collect();
+                assert_eq!(got, want, "{how}-loaded answers diverged on {name}");
+                let again = loaded
+                    .prepared
+                    .save_index_bytes(&loaded.query, &loaded.query_src)
+                    .unwrap();
+                assert!(again == bytes, "{how}-loaded re-save differs on {name}");
+            }
+            deferred
+                .verify()
+                .expect("deferred CRC pass on a clean file");
+
+            std::fs::remove_file(&path).ok();
         }
-
-        let lazy = SharedPreparedQuery::load_index_mmap(
-            &path,
-            &MmapLoadOpts {
-                verify: VerifyPolicy::Lazy,
-                prewarm: true,
-            },
-        )
-        .expect("mmap load (lazy verify)");
-        let deferred = lazy
-            .deferred
-            .expect("lazy verify must defer the engine CRC");
-        assert_eq!(deferred.len(), 1, "only the engine section is deferred");
-        let got: Vec<_> = lazy.prepared.enumerate().collect();
-        assert_eq!(got, want, "lazy mmap-loaded answers diverged");
-        deferred
-            .verify()
-            .expect("deferred CRC pass on a clean file");
-
-        std::fs::remove_file(&path).ok();
     }
 
     /// A mutation applied to an mmap-backed index answers identically to
@@ -2228,12 +2276,12 @@ mod tests {
     /// either is bit-identical, and the mapped snapshot it started from
     /// keeps serving unchanged.
     #[test]
-    fn index_mmap_mutation_promotes_copy_on_write() {
+    fn apply_on_mapped_base_matches_apply_on_owned_base() {
         let g = colored(generators::grid(5, 5), 13);
         let src = "dist(x,y) > 2 && Blue(y)";
         let q = parse_query(src).unwrap();
         let pq = PreparedQuery::prepare(&g, &q, &small_opts()).unwrap();
-        let path = mmap_tmp("cow");
+        let path = mmap_tmp("apply");
         pq.save_index(&q, src, &path).unwrap();
 
         let mapped = SharedPreparedQuery::load_index_mmap(&path, &MmapLoadOpts::default())

@@ -35,8 +35,9 @@
 //! }
 //! ```
 //!
-//! Architecture rationale lives in DESIGN.md §5; `ndq serve` and
-//! `ndq bench-serve` are the CLI front-ends.
+//! Architecture rationale lives in DESIGN.md §5; `ndq serve` is the
+//! CLI front-end. The repository benchmark (`perfbench/`) measures this
+//! pool end to end (`probe_rps`) and per layer (`serve.*`).
 
 pub mod admission;
 pub mod cache;

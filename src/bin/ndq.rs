@@ -15,22 +15,16 @@
 //! # serve probes over a line protocol (stdin or TCP)
 //! ndq serve --graph grid:60x60 --color Blue:0.3:7 \
 //!     --query "dist(x,y) > 2 && Blue(y)" --workers 4
-//!
-//! # closed-loop serving benchmark: worker scaling, p50/p95/p99, JSON report
-//! ndq bench-serve --smoke --json bench.json
 //! ```
 
 use nowhere_dense::core::{
     Budget, Epsilon, LoadedIndex, MmapLoadOpts, NdError, PrepareOpts, PreparedQuery,
     SharedPreparedQuery, VerifyPolicy,
 };
-use nowhere_dense::graph::json::{JsonArray, JsonObject};
 use nowhere_dense::graph::{generators, io, ColoredGraph, Vertex};
 use nowhere_dense::logic::parse_query;
-use nowhere_dense::serve::metrics::HISTOGRAM_BUCKETS;
 use nowhere_dense::serve::{
-    HistogramSnapshot, Reply, Request, ServeError, ServeOpts, ServerPool, Session, Snapshot,
-    DEFAULT_CACHE_CAPACITY, SESSION_PROTOCOL_HELP,
+    Reply, ServeError, ServeOpts, Session, DEFAULT_CACHE_CAPACITY, SESSION_PROTOCOL_HELP,
 };
 use std::borrow::Borrow;
 use std::io::{BufRead, Write};
@@ -117,7 +111,6 @@ USAGE:
   ndq [OPTIONS]               one-shot query evaluation
   ndq update [OPTIONS]        apply a mutation log and re-prepare the index
   ndq serve [OPTIONS]         serve probes over stdin or TCP (line protocol)
-  ndq bench-serve [OPTIONS]   closed-loop serving benchmark
   ndq conform [OPTIONS]       differential conformance run (all engines vs oracle)
 
 GRAPH / QUERY OPTIONS (all modes):
@@ -143,9 +136,9 @@ GRAPH / QUERY OPTIONS (all modes):
                                          defer the engine-section CRC until
                                          after the probes (then exit 15 on
                                          mismatch)
-      [--prewarm]                        touch every mapped page up front
-                                         (trades first-probe latency for
-                                         load latency)
+      [--prewarm]                        with --load-mmap, touch every mapped
+                                         page up front (trades first-probe
+                                         latency for load latency)
 
 ONE-SHOT OPTIONS:
       [--enumerate N]                    stream the first N answers
@@ -171,19 +164,9 @@ SERVE OPTIONS:
       [--fallback-reprepare]             if --load fails, cold-prepare from
                                          --graph/--query instead of exiting
   protocol, one command per line:
-      prepare QUERY   swap PATH   update MUTATION   commit
+      prepare QUERY   swap PATH   load-mmap PATH   update MUTATION   commit
       test a,b,..   next a,b,..   page a,b,.. LIMIT
       stats   metrics   help   shutdown   quit
-
-BENCH-SERVE OPTIONS (defaults in brackets):
-      [--workers LIST]                   worker counts to compare [1,4]
-      [--clients N]                      concurrent closed-loop clients [8]
-      [--batch N]                        requests per submitted batch [128]
-      [--requests N]                     requests per run [200000]
-      [--mix KIND]                       test | next | page | mixed [test]
-      [--page-limit N]                   page size for page/mixed [32]
-      [--json PATH]                      write a JSON report
-      [--smoke]                          small CI-sized defaults
 
 CONFORM OPTIONS (defaults in brackets):
       [--seed N]                         run seed [42]
@@ -234,8 +217,9 @@ struct Common {
     /// zero-copy out of the mapped pages.
     load_mmap: Option<String>,
     /// CRC policy for `--load-mmap`: check everything up front (default)
-    /// or defer the engine-section CRC until after the probes.
-    verify: VerifyPolicy,
+    /// or defer the engine-section CRC until after the probes. `None`
+    /// when `--verify` was not given.
+    verify: Option<VerifyPolicy>,
     /// Touch every mapped page up front instead of faulting on demand.
     prewarm: bool,
 }
@@ -254,7 +238,7 @@ impl Common {
             save: None,
             load: None,
             load_mmap: None,
-            verify: VerifyPolicy::Full,
+            verify: None,
             prewarm: false,
         }
     }
@@ -297,8 +281,10 @@ impl Common {
             "--load" => self.load = Some(val("--load")?),
             "--load-mmap" => self.load_mmap = Some(val("--load-mmap")?),
             "--verify" => {
-                self.verify = VerifyPolicy::parse(&val("--verify")?)
-                    .ok_or_else(|| usage("bad --verify: expected full|lazy"))?
+                self.verify = Some(
+                    VerifyPolicy::parse(&val("--verify")?)
+                        .ok_or_else(|| usage("bad --verify: expected full|lazy"))?,
+                )
             }
             "--prewarm" => self.prewarm = true,
             "--help" | "-h" => {
@@ -311,8 +297,12 @@ impl Common {
     }
 
     /// The warm-start source, if any: `(path, mmap?)`. Rejects flag
-    /// combinations that would make the index file's graph/query ambiguous.
+    /// combinations that would make the index file's graph/query
+    /// ambiguous, and mapped-load knobs without a mapped load.
     fn warm_start(&self) -> Result<Option<(&str, bool)>, CliError> {
+        if self.load_mmap.is_none() && (self.verify.is_some() || self.prewarm) {
+            return Err(usage("--verify and --prewarm apply only to --load-mmap"));
+        }
         let src = match (&self.load, &self.load_mmap) {
             (Some(_), Some(_)) => return Err(usage("pass at most one of --load / --load-mmap")),
             (Some(p), None) => Some((p.as_str(), false)),
@@ -334,11 +324,8 @@ impl Common {
     fn load_index(&self, path: &str, mmap: bool) -> Result<LoadedIndex, CliError> {
         let t0 = Instant::now();
         let loaded = if mmap {
-            let opts = MmapLoadOpts {
-                verify: self.verify,
-                prewarm: self.prewarm,
-            };
-            SharedPreparedQuery::load_index_mmap(Path::new(path), &opts).map_err(read_err)?
+            SharedPreparedQuery::load_index_mmap(Path::new(path), &self.mmap_opts())
+                .map_err(read_err)?
         } else {
             SharedPreparedQuery::load_index(Path::new(path)).map_err(read_err)?
         };
@@ -353,13 +340,20 @@ impl Common {
                     ", {}/{} bytes mapped zero-copy ({} verify)",
                     loaded.stats.bytes_mapped,
                     loaded.stats.bytes_total,
-                    self.verify.as_str(),
+                    self.mmap_opts().verify.as_str(),
                 )
             } else {
                 String::new()
             },
         );
         Ok(loaded)
+    }
+
+    fn mmap_opts(&self) -> MmapLoadOpts {
+        MmapLoadOpts {
+            verify: self.verify.unwrap_or_default(),
+            prewarm: self.prewarm,
+        }
     }
 
     fn build_graph(&self) -> Result<ColoredGraph, CliError> {
@@ -396,31 +390,6 @@ impl Common {
             ..PrepareOpts::default()
         })
     }
-
-    /// Build graph, parse query, prepare — everything `serve`/`bench-serve`
-    /// need before the first request.
-    fn build_snapshot(&self) -> Result<Snapshot, CliError> {
-        let g = self.build_graph()?;
-        eprintln!(
-            "graph: {} vertices, {} edges, {} colors",
-            g.n(),
-            g.m(),
-            g.num_colors()
-        );
-        let query_src = self
-            .query
-            .as_deref()
-            .ok_or_else(|| usage("missing --query (see --help)"))?;
-        let q = parse_query(query_src).map_err(|e| usage(e.to_string()))?;
-        eprintln!("query: {q}");
-        let snap = Snapshot::build_owned(g, &q, &self.prepare_opts()?).map_err(NdError::from)?;
-        eprintln!(
-            "prepared in {} ms (rung: {})",
-            snap.build_ms(),
-            snap.stats().rung.name()
-        );
-        Ok(snap)
-    }
 }
 
 fn build_graph(spec: &str) -> Result<ColoredGraph, CliError> {
@@ -455,14 +424,6 @@ fn build_graph(spec: &str) -> Result<ColoredGraph, CliError> {
         ["clique", n] => Ok(generators::clique(num(n)?)),
         _ => Err(usage(format!("unknown graph spec {spec:?} (see --help)"))),
     }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 fn add_color(g: &mut ColoredGraph, spec: &str) -> Result<(), CliError> {
@@ -972,11 +933,10 @@ fn start_serve_session(args: &ServeArgs, opts: ServeOpts) -> Result<Session, Cli
         let t0 = Instant::now();
         let load = || -> Result<LoadedIndex, nowhere_dense::persist::PersistError> {
             if mmap {
-                let mopts = MmapLoadOpts {
-                    verify: args.common.verify,
-                    prewarm: args.common.prewarm,
-                };
-                let loaded = SharedPreparedQuery::load_index_mmap(Path::new(path), &mopts)?;
+                let loaded = SharedPreparedQuery::load_index_mmap(
+                    Path::new(path),
+                    &args.common.mmap_opts(),
+                )?;
                 // A long-lived server must not discover corruption on a
                 // probe weeks in: settle deferred bulk CRCs before the
                 // first request, while still skipping the second decode
@@ -1039,395 +999,6 @@ fn cmd_serve(argv: Vec<String>) -> Result<(), CliError> {
         Some(addr) => serve_tcp(Arc::new(session), addr),
     }
 }
-
-// ---------------------------------------------------------------------------
-// bench-serve mode: closed-loop load generator
-// ---------------------------------------------------------------------------
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mix {
-    Test,
-    Next,
-    Page,
-    Mixed,
-}
-
-impl Mix {
-    fn parse(s: &str) -> Result<Mix, CliError> {
-        match s {
-            "test" => Ok(Mix::Test),
-            "next" => Ok(Mix::Next),
-            "page" => Ok(Mix::Page),
-            "mixed" => Ok(Mix::Mixed),
-            other => Err(usage(format!(
-                "bad --mix {other:?}: expected test|next|page|mixed"
-            ))),
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Mix::Test => "test",
-            Mix::Next => "next",
-            Mix::Page => "page",
-            Mix::Mixed => "mixed",
-        }
-    }
-}
-
-struct BenchArgs {
-    common: Common,
-    workers: Vec<usize>,
-    clients: usize,
-    batch: usize,
-    requests: u64,
-    mix: Mix,
-    page_limit: usize,
-    json: Option<String>,
-    smoke: bool,
-}
-
-fn parse_bench_args(argv: Vec<String>) -> Result<BenchArgs, CliError> {
-    let mut args = BenchArgs {
-        common: Common::new(),
-        workers: vec![1, 4],
-        clients: 8,
-        batch: 128,
-        requests: 200_000,
-        mix: Mix::Test,
-        page_limit: 32,
-        json: None,
-        smoke: false,
-    };
-    let mut requests_set = false;
-    let mut it = argv.into_iter();
-    while let Some(a) = it.next() {
-        if args.common.try_parse_flag(&a, &mut it)? {
-            continue;
-        }
-        let mut val = |what: &str| {
-            it.next()
-                .ok_or_else(|| usage(format!("missing value for {what}")))
-        };
-        match a.as_str() {
-            "--workers" => {
-                args.workers = val("--workers")?
-                    .split(',')
-                    .map(|w| {
-                        w.trim()
-                            .parse::<usize>()
-                            .map_err(|e| usage(format!("bad --workers entry {w:?}: {e}")))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if args.workers.is_empty() || args.workers.contains(&0) {
-                    return Err(usage("--workers needs a comma list of positive counts"));
-                }
-            }
-            "--clients" => {
-                args.clients = val("--clients")?
-                    .parse()
-                    .map_err(|e| usage(format!("bad --clients: {e}")))?
-            }
-            "--batch" => {
-                args.batch = val("--batch")?
-                    .parse()
-                    .map_err(|e| usage(format!("bad --batch: {e}")))?
-            }
-            "--requests" => {
-                args.requests = val("--requests")?
-                    .parse()
-                    .map_err(|e| usage(format!("bad --requests: {e}")))?;
-                requests_set = true;
-            }
-            "--mix" => args.mix = Mix::parse(&val("--mix")?)?,
-            "--page-limit" => {
-                args.page_limit = val("--page-limit")?
-                    .parse()
-                    .map_err(|e| usage(format!("bad --page-limit: {e}")))?
-            }
-            "--json" => args.json = Some(val("--json")?),
-            "--smoke" => args.smoke = true,
-            other => return Err(usage(format!("unknown argument {other:?}"))),
-        }
-    }
-    if args.clients == 0 || args.batch == 0 {
-        return Err(usage("--clients and --batch must be positive"));
-    }
-    if args.smoke && !requests_set {
-        args.requests = 40_000;
-    }
-    // A default workload so `ndq bench-serve` runs out of the box.
-    if args.common.graph_spec.is_none() && args.common.graph_file.is_none() {
-        args.common.graph_spec = Some(if args.smoke {
-            "grid:40x40".into()
-        } else {
-            "grid:60x60".into()
-        });
-        if args.common.colors.is_empty() {
-            args.common.colors.push("Blue:0.3:7".into());
-        }
-        if args.common.query.is_none() {
-            args.common.query = Some("dist(x,y) > 2 && Blue(y)".into());
-        }
-    }
-    Ok(args)
-}
-
-fn random_request(
-    state: &mut u64,
-    mix: Mix,
-    n: Vertex,
-    arity: usize,
-    page_limit: usize,
-) -> Request {
-    let tuple: Vec<Vertex> = (0..arity)
-        .map(|_| (splitmix64(state) % n.max(1) as u64) as Vertex)
-        .collect();
-    let kind = match mix {
-        Mix::Test => 0,
-        Mix::Next => 1,
-        Mix::Page => 2,
-        Mix::Mixed => splitmix64(state) % 3,
-    };
-    match kind {
-        0 => Request::Test { tuple },
-        1 => Request::NextSolution { from: tuple },
-        _ => Request::EnumeratePage {
-            from: tuple,
-            limit: page_limit,
-        },
-    }
-}
-
-struct BenchRun {
-    workers: usize,
-    completed: u64,
-    errors: u64,
-    elapsed: Duration,
-    throughput_rps: f64,
-    p50_ns: Option<u64>,
-    p95_ns: Option<u64>,
-    p99_ns: Option<u64>,
-}
-
-impl BenchRun {
-    fn to_json(&self) -> String {
-        let mut o = JsonObject::new();
-        o.field_u64("workers", self.workers as u64)
-            .field_u64("completed", self.completed)
-            .field_u64("errors", self.errors)
-            .field_f64("elapsed_s", self.elapsed.as_secs_f64())
-            .field_f64("throughput_rps", self.throughput_rps);
-        for (name, q) in [
-            ("p50_ns", self.p50_ns),
-            ("p95_ns", self.p95_ns),
-            ("p99_ns", self.p99_ns),
-        ] {
-            match q {
-                Some(ns) => o.field_u64(name, ns),
-                None => o.field_null(name),
-            };
-        }
-        o.finish()
-    }
-}
-
-fn bench_one(snap: &Snapshot, args: &BenchArgs, workers: usize) -> BenchRun {
-    let pool = Arc::new(ServerPool::start(
-        snap.clone(),
-        &ServeOpts {
-            workers,
-            admission: Budget::UNLIMITED,
-            ..ServeOpts::default()
-        },
-    ));
-    let n = snap.graph().n() as Vertex;
-    let arity = snap.arity();
-    let per_client = (args.requests / args.clients as u64).max(1);
-
-    // Pre-generate every batch so the timed section measures the serving
-    // runtime (submit → execute → respond), not the generator's
-    // allocation churn: constant-time probes are far cheaper than
-    // building their request objects.
-    let all_batches: Vec<Vec<Vec<Request>>> = (0..args.clients)
-        .map(|c| {
-            let mut state = 0x5eed_0000_0000_0000_u64 ^ (c as u64).wrapping_mul(0x9e37);
-            let mut batches = Vec::new();
-            let mut sent = 0u64;
-            while sent < per_client {
-                let b = args.batch.min((per_client - sent) as usize);
-                sent += b as u64;
-                batches.push(
-                    (0..b)
-                        .map(|_| random_request(&mut state, args.mix, n, arity, args.page_limit))
-                        .collect(),
-                );
-            }
-            batches
-        })
-        .collect();
-
-    let barrier = Arc::new(std::sync::Barrier::new(args.clients + 1));
-    let threads: Vec<_> = all_batches
-        .into_iter()
-        .map(|batches| {
-            let pool = Arc::clone(&pool);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                let (mut ok, mut err) = (0u64, 0u64);
-                // Closed loop: one outstanding batch per client.
-                for reqs in batches {
-                    let b = reqs.len() as u64;
-                    match pool.submit(reqs) {
-                        Ok(h) => {
-                            for r in h.wait() {
-                                if r.is_ok() {
-                                    ok += 1;
-                                } else {
-                                    err += 1;
-                                }
-                            }
-                        }
-                        Err(_) => err += b,
-                    }
-                }
-                (ok, err)
-            })
-        })
-        .collect();
-    barrier.wait();
-    let t0 = Instant::now();
-    let (mut completed, mut errors) = (0u64, 0u64);
-    for t in threads {
-        let (ok, err) = t.join().expect("bench client thread panicked");
-        completed += ok;
-        errors += err;
-    }
-    let elapsed = t0.elapsed();
-
-    // Percentiles across all request kinds: merge the per-kind histograms.
-    let m = pool.metrics_snapshot();
-    let mut merged = [0u64; HISTOGRAM_BUCKETS];
-    for k in &m.kinds {
-        for (dst, src) in merged.iter_mut().zip(k.latency.counts.iter()) {
-            *dst += src;
-        }
-    }
-    let hist = HistogramSnapshot { counts: merged };
-    BenchRun {
-        workers,
-        completed,
-        errors,
-        elapsed,
-        throughput_rps: completed as f64 / elapsed.as_secs_f64().max(1e-9),
-        p50_ns: hist.quantile_ns(0.50),
-        p95_ns: hist.quantile_ns(0.95),
-        p99_ns: hist.quantile_ns(0.99),
-    }
-}
-
-fn cmd_bench_serve(argv: Vec<String>) -> Result<(), CliError> {
-    let args = parse_bench_args(argv)?;
-    let snap = args.common.build_snapshot()?;
-    eprintln!(
-        "bench: {} requests/run, {} clients, batch {}, mix {}",
-        args.requests,
-        args.clients,
-        args.batch,
-        args.mix.name()
-    );
-
-    println!(
-        "{:>7}  {:>10}  {:>9}  {:>14}  {:>9}  {:>9}  {:>9}",
-        "workers", "completed", "elapsed_s", "throughput_rps", "p50_ns", "p95_ns", "p99_ns"
-    );
-    let mut runs: Vec<BenchRun> = Vec::new();
-    for &w in &args.workers {
-        let r = bench_one(&snap, &args, w);
-        let fmt_q = |q: Option<u64>| q.map_or_else(|| "-".into(), |v| v.to_string());
-        println!(
-            "{:>7}  {:>10}  {:>9.3}  {:>14.0}  {:>9}  {:>9}  {:>9}",
-            r.workers,
-            r.completed,
-            r.elapsed.as_secs_f64(),
-            r.throughput_rps,
-            fmt_q(r.p50_ns),
-            fmt_q(r.p95_ns),
-            fmt_q(r.p99_ns),
-        );
-        runs.push(r);
-    }
-
-    // Scaling headline: best multi-worker run vs the single-worker run.
-    // Worker scaling needs cores to scale onto — on a single-core host
-    // extra workers can only tie, so say so instead of crying regression.
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let max_workers = args.workers.iter().copied().max().unwrap_or(1);
-    let parallelism_limited = max_workers > cores;
-    if parallelism_limited {
-        eprintln!(
-            "warning: benchmarking {max_workers} workers on a {cores}-core host — \
-             worker counts above the core count cannot show real scaling"
-        );
-    }
-    let single = runs.iter().find(|r| r.workers == 1);
-    let multi = runs
-        .iter()
-        .filter(|r| r.workers >= 4)
-        .max_by(|a, b| a.throughput_rps.total_cmp(&b.throughput_rps));
-    let mut speedup = None;
-    if let (Some(s), Some(m)) = (single, multi) {
-        let x = m.throughput_rps / s.throughput_rps.max(1e-9);
-        speedup = Some((m.workers, x));
-        let verdict = if x > 1.0 {
-            ""
-        } else if cores < 2 {
-            "  [single-core host: no parallel speedup possible]"
-        } else {
-            "  [NO SCALING]"
-        };
-        println!(
-            "speedup: {x:.2}x ({} workers vs 1, {cores} cores){verdict}",
-            m.workers
-        );
-    }
-
-    if let Some(path) = &args.json {
-        let mut arr = JsonArray::new();
-        for r in &runs {
-            arr.push_raw(&r.to_json());
-        }
-        let mut o = JsonObject::new();
-        o.field_str("bench", "serve")
-            .field_u64("host_cores", cores as u64)
-            .field_bool("parallelism_limited", parallelism_limited)
-            .field_u64("graph_n", snap.graph().n() as u64)
-            .field_u64("graph_m", snap.graph().m() as u64)
-            .field_str("query", snap.query_src())
-            .field_str("mix", args.mix.name())
-            .field_u64("clients", args.clients as u64)
-            .field_u64("batch", args.batch as u64)
-            .field_u64("requests_per_run", args.requests)
-            .field_u64("prepare_ms", snap.build_ms())
-            .field_raw("runs", &arr.finish());
-        match speedup {
-            Some((w, x)) => {
-                o.field_u64("speedup_workers", w as u64)
-                    .field_f64("speedup_vs_1", x);
-            }
-            None => {
-                o.field_null("speedup_vs_1");
-            }
-        }
-        std::fs::write(path, o.finish() + "\n")
-            .map_err(|e| CliError::Io(format!("write {path}: {e}")))?;
-        eprintln!("wrote {path}");
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 
 // ---------------------------------------------------------------------------
 // conform mode
@@ -1526,7 +1097,6 @@ fn main() -> ExitCode {
     let result = match argv.first().map(String::as_str) {
         Some("update") => cmd_update(argv.split_off(1)),
         Some("serve") => cmd_serve(argv.split_off(1)),
-        Some("bench-serve") => cmd_bench_serve(argv.split_off(1)),
         Some("conform") => cmd_conform(argv.split_off(1)),
         _ => cmd_query(argv),
     };
