@@ -481,15 +481,14 @@ enum Config {
     /// decoded query matches the source, and re-saving the loaded index
     /// is bit-identical (the `ndq --save`/`--load`/`swap` path).
     PersistRoundTrip,
-    /// The zero-copy loader: save to a real file, `load_index_mmap` it
-    /// under lazy verification (deferred bulk CRCs settled before any
-    /// probe, as the serve verb does), and serve the whole probe panel
-    /// out of the mapped pages. Before the panel runs, a deterministic
-    /// mutation is applied to both the mapped index and an owned decode
-    /// of the same bytes, and the two are required to enumerate
-    /// identically and re-save
-    /// bit-identically (the `ndq --load-mmap` / serve `load-mmap` +
-    /// `update`/`commit` path).
+    /// The file loader: save to a real file, `load_index_mmap` it under
+    /// lazy verification (deferred bulk CRCs settled before any probe, as
+    /// `ndq serve --load --verify lazy` does), and serve the whole probe
+    /// panel out of the mapped pages. Before the panel runs, a
+    /// deterministic mutation is applied to both the mapped index and the
+    /// owned index it was saved from, and the two are required to
+    /// enumerate identically and re-save bit-identically (the
+    /// `ndq --load` / serve `swap` + `update`/`commit` path).
     MmapLoad,
 }
 
@@ -648,7 +647,9 @@ fn build_engine<'g>(
             let bytes = shared
                 .save_index_bytes(q, &query_src)
                 .map_err(|e| format!("save: {e}"))?;
-            // A real file on disk: the mmap path has no in-memory variant.
+            // A real file on disk: this config covers the mapping and the
+            // lazy policy; `PersistRoundTrip` covers the in-memory bytes
+            // load, which runs the same slab decode over a heap copy.
             static SERIAL: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
             let path = std::env::temp_dir().join(format!(
                 "nd-conform-mmap-{}-{}.idx",
@@ -674,11 +675,9 @@ fn build_engine<'g>(
             if mapped.stats.bytes_mapped == 0 {
                 return Err("mmap load mapped nothing — zero-copy path not taken".into());
             }
-            let owned =
-                SharedPreparedQuery::load_index_bytes(&bytes).map_err(|e| format!("load: {e}"))?;
-            // One deterministic mutation through `apply` on both
-            // backings, then the results must agree tuple-for-tuple and
-            // byte-for-byte.
+            // One deterministic mutation through `apply` on the mapped
+            // index and on the owned one it was saved from, then the
+            // results must agree tuple-for-tuple and byte-for-byte.
             if let Some((u, v)) = absent_edge(g) {
                 let mut log = MutationLog::new();
                 log.push(Mutation::AddEdge(u, v));
@@ -687,8 +686,7 @@ fn build_engine<'g>(
                     .prepared
                     .apply(&log, q, &opts)
                     .map_err(|e| format!("apply on mapped: {e}"))?;
-                let from_owned = owned
-                    .prepared
+                let from_owned = shared
                     .apply(&log, q, &opts)
                     .map_err(|e| format!("apply on owned: {e}"))?;
                 let a: Vec<_> = from_mapped.enumerate().collect();

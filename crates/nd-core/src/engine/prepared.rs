@@ -1511,19 +1511,20 @@ pub struct LoadedIndex {
     pub prepared: SharedPreparedQuery,
     pub query: Query,
     pub query_src: String,
-    /// The engine-section checksum postponed by a `--verify lazy` mapped load;
-    /// `None` after any eager (full or owned) load. The caller decides
-    /// when to pay for it — the CLI after the first probe, the serving
-    /// session before replying to `load-mmap`.
+    /// The engine-section checksum postponed by a `--verify lazy` load;
+    /// `None` after a full-verify load. The caller decides when to pay for
+    /// it — the CLI after the first probe, a server before its first
+    /// request.
     pub deferred: Option<DeferredVerify>,
-    /// Owned-vs-mapped byte accounting for this load.
+    /// Borrowed-vs-decoded byte accounting for this load.
     pub stats: LoadStats,
 }
 
-/// How the bytes of a loaded container were materialized: served in place
-/// out of the mapping versus decoded into owned memory. `bytes_decoded +
-/// bytes_mapped == bytes_total` (the summed section payload sizes).
-#[derive(Clone, Copy, Debug, Default)]
+/// How the bytes of a loaded container were materialized: borrowed in
+/// place from the file image (mapping or heap copy) versus decoded into
+/// owned memory. `bytes_decoded + bytes_mapped == bytes_total` (the summed
+/// section payload sizes).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LoadStats {
     pub bytes_total: usize,
     pub bytes_mapped: usize,
@@ -1620,17 +1621,8 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
     }
 }
 
-/// A reader over a bulk section: zero-copy slabs when `slab` carries the
-/// mapping, owned decode otherwise.
-fn slab_reader<'a>(payload: &'a [u8], slab: Option<&SlabCtx>) -> Reader<'a> {
-    match slab {
-        Some(ctx) => Reader::with_slab(payload, ctx.clone()),
-        None => Reader::new(payload),
-    }
-}
-
 /// The four sections of an index container, located but not yet
-/// checksummed — the prologue both loads share.
+/// checksummed.
 struct IndexFrames<'a> {
     graph: SectionFrame<'a>,
     query: SectionFrame<'a>,
@@ -1670,42 +1662,28 @@ impl<'a> IndexFrames<'a> {
 }
 
 impl SharedPreparedQuery {
-    /// Decode an index container. Every section is CRC-checked by the
-    /// container layer; every structural invariant of the engine is then
-    /// re-validated, so any corruption — truncation, bit flips, or a
-    /// forged payload behind valid CRCs — yields a typed error, never a
-    /// panic or an engine that panics later.
+    /// Decode an index container held in memory: the bytes are copied
+    /// into a 16-byte-aligned heap buffer and decoded exactly like a
+    /// mapped file under [`VerifyPolicy::Full`] — the bulk arrays borrow
+    /// from that buffer. Every section is CRC-checked and every structural
+    /// invariant of the engine re-validated, so any corruption —
+    /// truncation, bit flips, or a forged payload behind valid CRCs —
+    /// yields a typed error, never a panic or an engine that panics later.
     pub fn load_index_bytes(bytes: &[u8]) -> Result<LoadedIndex, PersistError> {
-        let frames = IndexFrames::locate(bytes)?;
-        frames.verify_small()?;
-        std::thread::scope(|s| {
-            // The engine section is the overwhelming bulk of a large
-            // index; its CRC pass runs concurrently with decoding. That
-            // is sound because every decoder is bounds-checked and
-            // typed-error-safe on arbitrary bytes (the chaos suite's
-            // invariant) — but nothing decoded may be returned before
-            // `verify` has passed, so the checksum result is checked
-            // below before the engine value escapes.
-            let engine = frames.engine;
-            let engine_crc = s.spawn(move || engine.verify());
-            let result = Self::load_index_sections(&frames, None);
-            match engine_crc.join() {
-                Ok(Ok(())) => result,
-                Ok(Err(e)) => Err(e),
-                Err(_) => Err(malformed("engine checksum verification panicked")),
-            }
-        })
+        Self::load_from(
+            Arc::new(MmapFile::from_bytes(bytes)),
+            &MmapLoadOpts::default(),
+        )
     }
 
-    /// Load an index by mmapping its container and serving the bulk
-    /// arrays (graph CSR, stores, skip tables, ball grids, unary lists)
-    /// straight out of the mapped pages. Small or variable sections (AST,
-    /// metadata, cover structure) still decode owned. Falls back to the
-    /// owned decode on platforms without mmap. The mapping stays alive for
-    /// as long as any decoded structure borrows from it (`Arc`-pinned per
-    /// slab). A mapped index is never written to: an
-    /// [`PreparedQuery::apply`] reads its graph and prepares a new, owned
-    /// index.
+    /// Load an index file written by [`PreparedQuery::save_index`] by
+    /// mmapping its container and serving the bulk arrays (graph CSR,
+    /// stores, skip tables, ball grids, unary lists) straight out of the
+    /// mapped pages. Small or variable sections (AST, metadata, cover
+    /// structure) still decode owned. The mapping stays alive for as long
+    /// as any decoded structure borrows from it (`Arc`-pinned per slab). A
+    /// mapped index is never written to: an [`PreparedQuery::apply`] reads
+    /// its graph and prepares a new, owned index.
     ///
     /// SIGBUS safety: every section length is checked against the mapping
     /// length up front by `parse_container_frames`, and saves go through
@@ -1715,16 +1693,13 @@ impl SharedPreparedQuery {
         path: &std::path::Path,
         opts: &MmapLoadOpts,
     ) -> Result<LoadedIndex, PersistError> {
-        let file = match MmapFile::map(path) {
-            Ok(f) => Arc::new(f),
-            Err(_) if !cfg!(unix) => {
-                // No mmap on this platform: owned fallback. A genuinely
-                // missing or unreadable file still errors from read_file.
-                let bytes = nd_persist::read_file(path)?;
-                return Self::load_index_bytes(&bytes);
-            }
-            Err(e) => return Err(e),
-        };
+        Self::load_from(Arc::new(MmapFile::map(path)?), opts)
+    }
+
+    /// The one load: locate the frames, checksum the small sections, then
+    /// checksum the engine now ([`VerifyPolicy::Full`]) or defer it
+    /// ([`VerifyPolicy::Lazy`]) and decode with slabs borrowing from `file`.
+    fn load_from(file: Arc<MmapFile>, opts: &MmapLoadOpts) -> Result<LoadedIndex, PersistError> {
         let frames = IndexFrames::locate(file.as_slice())?;
         file.advise_willneed();
         if opts.prewarm {
@@ -1735,9 +1710,7 @@ impl SharedPreparedQuery {
         // file — skips its up-front CRC pass (that pass would fault in
         // every page); the caller settles it through `deferred`.
         let deferred = if opts.verify == VerifyPolicy::Lazy {
-            let mut d = DeferredVerify::new();
-            d.push(&file, &frames.engine);
-            Some(d)
+            Some(frames.engine.defer(&file))
         } else {
             frames.engine.verify()?;
             None
@@ -1746,21 +1719,21 @@ impl SharedPreparedQuery {
             file: Arc::clone(&file),
             validate: opts.verify == VerifyPolicy::Full,
         };
-        let mut loaded = Self::load_index_sections(&frames, Some(&ctx))?;
+        let mut loaded = Self::load_index_sections(&frames, &ctx)?;
         loaded.deferred = deferred;
         Ok(loaded)
     }
 
     /// Decode the four sections. The caller has verified the small ones
-    /// ([`IndexFrames::verify_small`]) and owns the engine CRC (verified,
-    /// running concurrently, or deferred).
+    /// ([`IndexFrames::verify_small`]) and owns the engine CRC (verified
+    /// or deferred).
     fn load_index_sections(
         frames: &IndexFrames<'_>,
-        slab: Option<&SlabCtx>,
+        slab: &SlabCtx,
     ) -> Result<LoadedIndex, PersistError> {
         let mut stats = LoadStats::default();
 
-        let mut r = slab_reader(frames.graph.payload, slab);
+        let mut r = Reader::with_slab(frames.graph.payload, slab.clone());
         let g = ColoredGraph::read_from(&mut r)?;
         stats.bytes_total += frames.graph.payload.len();
         stats.bytes_mapped += r.mapped_bytes();
@@ -1794,7 +1767,7 @@ impl SharedPreparedQuery {
         stats.bytes_total += frames.meta.payload.len();
         r.finish()?;
 
-        let mut r = slab_reader(frames.engine.payload, slab);
+        let mut r = Reader::with_slab(frames.engine.payload, slab.clone());
         let engine = match r.u8("engine tag")? {
             0 => {
                 if rung == DegradationRung::NaiveFallback {
@@ -1844,12 +1817,6 @@ impl SharedPreparedQuery {
             deferred: None,
             stats,
         })
-    }
-
-    /// Load an index file written by [`PreparedQuery::save_index`].
-    pub fn load_index(path: &std::path::Path) -> Result<LoadedIndex, PersistError> {
-        let bytes = nd_persist::read_file(path)?;
-        Self::load_index_bytes(&bytes)
     }
 
     /// The shared graph handle, for runtimes that prepare further queries
@@ -2198,16 +2165,27 @@ mod tests {
         }
     }
 
+    /// Every unary-list slab of an indexed engine (none for the naive one).
+    fn unary_slabs(pq: &SharedPreparedQuery) -> impl Iterator<Item = &nd_persist::Slab<Vertex>> {
+        let branches = match &pq.engine {
+            EngineImpl::Indexed(bs) => &bs[..],
+            EngineImpl::Naive(_) => &[],
+        };
+        branches.iter().flat_map(|b| b.unary_lists.iter())
+    }
+
     fn mmap_tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("ndq-prepared-{}-{name}.ndqidx", std::process::id()))
     }
 
-    /// The zero-copy loader serves the same answers as the owned decode,
-    /// actually maps the bulk sections, and under lazy verification
-    /// defers exactly the engine CRC. On a grid and on the dense contrast
-    /// family (`gnm` with `m = n^1.5`), a cold prepare, the owned decode
-    /// and the mapped loads under both verify policies enumerate the same
-    /// answers and re-save the same bytes.
+    /// Every load runs the one slab decode: the in-memory bytes load
+    /// borrows its bulk arrays from a heap copy exactly as a full-verify
+    /// file load borrows them from the mapping, so both report the same
+    /// `LoadStats` and neither copies a slab. On a grid and on the dense
+    /// contrast family (`gnm` with `m = n^1.5`), a cold prepare, the bytes
+    /// load and the mapped loads under both verify policies enumerate the
+    /// same answers and re-save the same bytes; lazy verification defers
+    /// the engine CRC.
     #[test]
     fn index_mmap_load_matches_owned_and_maps_bulk() {
         let src = "dist(x,y) > 2 && Blue(y)";
@@ -2223,10 +2201,11 @@ mod tests {
             let path = mmap_tmp(&format!("roundtrip-{name}"));
             pq.save_index(&q, src, &path).unwrap();
 
-            let owned = SharedPreparedQuery::load_index_bytes(&bytes).expect("owned load");
+            let in_memory = SharedPreparedQuery::load_index_bytes(&bytes).expect("bytes load");
             let full = SharedPreparedQuery::load_index_mmap(&path, &MmapLoadOpts::default())
                 .expect("mmap load (full verify)");
             assert!(full.deferred.is_none(), "full verify must not defer CRCs");
+            assert!(in_memory.deferred.is_none(), "bytes load verifies in full");
             assert!(
                 full.stats.bytes_mapped > 0,
                 "bulk sections should be mapped on {name}"
@@ -2236,6 +2215,16 @@ mod tests {
                 full.stats.bytes_total,
                 "every payload byte is either mapped or decoded"
             );
+            assert_eq!(
+                in_memory.stats, full.stats,
+                "bytes load and file load must decode alike on {name}"
+            );
+            for loaded in [&in_memory, &full] {
+                assert!(
+                    unary_slabs(&loaded.prepared).all(|s| s.is_empty() || s.is_mapped()),
+                    "a load copied a unary slab on {name}"
+                );
+            }
             for probe in &want {
                 assert!(full.prepared.test(probe));
             }
@@ -2252,9 +2241,8 @@ mod tests {
                 .deferred
                 .as_ref()
                 .expect("lazy verify must defer the engine CRC");
-            assert_eq!(deferred.len(), 1, "only the engine section is deferred");
 
-            for (how, loaded) in [("owned", &owned), ("full", &full), ("lazy", &lazy)] {
+            for (how, loaded) in [("bytes", &in_memory), ("full", &full), ("lazy", &lazy)] {
                 let got: Vec<_> = loaded.prepared.enumerate().collect();
                 assert_eq!(got, want, "{how}-loaded answers diverged on {name}");
                 let again = loaded
@@ -2272,9 +2260,9 @@ mod tests {
     }
 
     /// A mutation applied to an mmap-backed index answers identically to
-    /// the same mutation applied to an owned-decoded index, the re-save of
-    /// either is bit-identical, and the mapped snapshot it started from
-    /// keeps serving unchanged.
+    /// the same mutation applied to the owned index it was saved from, the
+    /// re-save of either is bit-identical, and the mapped snapshot it
+    /// started from keeps serving unchanged.
     #[test]
     fn apply_on_mapped_base_matches_apply_on_owned_base() {
         let g = colored(generators::grid(5, 5), 13);
@@ -2286,14 +2274,10 @@ mod tests {
 
         let mapped = SharedPreparedQuery::load_index_mmap(&path, &MmapLoadOpts::default())
             .expect("mmap load");
-        let owned = {
-            let bytes = nd_persist::read_file(&path).unwrap();
-            SharedPreparedQuery::load_index_bytes(&bytes).expect("owned load")
-        };
 
         let log = nd_update::MutationLog::parse("add-edge 0 7\ncolor 3 Red").unwrap();
         let from_mapped = mapped.prepared.apply(&log, &q, &small_opts()).unwrap();
-        let from_owned = owned.prepared.apply(&log, &q, &small_opts()).unwrap();
+        let from_owned = pq.apply(&log, &q, &small_opts()).unwrap();
         let a: Vec<_> = from_mapped.enumerate().collect();
         let b: Vec<_> = from_owned.enumerate().collect();
         assert_eq!(a, b, "mapped-base apply diverged from owned-base apply");
@@ -2312,7 +2296,7 @@ mod tests {
 
     /// Older containers (v2, unpadded v3.0, padded v3.1, and v4 with its
     /// overlay/patch lists and repair lineage) are refused with the typed
-    /// version error by the owned load and by the mapped load under both
+    /// version error by the bytes load and by the file load under both
     /// verify policies — no decoder runs on their payloads.
     #[test]
     fn older_containers_are_rejected_by_every_load() {

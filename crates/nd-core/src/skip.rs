@@ -369,12 +369,6 @@ impl SkipPointers {
         self.sets.len()
     }
 
-    /// Bytes of the CSR closure still served straight out of a mapped
-    /// file (zero when fully owned).
-    pub fn mapped_bytes(&self) -> usize {
-        self.starts.mapped_bytes() + self.sets.mapped_bytes() + self.vals.mapped_bytes()
-    }
-
     /// Was the closure truncated at the size cap (queries then use the
     /// scan fallback when they step outside the tabulated sets)?
     pub fn truncated(&self) -> bool {

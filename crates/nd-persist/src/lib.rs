@@ -489,10 +489,10 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// A reader over a slice of a live file mapping: `*_slab` methods
-    /// return [`Slab::Mapped`] views into the mapping (when aligned and
-    /// little-endian) instead of copying. `data` must lie inside
-    /// `ctx.file`'s mapped range.
+    /// A reader over a slice of a file image (mapped or heap-copied):
+    /// `*_slab` methods return [`Slab::Mapped`] views into it (when aligned
+    /// and little-endian) instead of copying. `data` must lie inside
+    /// `ctx.file`'s range.
     pub fn with_slab(data: &'a [u8], ctx: SlabCtx) -> Reader<'a> {
         debug_assert!(ctx.contains(data));
         Reader {

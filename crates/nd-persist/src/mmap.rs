@@ -20,9 +20,11 @@
 //!   touches.
 //!
 //! No `libc` dependency: the three syscalls needed (`mmap`, `munmap`,
-//! `madvise`) are declared directly and gated on `cfg(unix)`. Non-unix
-//! hosts return a typed error from [`MmapFile::map`], and callers fall
-//! back to the owned decode path.
+//! `madvise`) are declared directly and gated on `cfg(unix)`. The same
+//! [`MmapFile`] can instead own a 16-byte-aligned heap copy
+//! ([`MmapFile::from_bytes`]; also what [`MmapFile::map`] does on non-unix
+//! hosts), so slabs borrow from an in-memory buffer exactly as they borrow
+//! from a mapping and every load runs the one slab decode.
 
 use std::fmt;
 use std::ops::Deref;
@@ -65,9 +67,10 @@ mod sys {
 // MmapFile.
 // ---------------------------------------------------------------------
 
-/// A whole file mapped read-only (`MAP_PRIVATE`), unmapped on drop.
+/// A whole file image, read-only: either mapped (`MAP_PRIVATE`, unmapped
+/// on drop) or copied into a 16-byte-aligned heap buffer.
 ///
-/// The mapping length is captured once at map time and every consumer is
+/// The length is captured once at map time and every consumer is
 /// bounds-checked against it, so a file that was truncated *before* loading
 /// fails typed during framing instead of faulting. Mid-serve, writers in
 /// this codebase only ever replace index files via atomic rename
@@ -76,18 +79,26 @@ mod sys {
 pub struct MmapFile {
     ptr: *const u8,
     len: usize,
+    /// The backing buffer when the bytes were copied rather than mapped.
+    heap: Option<Vec<Block>>,
 }
 
-// SAFETY: the mapping is read-only and never remapped or unmapped before
-// drop; sharing `&MmapFile` (or the struct itself) across threads is
-// sharing immutable memory.
+/// One 16-byte-aligned heap unit: a buffer of these starts every section
+/// payload (16-byte file offsets) on an address any slab element type can
+/// borrow from.
+#[derive(Clone, Copy)]
+#[repr(C, align(16))]
+struct Block([u8; 16]);
+
+// SAFETY: the mapping or heap copy is read-only and never remapped,
+// unmapped or freed before drop; sharing `&MmapFile` (or the struct
+// itself) across threads is sharing immutable memory.
 unsafe impl Send for MmapFile {}
 unsafe impl Sync for MmapFile {}
 
 impl MmapFile {
     /// Map `path` read-only. Empty files map to an empty slice without a
-    /// syscall. Non-unix hosts return [`PersistError::Io`]; callers treat
-    /// that as "fall back to owned decode".
+    /// syscall.
     #[cfg(unix)]
     pub fn map(path: &Path) -> Result<MmapFile, PersistError> {
         use std::os::unix::io::AsRawFd;
@@ -101,10 +112,7 @@ impl MmapFile {
         }
         let len = len as usize;
         if len == 0 {
-            return Ok(MmapFile {
-                ptr: std::ptr::NonNull::<u8>::dangling().as_ptr(),
-                len: 0,
-            });
+            return Ok(MmapFile::from_bytes(&[]));
         }
         // SAFETY: plain read-only private file mapping; fd is live for the
         // duration of the call and the kernel keeps the inode pinned after.
@@ -127,17 +135,28 @@ impl MmapFile {
         Ok(MmapFile {
             ptr: ptr as *const u8,
             len,
+            heap: None,
         })
     }
 
-    /// Non-unix stub: always a typed error, so callers fall back to the
-    /// owned decode path.
+    /// Non-unix hosts have no mapping: read the file into a heap copy.
     #[cfg(not(unix))]
     pub fn map(path: &Path) -> Result<MmapFile, PersistError> {
-        let _ = path;
-        Err(PersistError::Io(
-            "mmap loading is not supported on this platform".into(),
-        ))
+        Ok(MmapFile::from_bytes(&crate::read_file(path)?))
+    }
+
+    /// Copy `bytes` into a 16-byte-aligned heap buffer. Slabs borrow from
+    /// it exactly as they borrow from a mapping.
+    pub fn from_bytes(bytes: &[u8]) -> MmapFile {
+        let mut heap = vec![Block([0; 16]); bytes.len().div_ceil(16)];
+        for (block, chunk) in heap.iter_mut().zip(bytes.chunks(16)) {
+            block.0[..chunk.len()].copy_from_slice(chunk);
+        }
+        MmapFile {
+            ptr: heap.as_ptr() as *const u8,
+            len: bytes.len(),
+            heap: Some(heap),
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -148,10 +167,11 @@ impl MmapFile {
         self.len == 0
     }
 
-    /// The mapped bytes. Length is fixed at map time.
+    /// The file bytes. Length is fixed at map time.
     pub fn as_slice(&self) -> &[u8] {
-        // SAFETY: `ptr` is a live read-only mapping of exactly `len` bytes
-        // (or a dangling-but-aligned pointer with len 0).
+        // SAFETY: `ptr` is a live read-only mapping of exactly `len` bytes,
+        // or the start of the heap buffer, which holds at least `len`
+        // bytes and is never written after construction.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 
@@ -170,10 +190,11 @@ impl MmapFile {
     }
 
     /// `madvise(WILLNEED)`: ask the kernel to start reading pages in the
-    /// background. Best-effort; failures are ignored.
+    /// background. Best-effort; failures are ignored. A no-op on a heap
+    /// copy.
     pub fn advise_willneed(&self) {
         #[cfg(unix)]
-        if self.len > 0 {
+        if self.heap.is_none() && self.len > 0 {
             // SAFETY: advising over the exact live mapping range.
             unsafe {
                 let _ = sys::madvise(self.ptr as *mut _, self.len, sys::MADV_WILLNEED);
@@ -200,7 +221,7 @@ impl MmapFile {
 impl Drop for MmapFile {
     fn drop(&mut self) {
         #[cfg(unix)]
-        if self.len > 0 {
+        if self.heap.is_none() && self.len > 0 {
             // SAFETY: exactly the range returned by mmap, unmapped once.
             unsafe {
                 let _ = sys::munmap(self.ptr as *mut _, self.len);
@@ -290,14 +311,6 @@ impl<T: Pod> Slab<T> {
 
     pub fn is_mapped(&self) -> bool {
         matches!(self, Slab::Mapped { .. })
-    }
-
-    /// Bytes this slab keeps mapped (0 when owned).
-    pub fn mapped_bytes(&self) -> usize {
-        match self {
-            Slab::Owned(_) => 0,
-            Slab::Mapped { len, .. } => len * T::SIZE,
-        }
     }
 }
 
@@ -424,20 +437,13 @@ impl VerifyPolicy {
     }
 }
 
-/// Section checksums postponed by [`VerifyPolicy::Lazy`]: records
-/// `(tag, offset, len, crc)` against the mapping so the check can run
-/// after first use (or on a background thread) without keeping borrows
-/// alive. [`DeferredVerify::verify`] recomputes each section CRC over the
-/// mapped bytes exactly as the eager path would have.
-#[derive(Debug, Default)]
-pub struct DeferredVerify {
-    checks: Vec<DeferredCheck>,
-}
-
-/// One postponed section checksum: where the payload lives in the
-/// mapping and the CRC the header promised.
+/// The section checksum postponed by [`VerifyPolicy::Lazy`]: records
+/// `(tag, offset, len, crc)` against the file so the check can run after
+/// first use (or on a background thread) without keeping borrows alive.
+/// [`DeferredVerify::verify`] recomputes the section CRC over the file
+/// bytes through [`SectionFrame::verify`], exactly as the eager load would.
 #[derive(Debug)]
-struct DeferredCheck {
+pub struct DeferredVerify {
     file: Arc<MmapFile>,
     tag: [u8; 4],
     off: usize,
@@ -445,45 +451,30 @@ struct DeferredCheck {
     want_crc: u32,
 }
 
-impl DeferredVerify {
-    pub fn new() -> DeferredVerify {
-        DeferredVerify::default()
-    }
-
-    /// Queue `frame` (whose payload must lie inside `file`) for later
-    /// verification.
-    pub fn push(&mut self, file: &Arc<MmapFile>, frame: &SectionFrame<'_>) {
-        assert!(file.contains(frame.payload), "frame outside mapping");
-        let off = file.offset_of(frame.payload.as_ptr());
-        self.checks.push(DeferredCheck {
+impl SectionFrame<'_> {
+    /// Postpone this frame's checksum; its payload must lie inside `file`.
+    pub fn defer(&self, file: &Arc<MmapFile>) -> DeferredVerify {
+        assert!(file.contains(self.payload), "frame outside mapping");
+        DeferredVerify {
             file: file.clone(),
-            tag: frame.tag,
-            off,
-            len: frame.payload.len(),
-            want_crc: frame.want_crc,
-        });
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.checks.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.checks.len()
-    }
-
-    /// Run every deferred section checksum. Typed
-    /// [`PersistError::ChecksumMismatch`] on the first failure.
-    pub fn verify(&self) -> Result<(), PersistError> {
-        for c in &self.checks {
-            let payload = &c.file.as_slice()[c.off..c.off + c.len];
-            if crate::section_crc(&c.tag, payload) != c.want_crc {
-                return Err(PersistError::ChecksumMismatch {
-                    section: String::from_utf8_lossy(&c.tag).into_owned(),
-                });
-            }
+            tag: self.tag,
+            off: file.offset_of(self.payload.as_ptr()),
+            len: self.payload.len(),
+            want_crc: self.want_crc,
         }
-        Ok(())
+    }
+}
+
+impl DeferredVerify {
+    /// Run the deferred section checksum. Typed
+    /// [`PersistError::ChecksumMismatch`] on failure.
+    pub fn verify(&self) -> Result<(), PersistError> {
+        SectionFrame {
+            tag: self.tag,
+            payload: &self.file.as_slice()[self.off..self.off + self.len],
+            want_crc: self.want_crc,
+        }
+        .verify()
     }
 }
 
@@ -509,15 +500,24 @@ mod tests {
         c.finish()
     }
 
+    /// A mapping and a heap copy of the same container hand out the same
+    /// borrowed, 16-byte-aligned slabs.
     #[test]
     fn mapped_slabs_are_zero_copy_views() {
         let bytes = slab_container();
         let path = tmp_path("slabs.idx");
         crate::write_file_atomic(&path, &bytes).unwrap();
-        let file = Arc::new(MmapFile::map(&path).unwrap());
+        let mapped = MmapFile::map(&path).unwrap();
+        for file in [mapped, MmapFile::from_bytes(&bytes)] {
+            check_zero_copy_views(Arc::new(file), &bytes);
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    fn check_zero_copy_views(file: Arc<MmapFile>, bytes: &[u8]) {
         file.advise_willneed();
         file.prewarm();
-        assert_eq!(file.as_slice(), &bytes[..]);
+        assert_eq!(file.as_slice(), bytes);
 
         let frames = parse_container_frames(file.as_slice()).unwrap();
         let frame = frames.frames[0];
@@ -543,8 +543,6 @@ mod tests {
         assert!(p >= base && p < base + file.len());
         // ... and the data sits 16-byte aligned in the file.
         assert!((p - base).is_multiple_of(16));
-
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -585,9 +583,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let file = Arc::new(MmapFile::map(&path).unwrap());
         let frames = parse_container_frames(file.as_slice()).unwrap();
-        let mut dv = DeferredVerify::new();
-        dv.push(&file, &frames.frames[0]);
-        assert_eq!(dv.len(), 1);
+        let dv = frames.frames[0].defer(&file);
         // Lazy load would have served this data already...
         let ctx = SlabCtx {
             file: file.clone(),
@@ -608,7 +604,7 @@ mod tests {
         let owned: Slab<u32> = vec![1, 2, 3].into();
         let cloned = owned.clone();
         assert_eq!(owned, cloned);
-        assert_eq!(owned.mapped_bytes(), 0);
+        assert!(!owned.is_mapped());
         let v: Slab<u64> = Slab::default();
         assert!(v.is_empty());
     }

@@ -19,7 +19,6 @@ use crate::protocol::{handle_command, Reply};
 use crate::snapshot::Snapshot;
 use nd_core::{
     LoadedIndex, MmapLoadOpts, MutationLog, PrepareError, PrepareOpts, SharedPreparedQuery,
-    VerifyPolicy,
 };
 use nd_graph::json::JsonObject;
 use nd_graph::ColoredGraph;
@@ -32,7 +31,7 @@ use std::time::{Duration, Instant};
 /// Command summary for sessions (the base protocol plus `prepare`,
 /// `swap` and `shutdown`).
 pub const SESSION_PROTOCOL_HELP: &str =
-    "commands: prepare QUERY | update MUTATION | commit | swap PATH | load-mmap PATH | test a,b,.. | next a,b,.. | page a,b,.. LIMIT | stats | metrics | help | shutdown | quit";
+    "commands: prepare QUERY | update MUTATION | commit | swap PATH | test a,b,.. | next a,b,.. | page a,b,.. LIMIT | stats | metrics | help | shutdown | quit";
 
 /// The mutation grammar echoed by `update` usage errors.
 const UPDATE_GRAMMAR: &str =
@@ -179,8 +178,7 @@ impl Session {
             "prepare" => Some(Reply::Line(self.prepare(rest))),
             "update" => Some(Reply::Line(self.update(rest))),
             "commit" => Some(Reply::Line(self.commit(rest))),
-            "swap" => Some(Reply::Line(self.swap_verb(rest, false))),
-            "load-mmap" => Some(Reply::Line(self.swap_verb(rest, true))),
+            "swap" => Some(Reply::Line(self.swap_verb(rest))),
             "shutdown" => Some(Reply::Line(self.shutdown_cmd())),
             "metrics" => Some(Reply::Line(self.metrics_json())),
             "help" => Some(Reply::Line(SESSION_PROTOCOL_HELP.to_string())),
@@ -294,52 +292,35 @@ impl Session {
         )
     }
 
-    /// Hot-swap the serving index to one loaded from `path` (the
-    /// `swap PATH` / `load-mmap PATH` protocol verbs). On success the
-    /// epoch advances and the reply is `swapped epoch=N ..`; on any load
-    /// failure — missing file, truncation, bit flips, version skew — the
-    /// current snapshot keeps serving and the reply is a typed `err read:`
-    /// line. Requests admitted before the swap all complete on the old
-    /// epoch: the replaced pool drains its queues fully before joining,
-    /// so a swap never fails in-flight work.
+    /// Hot-swap the serving index to one mapped from `path` (the
+    /// `swap PATH` protocol verb). On success the epoch advances and the
+    /// reply is `swapped epoch=N .. mapped_bytes=B`; on any load failure —
+    /// missing file, truncation, bit flips, version skew, a forged payload
+    /// behind valid CRCs — the current snapshot keeps serving and the reply
+    /// is a typed `err read:` line. Requests admitted before the swap all
+    /// complete on the old epoch: the replaced pool drains its queues fully
+    /// before joining, so a swap never fails in-flight work.
     ///
-    /// With `mmap` the container is mapped rather than decoded: the bulk
-    /// sections are served zero-copy straight out of the page cache, and
-    /// the mapping stays alive for exactly as long as any snapshot
-    /// (current or draining) still references it — the `Arc` pinning is
-    /// per-slab, so a later `update`+`commit` prepares a new owned index
-    /// while the mapped snapshot keeps serving until the swap.
-    /// Bulk CRCs are deferred past decode but settled here, before the
-    /// swap is acknowledged: a corrupt file yields `err read:` and the
-    /// old snapshot keeps serving, same as the owned path.
-    fn swap_verb(&mut self, path: &str, mmap: bool) -> String {
+    /// The bulk sections are served zero-copy straight out of the page
+    /// cache, and the mapping stays alive for exactly as long as any
+    /// snapshot (current or draining) still references it — the `Arc`
+    /// pinning is per-slab, so a later `update`+`commit` prepares a new
+    /// owned index while the mapped snapshot keeps serving until the swap.
+    /// The load runs [`nd_core::VerifyPolicy::Full`]: every CRC and every
+    /// structural check settles before the swap is acknowledged.
+    fn swap_verb(&mut self, path: &str) -> String {
         if self.closed {
             return "err shutdown: session is shut down".to_string();
         }
-        let verb = if mmap { "load-mmap" } else { "swap" };
         if path.is_empty() {
-            return format!("err usage: expected: {verb} PATH ({SESSION_PROTOCOL_HELP})");
+            return format!("err usage: expected: swap PATH ({SESSION_PROTOCOL_HELP})");
         }
         let t0 = Instant::now();
-        let load = || -> Result<LoadedIndex, nd_core::PersistError> {
-            if mmap {
-                let opts = MmapLoadOpts {
-                    verify: VerifyPolicy::Lazy,
-                    prewarm: false,
-                };
-                let loaded = SharedPreparedQuery::load_index_mmap(Path::new(path), &opts)?;
-                if let Some(deferred) = &loaded.deferred {
-                    deferred.verify()?;
-                }
-                Ok(loaded)
-            } else {
-                SharedPreparedQuery::load_index(Path::new(path))
-            }
-        };
-        let loaded = match load() {
-            Ok(l) => l,
-            Err(e) => return format!("err read: {e}"),
-        };
+        let loaded =
+            match SharedPreparedQuery::load_index_mmap(Path::new(path), &MmapLoadOpts::default()) {
+                Ok(l) => l,
+                Err(e) => return format!("err read: {e}"),
+            };
         let mapped_bytes = loaded.stats.bytes_mapped;
         let load_ms = t0.elapsed().as_millis() as u64;
         // The loaded graph is a fresh allocation, so every cached snapshot
@@ -356,13 +337,8 @@ impl Session {
         self.install(snapshot);
         self.swaps += 1;
         format!(
-            "swapped epoch={} arity={arity} rung={rung} load_ms={load_ms}{}",
+            "swapped epoch={} arity={arity} rung={rung} load_ms={load_ms} mapped_bytes={mapped_bytes}",
             self.epoch,
-            if mmap {
-                format!(" mapped_bytes={mapped_bytes}")
-            } else {
-                String::new()
-            },
         )
     }
 

@@ -246,58 +246,46 @@ fn swap_under_load_never_fails_inflight_requests() {
     std::fs::remove_file(&path).ok();
 }
 
-#[test]
-fn corrupted_swap_files_yield_typed_errors_and_keep_serving() {
-    let path = saved_index("corrupt");
-    let clean = std::fs::read(&path).unwrap();
-    let mut session = Session::start(
-        chaos_graph().into_shared(),
-        &parse_query(QUERY).unwrap(),
-        PrepareOpts::default(),
-        ServeOpts {
-            workers: 1,
-            ..Default::default()
-        },
-        4,
-    )
-    .unwrap();
-    let swap_cmd = format!("swap {}", path.display());
-
-    // Flip one byte somewhere in every region of the file.
-    for at in [0, 8, 16, clean.len() / 2, clean.len() - 1] {
-        let mut bad = clean.clone();
-        bad[at] ^= 0x40;
-        std::fs::write(&path, &bad).unwrap();
-        let reply = line(session.handle(&swap_cmd));
-        assert!(reply.starts_with("err read:"), "byte {at}: {reply}");
-    }
-    // Truncations, including an empty file.
-    for len in [0, 7, clean.len() / 3, clean.len() - 1] {
-        std::fs::write(&path, &clean[..len]).unwrap();
-        let reply = line(session.handle(&swap_cmd));
-        assert!(reply.starts_with("err read:"), "len {len}: {reply}");
-    }
-    // A directory and a missing file are read errors, not panics.
-    let dir_reply = line(session.handle(&format!("swap {}", std::env::temp_dir().display())));
-    assert!(dir_reply.starts_with("err read:"), "{dir_reply}");
-    std::fs::remove_file(&path).ok();
-    let gone_reply = line(session.handle(&swap_cmd));
-    assert!(gone_reply.starts_with("err read:"), "{gone_reply}");
-
-    // No failed swap advanced the epoch, and the original index still
-    // serves.
-    assert_eq!(session.epoch(), 0);
-    let t = line(session.handle("test 0,3"));
-    assert!(t == "true" || t == "false", "{t}");
+/// Forty `next` probes spread over the chaos graph, answered in order.
+fn probe_panel(session: &mut Session) -> Vec<String> {
+    (0..40u32)
+        .map(|i| line(session.handle(&format!("next {},{}", (i * 7) % 64, (i * 13) % 64))))
+        .collect()
 }
 
-/// Hostile inputs on the zero-copy path (`load-mmap PATH`): every flip,
-/// truncation and alignment lie yields a typed `err read:` reply — never
-/// a panic, never a SIGBUS, never a silently-served corrupt index — and
-/// the session keeps serving its current snapshot throughout.
+/// A forged index behind valid CRCs: the last adjacency entry of the graph
+/// section is overwritten with 0, which breaks the sorted-adjacency
+/// invariant, and all four sections are re-emitted with fresh checksums.
+fn forged_index(clean: &[u8]) -> Vec<u8> {
+    let container = nd_persist::parse_container(clean).unwrap();
+    let mut out = nd_persist::ContainerWriter::new();
+    for tag in [*b"GRPH", *b"QURY", *b"META", *b"ENGN"] {
+        let mut payload = container.section(tag).unwrap().to_vec();
+        if &tag == b"GRPH" {
+            // The graph payload opens with two `u32` slabs, offsets then
+            // adjacency: each a `u64` count, zero pad to 16, the values.
+            let slab_end = |at: usize| {
+                let n = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
+                (at + 8).next_multiple_of(16) + 4 * n
+            };
+            let adjacency_end = slab_end(slab_end(0));
+            payload[adjacency_end - 4..adjacency_end].copy_from_slice(&0u32.to_le_bytes());
+        }
+        out.section(tag, payload);
+    }
+    out.finish()
+}
+
+/// Hostile `swap PATH` inputs: every flip, truncation, alignment lie and
+/// forged payload yields a typed `err read:` reply — never a panic, never
+/// a SIGBUS, never a silently-served corrupt index — and the session keeps
+/// serving its current mapped snapshot throughout, answering exactly as
+/// before. Every variant is written the way the repo saves
+/// (`write_file_atomic`: a fresh inode behind a rename), so the file the
+/// live snapshot maps is never rewritten in place.
 #[test]
-fn mmap_load_hostile_inputs_yield_typed_errors_and_keep_serving() {
-    let path = saved_index("mmap-hostile");
+fn hostile_swap_files_yield_typed_errors_and_keep_serving() {
+    let path = saved_index("hostile");
     let clean = std::fs::read(&path).unwrap();
     let mut session = Session::start(
         chaos_graph().into_shared(),
@@ -310,68 +298,64 @@ fn mmap_load_hostile_inputs_yield_typed_errors_and_keep_serving() {
         4,
     )
     .unwrap();
-    let cmd = format!("load-mmap {}", path.display());
+    let cmd = format!("swap {}", path.display());
 
     // A clean file swaps in and reports the mapping.
     let reply = line(session.handle(&cmd));
     assert!(reply.starts_with("swapped epoch=1 "), "{reply}");
     assert!(reply.contains("mapped_bytes="), "{reply}");
-    let t = line(session.handle("test 0,3"));
-    assert!(t == "true" || t == "false", "{t}");
+    let panel = probe_panel(&mut session);
 
+    let mut hostile: Vec<(String, Vec<u8>, &str)> = Vec::new();
     // Byte flips in every region: magic, version, section headers, bulk
-    // payload (caught by the deferred CRC pass, settled before the swap
-    // is acknowledged), trailing pad.
+    // payload, trailing pad.
     for at in [0, 8, 16, clean.len() / 2, clean.len() - 1] {
         let mut bad = clean.clone();
         bad[at] ^= 0x40;
-        std::fs::write(&path, &bad).unwrap();
-        let reply = line(session.handle(&cmd));
-        assert!(reply.starts_with("err read:"), "byte {at}: {reply}");
+        hostile.push((format!("byte {at}"), bad, "err read:"));
     }
-
-    // Truncations: the up-front length checks reject before any slice is
-    // formed over the mapping, so a short file can never SIGBUS.
+    // Truncations, including an empty file: the up-front length checks
+    // reject before any slice is formed over the mapping, so a short file
+    // can never SIGBUS.
     for len in [0, 7, 15, clean.len() / 3, clean.len() - 1] {
-        std::fs::write(&path, &clean[..len]).unwrap();
-        let reply = line(session.handle(&cmd));
-        assert!(reply.starts_with("err read:"), "len {len}: {reply}");
+        hostile.push((format!("len {len}"), clean[..len].to_vec(), "err read:"));
     }
+    // Valid CRCs over an unsorted adjacency list: only the full
+    // structural validation a swap runs catches it.
+    hostile.push(("forged".into(), forged_index(&clean), "err read: malformed"));
+    // Misaligned sections: one byte spliced between the 16-byte container
+    // header and the first section shifts every section off its 16-byte
+    // alignment. The framing checks reject it before any unaligned
+    // zero-copy cast can happen. Written last, it is also what the live
+    // snapshot would read if a write ever reached its mapped inode.
+    let mut misaligned = clean.clone();
+    misaligned.insert(16, 0);
+    hostile.push(("misaligned".into(), misaligned, "err read:"));
 
-    // Misaligned sections: a clean file with one byte spliced between the
-    // 16-byte container header and the first section, which shifts every
-    // section off its 16-byte alignment. The framing checks reject it
-    // before any unaligned zero-copy cast can happen.
-    {
-        let mut misaligned = clean.clone();
-        misaligned.insert(16, 0);
-        std::fs::write(&path, &misaligned).unwrap();
+    for (what, bytes, want) in &hostile {
+        nd_persist::write_file_atomic(&path, bytes).unwrap();
         let reply = line(session.handle(&cmd));
-        assert!(reply.starts_with("err read:"), "misaligned: {reply}");
+        assert!(reply.starts_with(want), "{what}: {reply}");
     }
 
     // A directory and a missing file are read errors, not panics.
-    let dir_reply = line(session.handle(&format!("load-mmap {}", std::env::temp_dir().display())));
+    let dir_reply = line(session.handle(&format!("swap {}", std::env::temp_dir().display())));
     assert!(dir_reply.starts_with("err read:"), "{dir_reply}");
-
-    // None of the failures advanced the epoch past the one good swap, and
-    // probes still answer out of the mapped snapshot whose backing file
-    // has been overwritten with garbage several times over — the save
-    // protocol only ever replaces the directory entry (atomic rename or
-    // a fresh `write`), never truncates a mapped inode in place, so the
-    // established mapping stays valid.
-    assert_eq!(session.epoch(), 1);
-    let t = line(session.handle("test 0,3"));
-    assert!(t == "true" || t == "false", "{t}");
-
     std::fs::remove_file(&path).ok();
+    let gone_reply = line(session.handle(&cmd));
+    assert!(gone_reply.starts_with("err read:"), "{gone_reply}");
+
+    // No failed swap advanced the epoch past the one good swap, and the
+    // mapped snapshot answers exactly as it did before the hostile files.
+    assert_eq!(session.epoch(), 1);
+    assert_eq!(probe_panel(&mut session), panel);
 }
 
 /// Mid-serve replacement: while a session serves zero-copy out of a
 /// mapped index, the file is atomically replaced by a *smaller* index.
 /// The live mapping is pinned to the old inode (Arc'd per slab), so
 /// in-flight and subsequent probes on the old epoch stay valid, and the
-/// next `load-mmap` picks up the new file cleanly.
+/// next `swap` picks up the new file cleanly.
 #[test]
 fn mmap_serving_survives_atomic_file_replacement() {
     let path = saved_index("mmap-shrink");
@@ -387,7 +371,7 @@ fn mmap_serving_survives_atomic_file_replacement() {
         4,
     )
     .unwrap();
-    let cmd = format!("load-mmap {}", path.display());
+    let cmd = format!("swap {}", path.display());
     let reply = line(session.handle(&cmd));
     assert!(reply.starts_with("swapped epoch=1 "), "{reply}");
     let before = line(session.handle("test 0,3"));

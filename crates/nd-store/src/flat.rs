@@ -131,12 +131,6 @@ impl FlatStore {
         3 * self.keys.len() + self.dir.len().div_ceil(2)
     }
 
-    /// Bytes of this store still served straight out of a mapped file
-    /// (zero when fully owned).
-    pub fn mapped_bytes(&self) -> usize {
-        self.keys.mapped_bytes() + self.vals.mapped_bytes() + self.dir.mapped_bytes()
-    }
-
     #[inline]
     fn bucket(&self, packed: u128) -> usize {
         (packed >> self.shift) as usize

@@ -125,18 +125,17 @@ GRAPH / QUERY OPTIONS (all modes):
                                          for every thread count)
       [--save PATH]                      persist the prepared index
                                          (checksummed, atomically written)
-      [--load PATH]                      warm-start from a persisted index;
-                                         replaces --graph/--query (the file
-                                         carries both)
-      [--load-mmap PATH]                 like --load, but mmap the container
-                                         and serve bulk arrays zero-copy out
-                                         of the mapped pages
-      [--verify full|lazy]               CRC policy for --load-mmap: check
+      [--load PATH]                      warm-start from a persisted index,
+                                         mmapped and served zero-copy out of
+                                         the mapped pages; replaces
+                                         --graph/--query (the file carries
+                                         both)
+      [--verify full|lazy]               CRC policy for --load: check
                                          everything up front (default) or
                                          defer the engine-section CRC until
                                          after the probes (then exit 15 on
                                          mismatch)
-      [--prewarm]                        with --load-mmap, touch every mapped
+      [--prewarm]                        with --load, touch every mapped
                                          page up front (trades first-probe
                                          latency for load latency)
 
@@ -164,7 +163,7 @@ SERVE OPTIONS:
       [--fallback-reprepare]             if --load fails, cold-prepare from
                                          --graph/--query instead of exiting
   protocol, one command per line:
-      prepare QUERY   swap PATH   load-mmap PATH   update MUTATION   commit
+      prepare QUERY   swap PATH   update MUTATION   commit
       test a,b,..   next a,b,..   page a,b,.. LIMIT
       stats   metrics   help   shutdown   quit
 
@@ -210,15 +209,13 @@ struct Common {
     prepare_threads: usize,
     /// Persist the prepared index to this path (one-shot and serve).
     save: Option<String>,
-    /// Warm-start from a persisted index instead of preparing; replaces
+    /// Warm-start from a persisted index (mmapped, bulk sections served
+    /// zero-copy) instead of preparing; replaces
     /// `--graph`/`--graph-file`/`--query` (the file carries both).
     load: Option<String>,
-    /// Like `load`, but mmap the container and serve the bulk sections
-    /// zero-copy out of the mapped pages.
-    load_mmap: Option<String>,
-    /// CRC policy for `--load-mmap`: check everything up front (default)
-    /// or defer the engine-section CRC until after the probes. `None`
-    /// when `--verify` was not given.
+    /// CRC policy for `--load`: check everything up front (default) or
+    /// defer the engine-section CRC until after the probes. `None` when
+    /// `--verify` was not given.
     verify: Option<VerifyPolicy>,
     /// Touch every mapped page up front instead of faulting on demand.
     prewarm: bool,
@@ -237,7 +234,6 @@ impl Common {
             prepare_threads: 1,
             save: None,
             load: None,
-            load_mmap: None,
             verify: None,
             prewarm: false,
         }
@@ -279,7 +275,6 @@ impl Common {
             }
             "--save" => self.save = Some(val("--save")?),
             "--load" => self.load = Some(val("--load")?),
-            "--load-mmap" => self.load_mmap = Some(val("--load-mmap")?),
             "--verify" => {
                 self.verify = Some(
                     VerifyPolicy::parse(&val("--verify")?)
@@ -296,55 +291,38 @@ impl Common {
         Ok(true)
     }
 
-    /// The warm-start source, if any: `(path, mmap?)`. Rejects flag
-    /// combinations that would make the index file's graph/query
-    /// ambiguous, and mapped-load knobs without a mapped load.
-    fn warm_start(&self) -> Result<Option<(&str, bool)>, CliError> {
-        if self.load_mmap.is_none() && (self.verify.is_some() || self.prewarm) {
-            return Err(usage("--verify and --prewarm apply only to --load-mmap"));
+    /// The warm-start path, if any. Rejects flag combinations that would
+    /// make the index file's graph/query ambiguous, and load knobs without
+    /// a load.
+    fn warm_start(&self) -> Result<Option<&str>, CliError> {
+        if self.load.is_none() && (self.verify.is_some() || self.prewarm) {
+            return Err(usage("--verify and --prewarm apply only to --load"));
         }
-        let src = match (&self.load, &self.load_mmap) {
-            (Some(_), Some(_)) => return Err(usage("pass at most one of --load / --load-mmap")),
-            (Some(p), None) => Some((p.as_str(), false)),
-            (None, Some(p)) => Some((p.as_str(), true)),
-            (None, None) => None,
-        };
-        if src.is_some()
+        if self.load.is_some()
             && (self.graph_spec.is_some() || self.graph_file.is_some() || self.query.is_some())
         {
             return Err(usage(
-                "--load/--load-mmap replaces --graph/--graph-file/--query: the index file carries both",
+                "--load replaces --graph/--graph-file/--query: the index file carries both",
             ));
         }
-        Ok(src)
+        Ok(self.load.as_deref())
     }
 
-    /// Load a persisted index, owned (`--load`) or zero-copy
-    /// (`--load-mmap`), logging how it came back.
-    fn load_index(&self, path: &str, mmap: bool) -> Result<LoadedIndex, CliError> {
+    /// Map a persisted index, logging how it came back.
+    fn open_index(&self, path: &str) -> Result<LoadedIndex, CliError> {
         let t0 = Instant::now();
-        let loaded = if mmap {
-            SharedPreparedQuery::load_index_mmap(Path::new(path), &self.mmap_opts())
-                .map_err(read_err)?
-        } else {
-            SharedPreparedQuery::load_index(Path::new(path)).map_err(read_err)?
-        };
+        let opts = self.mmap_opts();
+        let loaded =
+            SharedPreparedQuery::load_index_mmap(Path::new(path), &opts).map_err(read_err)?;
         eprintln!(
-            "loaded {path} in {:?}: {} vertices, query: {} (rung: {}){}",
+            "loaded {path} in {:?}: {} vertices, query: {} (rung: {}), {}/{} bytes mapped zero-copy ({} verify)",
             t0.elapsed(),
             loaded.prepared.graph().n(),
             loaded.query_src,
             loaded.prepared.stats().rung.name(),
-            if mmap {
-                format!(
-                    ", {}/{} bytes mapped zero-copy ({} verify)",
-                    loaded.stats.bytes_mapped,
-                    loaded.stats.bytes_total,
-                    self.mmap_opts().verify.as_str(),
-                )
-            } else {
-                String::new()
-            },
+            loaded.stats.bytes_mapped,
+            loaded.stats.bytes_total,
+            opts.verify.as_str(),
         );
         Ok(loaded)
     }
@@ -562,8 +540,8 @@ fn cmd_query(argv: Vec<String>) -> Result<(), CliError> {
 
     // Warm start: the index file carries the graph, the query and every
     // engine structure — no preprocessing runs.
-    if let Some((path, mmap)) = args.common.warm_start()? {
-        let loaded = args.common.load_index(path, mmap)?;
+    if let Some(path) = args.common.warm_start()? {
+        let loaded = args.common.open_index(path)?;
         run_probes(&args, &loaded.prepared)?;
         // Lazy verification: the probes above may have answered out of
         // unchecked pages — settle the deferred bulk CRCs before
@@ -571,10 +549,7 @@ fn cmd_query(argv: Vec<String>) -> Result<(), CliError> {
         // the file was corrupt all along.
         if let Some(deferred) = &loaded.deferred {
             deferred.verify().map_err(read_err)?;
-            eprintln!(
-                "deferred CRC verification passed ({} section(s))",
-                deferred.len()
-            );
+            eprintln!("deferred CRC verification passed");
         }
         if let Some(save) = &args.common.save {
             loaded
@@ -673,8 +648,8 @@ fn cmd_update(argv: Vec<String>) -> Result<(), CliError> {
         .map_err(|e| usage(format!("bad mutation log: {e}")))?;
 
     let opts = args.common.prepare_opts()?;
-    let (base, query, query_src) = if let Some((path, mmap)) = args.common.warm_start()? {
-        let loaded = args.common.load_index(path, mmap)?;
+    let (base, query, query_src) = if let Some(path) = args.common.warm_start()? {
+        let loaded = args.common.open_index(path)?;
         // Mutations must not start from a corrupt index: settle any
         // deferred bulk CRCs before the apply reads mapped data.
         if let Some(deferred) = &loaded.deferred {
@@ -929,39 +904,27 @@ fn cold_serve_session(args: &ServeArgs, opts: ServeOpts) -> Result<Session, CliE
 /// Start the serving session: warm from `--load` when given (with an
 /// optional cold-prepare fallback), cold otherwise.
 fn start_serve_session(args: &ServeArgs, opts: ServeOpts) -> Result<Session, CliError> {
-    if let Some((path, mmap)) = args.common.warm_start()? {
+    if let Some(path) = args.common.warm_start()? {
         let t0 = Instant::now();
         let load = || -> Result<LoadedIndex, nowhere_dense::persist::PersistError> {
-            if mmap {
-                let loaded = SharedPreparedQuery::load_index_mmap(
-                    Path::new(path),
-                    &args.common.mmap_opts(),
-                )?;
-                // A long-lived server must not discover corruption on a
-                // probe weeks in: settle deferred bulk CRCs before the
-                // first request, while still skipping the second decode
-                // pass an owned load would pay.
-                if let Some(deferred) = &loaded.deferred {
-                    deferred.verify()?;
-                }
-                Ok(loaded)
-            } else {
-                SharedPreparedQuery::load_index(Path::new(path))
+            let loaded =
+                SharedPreparedQuery::load_index_mmap(Path::new(path), &args.common.mmap_opts())?;
+            // A long-lived server must not discover corruption on a probe
+            // weeks in: settle deferred bulk CRCs before the first request.
+            if let Some(deferred) = &loaded.deferred {
+                deferred.verify()?;
             }
+            Ok(loaded)
         };
         match load() {
             Ok(loaded) => {
                 let load_ms = t0.elapsed().as_millis() as u64;
                 eprintln!(
-                    "warm start: loaded {path} in {load_ms} ms: {} vertices, query: {} (rung: {}){}",
+                    "warm start: loaded {path} in {load_ms} ms: {} vertices, query: {} (rung: {}), {} bytes mapped zero-copy",
                     loaded.prepared.graph().n(),
                     loaded.query_src,
                     loaded.prepared.stats().rung.name(),
-                    if mmap {
-                        format!(", {} bytes mapped zero-copy", loaded.stats.bytes_mapped)
-                    } else {
-                        String::new()
-                    },
+                    loaded.stats.bytes_mapped,
                 );
                 return Ok(Session::start_loaded(
                     loaded,

@@ -10,11 +10,11 @@ fn ndq(args: &[&str]) -> Output {
         .expect("run ndq")
 }
 
-/// `--verify` and `--prewarm` tune the mapped load only. Given with an
-/// owned `--load`, or with no load at all, they are a usage error (exit 2)
-/// in query, update and serve modes instead of being silently ignored.
+/// `--verify` and `--prewarm` tune `--load`. Given without it they are a
+/// usage error (exit 2) in query, update and serve modes instead of being
+/// silently ignored; the removed mapped-load flag is refused too.
 #[test]
-fn mapped_load_flags_require_load_mmap() {
+fn load_tuning_flags_require_load() {
     let dir = std::env::temp_dir().join(format!("ndq-cli-flags-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let idx = dir.join("idx.bin");
@@ -25,38 +25,36 @@ fn mapped_load_flags_require_load_mmap() {
     let save = ndq(&[&graph[..], &["--query", q, "--save", idx, "--count"]].concat());
     assert!(save.status.success(), "save failed: {save:?}");
 
-    let rejected: [&[&str]; 5] = [
-        &["--load", idx, "--verify", "lazy", "--count"],
-        &["--load", idx, "--prewarm", "--count"],
+    let rejected: [&[&str]; 6] = [
+        &[
+            "--graph", "grid:6x6", "--query", q, "--verify", "lazy", "--count",
+        ],
+        &["--graph", "grid:6x6", "--query", q, "--prewarm", "--count"],
         &[
             "--graph", "grid:6x6", "--query", q, "--verify", "full", "--count",
         ],
         &[
             "update",
-            "--load",
-            idx,
+            "--graph",
+            "grid:6x6",
+            "--query",
+            q,
             "--verify",
             "lazy",
             "--mutate",
             "add-edge 0 7",
         ],
-        &["serve", "--load", idx, "--prewarm"],
+        &["serve", "--graph", "grid:6x6", "--query", q, "--prewarm"],
+        &["--load-mmap", idx, "--count"],
     ];
     for args in rejected {
         let out = ndq(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} was not refused");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("--load-mmap"), "{args:?}: {stderr}");
+        assert!(stderr.contains("--load"), "{args:?}: {stderr}");
     }
 
-    let mapped = ndq(&[
-        "--load-mmap",
-        idx,
-        "--verify",
-        "lazy",
-        "--prewarm",
-        "--count",
-    ]);
+    let mapped = ndq(&["--load", idx, "--verify", "lazy", "--prewarm", "--count"]);
     assert!(mapped.status.success(), "mapped load failed: {mapped:?}");
     let stderr = String::from_utf8_lossy(&mapped.stderr);
     assert!(stderr.contains("lazy verify"), "{stderr}");
