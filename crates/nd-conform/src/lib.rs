@@ -3,7 +3,8 @@
 //!
 //! The workspace has many ways to answer the same FO query: the indexed
 //! engine at several `ε` values, with and without extendability pruning,
-//! the budget-degradation ladder of PR 1, the naive baselines, the
+//! the budget-degradation ladder, the distance oracle's splitter
+//! recursion in place of its flat ball tables, the naive baselines, the
 //! `load(save(x))` persistence round trip of the on-disk index format,
 //! and the `nd-serve` snapshot behind the line protocol. They are all supposed to
 //! agree *exactly* — same solution set, same lexicographic order, same
@@ -28,6 +29,7 @@
 pub mod protocol_fuzz;
 
 use nd_baseline::{MaterializingEnumerator, NaiveEnumerator, NaiveTester};
+use nd_core::dist::DistOracleOpts;
 use nd_core::{
     Budget, MmapLoadOpts, Mutation, MutationLog, PrepareOpts, PreparedQuery, SharedPreparedQuery,
     VerifyPolicy,
@@ -473,6 +475,14 @@ enum Config {
     /// mutate-then-query dimension. A regression report naming `flat-store`
     /// points at the store layout, not at an unrelated ε.
     FlatStore,
+    /// The distance oracle's splitter recursion (Prop 4.2) on every case:
+    /// `naive_threshold` 4 and `budget_factor` 1, so no node with an edge
+    /// fits a flat ball table (`Σ_v |N_r(v)| > n` for `r ≥ 1`) and every
+    /// one splits. The generated graphs (n ≤ 28) sit below the default
+    /// threshold of 300, so every other config answers distance tests from
+    /// one flat table. A regression report naming `oracle-recursion`
+    /// points at the recursion, not at the table.
+    OracleRecursion,
     NaiveStream,
     ServeProtocol,
     /// The default indexed engine pushed through the on-disk format in
@@ -504,6 +514,7 @@ impl Config {
             Config::TightBudget => "ladder-tight-budget".into(),
             Config::StrictNoFallback => "strict-nofallback".into(),
             Config::FlatStore => "flat-store".into(),
+            Config::OracleRecursion => "oracle-recursion".into(),
             Config::NaiveStream => "naive-stream".into(),
             Config::ServeProtocol => "serve-protocol".into(),
             Config::PersistRoundTrip => "persist-roundtrip".into(),
@@ -544,6 +555,14 @@ impl Config {
                 epsilon: 0.75,
                 ..PrepareOpts::default()
             },
+            Config::OracleRecursion => PrepareOpts {
+                dist: DistOracleOpts {
+                    naive_threshold: 4,
+                    budget_factor: 1,
+                    ..DistOracleOpts::default()
+                },
+                ..PrepareOpts::default()
+            },
             Config::NaiveStream
             | Config::ServeProtocol
             | Config::PersistRoundTrip
@@ -577,6 +596,7 @@ fn configs(serve: bool, arity: usize) -> Vec<Config> {
         Config::TightBudget,
         Config::StrictNoFallback,
         Config::FlatStore,
+        Config::OracleRecursion,
         Config::NaiveStream,
         Config::PersistRoundTrip,
         Config::MmapLoad,
@@ -1001,6 +1021,7 @@ fn update_configs() -> Vec<Config> {
         Config::TightBudget,
         Config::StrictNoFallback,
         Config::FlatStore,
+        Config::OracleRecursion,
     ]
 }
 

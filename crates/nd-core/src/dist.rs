@@ -17,7 +17,10 @@
 //! The recursion bottoms out on small or edgeless graphs with a naive
 //! all-balls table (the paper's `λ = 1` base case, generalized to a size
 //! threshold so that heuristic splitter moves never jeopardize termination
-//! or cost — DESIGN.md §2).
+//! or cost — DESIGN.md §2). Every larger node first tries the same table:
+//! when `Σ_v |N_r(v)|` fits the node's `budget_factor · n` budget (small
+//! radii on sparse graphs), the flat table *is* the node and the splitter
+//! recursion runs only for balls too large to tabulate.
 
 use nd_cover::Cover;
 use nd_graph::budget::{BudgetExceeded, BudgetTracker, Phase};
@@ -38,7 +41,9 @@ pub struct DistOracleOpts {
     /// `budget_factor · n`. This is the practical stand-in for the paper's
     /// `λ(r)`-bounded recursion: with a true winning strategy each level is
     /// pseudo-linear and there are `λ` of them; with heuristic splitter
-    /// moves the budget enforces the same total.
+    /// moves the budget enforces the same total. The same `budget_factor ·
+    /// n` (over the node's own `n`) caps the flat ball table every node
+    /// tries before it splits, so the budget pays for either structure.
     pub budget_factor: usize,
     /// Memory guard for the naive base case: when the per-vertex ball
     /// tables of a base graph would exceed this many entries (balls explode
@@ -75,7 +80,8 @@ pub struct OracleStats {
     pub total_vertices: usize,
     /// Total edges across all recursive levels.
     pub total_edges: usize,
-    /// Number of naive base-case nodes.
+    /// Number of ball-table nodes (base cases and flat tables that fit
+    /// the budget; a flat root is one base case at depth 0).
     pub base_cases: usize,
     /// Base cases that had to degrade to BFS-per-query (ball tables would
     /// have exceeded the memory cap).
@@ -88,18 +94,41 @@ pub struct OracleStats {
 
 #[derive(Clone)]
 enum Node {
-    /// Base case: per-vertex sorted `r`-ball membership lists.
-    Naive(Vec<Box<[Vertex]>>),
+    /// Base case or flat table: every vertex's sorted `r`-ball.
+    Naive(BallTable),
     /// Base case with near-full balls (dense graphs): the same tables as
     /// [`Node::Naive`] packed as one bitmap row per vertex. Chosen whenever
-    /// the bitmap is the smaller representation; membership is `O(1)` and
-    /// warm restarts copy rows off the wire instead of re-expanding lists.
+    /// the bitmap is the smaller representation; membership is `O(1)`.
     NaiveDense(BallGrid),
     /// Degenerate base case: answer by capped BFS (exact, not `O(1)`;
     /// only when ball tables would blow the memory cap).
     Bfs(ColoredGraph),
     /// Recursive case (Section 4.2.1 steps 2–5).
     Split(Box<SplitNode>),
+}
+
+/// Every vertex's sorted `r`-ball in CSR form: the ball of `v` is
+/// `members[offsets[v]..offsets[v + 1]]`. Both arrays are
+/// [`nd_persist::Slab`]s, so a mapped load serves the table straight out
+/// of the file pages.
+#[derive(Clone)]
+struct BallTable {
+    offsets: nd_persist::Slab<u32>,
+    members: nd_persist::Slab<Vertex>,
+}
+
+impl BallTable {
+    /// Is `b` in the ball of `a`? Every index goes through `.get()`, so a
+    /// forged table decoded without validation answers instead of panicking.
+    fn contains(&self, a: Vertex, b: Vertex) -> bool {
+        let a = a as usize;
+        let (Some(&lo), Some(&hi)) = (self.offsets.get(a), self.offsets.get(a + 1)) else {
+            return false;
+        };
+        self.members
+            .get(lo as usize..hi as usize)
+            .is_some_and(|row| row.binary_search(&b).is_ok())
+    }
 }
 
 /// Row-major bitmap of `n` balls over an `n`-vertex base graph. The bit
@@ -182,6 +211,12 @@ impl DistOracle {
         self.stats
     }
 
+    /// Whether the root is one flat ball table: `Σ_v |N_r(v)|` fit the
+    /// budget, so no splitter recursion (and no BFS fallback) was built.
+    pub(crate) fn is_flat(&self) -> bool {
+        matches!(self.root, Node::Naive(_) | Node::NaiveDense(_))
+    }
+
     /// Is `dist(a, b) ≤ r`? Constant time (`O(λ)` pointer chases).
     pub fn test(&self, a: Vertex, b: Vertex) -> bool {
         test_node(&self.root, self.r, a, b)
@@ -227,26 +262,6 @@ impl DistOracle {
             stats,
         })
     }
-
-    /// Is `dist(a, b) ≤ d` for some `d ≤ r`? The oracle only indexes the
-    /// single radius `r`; finer tests fall back to capped BFS from the
-    /// smaller-degree endpoint — still cheap, but not `O(1)`; the engine
-    /// uses [`Self::test`] on the hot path and this only for per-candidate
-    /// filtering of mixed-radius queries.
-    pub fn test_at(&self, g: &ColoredGraph, a: Vertex, b: Vertex, d: u32) -> bool {
-        if d == self.r {
-            return self.test(a, b);
-        }
-        if self.test(a, b) {
-            if d >= self.r {
-                return true; // dist ≤ r ≤ d
-            }
-        } else if d <= self.r {
-            return false; // dist > r ≥ d
-        }
-        let mut scratch = BfsScratch::new(g.n());
-        scratch.distance_capped(g, a, b, d).is_some()
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -267,39 +282,25 @@ fn build_node(
     tracker.charge_nodes(Phase::DistOracle, g.n() as u64 + 1)?;
     if g.n() <= opts.naive_threshold || rounds_left == 0 || g.m() == 0 || *budget <= 0 {
         stats.base_cases += 1;
-        let mut scratch = BfsScratch::new(g.n());
-        let mut balls: Vec<Box<[Vertex]>> = Vec::with_capacity(g.n());
-        let mut entries = 0usize;
-        for v in 0..g.n() as Vertex {
-            let ball = scratch.ball_sorted(g, v, r);
-            entries += ball.len();
-            tracker.charge_nodes(Phase::DistOracle, ball.len() as u64)?;
-            if entries > opts.ball_entry_cap {
+        return Ok(match ball_table(g, r, opts.ball_entry_cap, tracker)? {
+            Some(table) => table_node(g.n(), table),
+            None => {
                 stats.bfs_fallbacks += 1;
-                return Ok(Node::Bfs(g.clone()));
+                Node::Bfs(g.clone())
             }
-            balls.push(ball.into_boxed_slice());
-        }
-        tracker.charge_memory(Phase::DistOracle, 4 * entries as u64)?;
-        // Same criterion as the on-disk `sorted_set` encoding: when the
-        // bitmap form is smaller overall, keep it in memory too, so saves
-        // stream rows out and loads stream them back in without expansion.
-        let words_per_row = g.n().div_ceil(64);
-        if g.n() * words_per_row * 8 < 4 * entries {
-            let mut bits = vec![0u64; g.n() * words_per_row];
-            for (v, ball) in balls.iter().enumerate() {
-                let row = &mut bits[v * words_per_row..(v + 1) * words_per_row];
-                for &u in ball.iter() {
-                    row[(u / 64) as usize] |= 1u64 << (u % 64);
-                }
-            }
-            return Ok(Node::NaiveDense(BallGrid {
-                n: g.n(),
-                words_per_row,
-                bits: bits.into(),
-            }));
-        }
-        return Ok(Node::Naive(balls));
+        });
+    }
+    // A split would happen here. First try the flat table under the budget
+    // the recursion itself gets: when every ball is small it is the whole
+    // node; otherwise the wasted pass costs at most the cap plus one BFS
+    // level.
+    let flat_cap = opts
+        .budget_factor
+        .saturating_mul(g.n())
+        .min(opts.ball_entry_cap);
+    if let Some(table) = ball_table(g, r, flat_cap, tracker)? {
+        stats.base_cases += 1;
+        return Ok(table_node(g.n(), table));
     }
 
     // Step 2: the (r, 2r)-cover.
@@ -354,6 +355,85 @@ fn build_node(
     Ok(Node::Split(Box::new(SplitNode { cover, bags })))
 }
 
+/// Every vertex's sorted `r`-ball as one CSR table, charging each ball to
+/// `tracker`, or `None` as soon as the entry count passes `cap`.
+fn ball_table(
+    g: &ColoredGraph,
+    r: u32,
+    cap: usize,
+    tracker: &BudgetTracker,
+) -> Result<Option<BallTable>, BudgetExceeded> {
+    // Offsets are `u32`, so no table may hold more entries than that.
+    let cap = cap.min(u32::MAX as usize);
+    let mut offsets: Vec<u32> = Vec::with_capacity(g.n() + 1);
+    offsets.push(0);
+    // Each ball is searched breadth-first in place: its stretch of
+    // `members` is the BFS queue, one level after another, and `seen[u] ==
+    // v` marks `u` as already in the ball of `v` (no per-ball reset).
+    let mut members: Vec<Vertex> = Vec::new();
+    let mut seen: Vec<Vertex> = vec![Vertex::MAX; g.n()];
+    for v in g.vertices() {
+        let start = members.len();
+        members.push(v);
+        seen[v as usize] = v;
+        let mut level = start;
+        for _ in 0..r {
+            let level_end = members.len();
+            if level == level_end || level_end > cap {
+                break;
+            }
+            for i in level..level_end {
+                for &w in g.neighbors(members[i]) {
+                    if seen[w as usize] != v {
+                        seen[w as usize] = v;
+                        members.push(w);
+                    }
+                }
+            }
+            level = level_end;
+        }
+        tracker.charge_nodes(Phase::DistOracle, (members.len() - start) as u64)?;
+        if members.len() > cap {
+            return Ok(None);
+        }
+        offsets.push(members.len() as u32);
+    }
+    // Rows are sorted only once the table fits, so a pass that overflows
+    // its cap (balls the size of the graph) spends nothing on sorting.
+    for ends in offsets.windows(2) {
+        members[ends[0] as usize..ends[1] as usize].sort_unstable();
+    }
+    tracker.charge_memory(Phase::DistOracle, 4 * members.len() as u64)?;
+    Ok(Some(BallTable {
+        offsets: offsets.into(),
+        members: members.into(),
+    }))
+}
+
+/// A finished ball table as a node: bitmap rows ([`Node::NaiveDense`])
+/// when they are the smaller form, as on dense graphs where balls are
+/// near-full; the CSR table otherwise.
+fn table_node(n: usize, table: BallTable) -> Node {
+    let words_per_row = n.div_ceil(64);
+    if n * words_per_row * 8 >= 4 * table.members.len() {
+        return Node::Naive(table);
+    }
+    let mut bits = vec![0u64; n * words_per_row];
+    for (row, ball) in bits
+        .chunks_exact_mut(words_per_row)
+        .zip(table.offsets.windows(2))
+    {
+        for &u in &table.members[ball[0] as usize..ball[1] as usize] {
+            row[(u / 64) as usize] |= 1u64 << (u % 64);
+        }
+    }
+    Node::NaiveDense(BallGrid {
+        n,
+        words_per_row,
+        bits: bits.into(),
+    })
+}
+
 /// Decode-side recursion cap. The builder never exceeds `max_rounds`
 /// (default 12) levels; hostile files must not be able to recurse the
 /// decoder off the stack.
@@ -361,15 +441,11 @@ const MAX_DECODE_DEPTH: u32 = 64;
 
 fn write_node(node: &Node, w: &mut nd_persist::Writer) {
     match node {
-        Node::Naive(balls) => {
+        Node::Naive(table) => {
             w.u8(0);
-            w.seq_len(balls.len());
-            // Radius-r balls on dense graphs are near-full vertex sets;
-            // the adaptive encoding stores those as bitmaps, which is
-            // what keeps warm restarts fast on the dense families.
-            for ball in balls {
-                w.sorted_set(ball, balls.len() as u32);
-            }
+            // Raw aligned arrays a mapped load can borrow in place.
+            w.u32_slab(&table.offsets);
+            w.u32_slab(&table.members);
         }
         Node::NaiveDense(grid) => {
             w.u8(3);
@@ -399,7 +475,9 @@ fn write_node(node: &Node, w: &mut nd_persist::Writer) {
 /// property `test_node` indexes by — ball-table length, subgraph size,
 /// `X ∖ {s}` embeddings — is re-checked here; the membership store is the
 /// one structure not cross-validated (see `test_node`), which degrades to
-/// wrong-but-safe answers on forged payloads.
+/// wrong-but-safe answers on forged payloads. A ball table's rows are
+/// validated only under [`nd_persist::Reader::should_validate`]; without
+/// that its lookups stay bounds-checked (see [`BallTable::contains`]).
 fn read_node(
     r: &mut nd_persist::Reader<'_>,
     n: usize,
@@ -411,18 +489,26 @@ fn read_node(
     }
     Ok(match r.u8("oracle node tag")? {
         0 => {
-            let count = r.seq_len(8, "oracle ball count")?;
-            if count != n {
+            let offsets = r.u32_slab("oracle ball offsets")?;
+            let members = r.u32_slab("oracle ball members")?;
+            if offsets.len() != n + 1 || offsets[0] != 0 || offsets[n] as usize != members.len() {
                 return Err(malformed(
                     "oracle ball table does not match the vertex count",
                 ));
             }
-            let mut balls = Vec::with_capacity(count);
-            for _ in 0..count {
-                let ball = r.sorted_set(n as u32, "oracle ball")?;
-                balls.push(ball.into_boxed_slice());
+            if r.should_validate() {
+                for ends in offsets.windows(2) {
+                    let row = members
+                        .get(ends[0] as usize..ends[1] as usize)
+                        .ok_or_else(|| malformed("oracle ball offsets are not monotone"))?;
+                    if row.windows(2).any(|p| p[0] >= p[1])
+                        || row.last().is_some_and(|&u| u as usize >= n)
+                    {
+                        return Err(malformed("oracle ball is not a sorted vertex set"));
+                    }
+                }
             }
-            Node::Naive(balls)
+            Node::Naive(BallTable { offsets, members })
         }
         1 => {
             let g = ColoredGraph::read_from(r)?;
@@ -500,7 +586,7 @@ fn read_node(
 
 fn test_node(node: &Node, r: u32, a: Vertex, b: Vertex) -> bool {
     match node {
-        Node::Naive(balls) => balls[a as usize].binary_search(&b).is_ok(),
+        Node::Naive(table) => table.contains(a, b),
         Node::NaiveDense(grid) => grid.contains(a, b),
         Node::Bfs(g) => BfsScratch::new(g.n()).distance_capped(g, a, b, r).is_some(),
         Node::Split(split) => {
@@ -566,7 +652,7 @@ mod tests {
         }
     }
 
-    fn check_exhaustive(g: &ColoredGraph, r: u32, opts: &DistOracleOpts) {
+    fn check_exhaustive(g: &ColoredGraph, r: u32, opts: &DistOracleOpts) -> DistOracle {
         let oracle = DistOracle::build(g, r, opts);
         let mut scratch = BfsScratch::new(g.n());
         for a in g.vertices() {
@@ -576,12 +662,16 @@ mod tests {
                 assert_eq!(oracle.test(a, b), want, "dist({a},{b}) <= {r}");
             }
         }
+        oracle
     }
 
-    /// Force the recursive path even on small test graphs.
+    /// Force the recursive path even on small test graphs: with
+    /// `budget_factor` 1 a graph with an edge has `Σ_v |N_r(v)| > n` for
+    /// every `r ≥ 1`, so the flat table never fits and every node splits.
     fn recursive_opts() -> DistOracleOpts {
         DistOracleOpts {
             naive_threshold: 4,
+            budget_factor: 1,
             ..DistOracleOpts::default()
         }
     }
@@ -597,7 +687,8 @@ mod tests {
             (generators::caterpillar(8, 2), 2),
             (generators::binary_tree(31), 3),
         ] {
-            check_exhaustive(&g, r, &recursive_opts());
+            let oracle = check_exhaustive(&g, r, &recursive_opts());
+            assert!(oracle.stats().depth >= 1, "recursion not exercised");
         }
     }
 
@@ -634,24 +725,47 @@ mod tests {
     }
 
     #[test]
-    fn stats_accounting() {
+    fn stats_accounting_flat_root() {
+        // At r=2 every grid ball has at most 13 vertices, so the table fits
+        // the 20·n budget and is the whole oracle.
         let g = generators::grid(20, 20);
         let oracle = DistOracle::build(&g, 2, &DistOracleOpts::default());
         let s = oracle.stats();
-        assert!(s.total_vertices >= g.n());
-        assert!(s.depth >= 1);
-        assert!(s.bags > 0);
+        assert!(g.n() > DistOracleOpts::default().naive_threshold);
+        assert!(oracle.is_flat());
+        assert_eq!(s.depth, 0);
+        assert_eq!(s.base_cases, 1);
+        assert_eq!(s.total_vertices, g.n());
         assert_eq!(oracle.radius(), 2);
     }
 
     #[test]
-    fn binary_codec_roundtrips_recursive_oracles() {
-        for (g, r) in [
+    fn stats_accounting_recursive() {
+        let g = generators::grid(20, 20);
+        let oracle = DistOracle::build(&g, 2, &recursive_opts());
+        let s = oracle.stats();
+        assert!(!oracle.is_flat());
+        assert!(s.total_vertices >= g.n());
+        assert!(s.depth >= 1);
+        assert!(s.bags > 0);
+    }
+
+    #[test]
+    fn binary_codec_roundtrips_flat_and_recursive_oracles() {
+        for ((g, r), opts) in [
             (generators::grid(8, 8), 2u32),
             (generators::random_tree(60, 7), 3),
             (generators::path(0), 1),
-        ] {
-            let oracle = DistOracle::build(&g, r, &recursive_opts());
+            (generators::clique(12), 1),
+        ]
+        .into_iter()
+        .flat_map(|case| {
+            [
+                (case.clone(), recursive_opts()),
+                (case, DistOracleOpts::default()),
+            ]
+        }) {
+            let oracle = DistOracle::build(&g, r, &opts);
             let mut w = nd_persist::Writer::new();
             oracle.write_into(&mut w);
             let bytes = w.into_bytes();
@@ -675,42 +789,97 @@ mod tests {
     #[test]
     fn binary_codec_rejects_corruption() {
         let g = generators::grid(7, 7);
-        let oracle = DistOracle::build(&g, 2, &recursive_opts());
-        let mut w = nd_persist::Writer::new();
-        oracle.write_into(&mut w);
-        let bytes = w.into_bytes();
-        // Every truncation is a typed error, never a panic.
-        for cut in (0..bytes.len()).step_by(7) {
+        for opts in [DistOracleOpts::default(), recursive_opts()] {
+            let oracle = DistOracle::build(&g, 2, &opts);
+            assert_eq!(oracle.is_flat(), opts.budget_factor > 1);
+            let mut w = nd_persist::Writer::new();
+            oracle.write_into(&mut w);
+            let bytes = w.into_bytes();
+            // Every truncation is a typed error, never a panic.
+            for cut in (0..bytes.len()).step_by(7) {
+                assert!(
+                    DistOracle::read_from(&mut nd_persist::Reader::new(&bytes[..cut]), g.n())
+                        .is_err(),
+                    "cut {cut}"
+                );
+            }
+            // A mismatched vertex count is rejected outright.
             assert!(
-                DistOracle::read_from(&mut nd_persist::Reader::new(&bytes[..cut]), g.n()).is_err(),
-                "cut {cut}"
+                DistOracle::read_from(&mut nd_persist::Reader::new(&bytes), g.n() + 1).is_err()
             );
-        }
-        // A mismatched vertex count is rejected outright.
-        assert!(DistOracle::read_from(&mut nd_persist::Reader::new(&bytes), g.n() + 1).is_err());
-        // Hostile intact-looking bytes: either a typed error, or a decoded
-        // oracle whose queries are safe to run (possibly wrong, never a
-        // panic). Overwrite one byte at a stride across the payload.
-        for i in (0..bytes.len()).step_by(11) {
-            let mut c = bytes.clone();
-            c[i] = c[i].wrapping_add(1);
-            if let Ok(back) = DistOracle::read_from(&mut nd_persist::Reader::new(&c), g.n()) {
-                for a in (0..g.n() as Vertex).step_by(5) {
-                    for b in (0..g.n() as Vertex).step_by(5) {
-                        let _ = back.test(a, b);
-                    }
+            // Hostile intact-looking bytes: either a typed error, or a
+            // decoded oracle whose queries are safe to run (possibly wrong,
+            // never a panic). Overwrite one byte at a stride across the
+            // payload.
+            for i in (0..bytes.len()).step_by(11) {
+                let mut c = bytes.clone();
+                c[i] = c[i].wrapping_add(1);
+                if let Ok(back) = DistOracle::read_from(&mut nd_persist::Reader::new(&c), g.n()) {
+                    probe_all(&back, g.n(), 5);
                 }
             }
         }
     }
 
+    /// A radius-1 oracle payload holding one flat ball table.
+    fn forged_table(offsets: &[u32], members: &[u32]) -> Vec<u8> {
+        let mut w = nd_persist::Writer::new();
+        w.u32(1); // radius
+        for _ in 0..4 {
+            w.u64(0); // vertex, edge, base-case and fallback counts
+        }
+        w.u32(0); // depth
+        w.u64(0); // bags
+        w.u8(0); // ball-table node
+        w.u32_slab(offsets);
+        w.u32_slab(members);
+        w.into_bytes()
+    }
+
+    fn probe_all(oracle: &DistOracle, n: usize, step: usize) {
+        for a in (0..n as Vertex).step_by(step) {
+            for b in (0..n as Vertex).step_by(step) {
+                let _ = oracle.test(a, b);
+            }
+        }
+    }
+
     #[test]
-    fn test_at_mixed_radius() {
-        let g = generators::path(12);
-        let oracle = DistOracle::build(&g, 4, &recursive_opts());
-        assert!(oracle.test_at(&g, 0, 2, 2));
-        assert!(!oracle.test_at(&g, 0, 3, 2));
-        assert!(oracle.test_at(&g, 0, 4, 4));
-        assert!(!oracle.test_at(&g, 0, 5, 4));
+    fn forged_ball_tables_are_malformed_or_safe() {
+        use nd_persist::{MmapFile, PersistError, Reader, SlabCtx};
+        let n = 3;
+        // A well-formed table decodes under both policies.
+        let good = forged_table(&[0, 2, 3, 5], &[0, 1, 1, 0, 2]);
+        let back = DistOracle::read_from(&mut Reader::new(&good), n).unwrap();
+        assert!(back.test(0, 1) && back.test(2, 0) && !back.test(1, 2));
+        for (what, offsets, members) in [
+            (
+                "non-monotone offsets",
+                &[0u32, 3, 2, 5][..],
+                &[0u32, 1, 2, 1, 2][..],
+            ),
+            ("offset past members", &[0, 9, 3, 5], &[0, 1, 1, 0, 2]),
+            ("last offset != len", &[0, 2, 3, 4], &[0, 1, 1, 0, 2]),
+            ("unsorted row", &[0, 2, 3, 5], &[1, 0, 1, 0, 2]),
+            ("member >= n", &[0, 2, 3, 5], &[0, 1, 1, 0, 3]),
+        ] {
+            let bytes = forged_table(offsets, members);
+            let full = DistOracle::read_from(&mut Reader::new(&bytes), n);
+            assert!(
+                matches!(full, Err(PersistError::Malformed { .. })),
+                "{what}: accepted under full validation"
+            );
+            // Lazy: a mapped decode without validation either rejects the
+            // table or answers every probe without panicking.
+            let file = std::sync::Arc::new(MmapFile::from_bytes(&bytes));
+            let ctx = SlabCtx {
+                file: file.clone(),
+                validate: false,
+            };
+            let mut r = Reader::with_slab(file.as_slice(), ctx);
+            if let Ok(back) = DistOracle::read_from(&mut r, n) {
+                probe_all(&back, n, 1);
+            }
+        }
     }
 }

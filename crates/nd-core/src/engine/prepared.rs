@@ -160,6 +160,9 @@ pub struct PrepareStats {
     pub oracles: usize,
     /// Total vertices materialized across all oracle recursion levels.
     pub oracle_vertices: usize,
+    /// Oracles whose root is one flat ball table (`Σ_v |N_r(v)|` fit the
+    /// oracle budget, so no splitter recursion was built).
+    pub oracle_flat: usize,
     /// Deepest oracle recursion.
     pub oracle_depth: u32,
     /// Bags across all branch covers.
@@ -233,6 +236,7 @@ impl PrepareStats {
             .field_u64("active_branches", self.active_branches as u64)
             .field_u64("oracles", self.oracles as u64)
             .field_u64("oracle_vertices", self.oracle_vertices as u64)
+            .field_u64("oracle_flat", self.oracle_flat as u64)
             .field_u64("oracle_depth", self.oracle_depth as u64)
             .field_u64("cover_bags", self.cover_bags as u64)
             .field_u64("cover_total_size", self.cover_total_size as u64)
@@ -564,6 +568,7 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
                     for o in b.oracles.values() {
                         let os = o.stats();
                         s.oracle_vertices += os.total_vertices;
+                        s.oracle_flat += o.is_flat() as usize;
                         s.oracle_depth = s.oracle_depth.max(os.depth);
                     }
                     if let Some(c) = &b.cover {
@@ -1891,6 +1896,9 @@ mod tests {
             dist: DistOracleOpts {
                 max_rounds: 8,
                 naive_threshold: 6,
+                // Keeps the splitter recursion under test: on these small
+                // graphs a 20·n budget would fit every flat ball table.
+                budget_factor: 1,
                 ..DistOracleOpts::default()
             },
             allow_fallback: true,
@@ -2010,6 +2018,25 @@ mod tests {
         let pq = PreparedQuery::prepare(&g1, &q, &small_opts()).unwrap();
         assert_eq!(pq.enumerate().count(), 0);
         assert_eq!(pq.next_solution(&[0, 0]), None);
+    }
+
+    /// The oracle picks a flat ball table when `Σ_v |N_r(v)|` fits its
+    /// budget, and the splitter recursion otherwise; the stats say which.
+    #[test]
+    fn oracle_flat_records_the_oracle_choice() {
+        let g = colored(generators::grid(30, 30), 4);
+        let q = parse_query("dist(x,y) > 2 && Blue(y)").unwrap();
+        for (opts, flat) in [(PrepareOpts::default(), 1), (small_opts(), 0)] {
+            let pq = PreparedQuery::prepare(&g, &q, &opts).unwrap();
+            let stats = pq.stats();
+            assert_eq!(stats.oracles, 1);
+            assert_eq!(stats.oracle_flat, flat);
+            assert_eq!(stats.structural().oracle_flat, flat);
+            assert!(stats.to_json().contains(&format!("\"oracle_flat\":{flat}")));
+            if flat == 1 {
+                assert_eq!((stats.oracle_depth, stats.oracle_vertices), (0, g.n()));
+            }
+        }
     }
 
     #[test]
@@ -2294,10 +2321,11 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Older containers (v2, unpadded v3.0, padded v3.1, and v4 with its
-    /// overlay/patch lists and repair lineage) are refused with the typed
-    /// version error by the bytes load and by the file load under both
-    /// verify policies — no decoder runs on their payloads.
+    /// Older containers (v2, unpadded v3.0, padded v3.1, v4 with its
+    /// overlay/patch lists and repair lineage, and v5 with per-ball oracle
+    /// sets) are refused with the typed version error by the bytes load
+    /// and by the file load under both verify policies — no decoder runs
+    /// on their payloads.
     #[test]
     fn older_containers_are_rejected_by_every_load() {
         let g = colored(generators::grid(4, 4), 7);
@@ -2306,7 +2334,7 @@ mod tests {
         let pq = PreparedQuery::prepare(&g, &q, &small_opts()).unwrap();
         let bytes = pq.save_index_bytes(&q, src).unwrap();
         let path = mmap_tmp("older");
-        for word in [2u32, 3, 3 | 1 << 16, 4] {
+        for word in [2u32, 3, 3 | 1 << 16, 4, 5] {
             let mut old = bytes.clone();
             old[8..12].copy_from_slice(&word.to_le_bytes());
             let want = PersistError::UnsupportedVersion {

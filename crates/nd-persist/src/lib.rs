@@ -38,10 +38,12 @@ pub const MAGIC: [u8; 8] = *b"NDQIDX\r\n";
 /// offsets and bulk arrays inside payloads are padded to 16-byte payload
 /// offsets, which is what lets a mapped file be served in place as
 /// `&[u32]`/`&[u64]`/`&[u128]` slices with zero copies. It persists no
-/// wall-clock field, so re-saving an index is bit-identical. v5 keeps v4's
-/// layout but drops the index fields of in-place repair (per-branch
-/// oracle overlay and patch lists, and the repair outcome in META).
-pub const FORMAT_VERSION: u32 = 5;
+/// wall-clock field, so re-saving an index is bit-identical. v5 kept v4's
+/// layout but dropped the index fields of in-place repair (per-branch
+/// oracle overlay and patch lists, and the repair outcome in META). v6
+/// stores a distance oracle's ball tables as two CSR slabs (offsets and
+/// sorted members) instead of one adaptive list-or-bitmap set per ball.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Decoders refuse single length prefixes beyond this many elements, so a
 /// corrupted length field fails typed instead of attempting a huge
@@ -440,32 +442,6 @@ impl Writer {
             self.buf.extend_from_slice(&x.to_le_bytes());
         }
     }
-
-    /// A strictly sorted set over `[0, bound)` in the smaller of two
-    /// representations: a plain [`Writer::u32_slice`] when sparse, or a
-    /// fixed-width bitmap when dense. Ball tables on dense graphs are
-    /// near-full, so the bitmap form shrinks them up to 32× — which cuts
-    /// checksum and decode time on the warm-restart path by the same
-    /// factor. The choice is a deterministic function of `(v, bound)`,
-    /// keeping re-saves bit-identical.
-    ///
-    /// `v` must be strictly sorted with every element `< bound`.
-    pub fn sorted_set(&mut self, v: &[u32], bound: u32) {
-        let words = (bound as usize).div_ceil(64);
-        if words * 8 < 8 + 4 * v.len() {
-            self.u8(1);
-            let mut bits = vec![0u64; words];
-            for &x in v {
-                bits[(x / 64) as usize] |= 1u64 << (x % 64);
-            }
-            for w in bits {
-                self.u64(w);
-            }
-        } else {
-            self.u8(0);
-            self.u32_slice(v);
-        }
-    }
 }
 
 /// Bounds-checked little-endian decoder over a byte slice. Every method
@@ -712,43 +688,6 @@ impl<'a> Reader<'a> {
             }
         }
         Ok(out)
-    }
-
-    /// Decode a [`Writer::sorted_set`]: either representation yields the
-    /// strictly sorted element list. Bitmap payloads are validated to
-    /// carry no bits at or beyond `bound`.
-    pub fn sorted_set(
-        &mut self,
-        bound: u32,
-        context: &'static str,
-    ) -> Result<Vec<u32>, PersistError> {
-        match self.u8(context)? {
-            0 => self.u32_slice_sorted(bound, context),
-            1 => {
-                let words = (bound as usize).div_ceil(64);
-                let raw = self.take(8 * words, context)?;
-                let mut count = 0usize;
-                for c in raw.chunks_exact(8) {
-                    count += u64::from_le_bytes(c.try_into().unwrap()).count_ones() as usize;
-                }
-                let mut out = Vec::with_capacity(count);
-                for (i, c) in raw.chunks_exact(8).enumerate() {
-                    let mut w = u64::from_le_bytes(c.try_into().unwrap());
-                    let base = (i * 64) as u32;
-                    while w != 0 {
-                        out.push(base + w.trailing_zeros());
-                        w &= w - 1;
-                    }
-                }
-                if out.last().is_some_and(|&x| x >= bound) {
-                    return Err(malformed(format!("{context}: element out of range")));
-                }
-                Ok(out)
-            }
-            other => Err(malformed(format!(
-                "{context}: unknown set encoding {other}"
-            ))),
-        }
     }
 
     /// Assert the input is fully consumed.
@@ -1067,12 +1006,18 @@ mod tests {
         }
     }
 
-    /// Older version words (v2, unpadded v3.0, padded v3.1, v4) are
+    /// Older version words (v2, unpadded v3.0, padded v3.1, v4, v5) are
     /// refused typed, and the message names the version as major.minor
     /// and tells the user to re-prepare.
     #[test]
     fn older_versions_are_rejected() {
-        for (word, shown) in [(2u32, "2.0"), (3, "3.0"), (3 | 1 << 16, "3.1"), (4, "4.0")] {
+        for (word, shown) in [
+            (2u32, "2.0"),
+            (3, "3.0"),
+            (3 | 1 << 16, "3.1"),
+            (4, "4.0"),
+            (5, "5.0"),
+        ] {
             let mut bytes = sample_container();
             bytes[8..12].copy_from_slice(&word.to_le_bytes());
             let err = parse_container_frames(&bytes).unwrap_err();
@@ -1194,48 +1139,6 @@ mod tests {
         // Standard IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn sorted_set_roundtrips_across_densities() {
-        let bound = 300u32;
-        let cases: Vec<Vec<u32>> = vec![
-            vec![],
-            vec![0],
-            vec![299],
-            (0..300).collect(),            // full → bitmap
-            (0..300).step_by(2).collect(), // half → bitmap
-            vec![3, 77, 150, 299],         // sparse → list
-            (250..300).collect(),          // tail cluster
-        ];
-        for v in cases {
-            let mut w = Writer::new();
-            w.sorted_set(&v, bound);
-            let bytes = w.into_bytes();
-            let mut r = Reader::new(&bytes);
-            assert_eq!(r.sorted_set(bound, "set").unwrap(), v);
-            r.finish().unwrap();
-            // Deterministic: re-encoding is bit-identical.
-            let mut w2 = Writer::new();
-            w2.sorted_set(&v, bound);
-            assert_eq!(w2.into_bytes(), bytes);
-        }
-    }
-
-    #[test]
-    fn sorted_set_rejects_out_of_range_bitmap_bits() {
-        let bound = 70u32; // 2 words, upper word mostly padding
-        let mut w = Writer::new();
-        w.sorted_set(&(0..70).collect::<Vec<_>>(), bound);
-        let mut bytes = w.into_bytes();
-        // Set a padding bit beyond `bound` in the last word.
-        let last = bytes.len() - 1;
-        bytes[last] |= 0x80;
-        let mut r = Reader::new(&bytes);
-        assert!(matches!(
-            r.sorted_set(bound, "set"),
-            Err(PersistError::Malformed { .. })
-        ));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The zero-copy load path (DESIGN.md §12) maps an `NDQIDX` file read-only
 //! and serves the bulk arrays — flat-store arenas, CSR skip tables, CSR
-//! graph arrays, ball-grid bitmaps, unary lists — directly out of the
-//! mapped pages. Three pieces make that sound:
+//! graph arrays, oracle ball tables and bitmaps, unary lists — directly
+//! out of the mapped pages. Three pieces make that sound:
 //!
 //! * the container layout places every such array at a 16-byte file
 //!   offset, so the on-disk bytes reinterpret as
