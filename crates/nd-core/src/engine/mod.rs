@@ -4,3 +4,4 @@ pub mod counting;
 pub mod fragment;
 pub mod naive;
 pub mod prepared;
+mod probe;
