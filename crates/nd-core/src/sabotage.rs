@@ -13,12 +13,13 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// When set, the indexed engine resolves multi-branch `next_solution`
-/// races with `max` instead of `min` — a flipped lexicographic
-/// comparison, the classic off-by-an-order bug class the conformance
-/// harness exists to catch. Single-branch queries are unaffected, which
-/// is exactly what makes the bug realistic: it hides until a union query
-/// with overlapping branches comes along.
+/// When set, the indexed engine's multi-branch merge, which both
+/// `next_solution` and the resumable enumerator use, picks `max` instead
+/// of `min`: a flipped lexicographic comparison, the classic
+/// off-by-an-order bug class the conformance harness exists to catch.
+/// Single-branch queries are unaffected, which is exactly what makes the
+/// bug realistic: it hides until a union query with overlapping branches
+/// comes along.
 static FLIP_LEX: AtomicBool = AtomicBool::new(false);
 
 /// Toggle the flipped-lex bug. Returns the previous value so tests can
