@@ -786,12 +786,37 @@ mod tests {
         }
     }
 
+    /// `(split nodes, ball-table nodes)` in an oracle tree.
+    fn node_kinds(node: &Node) -> (usize, usize) {
+        match node {
+            Node::Naive(_) => (0, 1),
+            Node::Split(split) => split
+                .bags
+                .iter()
+                .map(|b| node_kinds(&b.inner))
+                .fold((1, 0), |(s, t), (s2, t2)| (s + s2, t + t2)),
+            Node::NaiveDense(_) | Node::Bfs(_) => (0, 0),
+        }
+    }
+
     #[test]
     fn binary_codec_rejects_corruption() {
-        let g = generators::grid(7, 7);
-        for opts in [DistOracleOpts::default(), recursive_opts()] {
+        // A flat oracle, and a recursive one kept small (path 20: 6.5 KB)
+        // because each truncated read below decodes the whole prefix.
+        for (g, opts) in [
+            (generators::grid(7, 7), DistOracleOpts::default()),
+            (generators::path(20), recursive_opts()),
+        ] {
             let oracle = DistOracle::build(&g, 2, &opts);
             assert_eq!(oracle.is_flat(), opts.budget_factor > 1);
+            if !oracle.is_flat() {
+                let (splits, tables) = node_kinds(&oracle.root);
+                assert!(oracle.stats().depth >= 2, "{:?}", oracle.stats());
+                assert!(
+                    splits >= 1 && tables >= 1,
+                    "{splits} splits, {tables} tables"
+                );
+            }
             let mut w = nd_persist::Writer::new();
             oracle.write_into(&mut w);
             let bytes = w.into_bytes();

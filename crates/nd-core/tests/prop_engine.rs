@@ -156,6 +156,53 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The resumable enumerator against the definition it shortcuts:
+    /// every step must equal `next_solution(lex_increment(prev))`, on
+    /// single queries and two-branch unions, with the extendability
+    /// pre-check on and off.
+    #[test]
+    fn resumed_enumeration_matches_the_restart_chain(
+        g in graph_strategy(),
+        q1 in query_strategy(),
+        q2 in query_strategy(),
+        union in any::<bool>(),
+        extend in any::<bool>(),
+        seed in 0u32..10_000,
+        m in 1usize..24,
+    ) {
+        let q = if union && q1.arity() == q2.arity() {
+            Query::new(Formula::or([q1.formula, q2.formula]), q1.free)
+        } else {
+            q1
+        };
+        let opts = PrepareOpts {
+            extendability_check: extend,
+            ..PrepareOpts::default()
+        };
+        let pq = PreparedQuery::prepare(&g, &q, &opts).unwrap();
+        prop_assert_eq!(pq.enumerate().collect::<Vec<_>>(), materialize(&g, &q));
+
+        for s in 0..6u32 {
+            // Start points over [0, n]^k: n itself is out of range, which
+            // next_solution accepts as "no successor in that subrange".
+            let t: Vec<Vertex> = (0..q.arity() as u32)
+                .map(|p| seed.wrapping_mul(2_654_435_761).wrapping_add(s * 7919 + p * 104_729) % (g.n() as u32 + 1))
+                .collect();
+            let mut chain = Vec::new();
+            let mut cur = pq.next_solution(&t);
+            while let Some(sol) = cur.filter(|_| chain.len() < m) {
+                cur = pq.lex_increment(&sol).and_then(|succ| pq.next_solution(&succ));
+                chain.push(sol);
+            }
+            let resumed: Vec<_> = pq.enumerate_from(&t).unwrap().take(m).collect();
+            prop_assert_eq!(resumed, chain, "from {:?}", t);
+        }
+    }
+}
+
 #[test]
 fn eq_self_loops_regression() {
     // Eq(x, x) used by the generator must not confuse the compiler: it has

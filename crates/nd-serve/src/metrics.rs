@@ -7,20 +7,27 @@
 //! is bounded by in-flight requests) that renders itself to JSON via the
 //! workspace's serde-free writer.
 //!
-//! Latencies land in log2-bucketed histograms: bucket `i` covers
-//! `[2^(i-1), 2^i)` nanoseconds, so 40 buckets span 1 ns to ~9 minutes
-//! with ≤ 2× relative error — plenty for p50/p95/p99 over constant-time
-//! probes.
+//! Latencies land in log-linear histograms: each power of two
+//! `[2^e, 2^(e+1))` is split into [`SUB_BUCKETS`] equal-width buckets
+//! (values below 8 ns get a bucket each), so [`HISTOGRAM_BUCKETS`]
+//! buckets span 0 ns to ~18 minutes and every reported quantile — a
+//! bucket midpoint — is within 12.5% of the samples in its bucket. That
+//! is fine enough to show a probe-path speedup, which plain log2 buckets
+//! (every quantile `3·2^k`) hide.
 
 use crate::request::{RequestKind, REQUEST_KINDS};
 use nd_graph::json::{JsonArray, JsonObject};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Number of log2 latency buckets (1 ns .. ~2^39 ns ≈ 9 min).
-pub const HISTOGRAM_BUCKETS: usize = 40;
+/// Linear sub-buckets per power of two.
+pub const SUB_BUCKETS: usize = 4;
 
-/// A log2-bucketed latency histogram over nanoseconds.
+/// Number of latency buckets: exact values 0–3, then [`SUB_BUCKETS`] per
+/// power of two from `2^2` to `2^39` ns; larger values land in the last.
+pub const HISTOGRAM_BUCKETS: usize = SUB_BUCKETS * 39;
+
+/// A log-linear latency histogram over nanoseconds.
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
@@ -35,11 +42,27 @@ impl Default for LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    /// Index of the bucket covering `ns`: `0` for 0–1 ns, else
-    /// `min(64 - leading_zeros(ns), last)`.
+    /// Index of the bucket covering `ns`: `ns` itself below
+    /// [`SUB_BUCKETS`]; else, with `e = ⌊log2 ns⌋`, the power-of-two
+    /// group `e − 1` and the sub-bucket given by the two bits after the
+    /// leading one. Clamped to the last bucket.
     fn bucket_of(ns: u64) -> usize {
-        let b = (64 - ns.leading_zeros()) as usize;
-        b.min(HISTOGRAM_BUCKETS - 1)
+        if ns < SUB_BUCKETS as u64 {
+            return ns as usize;
+        }
+        let e = 63 - ns.leading_zeros() as usize;
+        let sub = (ns >> (e - 2)) as usize & (SUB_BUCKETS - 1);
+        (SUB_BUCKETS * (e - 1) + sub).min(HISTOGRAM_BUCKETS - 1)
+    }
+
+    /// The `[lo, hi)` nanosecond range of bucket `i`.
+    fn bucket_range(i: usize) -> (u64, u64) {
+        if i < SUB_BUCKETS {
+            return (i as u64, i as u64 + 1);
+        }
+        let shift = i / SUB_BUCKETS - 1;
+        let lead = (SUB_BUCKETS + i % SUB_BUCKETS) as u64;
+        (lead << shift, (lead + 1) << shift)
     }
 
     pub fn record_ns(&self, ns: u64) {
@@ -78,8 +101,9 @@ impl HistogramSnapshot {
     }
 
     /// Estimate the `q`-quantile (`0.0 ..= 1.0`) in nanoseconds: the
-    /// geometric midpoint of the bucket holding the `⌈q·total⌉`-th
-    /// sample. `None` on an empty histogram.
+    /// midpoint of the bucket holding the `⌈q·total⌉`-th sample, within
+    /// 12.5% of every sample in that bucket. `None` on an empty
+    /// histogram.
     pub fn quantile_ns(&self, q: f64) -> Option<u64> {
         let total = self.total();
         if total == 0 {
@@ -90,14 +114,8 @@ impl HistogramSnapshot {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                // Bucket i covers [2^(i-1), 2^i); midpoint ≈ 3·2^(i-2).
-                // Buckets 0 and 1 are the degenerate {0} and {1}.
-                let mid = match i {
-                    0 => 0,
-                    1 => 1,
-                    i => 3u64 << (i - 2),
-                };
-                return Some(mid);
+                let (lo, hi) = LatencyHistogram::bucket_range(i);
+                return Some(lo + (hi - lo) / 2);
             }
         }
         None
@@ -245,7 +263,7 @@ impl KindSnapshot {
                 None => o.field_null(name),
             };
         }
-        o.field_raw("latency_log2_ns", &self.latency.to_json());
+        o.field_raw("latency_buckets_ns", &self.latency.to_json());
         o.finish()
     }
 }
@@ -288,30 +306,63 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_buckets_cover_powers() {
+    fn histogram_buckets_tile_the_range() {
         assert_eq!(LatencyHistogram::bucket_of(0), 0);
-        assert_eq!(LatencyHistogram::bucket_of(1), 1);
-        assert_eq!(LatencyHistogram::bucket_of(2), 2);
-        assert_eq!(LatencyHistogram::bucket_of(3), 2);
-        assert_eq!(LatencyHistogram::bucket_of(1024), 11);
+        assert_eq!(LatencyHistogram::bucket_of(3), 3);
+        assert_eq!(LatencyHistogram::bucket_of(4), 4);
+        assert_eq!(LatencyHistogram::bucket_of(7), 7);
+        assert_eq!(LatencyHistogram::bucket_of(8), 8);
+        assert_eq!(LatencyHistogram::bucket_of(1024), 36);
+        assert_eq!(LatencyHistogram::bucket_of(1279), 36);
+        assert_eq!(LatencyHistogram::bucket_of(1280), 37);
         assert_eq!(LatencyHistogram::bucket_of(u64::MAX), HISTOGRAM_BUCKETS - 1);
+        // Consecutive buckets are adjacent ranges, and every value below
+        // the clamp lands in the bucket whose range holds it.
+        let mut expect_lo = 0;
+        for i in 0..HISTOGRAM_BUCKETS {
+            let (lo, hi) = LatencyHistogram::bucket_range(i);
+            assert_eq!(lo, expect_lo, "bucket {i}");
+            assert_eq!(LatencyHistogram::bucket_of(lo), i);
+            assert_eq!(LatencyHistogram::bucket_of(hi - 1), i);
+            expect_lo = hi;
+        }
+        assert_eq!(expect_lo, 1 << 40);
+    }
+
+    #[test]
+    fn constant_streams_report_within_an_eighth() {
+        // 150 µs and 196.608 µs both read 196,608 ns (3·2^16) under plain
+        // log2 buckets; here each quantile stays within 12.5% of its
+        // stream and the two streams are told apart.
+        let mut p50s = Vec::new();
+        for ns in [150_000u64, 196_608] {
+            let h = LatencyHistogram::default();
+            h.record_ns_many(ns, 1_000);
+            let snap = HistogramSnapshot { counts: h.counts() };
+            for q in [0.50, 0.95, 0.99] {
+                let got = snap.quantile_ns(q).unwrap();
+                assert!(got.abs_diff(ns) * 8 <= ns, "q{q} of {ns} ns read {got}");
+            }
+            p50s.push(snap.quantile_ns(0.5).unwrap());
+        }
+        assert_ne!(p50s[0], p50s[1]);
     }
 
     #[test]
     fn quantiles_land_in_the_right_bucket() {
         let h = LatencyHistogram::default();
         for _ in 0..90 {
-            h.record_ns(100); // bucket 7: [64, 128)
+            h.record_ns(100); // bucket 22: [96, 112)
         }
         for _ in 0..10 {
-            h.record_ns(10_000); // bucket 14: [8192, 16384)
+            h.record_ns(10_000); // bucket 48: [8192, 10240)
         }
         let snap = HistogramSnapshot { counts: h.counts() };
         assert_eq!(snap.total(), 100);
         let p50 = snap.quantile_ns(0.50).unwrap();
-        assert!((64..128).contains(&p50), "p50 = {p50}");
+        assert!((96..112).contains(&p50), "p50 = {p50}");
         let p99 = snap.quantile_ns(0.99).unwrap();
-        assert!((8_192..16_384).contains(&p99), "p99 = {p99}");
+        assert!((8_192..10_240).contains(&p99), "p99 = {p99}");
         assert_eq!(HistogramSnapshot::default().quantile_ns(0.5), None);
     }
 
@@ -324,6 +375,6 @@ mod tests {
         let j = m.snapshot().to_json();
         assert!(j.contains("\"test\":{\"admitted\":3,\"completed\":1"));
         assert!(j.contains("\"enumerate_page\":{\"admitted\":0,\"completed\":0,\"rejected\":2"));
-        assert!(j.contains("\"latency_log2_ns\":["));
+        assert!(j.contains("\"latency_buckets_ns\":["));
     }
 }
