@@ -310,7 +310,7 @@ fn build_node(
         let bag = cover.bag(id);
         // Step 3: Splitter's answer to the bag center, computed on the bag
         // subgraph (Remark 4.7: time O(‖N_2r(c_X)‖)).
-        let bag_sub = InducedSubgraph::new_uncolored(g, &bag.verts);
+        let bag_sub = InducedSubgraph::new_uncolored(g, bag.verts);
         let center_local = bag_sub
             .to_local(bag.center)
             .expect("center belongs to its bag");
@@ -321,7 +321,7 @@ fn build_node(
         // the bag subgraph.
         let mut scratch = BfsScratch::new(bag_sub.n());
         scratch.run(&bag_sub.graph, s_local, r);
-        let mut verts_wo_s: Vec<Vertex> = bag.verts.clone();
+        let mut verts_wo_s: Vec<Vertex> = bag.verts.to_vec();
         let pos = verts_wo_s.binary_search(&s).expect("s is in the bag");
         verts_wo_s.remove(pos);
         let sub = InducedSubgraph::new_uncolored(g, &verts_wo_s);
@@ -533,7 +533,7 @@ fn read_node(
                 let sub = InducedSubgraph::read_from(r)?;
                 let s = r.u32("oracle splitter vertex")?;
                 let ri = r.byte_slice("oracle recoloring table")?;
-                let verts = &cover.bag(id as u32).verts;
+                let verts = cover.bag(id as u32).verts;
                 if verts.binary_search(&s).is_err() {
                     return Err(malformed("oracle splitter vertex outside its bag"));
                 }

@@ -40,7 +40,7 @@
 //! update cost and exact queries — and it is property-tested against
 //! recomputation.
 
-use nd_cover::{BagId, Cover, KernelIndex};
+use nd_cover::{BagId, Cover, KernelBags, KernelIndex};
 use nd_graph::Vertex;
 use nd_store::{FnStore, StoreParams};
 
@@ -89,8 +89,9 @@ impl DynamicFarIndex {
         epsilon: f64,
     ) -> DynamicFarIndex {
         let mut idx = DynamicFarIndex::new(n, num_bags, epsilon);
+        let kernel_bags = kernels.bags_of();
         for &v in witnesses {
-            idx.insert(kernels, v);
+            idx.insert(&kernel_bags, v);
         }
         idx
     }
@@ -113,23 +114,24 @@ impl DynamicFarIndex {
     }
 
     /// Add a witness. `O(δ(v) · n^ε)` — one trie update plus one per
-    /// kernel containing `v`.
-    pub fn insert(&mut self, kernels: &KernelIndex, v: Vertex) -> bool {
+    /// kernel containing `v`, read from the inverted kernel index
+    /// ([`KernelIndex::bags_of`], built once per kernel index).
+    pub fn insert(&mut self, kernel_bags: &KernelBags, v: Vertex) -> bool {
         if self.witnesses.insert(&[v as u64], 1).is_some() {
             return false;
         }
-        for &x in kernels.kernel_bags_of(v) {
+        for &x in kernel_bags.of(v) {
             self.excluded.insert(&[x as u64, v as u64], 1);
         }
         true
     }
 
     /// Remove a witness. Same cost as [`Self::insert`].
-    pub fn remove(&mut self, kernels: &KernelIndex, v: Vertex) -> bool {
+    pub fn remove(&mut self, kernel_bags: &KernelBags, v: Vertex) -> bool {
         if self.witnesses.remove(&[v as u64]).is_none() {
             return false;
         }
-        for &x in kernels.kernel_bags_of(v) {
+        for &x in kernel_bags.of(v) {
             self.excluded.remove(&[x as u64, v as u64]);
         }
         true
@@ -210,6 +212,8 @@ pub struct DynamicFarQuery {
     pub cover: Cover,
     pub kernels: KernelIndex,
     pub index: DynamicFarIndex,
+    /// `kernels.bags_of()`, kept for the per-update trie edits.
+    kernel_bags: KernelBags,
     r: u32,
 }
 
@@ -252,13 +256,15 @@ impl DynamicFarQuery {
         let cover = Cover::try_build(g, 2 * r, epsilon, tracker)?;
         let kernels = KernelIndex::try_build(g, &cover, r, tracker)?;
         let mut index = DynamicFarIndex::try_new(g.n(), cover.num_bags(), epsilon)?;
+        let kernel_bags = kernels.bags_of();
         for &v in witnesses {
-            index.insert(&kernels, v);
+            index.insert(&kernel_bags, v);
         }
         Ok(DynamicFarQuery {
             cover,
             kernels,
             index,
+            kernel_bags,
             r,
         })
     }
@@ -279,10 +285,10 @@ impl DynamicFarQuery {
     /// Toggle a vertex's witness status; returns the new status.
     pub fn toggle(&mut self, v: Vertex) -> bool {
         if self.index.contains(v) {
-            self.index.remove(&self.kernels, v);
+            self.index.remove(&self.kernel_bags, v);
             false
         } else {
-            self.index.insert(&self.kernels, v);
+            self.index.insert(&self.kernel_bags, v);
             true
         }
     }
@@ -306,13 +312,14 @@ mod tests {
             let r = 2;
             let cover = Cover::build(&g, 2 * r, 0.5);
             let kernels = KernelIndex::build(&g, &cover, r);
+            let kernel_bags = kernels.bags_of();
             let mut idx = DynamicFarIndex::new(g.n(), cover.num_bags(), 0.5);
             for round in 0..200 {
                 let v = rng.random_range(0..g.n() as Vertex);
                 if idx.contains(v) {
-                    assert!(idx.remove(&kernels, v));
+                    assert!(idx.remove(&kernel_bags, v));
                 } else {
-                    assert!(idx.insert(&kernels, v));
+                    assert!(idx.insert(&kernel_bags, v));
                 }
                 // Spot-check queries after every update.
                 for _ in 0..4 {
@@ -371,6 +378,7 @@ mod tests {
         let r = 2;
         let cover = Cover::build(&g, 2 * r, 0.5);
         let kernels = KernelIndex::build(&g, &cover, r);
+        let kernel_bags = kernels.bags_of();
         let mut rng = StdRng::seed_from_u64(11);
         let mut idx = DynamicFarIndex::new(g.n(), cover.num_bags(), 0.5);
         let mut model = std::collections::BTreeSet::new();
@@ -378,10 +386,10 @@ mod tests {
             let v = rng.random_range(0..g.n() as Vertex);
             if model.contains(&v) {
                 model.remove(&v);
-                idx.remove(&kernels, v);
+                idx.remove(&kernel_bags, v);
             } else {
                 model.insert(v);
-                idx.insert(&kernels, v);
+                idx.insert(&kernel_bags, v);
             }
         }
         let fresh = DynamicFarIndex::build(

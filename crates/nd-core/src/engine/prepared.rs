@@ -1167,8 +1167,12 @@ impl BranchEngine {
         for _ in 0..fq.k {
             let list = r.u32_slab_sorted(n as u32, "unary list")?;
             let mut bits = vec![false; n];
+            // A lazy load skips the slab's range sweep, so the bitset
+            // write itself is the range check.
             for &v in list.iter() {
-                bits[v as usize] = true;
+                *bits
+                    .get_mut(v as usize)
+                    .ok_or_else(|| malformed("unary list member out of range"))? = true;
             }
             unary_lists.push(list);
             unary_bits.push(bits);
@@ -1925,7 +1929,9 @@ mod tests {
     }
 
     /// Every unary-list slab of an indexed engine (none for the naive one).
-    fn unary_slabs(pq: &SharedPreparedQuery) -> impl Iterator<Item = &nd_persist::Slab<Vertex>> {
+    fn unary_slabs<G: Borrow<ColoredGraph>>(
+        pq: &PreparedQuery<G>,
+    ) -> impl Iterator<Item = &nd_persist::Slab<Vertex>> {
         let branches = match &pq.engine {
             EngineImpl::Indexed(bs) => &bs[..],
             EngineImpl::Naive(_) => &[],
@@ -2016,6 +2022,69 @@ mod tests {
 
             std::fs::remove_file(&path).ok();
         }
+
+        // What a load still decodes into owned memory is the query, META
+        // and the small per-structure scalars — not the covers and kernels,
+        // which are borrowed slabs. This 48×48 grid far-query index
+        // decodes about 11 KB; format v6, which rebuilt covers and kernels
+        // at load, decoded about 150 KB of it.
+        let g = colored(generators::grid(48, 48), 5);
+        let pq = PreparedQuery::prepare(&g, &q, &PrepareOpts::default()).unwrap();
+        let bytes = pq.save_index_bytes(&q, src).unwrap();
+        let loaded = SharedPreparedQuery::load_index_bytes(&bytes).unwrap();
+        assert!(
+            loaded.stats.bytes_decoded < 64 << 10,
+            "decoded {} of {} bytes",
+            loaded.stats.bytes_decoded,
+            loaded.stats.bytes_total
+        );
+    }
+
+    /// A unary list is a slab whose range sweep a lazy load skips; a
+    /// member past `n` (intact framing, engine CRC deferred) must fail the
+    /// load typed instead of indexing the position's bitset out of bounds.
+    #[test]
+    fn lazy_load_rejects_an_out_of_range_unary_entry() {
+        let g = colored(generators::grid(10, 10), 3);
+        let src = "dist(x,y) <= 2 && Blue(y)";
+        let q = parse_query(src).unwrap();
+        let pq = PreparedQuery::prepare(&g, &q, &small_opts()).unwrap();
+        let list: Vec<u8> = unary_slabs(&pq)
+            .max_by_key(|s| s.len())
+            .unwrap()
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        assert!(list.len() >= 4 * 8, "too few Blue vertices to locate");
+        let mut bytes = pq.save_index_bytes(&q, src).unwrap();
+        let frames = nd_persist::parse_container_frames(&bytes).unwrap();
+        let engine = frames.frames.iter().find(|f| &f.tag == b"ENGN").unwrap();
+        let base = engine.payload.as_ptr() as usize - bytes.as_ptr() as usize;
+        let hits: Vec<usize> = engine
+            .payload
+            .windows(list.len())
+            .enumerate()
+            .filter(|(_, w)| *w == &list[..])
+            .map(|(i, _)| base + i)
+            .collect();
+        assert_eq!(hits.len(), 1, "the unary list is not unique in ENGN");
+        let last = hits[0] + list.len() - 4;
+        bytes[last..last + 4].copy_from_slice(&0x7fff_ff00u32.to_le_bytes());
+        let path = mmap_tmp("unary-range");
+        nd_persist::write_file_atomic(&path, &bytes).unwrap();
+        let lazy = MmapLoadOpts {
+            verify: VerifyPolicy::Lazy,
+            prewarm: false,
+        };
+        assert!(matches!(
+            SharedPreparedQuery::load_index_mmap(&path, &lazy).err(),
+            Some(PersistError::Malformed { .. })
+        ));
+        assert!(matches!(
+            SharedPreparedQuery::load_index_mmap(&path, &MmapLoadOpts::default()).err(),
+            Some(PersistError::ChecksumMismatch { .. })
+        ));
+        std::fs::remove_file(&path).ok();
     }
 
     /// A mutation applied to an mmap-backed index answers identically to
@@ -2054,10 +2123,10 @@ mod tests {
     }
 
     /// Older containers (v2, unpadded v3.0, padded v3.1, v4 with its
-    /// overlay/patch lists and repair lineage, and v5 with per-ball oracle
-    /// sets) are refused with the typed version error by the bytes load
-    /// and by the file load under both verify policies — no decoder runs
-    /// on their payloads.
+    /// overlay/patch lists and repair lineage, v5 with per-ball oracle
+    /// sets, and v6 with per-bag cover and kernel lists) are refused with
+    /// the typed version error by the bytes load and by the file load
+    /// under both verify policies — no decoder runs on their payloads.
     #[test]
     fn older_containers_are_rejected_by_every_load() {
         let g = colored(generators::grid(4, 4), 7);
@@ -2066,7 +2135,7 @@ mod tests {
         let pq = PreparedQuery::prepare(&g, &q, &small_opts()).unwrap();
         let bytes = pq.save_index_bytes(&q, src).unwrap();
         let path = mmap_tmp("older");
-        for word in [2u32, 3, 3 | 1 << 16, 4, 5] {
+        for word in [2u32, 3, 3 | 1 << 16, 4, 5, 6] {
             let mut old = bytes.clone();
             old[8..12].copy_from_slice(&word.to_le_bytes());
             let want = PersistError::UnsupportedVersion {

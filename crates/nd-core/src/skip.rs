@@ -293,6 +293,8 @@ impl SkipPointers {
             }
         }
         tracker.charge_memory(Phase::SkipClosure, 9 * n as u64)?;
+        // `{X : v ∈ K_r(X)}` seeds SC(v) and grows its sets.
+        let kernel_bags = kernels.bags_of();
         // Claim 5.10: compute SKIP(b, S) for S ∈ SC(b), b descending, sets
         // in breadth-first (size) order. Rows are finalized one vertex at a
         // time into `rev_*` (so they land in descending-vertex order) and
@@ -309,7 +311,7 @@ impl SkipPointers {
         'outer: for b in (0..n as Vertex).rev() {
             row.clear();
             queue.clear();
-            queue.extend(kernels.kernel_bags_of(b).iter().map(|&x| BagIds::single(x)));
+            queue.extend(kernel_bags.of(b).iter().map(|&x| BagIds::single(x)));
             let mut head = 0;
             while head < queue.len() {
                 let s = queue[head];
@@ -350,7 +352,7 @@ impl SkipPointers {
                 row.insert(pos, (set, skip.unwrap_or(NO_SKIP)));
                 if s.len < k {
                     if let Some(v) = skip {
-                        queue.extend(kernels.kernel_bags_of(v).iter().filter_map(|&y| s.with(y)));
+                        queue.extend(kernel_bags.of(v).iter().filter_map(|&y| s.with(y)));
                     }
                 }
             }
@@ -550,6 +552,7 @@ mod tests {
         k: usize,
         rng: &mut StdRng,
     ) -> Vec<Vec<BagId>> {
+        let kernel_bags = kernels.bags_of();
         let mut out = Vec::new();
         for _ in 0..60 {
             let mut s = Vec::new();
@@ -557,7 +560,7 @@ mod tests {
                 // Bias towards kernels of random vertices so sets are
                 // non-trivial.
                 let v = rng.random_range(0..n as Vertex);
-                let kb = kernels.kernel_bags_of(v);
+                let kb = kernel_bags.of(v);
                 if !kb.is_empty() {
                     s.push(kb[rng.random_range(0..kb.len())]);
                 }
@@ -621,9 +624,10 @@ mod tests {
         let kernels = KernelIndex::build(&g, &cover, r);
         let list: Vec<Vertex> = (0..g.n() as Vertex).collect();
         let sp = SkipPointers::build(g.n(), &kernels, list, 2);
+        let kernel_bags = kernels.bags_of();
         let mut scratch = nd_graph::BfsScratch::new(g.n());
         for a in (0..g.n() as Vertex).step_by(13) {
-            let mut bags = kernels.kernel_bags_of(a).to_vec();
+            let mut bags = kernel_bags.of(a).to_vec();
             bags.truncate(2); // the structure was prepared for k = 2
             if bags.is_empty() {
                 continue;

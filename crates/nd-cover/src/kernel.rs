@@ -11,6 +11,7 @@ use crate::{BagId, Cover};
 use nd_graph::budget::{BudgetExceeded, BudgetTracker, Phase};
 use nd_graph::par::try_parallel_map;
 use nd_graph::{ColoredGraph, Vertex};
+use nd_persist::Slab;
 use std::sync::Mutex;
 
 /// Reusable buffers for repeated [`kernel_of_bag_with`] calls.
@@ -104,15 +105,37 @@ pub fn kernel_of_bag_with(
     kernel
 }
 
-/// Kernels of every bag of a cover at a fixed radius, with the inverted
-/// index `v ↦ {X : v ∈ K_p(X)}` needed by the skip pointers (Lemma 5.8).
+/// Kernels of every bag of a cover at a fixed radius, as one CSR table:
+/// bag `id`'s sorted kernel is `members[starts[id]..starts[id + 1]]`.
+/// Both arrays are [`Slab`]s, so a mapped load borrows them in place. The
+/// inverted index `v ↦ {X : v ∈ K_p(X)}` that the skip-pointer build
+/// (Lemma 5.8) walks is not kept; [`KernelIndex::bags_of`] derives it on
+/// demand.
 #[derive(Clone)]
 pub struct KernelIndex {
     pub p: u32,
-    /// Per bag, the sorted kernel members.
-    kernels: Vec<Vec<Vertex>>,
-    /// Per vertex, the sorted bags whose kernel contains it.
-    kernel_bags_of: Vec<Vec<BagId>>,
+    /// Vertex count of the graph (supplied by the loader, never stored).
+    n: usize,
+    /// CSR row offsets, length `num_bags + 1`.
+    starts: Slab<u32>,
+    /// Sorted kernel members, rows concatenated in bag order.
+    members: Slab<Vertex>,
+}
+
+/// The inverted kernel index `v ↦ {X : v ∈ K_p(X)}`, as CSR rows of
+/// sorted bag ids. Built by [`KernelIndex::bags_of`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct KernelBags {
+    starts: Vec<u32>,
+    bags: Vec<BagId>,
+}
+
+impl KernelBags {
+    /// Sorted bags whose kernel contains `v`.
+    pub fn of(&self, v: Vertex) -> &[BagId] {
+        let v = v as usize;
+        &self.bags[self.starts[v] as usize..self.starts[v + 1] as usize]
+    }
 }
 
 impl KernelIndex {
@@ -155,7 +178,7 @@ impl KernelIndex {
         let scratches: Mutex<Vec<KernelScratch>> = Mutex::new(Vec::new());
         let ids: Vec<BagId> = (0..cover.num_bags() as BagId).collect();
         let kernels = try_parallel_map(threads, &ids, |_, &id| {
-            let verts = &cover.bag(id).verts;
+            let verts = cover.bag(id).verts;
             tracker.charge_nodes(Phase::KernelConstruction, verts.len() as u64 + 1)?;
             let mut scratch = scratches
                 .lock()
@@ -167,98 +190,107 @@ impl KernelIndex {
             tracker.charge_memory(Phase::KernelConstruction, 4 * k.len() as u64 + 8)?;
             Ok(k)
         })?;
-        // The inverted index is rebuilt sequentially in bag order, so the
-        // per-vertex bag lists come out sorted exactly as before.
-        let mut kernel_bags_of: Vec<Vec<BagId>> = vec![Vec::new(); g.n()];
-        for (id, k) in kernels.iter().enumerate() {
-            for &v in k {
-                kernel_bags_of[v as usize].push(id as BagId);
-            }
+        let mut starts = Vec::with_capacity(kernels.len() + 1);
+        starts.push(0);
+        let mut members = Vec::with_capacity(kernels.iter().map(Vec::len).sum());
+        for k in &kernels {
+            members.extend_from_slice(k);
+            starts.push(crate::row_end(&members));
         }
         Ok(KernelIndex {
             p,
-            kernels,
-            kernel_bags_of,
+            n: g.n(),
+            starts: starts.into(),
+            members: members.into(),
         })
     }
 
-    /// Append the index's binary encoding to `w` (DESIGN.md §9). Only the
-    /// per-bag kernels are stored; the inverted index is rebuilt on load.
-    /// The vertex count is *not* stored — the loader supplies it from the
-    /// graph, which prevents a corrupted count from driving a huge
-    /// allocation.
+    /// Append the index's binary encoding to `w` (DESIGN.md §9): the two
+    /// CSR slabs, which a load borrows in place. The vertex count is *not*
+    /// stored — the loader supplies it from the graph, which prevents a
+    /// corrupted count from driving a huge allocation.
     pub fn write_into(&self, w: &mut nd_persist::Writer) {
         w.u32(self.p);
-        w.seq_len(self.kernels.len());
-        for k in &self.kernels {
-            w.u32_slice(k);
-        }
+        w.u32_slab(&self.starts);
+        w.u32_slab(&self.members);
     }
 
-    /// Decode an index over a graph with `n` vertices, re-validating
-    /// sortedness and vertex ranges.
+    /// Decode an index over a graph with `n` vertices, re-validating the
+    /// CSR shape, row order and vertex ranges under every verify policy
+    /// (one pass over each slab, no allocation).
     pub fn read_from(
         r: &mut nd_persist::Reader<'_>,
         n: usize,
     ) -> Result<KernelIndex, nd_persist::PersistError> {
-        use nd_persist::malformed;
         let p = r.u32("kernel radius")?;
-        let num_bags = r.seq_len(8, "kernel bag count")?;
-        let mut kernels = Vec::with_capacity(num_bags);
-        for _ in 0..num_bags {
-            let k = r.u32_slice("kernel members")?;
-            if k.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(malformed("kernel members are not sorted"));
-            }
-            if k.iter().any(|&v| (v as usize) >= n) {
-                return Err(malformed("kernel member out of range"));
-            }
-            kernels.push(k);
-        }
-        let mut kernel_bags_of: Vec<Vec<BagId>> = vec![Vec::new(); n];
-        for (id, k) in kernels.iter().enumerate() {
-            for &v in k {
-                kernel_bags_of[v as usize].push(id as BagId);
-            }
-        }
+        let starts = r.u32_slab("kernel offsets")?;
+        let members = r.u32_slab("kernel members")?;
+        crate::check_rows(&starts, &members, n, "kernel")?;
         Ok(KernelIndex {
             p,
-            kernels,
-            kernel_bags_of,
+            n,
+            starts,
+            members,
         })
     }
 
     /// Number of bags the index holds kernels for.
     pub fn num_bags(&self) -> usize {
-        self.kernels.len()
+        self.starts.len() - 1
     }
 
     /// Sorted kernel of a bag.
+    #[inline]
     pub fn kernel(&self, id: BagId) -> &[Vertex] {
-        &self.kernels[id as usize]
+        let i = id as usize;
+        &self.members[self.starts[i] as usize..self.starts[i + 1] as usize]
     }
 
     /// Is `v ∈ K_p(X_id)`? `O(log)`.
+    #[inline]
     pub fn in_kernel(&self, id: BagId, v: Vertex) -> bool {
-        self.kernels[id as usize].binary_search(&v).is_ok()
+        self.kernel(id).binary_search(&v).is_ok()
     }
 
-    /// Sorted bags whose kernel contains `v`.
-    pub fn kernel_bags_of(&self, v: Vertex) -> &[BagId] {
-        &self.kernel_bags_of[v as usize]
+    /// The inverted index `v ↦` sorted bags whose kernel contains `v`, by
+    /// a counting sort over the kernel rows: `O(n + Σ_X |K_p(X)|)` time,
+    /// two flat arrays. Builders that walk it (the skip closure, the
+    /// dynamic far index) call this once per build.
+    pub fn bags_of(&self) -> KernelBags {
+        let mut starts = vec![0u32; self.n + 1];
+        for &v in self.members.iter() {
+            starts[v as usize + 1] += 1;
+        }
+        for v in 0..self.n {
+            starts[v + 1] += starts[v];
+        }
+        let mut fill: Vec<u32> = starts[..self.n].to_vec();
+        let mut bags = vec![0 as BagId; self.members.len()];
+        // Rows are visited in bag order, so each vertex's bags land sorted.
+        for id in 0..self.num_bags() as BagId {
+            for &v in self.kernel(id) {
+                let slot = &mut fill[v as usize];
+                bags[*slot as usize] = id;
+                *slot += 1;
+            }
+        }
+        KernelBags { starts, bags }
     }
 
     /// Maximum number of kernels meeting at a vertex (≤ cover degree).
+    /// One counting pass over the kernel members.
     pub fn degree(&self) -> usize {
-        self.kernel_bags_of.iter().map(Vec::len).max().unwrap_or(0)
+        crate::max_count(self.n, &self.members)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_codec::{decode_mapped, POLICIES};
     use nd_graph::bfs::BfsScratch;
     use nd_graph::generators;
+    use nd_persist::{PersistError, VerifyPolicy};
 
     /// Brute-force kernel: check `N_p(a) ⊆ X` per vertex.
     fn kernel_naive(g: &ColoredGraph, verts: &[Vertex], p: u32) -> Vec<Vertex> {
@@ -286,7 +318,7 @@ mod tests {
         ] {
             let cover = Cover::build(&g, r, 0.5);
             for id in 0..cover.num_bags() as BagId {
-                let verts = &cover.bag(id).verts;
+                let verts = cover.bag(id).verts;
                 assert_eq!(
                     kernel_of_bag(&g, verts, p),
                     kernel_naive(&g, verts, p),
@@ -308,8 +340,8 @@ mod tests {
         // N_0(a) = {a} ⊆ X always.
         let g = generators::grid(6, 6);
         let cover = Cover::build(&g, 2, 0.5);
-        let verts = &cover.bag(0).verts;
-        assert_eq!(&kernel_of_bag(&g, verts, 0), verts);
+        let verts = cover.bag(0).verts;
+        assert_eq!(kernel_of_bag(&g, verts, 0), verts);
     }
 
     #[test]
@@ -317,17 +349,29 @@ mod tests {
         let g = generators::grid(8, 8);
         let cover = Cover::build(&g, 2, 0.5);
         let ki = KernelIndex::build(&g, &cover, 2);
+        let bags = ki.bags_of();
         for id in 0..cover.num_bags() as BagId {
             for &v in ki.kernel(id) {
-                assert!(ki.kernel_bags_of(v).contains(&id));
+                assert!(bags.of(v).contains(&id));
                 assert!(ki.in_kernel(id, v));
             }
         }
+        let mut total = 0;
         for v in g.vertices() {
-            for &id in ki.kernel_bags_of(v) {
+            assert!(bags.of(v).windows(2).all(|w| w[0] < w[1]), "v={v}");
+            for &id in bags.of(v) {
                 assert!(ki.in_kernel(id, v));
             }
+            total += bags.of(v).len();
         }
+        assert_eq!(
+            total,
+            (0..ki.num_bags() as BagId)
+                .map(|id| ki.kernel(id).len())
+                .sum()
+        );
+        let widest = g.vertices().map(|v| bags.of(v).len()).max().unwrap();
+        assert_eq!(ki.degree(), widest);
         assert!(ki.degree() <= cover.degree());
     }
 
@@ -343,8 +387,9 @@ mod tests {
             let seq = KernelIndex::try_build(&g, &cover, p, &tracker).unwrap();
             for threads in [2, 4] {
                 let par = KernelIndex::try_build_threads(&g, &cover, p, threads, &tracker).unwrap();
-                assert_eq!(seq.kernels, par.kernels, "threads={threads}");
-                assert_eq!(seq.kernel_bags_of, par.kernel_bags_of, "threads={threads}");
+                assert_eq!(seq.starts, par.starts, "threads={threads}");
+                assert_eq!(seq.members, par.members, "threads={threads}");
+                assert_eq!(seq.bags_of(), par.bags_of(), "threads={threads}");
             }
         }
     }
@@ -355,7 +400,7 @@ mod tests {
         let cover = Cover::build(&g, 2, 0.5);
         let mut scratch = KernelScratch::new(g.n());
         for id in 0..cover.num_bags() as BagId {
-            let verts = &cover.bag(id).verts;
+            let verts = cover.bag(id).verts;
             assert_eq!(
                 kernel_of_bag_with(&g, verts, 2, &mut scratch),
                 kernel_of_bag(&g, verts, 2),
@@ -364,28 +409,83 @@ mod tests {
         }
     }
 
+    fn encode_rows(p: u32, starts: &[u32], members: &[Vertex]) -> Vec<u8> {
+        let mut w = nd_persist::Writer::new();
+        w.u32(p);
+        w.u32_slab(starts);
+        w.u32_slab(members);
+        w.into_bytes()
+    }
+
+    fn decode(bytes: &[u8], n: usize, policy: VerifyPolicy) -> Result<KernelIndex, PersistError> {
+        decode_mapped(bytes, policy, |r| KernelIndex::read_from(r, n))
+    }
+
     #[test]
-    fn codec_roundtrip_rebuilds_the_inverted_index() {
+    fn codec_roundtrip_answers_identically() {
         let g = generators::grid(8, 8);
         let cover = Cover::build(&g, 2, 0.5);
         let ki = KernelIndex::build(&g, &cover, 2);
         let mut w = nd_persist::Writer::new();
         ki.write_into(&mut w);
         let bytes = w.into_bytes();
-        let mut r = nd_persist::Reader::new(&bytes);
-        let back = KernelIndex::read_from(&mut r, g.n()).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back.p, ki.p);
-        assert_eq!(back.kernels, ki.kernels);
-        assert_eq!(back.kernel_bags_of, ki.kernel_bags_of);
-        // Out-of-range member against a smaller declared n fails typed.
-        assert!(KernelIndex::read_from(&mut nd_persist::Reader::new(&bytes), 1).is_err());
-        for cut in 0..bytes.len() {
-            assert!(
-                KernelIndex::read_from(&mut nd_persist::Reader::new(&bytes[..cut]), g.n()).is_err(),
-                "cut {cut}"
-            );
+        assert_eq!(bytes, encode_rows(ki.p, &ki.starts, &ki.members));
+        for policy in POLICIES {
+            let back = decode(&bytes, g.n(), policy).unwrap();
+            assert!(back.starts.is_mapped() && back.members.is_mapped());
+            assert_eq!(back.p, ki.p);
+            assert_eq!(back.num_bags(), ki.num_bags());
+            for id in 0..ki.num_bags() as BagId {
+                assert_eq!(back.kernel(id), ki.kernel(id));
+            }
+            assert_eq!(back.bags_of(), ki.bags_of());
+            assert_eq!(back.degree(), ki.degree());
+            // Out-of-range member against a smaller declared n fails typed.
+            assert!(matches!(
+                decode(&bytes, 1, policy),
+                Err(PersistError::Malformed { .. })
+            ));
+            for cut in 0..bytes.len() {
+                assert!(decode(&bytes[..cut], g.n(), policy).is_err(), "cut {cut}");
+            }
         }
+    }
+
+    #[test]
+    fn codec_rejects_broken_rows() {
+        let g = generators::grid(8, 8);
+        let n = g.n();
+        let ki = KernelIndex::build(&g, &Cover::build(&g, 2, 0.5), 2);
+        assert!(ki.kernel(0).len() >= 2 && ki.num_bags() >= 2);
+        let assert_malformed = |corrupt: &dyn Fn(&mut Vec<u32>, &mut Vec<u32>), what: &str| {
+            let (mut starts, mut members) = (ki.starts.to_vec(), ki.members.to_vec());
+            corrupt(&mut starts, &mut members);
+            let bytes = encode_rows(ki.p, &starts, &members);
+            for policy in POLICIES {
+                assert!(
+                    matches!(
+                        decode(&bytes, n, policy),
+                        Err(PersistError::Malformed { .. })
+                    ),
+                    "{what} accepted under {policy:?}"
+                );
+            }
+        };
+        assert_malformed(&|s, _| s[1] = s[2] + 1, "non-monotone offsets");
+        assert_malformed(&|s, _| s[0] = 1, "offsets not starting at 0");
+        assert_malformed(&|s, _| *s.last_mut().unwrap() -= 1, "offsets ending early");
+        assert_malformed(
+            &|s, m| {
+                s.clear();
+                m.clear();
+            },
+            "no offsets at all",
+        );
+        assert_malformed(&|_, m| m.swap(0, 1), "an unsorted row");
+        assert_malformed(
+            &|_, m| *m.last_mut().unwrap() = n as u32,
+            "a member out of range",
+        );
     }
 
     #[test]

@@ -21,10 +21,11 @@
 
 pub mod kernel;
 
-pub use kernel::{kernel_of_bag, kernel_of_bag_with, KernelIndex, KernelScratch};
+pub use kernel::{kernel_of_bag, kernel_of_bag_with, KernelBags, KernelIndex, KernelScratch};
 
 use nd_graph::budget::{BudgetExceeded, BudgetTracker, Phase};
 use nd_graph::{BfsScratch, ColoredGraph, Vertex};
+use nd_persist::{malformed, PersistError, Slab};
 use nd_store::{KeySet, StoreParams};
 use std::time::Instant;
 
@@ -40,31 +41,72 @@ pub struct CoverTimings {
     pub store_ms: u64,
 }
 
-/// One bag of a cover.
-#[derive(Clone, Debug)]
-pub struct Bag {
+/// One bag of a cover, borrowed from the cover's row slabs.
+#[derive(Clone, Copy, Debug)]
+pub struct Bag<'a> {
     /// The vertex whose `2r`-ball spawned (and contains) the bag.
     pub center: Vertex,
     /// Sorted members.
-    pub verts: Vec<Vertex>,
+    pub verts: &'a [Vertex],
 }
 
 /// An `(r, 2r)`-neighborhood cover.
+///
+/// Every part is a flat array — [`Slab`]s that a mapped load borrows in
+/// place — so loading a saved cover allocates nothing per vertex or per
+/// bag. The answering phase reads only `assignment` (through
+/// [`Cover::bag_of`]) and the membership store.
 #[derive(Clone)]
 pub struct Cover {
     pub r: u32,
-    bags: Vec<Bag>,
     /// `X(a)`: the canonical bag covering `N_r(a)`.
-    assignment: Vec<BagId>,
-    /// For each vertex, the sorted list of bags containing it.
-    bags_of: Vec<Vec<BagId>>,
-    /// For each bag, the vertices `b` with `X(b) = bag` (sorted).
-    assigned_members: Vec<Vec<Vertex>>,
+    assignment: Slab<BagId>,
+    /// Per bag, the vertex that spawned it.
+    centers: Slab<Vertex>,
+    /// CSR row offsets: bag `id`'s sorted members are
+    /// `members[starts[id]..starts[id + 1]]`. Length `num_bags + 1`.
+    starts: Slab<u32>,
+    members: Slab<Vertex>,
     /// Storing-Theorem membership structure keyed by `(bag, vertex)`.
     membership: KeySet,
     /// Build-time phase breakdown (not part of the cover's value — two
     /// covers built from the same input are equal regardless of timings).
     timings: CoverTimings,
+}
+
+/// One sequential pass over a CSR table of sorted vertex sets: the
+/// offsets run from 0 to the end of `members`, every row is strictly
+/// increasing and every member is `< n`. Rows are read through `get`, so
+/// non-monotone offsets fail typed instead of panicking. Allocates
+/// nothing.
+pub(crate) fn check_rows(
+    starts: &[u32],
+    members: &[Vertex],
+    n: usize,
+    what: &str,
+) -> Result<(), PersistError> {
+    if starts.first() != Some(&0) || starts.last().map(|&e| e as usize) != Some(members.len()) {
+        return Err(malformed(format!("{what} offsets do not span the members")));
+    }
+    for ends in starts.windows(2) {
+        let row = members
+            .get(ends[0] as usize..ends[1] as usize)
+            .ok_or_else(|| malformed(format!("{what} offsets are not monotone")))?;
+        if row.windows(2).any(|p| p[0] >= p[1]) {
+            return Err(malformed(format!("{what} row is not strictly sorted")));
+        }
+        if row.last().is_some_and(|&v| v as usize >= n) {
+            return Err(malformed(format!("{what} member out of range")));
+        }
+    }
+    Ok(())
+}
+
+/// Row end offset for a CSR table. Every row member is also a key of a
+/// 16-byte-per-key membership store, so `2^32` members would need 64 GiB
+/// before this could fail.
+fn row_end(members: &[Vertex]) -> u32 {
+    u32::try_from(members.len()).expect("CSR rows exceed u32 offsets")
 }
 
 impl Cover {
@@ -92,7 +134,9 @@ impl Cover {
         let n = g.n();
         let mut covered = vec![false; n];
         let mut assignment = vec![0 as BagId; n];
-        let mut bags: Vec<Bag> = Vec::new();
+        let mut centers: Vec<Vertex> = Vec::new();
+        let mut starts: Vec<u32> = vec![0];
+        let mut members: Vec<Vertex> = Vec::new();
         let mut scratch = BfsScratch::new(n);
         let mut kscratch = KernelScratch::new(n);
         tracker.charge_memory(Phase::CoverConstruction, 6 * n as u64)?;
@@ -100,9 +144,11 @@ impl Cover {
             if covered[c as usize] {
                 continue;
             }
-            let id = bags.len() as BagId;
+            let id = centers.len() as BagId;
             scratch.run(g, c, 2 * r);
-            let mut verts: Vec<Vertex> = scratch.reached().to_vec();
+            let lo = members.len();
+            members.extend_from_slice(scratch.reached());
+            let verts = &mut members[lo..];
             verts.sort_unstable();
             // The 2r-ball BFS visits |verts| vertices and the kernel BFS
             // below touches each bag member O(r) more times; charge the
@@ -114,41 +160,32 @@ impl Cover {
             // covers a superset of N_r(c) (which is always inside the
             // kernel), reducing the number of bags and hence the cover
             // degree.
-            for a in kernel::kernel_of_bag_with(g, &verts, r, &mut kscratch) {
+            for a in kernel::kernel_of_bag_with(g, verts, r, &mut kscratch) {
                 if !covered[a as usize] {
                     covered[a as usize] = true;
                     assignment[a as usize] = id;
                 }
             }
             debug_assert!(covered[c as usize], "center must cover itself");
-            bags.push(Bag { center: c, verts });
-        }
-
-        let mut bags_of: Vec<Vec<BagId>> = vec![Vec::new(); n];
-        for (id, bag) in bags.iter().enumerate() {
-            for &v in &bag.verts {
-                bags_of[v as usize].push(id as BagId);
-            }
-        }
-        let mut assigned_members: Vec<Vec<Vertex>> = vec![Vec::new(); bags.len()];
-        for v in 0..n {
-            assigned_members[assignment[v] as usize].push(v as Vertex);
+            centers.push(c);
+            starts.push(row_end(&members));
         }
 
         let greedy_ms = t_greedy.elapsed().as_millis() as u64;
         let t_store = Instant::now();
-        let params = StoreParams::new(n.max(bags.len()).max(1) as u64, 2, epsilon.max(1e-9));
+        let params = StoreParams::new(n.max(centers.len()).max(1) as u64, 2, epsilon.max(1e-9));
         // Bags are enumerated in id order with sorted member lists, so the
         // packed (bag, vertex) keys come out strictly increasing — the
         // membership store builds in one bulk pass instead of
         // insert-at-a-time with per-key successor repairs.
-        let mut packed = Vec::with_capacity(bags.iter().map(|b| b.verts.len()).sum());
-        for (id, bag) in bags.iter().enumerate() {
+        let mut packed = Vec::with_capacity(members.len());
+        for (id, ends) in starts.windows(2).enumerate() {
+            let verts = &members[ends[0] as usize..ends[1] as usize];
             // nd-store has no budget hooks of its own (it sits below
             // nd-graph in the DAG); its callers charge store work here.
-            tracker.charge_nodes(Phase::TrieBuild, bag.verts.len() as u64)?;
-            tracker.charge_memory(Phase::TrieBuild, 16 * bag.verts.len() as u64)?;
-            for &v in &bag.verts {
+            tracker.charge_nodes(Phase::TrieBuild, verts.len() as u64)?;
+            tracker.charge_memory(Phase::TrieBuild, 16 * verts.len() as u64)?;
+            for &v in verts {
                 packed.push(params.pack(&[id as u64, v as u64]));
             }
         }
@@ -157,10 +194,10 @@ impl Cover {
 
         Ok(Cover {
             r,
-            bags,
-            assignment,
-            bags_of,
-            assigned_members,
+            assignment: assignment.into(),
+            centers: centers.into(),
+            starts: starts.into(),
+            members: members.into(),
             membership,
             timings: CoverTimings {
                 greedy_ms,
@@ -181,28 +218,21 @@ impl Cover {
 
     /// Number of bags.
     pub fn num_bags(&self) -> usize {
-        self.bags.len()
+        self.centers.len()
     }
 
     /// The bag with the given id.
-    pub fn bag(&self, id: BagId) -> &Bag {
-        &self.bags[id as usize]
+    pub fn bag(&self, id: BagId) -> Bag<'_> {
+        let i = id as usize;
+        Bag {
+            center: self.centers[i],
+            verts: &self.members[self.starts[i] as usize..self.starts[i + 1] as usize],
+        }
     }
 
     /// The canonical bag `X(a)` (contains `N_r(a)`).
     pub fn bag_of(&self, a: Vertex) -> BagId {
         self.assignment[a as usize]
-    }
-
-    /// Vertices `b` with `X(b) = id` (the per-bag list of Step 3 of the
-    /// Section 5.2.1 preprocessing).
-    pub fn assigned_members(&self, id: BagId) -> &[Vertex] {
-        &self.assigned_members[id as usize]
-    }
-
-    /// Sorted list of bags containing `v`.
-    pub fn bags_containing(&self, v: Vertex) -> &[BagId] {
-        &self.bags_of[v as usize]
     }
 
     /// Constant-time membership test via the Storing Theorem structure.
@@ -229,59 +259,52 @@ impl Cover {
     }
 
     /// The cover degree `δ(X)`: maximum number of bags meeting at a vertex.
+    /// One counting pass over the bag members (a statistic, not a probe).
     pub fn degree(&self) -> usize {
-        self.bags_of.iter().map(Vec::len).max().unwrap_or(0)
+        max_count(self.n(), &self.members)
     }
 
     /// `Σ_X |X|` — the quantity bounded by `n^{1+ε}` in the paper (Eq. 1).
     pub fn total_bag_size(&self) -> usize {
-        self.bags.iter().map(|b| b.verts.len()).sum()
+        self.members.len()
     }
 
-    /// Append the cover's binary encoding to `w` (DESIGN.md §9).
-    ///
-    /// The Storing-Theorem membership store — the expensive part of a
-    /// cover build (`store_ms` dominates on dense families) — is
-    /// serialized verbatim; the cheap inverted indexes (`bags_of`,
-    /// `assigned_members`) are rebuilt on load in `O(Σ_X |X| + n)`.
+    /// Append the cover's binary encoding to `w` (DESIGN.md §9): the
+    /// assignment, the bag centers and the CSR bag rows as aligned slabs,
+    /// then the Storing-Theorem membership store verbatim. A load borrows
+    /// every part in place; there is no derived index to rebuild.
     pub fn write_into(&self, w: &mut nd_persist::Writer) {
         w.u32(self.r);
-        w.seq_len(self.assignment.len());
-        for &id in &self.assignment {
-            w.u32(id);
-        }
-        w.seq_len(self.bags.len());
-        for bag in &self.bags {
-            w.u32(bag.center);
-            w.u32_slice(&bag.verts);
-        }
+        w.u32_slab(&self.assignment);
+        w.u32_slab(&self.centers);
+        w.u32_slab(&self.starts);
+        w.u32_slab(&self.members);
         self.membership.write_into(w);
     }
 
     /// Decode a cover, re-validating the invariants the accessors index
-    /// by (assignment targets exist, bag members in range and sorted).
-    pub fn read_from(r: &mut nd_persist::Reader<'_>) -> Result<Cover, nd_persist::PersistError> {
-        use nd_persist::malformed;
+    /// by — assignment targets exist, centers in range, bag rows a CSR
+    /// table of sorted in-range vertex sets — under every verify policy:
+    /// each check is one pass over its slab and allocates nothing.
+    pub fn read_from(r: &mut nd_persist::Reader<'_>) -> Result<Cover, PersistError> {
         let radius = r.u32("cover radius")?;
-        let n = r.seq_len(4, "cover assignment")?;
-        let mut assignment = Vec::with_capacity(n);
-        for _ in 0..n {
-            assignment.push(r.u32("cover assignment entry")?);
+        let assignment = r.u32_slab("cover assignment")?;
+        let centers = r.u32_slab("cover bag centers")?;
+        let starts = r.u32_slab("cover bag offsets")?;
+        let members = r.u32_slab("cover bag members")?;
+        let n = assignment.len();
+        let num_bags = centers.len();
+        if starts.len() != num_bags + 1 {
+            return Err(malformed("cover bag offsets sized for another bag count"));
         }
-        let num_bags = r.seq_len(4, "cover bag count")?;
-        let mut bags = Vec::with_capacity(num_bags);
-        for _ in 0..num_bags {
-            let center = r.u32("bag center")?;
-            let verts = r.u32_slice_sorted(n as u32, "bag members")?;
-            if (center as usize) >= n {
-                return Err(malformed("bag center out of range"));
-            }
-            bags.push(Bag { center, verts });
+        check_rows(&starts, &members, n, "cover bag")?;
+        if centers.iter().any(|&c| c as usize >= n) {
+            return Err(malformed("bag center out of range"));
         }
         if n > 0 && num_bags == 0 {
             return Err(malformed("cover of a non-empty graph has no bags"));
         }
-        if assignment.iter().any(|&id| (id as usize) >= num_bags) {
+        if assignment.iter().any(|&id| id as usize >= num_bags) {
             return Err(malformed("cover assignment targets a missing bag"));
         }
         let membership = KeySet::read_from(r)?;
@@ -293,22 +316,12 @@ impl Cover {
         if membership.params().n < n.max(num_bags).max(1) as u64 {
             return Err(malformed("cover membership key range too small"));
         }
-        let mut bags_of: Vec<Vec<BagId>> = vec![Vec::new(); n];
-        for (id, bag) in bags.iter().enumerate() {
-            for &v in &bag.verts {
-                bags_of[v as usize].push(id as BagId);
-            }
-        }
-        let mut assigned_members: Vec<Vec<Vertex>> = vec![Vec::new(); bags.len()];
-        for (v, &id) in assignment.iter().enumerate() {
-            assigned_members[id as usize].push(v as Vertex);
-        }
         Ok(Cover {
             r: radius,
-            bags,
             assignment,
-            bags_of,
-            assigned_members,
+            centers,
+            starts,
+            members,
             membership,
             timings: CoverTimings::default(),
         })
@@ -319,7 +332,7 @@ impl Cover {
         let mut scratch = BfsScratch::new(g.n());
         for a in g.vertices() {
             let ball = scratch.ball_sorted(g, a, self.r);
-            let bag = &self.bags[self.assignment[a as usize] as usize];
+            let bag = self.bag(self.bag_of(a));
             for v in ball {
                 assert!(
                     bag.verts.binary_search(&v).is_ok(),
@@ -327,9 +340,10 @@ impl Cover {
                 );
             }
         }
-        for bag in &self.bags {
+        for id in 0..self.num_bags() as BagId {
+            let bag = self.bag(id);
             let ball = scratch.ball_sorted(g, bag.center, 2 * self.r);
-            for &v in &bag.verts {
+            for &v in bag.verts {
                 assert!(
                     ball.binary_search(&v).is_ok(),
                     "bag of center {} exceeds its 2r-ball",
@@ -340,10 +354,51 @@ impl Cover {
     }
 }
 
+/// Largest number of occurrences of one vertex in `members` (vertices
+/// `< n`): the degree of a family of vertex sets stored as CSR rows.
+pub(crate) fn max_count(n: usize, members: &[Vertex]) -> usize {
+    let mut count = vec![0u32; n];
+    for &v in members {
+        count[v as usize] += 1;
+    }
+    count.into_iter().max().unwrap_or(0) as usize
+}
+
+/// Decoding through a file image, shared by the cover and kernel codec
+/// tests.
+#[cfg(test)]
+pub(crate) mod test_codec {
+    use nd_persist::{MmapFile, PersistError, Reader, SlabCtx, VerifyPolicy};
+    use std::sync::Arc;
+
+    pub const POLICIES: [VerifyPolicy; 2] = [VerifyPolicy::Full, VerifyPolicy::Lazy];
+
+    /// Decode `bytes` through a 16-byte-aligned file image, so slabs
+    /// borrow in place exactly as on a mapped load under `policy`, and
+    /// require the reader to end where the value does.
+    pub fn decode_mapped<T>(
+        bytes: &[u8],
+        policy: VerifyPolicy,
+        read: impl FnOnce(&mut Reader<'_>) -> Result<T, PersistError>,
+    ) -> Result<T, PersistError> {
+        let file = Arc::new(MmapFile::from_bytes(bytes));
+        let ctx = SlabCtx {
+            file: file.clone(),
+            validate: policy == VerifyPolicy::Full,
+        };
+        let mut r = Reader::with_slab(file.as_slice(), ctx);
+        let value = read(&mut r)?;
+        r.finish()?;
+        Ok(value)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_codec::{decode_mapped, POLICIES};
     use nd_graph::generators;
+    use nd_persist::VerifyPolicy;
 
     #[test]
     fn cover_is_valid_on_families() {
@@ -367,12 +422,8 @@ mod tests {
         for v in g.vertices() {
             let id = cover.bag_of(v);
             assert!(cover.contains(id, v));
-            assert!(cover.assigned_members(id).binary_search(&v).is_ok());
+            assert!(cover.bag(id).verts.binary_search(&v).is_ok());
         }
-        let total: usize = (0..cover.num_bags() as BagId)
-            .map(|id| cover.assigned_members(id).len())
-            .sum();
-        assert_eq!(total, g.n());
     }
 
     #[test]
@@ -424,53 +475,142 @@ mod tests {
             (generators::path(0), 1),
         ] {
             let cover = Cover::build(&g, r, 0.5);
-            let mut w = nd_persist::Writer::new();
-            cover.write_into(&mut w);
-            let bytes = w.into_bytes();
-            let mut rd = nd_persist::Reader::new(&bytes);
-            let back = Cover::read_from(&mut rd).unwrap();
-            rd.finish().unwrap();
-            assert_eq!(back.r, cover.r);
-            assert_eq!(back.num_bags(), cover.num_bags());
-            for v in g.vertices() {
-                assert_eq!(back.bag_of(v), cover.bag_of(v));
-                assert_eq!(back.bags_containing(v), cover.bags_containing(v));
-            }
-            for id in 0..cover.num_bags() as BagId {
-                assert_eq!(back.bag(id).verts, cover.bag(id).verts);
-                assert_eq!(back.assigned_members(id), cover.assigned_members(id));
-                for v in 0..g.n() as Vertex {
-                    assert_eq!(back.contains(id, v), cover.contains(id, v));
-                    assert_eq!(back.successor_in_bag(id, v), cover.successor_in_bag(id, v));
+            let bytes = encode(&cover);
+            for policy in POLICIES {
+                let back = decode(&bytes, policy).unwrap();
+                assert_eq!(back.r, cover.r);
+                assert_eq!(back.num_bags(), cover.num_bags());
+                assert_eq!(back.degree(), cover.degree());
+                assert_eq!(back.total_bag_size(), cover.total_bag_size());
+                for v in g.vertices() {
+                    assert_eq!(back.bag_of(v), cover.bag_of(v));
                 }
+                for id in 0..cover.num_bags() as BagId {
+                    assert_eq!(back.bag(id).center, cover.bag(id).center);
+                    assert_eq!(back.bag(id).verts, cover.bag(id).verts);
+                    for v in 0..g.n() as Vertex {
+                        assert_eq!(back.contains(id, v), cover.contains(id, v));
+                        assert_eq!(back.successor_in_bag(id, v), cover.successor_in_bag(id, v));
+                    }
+                }
+                if g.n() > 0 {
+                    back.validate(&g);
+                }
+                assert_eq!(encode(&back), bytes, "re-encode differs");
             }
-            if g.n() > 0 {
-                back.validate(&g);
+        }
+    }
+
+    fn encode(cover: &Cover) -> Vec<u8> {
+        let mut w = nd_persist::Writer::new();
+        cover.write_into(&mut w);
+        w.into_bytes()
+    }
+
+    fn decode(bytes: &[u8], policy: VerifyPolicy) -> Result<Cover, PersistError> {
+        decode_mapped(bytes, policy, Cover::read_from)
+    }
+
+    /// The cover's four row slabs as vectors, to corrupt one at a time.
+    struct Parts {
+        assignment: Vec<u32>,
+        centers: Vec<u32>,
+        starts: Vec<u32>,
+        members: Vec<u32>,
+    }
+
+    impl Parts {
+        fn of(cover: &Cover) -> Parts {
+            Parts {
+                assignment: cover.assignment.to_vec(),
+                centers: cover.centers.to_vec(),
+                starts: cover.starts.to_vec(),
+                members: cover.members.to_vec(),
             }
+        }
+
+        /// Encode exactly as [`Cover::write_into`] does, with these parts.
+        fn encode(&self, cover: &Cover) -> Vec<u8> {
+            let mut w = nd_persist::Writer::new();
+            w.u32(cover.r);
+            w.u32_slab(&self.assignment);
+            w.u32_slab(&self.centers);
+            w.u32_slab(&self.starts);
+            w.u32_slab(&self.members);
+            cover.membership.write_into(&mut w);
+            w.into_bytes()
+        }
+    }
+
+    fn assert_malformed(cover: &Cover, corrupt: impl Fn(&mut Parts), what: &str) {
+        let mut parts = Parts::of(cover);
+        corrupt(&mut parts);
+        let bytes = parts.encode(cover);
+        for policy in POLICIES {
+            assert!(
+                matches!(decode(&bytes, policy), Err(PersistError::Malformed { .. })),
+                "{what} accepted under {policy:?}"
+            );
         }
     }
 
     #[test]
     fn codec_rejects_missing_bag_targets() {
-        let g = generators::path(10);
-        let cover = Cover::build(&g, 2, 0.5);
-        let mut w = nd_persist::Writer::new();
-        cover.write_into(&mut w);
-        let bytes = w.into_bytes();
-        // Point assignment entry 0 at a bag far beyond the count: offset 4
-        // (radius) + 8 (len prefix) is the first assignment word.
-        let mut c = bytes.clone();
-        c[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            Cover::read_from(&mut nd_persist::Reader::new(&c)),
-            Err(nd_persist::PersistError::Malformed { .. })
-        ));
-        // Truncations are typed, never panics.
+        let cover = Cover::build(&generators::path(10), 2, 0.5);
+        assert_eq!(Parts::of(&cover).encode(&cover), encode(&cover));
+        let bags = cover.num_bags() as u32;
+        assert_malformed(&cover, |p| p.assignment[0] = bags, "a missing bag");
+        assert_malformed(&cover, |p| p.assignment[9] = u32::MAX, "a far missing bag");
+    }
+
+    #[test]
+    fn codec_rejects_broken_bag_rows() {
+        let g = generators::grid(6, 6);
+        let n = g.n() as u32;
+        let cover = Cover::build(&g, 1, 0.5);
+        assert!(cover.num_bags() >= 3);
+        assert_malformed(
+            &cover,
+            |p| p.starts[1] = p.starts[2] + 1,
+            "non-monotone offsets",
+        );
+        assert_malformed(&cover, |p| p.starts[0] = 1, "offsets not starting at 0");
+        assert_malformed(
+            &cover,
+            |p| *p.starts.last_mut().unwrap() -= 1,
+            "offsets ending early",
+        );
+        assert_malformed(&cover, |p| p.members.swap(0, 1), "an unsorted row");
+        assert_malformed(
+            &cover,
+            |p| *p.members.last_mut().unwrap() = n,
+            "a member out of range",
+        );
+        assert_malformed(&cover, |p| p.centers[1] = n, "a center out of range");
+        assert_malformed(
+            &cover,
+            |p| p.starts.push(*p.starts.last().unwrap()),
+            "offsets sized for another bag count",
+        );
+        assert_malformed(
+            &cover,
+            |p| {
+                p.centers.clear();
+                p.starts.truncate(1);
+                p.members.clear();
+            },
+            "a non-empty graph without bags",
+        );
+    }
+
+    #[test]
+    fn codec_truncations_fail_typed() {
+        let cover = Cover::build(&generators::grid(5, 5), 2, 0.5);
+        let bytes = encode(&cover);
         for cut in 0..bytes.len() {
-            assert!(
-                Cover::read_from(&mut nd_persist::Reader::new(&bytes[..cut])).is_err(),
-                "cut {cut}"
-            );
+            for policy in POLICIES {
+                assert!(decode(&bytes[..cut], policy).is_err(), "cut {cut}");
+            }
         }
     }
 }

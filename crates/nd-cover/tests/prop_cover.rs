@@ -42,7 +42,7 @@ proptest! {
         let cover = Cover::build(&g, r, 0.5);
         let mut scratch = BfsScratch::new(g.n());
         for id in 0..cover.num_bags() as BagId {
-            let bag = &cover.bag(id).verts;
+            let bag = cover.bag(id).verts;
             let kernel = kernel_of_bag(&g, bag, p);
             for &v in bag {
                 let n_p = scratch.ball_sorted(&g, v, p);
@@ -64,7 +64,7 @@ proptest! {
         let cover = Cover::build(&g, 2, 0.5);
         let ki = KernelIndex::build(&g, &cover, p);
         for id in 0..cover.num_bags() as BagId {
-            prop_assert_eq!(ki.kernel(id), &kernel_of_bag(&g, &cover.bag(id).verts, p)[..]);
+            prop_assert_eq!(ki.kernel(id), &kernel_of_bag(&g, cover.bag(id).verts, p)[..]);
         }
     }
 
@@ -73,13 +73,28 @@ proptest! {
         let cover = Cover::build(&g, 2, 0.5);
         let mut per_vertex = vec![0usize; g.n()];
         for id in 0..cover.num_bags() as BagId {
-            for &v in &cover.bag(id).verts {
+            for &v in cover.bag(id).verts {
                 per_vertex[v as usize] += 1;
             }
         }
         prop_assert_eq!(cover.degree(), per_vertex.iter().copied().max().unwrap_or(0));
-        for v in g.vertices() {
-            prop_assert_eq!(cover.bags_containing(v).len(), per_vertex[v as usize]);
+        prop_assert_eq!(cover.total_bag_size(), per_vertex.iter().sum::<usize>());
+    }
+
+    #[test]
+    fn kernel_bags_invert_the_kernels(g in arb_graph(), p in 0u32..3) {
+        let cover = Cover::build(&g, 2, 0.5);
+        let ki = KernelIndex::build(&g, &cover, p);
+        let bags = ki.bags_of();
+        let mut per_vertex = vec![Vec::new(); g.n()];
+        for id in 0..cover.num_bags() as BagId {
+            for &v in ki.kernel(id) {
+                per_vertex[v as usize].push(id);
+            }
         }
+        for v in g.vertices() {
+            prop_assert_eq!(bags.of(v), &per_vertex[v as usize][..]);
+        }
+        prop_assert_eq!(ki.degree(), per_vertex.iter().map(Vec::len).max().unwrap_or(0));
     }
 }

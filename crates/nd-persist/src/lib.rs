@@ -43,7 +43,10 @@ pub const MAGIC: [u8; 8] = *b"NDQIDX\r\n";
 /// oracle overlay and patch lists, and the repair outcome in META). v6
 /// stores a distance oracle's ball tables as two CSR slabs (offsets and
 /// sorted members) instead of one adaptive list-or-bitmap set per ball.
-pub const FORMAT_VERSION: u32 = 6;
+/// v7 stores a neighborhood cover as slabs (assignment, centers, CSR bag
+/// rows) and a kernel index as CSR slabs, so a mapped load borrows them
+/// and builds no per-vertex inverted index.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Decoders refuse single length prefixes beyond this many elements, so a
 /// corrupted length field fails typed instead of attempting a huge
@@ -466,7 +469,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A reader over a slice of a file image (mapped or heap-copied):
-    /// `*_slab` methods return [`Slab::Mapped`] views into it (when aligned
+    /// `*_slab` methods return mapped [`Slab`] views into it (when aligned
     /// and little-endian) instead of copying. `data` must lie inside
     /// `ctx.file`'s range.
     pub fn with_slab(data: &'a [u8], ctx: SlabCtx) -> Reader<'a> {
@@ -484,7 +487,7 @@ impl<'a> Reader<'a> {
         self.slab.as_ref().is_none_or(|c| c.validate)
     }
 
-    /// Bytes served as [`Slab::Mapped`] views so far (0 on owned decodes).
+    /// Bytes served as mapped [`Slab`] views so far (0 on owned decodes).
     pub fn mapped_bytes(&self) -> usize {
         self.mapped_bytes
     }
@@ -615,7 +618,7 @@ impl<'a> Reader<'a> {
 
     /// Decode a [`Writer::u32_slab`]/[`Writer::u64_slab`]/[`Writer::u128_slab`]
     /// payload. Over a mapped file (reader built with [`Reader::with_slab`])
-    /// this returns a [`Slab::Mapped`] view — no copy, no page faults beyond
+    /// this returns a mapped [`Slab`] view — no copy, no page faults beyond
     /// the length prefix — provided the data landed 16-byte aligned and the
     /// host is little-endian; otherwise it decodes owned exactly like the
     /// `*_slice` readers.

@@ -9,10 +9,10 @@
 //!   offset, so the on-disk bytes reinterpret as
 //!   `&[u32]`/`&[u64]`/`&[u128]` on little-endian hosts;
 //! * [`Slab`] is the ownership abstraction threaded through the index
-//!   structures: either an owned `Vec<T>` or a `(Arc<MmapFile>, offset,
-//!   len)` view, deref-ing to `&[T]` either way, and read-only — an
-//!   update prepares a new owned index instead of writing into a mapped
-//!   one;
+//!   structures: a pointer and length into an owned `Vec<T>` or into a
+//!   mapping pinned by an `Arc<MmapFile>`, deref-ing to `&[T]` without
+//!   a branch on the backing, and read-only — an update prepares a new
+//!   owned index instead of writing into a mapped one;
 //! * [`VerifyPolicy`] decides how much integrity work happens before first
 //!   use: `Full` checksums every section up front (touching each page
 //!   once), `Lazy` defers the bulk section's CRC into a [`DeferredVerify`]
@@ -277,21 +277,35 @@ impl_pod!(u32, u64, u128);
 
 /// A borrowed-or-owned array: either a plain `Vec<T>` or a view into a
 /// live file mapping. Derefs to `&[T]` either way, so read paths are
-/// oblivious to the backing. A slab is read-only: there is no `DerefMut`
-/// and no in-place mutation, so a mapped view never needs copying out.
+/// oblivious to the backing — and the deref itself does not branch on it:
+/// the slice's pointer and length sit next to the owner, fixed at
+/// construction. A slab is read-only: there is no `DerefMut` and no
+/// in-place mutation, so a mapped view never needs copying out.
 /// Cloning a mapped slab bumps the mapping's refcount instead of copying —
 /// that is what keeps a mapping alive across snapshot epochs for free.
-pub enum Slab<T: Pod> {
-    Owned(Vec<T>),
-    Mapped {
-        file: Arc<MmapFile>,
-        /// Byte offset into the mapping; always a multiple of
-        /// `align_of::<T>()`.
-        off: usize,
-        /// Element count.
-        len: usize,
-    },
+pub struct Slab<T: Pod> {
+    /// First element: into the owned vector's heap buffer or into the
+    /// mapping, aligned for `T`.
+    ptr: *const T,
+    /// Element count.
+    len: usize,
+    /// What keeps `ptr[..len]` alive; never read on the deref path.
+    owner: Owner<T>,
 }
+
+enum Owner<T> {
+    Owned(Vec<T>),
+    Mapped(Arc<MmapFile>),
+}
+
+// SAFETY: `ptr[..len]` is immutable memory owned by `owner` — a `Vec<T>`
+// that is never mutated or reallocated after construction (its heap buffer
+// does not move when the slab moves), or a read-only mapping pinned by the
+// `Arc`. `T: Pod` is `Send + Sync`, and so are `Vec<T>` and
+// `Arc<MmapFile>`; the raw pointer is the only field without the auto
+// traits, and sharing or sending it is sharing or sending `&[T]`.
+unsafe impl<T: Pod> Send for Slab<T> {}
+unsafe impl<T: Pod> Sync for Slab<T> {}
 
 impl<T: Pod> Slab<T> {
     /// View of `raw` (which must lie inside `file`, be aligned for `T`,
@@ -304,32 +318,30 @@ impl<T: Pod> Slab<T> {
             "misaligned slab"
         );
         assert!(raw.len().is_multiple_of(T::SIZE));
-        let off = file.offset_of(raw.as_ptr());
-        let len = raw.len() / T::SIZE;
-        Slab::Mapped { file, off, len }
+        Slab {
+            ptr: raw.as_ptr() as *const T,
+            len: raw.len() / T::SIZE,
+            owner: Owner::Mapped(file),
+        }
     }
 
     pub fn is_mapped(&self) -> bool {
-        matches!(self, Slab::Mapped { .. })
+        matches!(self.owner, Owner::Mapped(_))
     }
 }
 
 impl<T: Pod> Deref for Slab<T> {
     type Target = [T];
 
+    #[inline]
     fn deref(&self) -> &[T] {
-        match self {
-            Slab::Owned(v) => v,
-            Slab::Mapped { file, off, len } => {
-                // SAFETY: construction (`mapped_from_raw`) proved the range
-                // `[off, off + len * SIZE)` lies inside the live read-only
-                // mapping and is aligned for `T`; `T: Pod` is valid for all
-                // bit patterns and the file stores little-endian values on
-                // a little-endian host (big-endian hosts never construct
-                // `Mapped`). The mapping outlives `self` via the `Arc`.
-                unsafe { std::slice::from_raw_parts(file.ptr.add(*off) as *const T, *len) }
-            }
-        }
+        // SAFETY: `ptr[..len]` is either the owned vector's contents or a
+        // range `mapped_from_raw` proved lies inside the live read-only
+        // mapping, aligned for `T`; `T: Pod` is valid for all bit patterns
+        // and the file stores little-endian values on a little-endian host
+        // (big-endian hosts never map a slab). `owner` keeps the memory
+        // alive and unchanged for as long as `self`.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
 
@@ -341,24 +353,28 @@ impl<T: Pod> AsRef<[T]> for Slab<T> {
 
 impl<T: Pod> Default for Slab<T> {
     fn default() -> Slab<T> {
-        Slab::Owned(Vec::new())
+        Slab::from(Vec::new())
     }
 }
 
 impl<T: Pod> From<Vec<T>> for Slab<T> {
     fn from(v: Vec<T>) -> Slab<T> {
-        Slab::Owned(v)
+        Slab {
+            ptr: v.as_ptr(),
+            len: v.len(),
+            owner: Owner::Owned(v),
+        }
     }
 }
 
 impl<T: Pod> Clone for Slab<T> {
     fn clone(&self) -> Slab<T> {
-        match self {
-            Slab::Owned(v) => Slab::Owned(v.clone()),
-            Slab::Mapped { file, off, len } => Slab::Mapped {
-                file: file.clone(),
-                off: *off,
-                len: *len,
+        match &self.owner {
+            Owner::Owned(v) => Slab::from(v.clone()),
+            Owner::Mapped(file) => Slab {
+                ptr: self.ptr,
+                len: self.len,
+                owner: Owner::Mapped(file.clone()),
             },
         }
     }
@@ -384,7 +400,7 @@ impl<T: Pod + Eq> Eq for Slab<T> {}
 // Slab decode context.
 // ---------------------------------------------------------------------
 
-/// What a [`crate::Reader`] needs to hand out [`Slab::Mapped`] views:
+/// What a [`crate::Reader`] needs to hand out mapped [`Slab`] views:
 /// the mapping to pin (via `Arc`) and whether decoders should still run
 /// full structural validation (`false` only under [`VerifyPolicy::Lazy`]).
 #[derive(Clone, Debug)]
