@@ -730,7 +730,6 @@ fn a4_budget_ladder(cfg: &Config) {
                     let s = pq.stats();
                     let rung = match s.rung {
                         DegradationRung::Indexed => "indexed",
-                        DegradationRung::CoarsenedEpsilon => "coarsened ε",
                         DegradationRung::NaiveFallback => "naive fallback",
                     };
                     (rung.to_string(), s.budget_nodes_spent)

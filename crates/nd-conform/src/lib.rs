@@ -467,13 +467,12 @@ enum Config {
     },
     TightBudget,
     StrictNoFallback,
-    /// The flat-arena store layout on its own `ε` rung (0.75, exercised
-    /// nowhere else): the standing witness that the arena rewrite of
-    /// `nd-store` — per-level sorted key arrays behind a radix directory
-    /// instead of the node-allocated trie — answers exactly like the
-    /// naive semantics on every probe panel, including the
-    /// mutate-then-query dimension. A regression report naming `flat-store`
-    /// points at the store layout, not at an unrelated ε.
+    /// The default index at `ε = 0.75` (exercised nowhere else). No
+    /// layout depends on `ε` — cover bags answer membership through a
+    /// radix directory over their own sorted rows — so this config
+    /// witnesses that an `ε` the other configs never pick still answers
+    /// exactly like the naive semantics on every probe panel, including
+    /// the mutate-then-query dimension.
     FlatStore,
     /// The distance oracle's splitter recursion (Prop 4.2) on every case:
     /// `naive_threshold` 4 and `budget_factor` 1, so no node with an edge

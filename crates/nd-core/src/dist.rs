@@ -30,7 +30,7 @@ use nd_splitter::splitter_move;
 /// Tuning knobs for the oracle construction.
 #[derive(Clone, Copy, Debug)]
 pub struct DistOracleOpts {
-    /// `ε` for the cover membership structures.
+    /// The paper's accuracy `ε`; no oracle layout depends on it.
     pub epsilon: f64,
     /// Maximum recursion depth (the splitter-game round budget `λ`).
     pub max_rounds: u32,
@@ -473,9 +473,9 @@ fn write_node(node: &Node, w: &mut nd_persist::Writer) {
 
 /// Decode one recursion level over an `n`-vertex graph. Every structural
 /// property `test_node` indexes by — ball-table length, subgraph size,
-/// `X ∖ {s}` embeddings — is re-checked here; the membership store is the
-/// one structure not cross-validated (see `test_node`), which degrades to
-/// wrong-but-safe answers on forged payloads. A ball table's rows are
+/// `X ∖ {s}` embeddings — is re-checked here. What is not cross-validated
+/// (see `test_node`) degrades to wrong-but-safe answers on forged
+/// payloads. A ball table's rows are
 /// validated only under [`nd_persist::Reader::should_validate`]; without
 /// that its lookups stay bounds-checked (see [`BallTable::contains`]).
 fn read_node(
@@ -598,11 +598,12 @@ fn test_node(node: &Node, r: u32, a: Vertex, b: Vertex) -> bool {
             let bag = &split.bags[id as usize];
             let s = bag.s;
             // On an oracle built in-process the bag always contains both
-            // endpoints here. On a decoded oracle the membership store is
-            // not cross-validated against the bag lists (doing so would
-            // cost a trie probe per member at load), so a forged payload
-            // behind intact CRCs can make `contains` lie — answer false
-            // rather than panic in that case.
+            // endpoints here. On a decoded oracle `contains` only ever
+            // confirms a member of the bag's row (which the decode checked
+            // against `sub`), but nothing checks at load that `a` is in
+            // its assigned bag, so a forged payload behind intact CRCs can
+            // leave an endpoint outside `sub` — answer false rather than
+            // panic in that case.
             match (a == s, b == s) {
                 (true, true) => true,
                 (true, false) => match bag.sub.to_local(b) {

@@ -41,7 +41,10 @@ use std::time::Instant;
 /// Preparation options.
 #[derive(Clone, Debug)]
 pub struct PrepareOpts {
-    /// The pseudo-linearity accuracy `ε` used by covers and stores.
+    /// The paper's pseudo-linearity accuracy `ε`. Validated (finite and
+    /// positive) and part of a serving cache key, but the index it
+    /// prepares is the same for every `ε`: covers, skip tables and oracles
+    /// use flat sorted layouts whose shape does not depend on it.
     pub epsilon: f64,
     /// Distance-oracle construction knobs.
     pub dist: DistOracleOpts,
@@ -81,12 +84,9 @@ impl Default for PrepareOpts {
 /// Which rung of the graceful-degradation ladder produced the index.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DegradationRung {
-    /// The paper's machinery at the requested `ε`.
+    /// The paper's machinery.
     #[default]
     Indexed,
-    /// The paper's machinery after a budget overrun forced a coarser `ε`
-    /// (flatter stores, fewer/larger structures).
-    CoarsenedEpsilon,
     /// Naive materialization (budget-checked).
     NaiveFallback,
 }
@@ -169,8 +169,8 @@ pub struct PrepareStats {
     pub cover_ms: u64,
     /// … per-bag kernel computation (Lemma 5.7), …
     pub kernel_ms: u64,
-    /// … the Storing-Theorem membership store build (one sorted bulk
-    /// pass), …
+    /// … the cover's membership directory (one counting pass over the
+    /// bag rows), …
     pub store_ms: u64,
     /// … and the skip-pointer closure (Lemma 5.8).
     pub skip_ms: u64,
@@ -194,7 +194,6 @@ impl DegradationRung {
     pub fn name(&self) -> &'static str {
         match self {
             DegradationRung::Indexed => "indexed",
-            DegradationRung::CoarsenedEpsilon => "coarsened_epsilon",
             DegradationRung::NaiveFallback => "naive_fallback",
         }
     }
@@ -348,15 +347,15 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
     /// Never panics on malformed input. Runs the graceful-degradation
     /// ladder:
     ///
-    /// 1. **Indexed** — the paper's machinery at `opts.epsilon`, within
-    ///    `opts.budget`;
-    /// 2. **CoarsenedEpsilon** — on a budget overrun, one retry with
-    ///    `min(2ε, 1)` (fewer/flatter structures), with a fresh budget;
-    /// 3. **NaiveFallback** — budget-checked materialization, also used
-    ///    when the query is outside the fragment;
-    /// 4. a typed [`PrepareError`] when every permitted rung fails.
+    /// 1. **Indexed** — the paper's machinery, within `opts.budget`;
+    /// 2. **NaiveFallback** — budget-checked materialization with a fresh
+    ///    budget, also used when the query is outside the fragment;
+    /// 3. a typed [`PrepareError`] when every permitted rung fails.
     ///
-    /// Rungs 2–3 require `opts.allow_fallback`; with it off, the first
+    /// No rung retries the index at a coarser `ε`: no layout depends on
+    /// `ε`, so a retry would repeat the same charges.
+    ///
+    /// Rung 2 requires `opts.allow_fallback`; with it off, the first
     /// failure is reported directly. The chosen rung and the reason for
     /// any step-down are recorded in [`PreparedQuery::stats`]. Relational
     /// atoms never fall back (naive evaluation cannot interpret them over
@@ -394,9 +393,9 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
             Err(reason) => return Err(PrepareError::UnsupportedFragment(reason)),
         };
 
-        // Rung 1: indexed at the requested ε.
+        // Rung 1: indexed.
         let tracker = opts.budget.start();
-        let exceeded = match Self::try_indexed(gr, &branches, opts, opts.epsilon, &tracker) {
+        let exceeded = match Self::try_indexed(gr, &branches, opts, &tracker) {
             Ok(engines) => {
                 return Ok(PreparedQuery {
                     arity: q.arity(),
@@ -413,39 +412,19 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
             Err(e) => e,
         };
 
-        // Rung 2: coarser ε, fresh budget (skipped when ε is already ≥ 1,
-        // where coarsening buys nothing).
-        let coarse = (opts.epsilon * 2.0).min(1.0);
-        if opts.allow_fallback && coarse > opts.epsilon {
-            let tracker2 = opts.budget.start();
-            if let Ok(engines) = Self::try_indexed(gr, &branches, opts, coarse, &tracker2) {
-                return Ok(PreparedQuery {
-                    arity: q.arity(),
-                    engine: EngineImpl::Indexed(engines),
-                    rung: DegradationRung::CoarsenedEpsilon,
-                    degradation_reason: Some(DegradationReason::BudgetExceeded(exceeded)),
-                    budget_nodes_spent: tracker2.nodes_spent(),
-                    budget_ms_spent: tracker2.elapsed().as_millis() as u64,
-                    threads_used: threads,
-                    lineage: UpdateLineage::default(),
-                    g,
-                });
-            }
-        }
-
-        // Rung 3: budget-checked naive materialization.
+        // Rung 2: budget-checked naive materialization, fresh budget.
         if opts.allow_fallback {
-            let tracker3 = opts.budget.start();
-            return match NaiveEngine::try_prepare(gr, q, &tracker3) {
+            let tracker2 = opts.budget.start();
+            return match NaiveEngine::try_prepare(gr, q, &tracker2) {
                 Ok(n) => Ok(Self::from_naive(
                     g,
                     q.arity(),
                     n,
                     DegradationReason::BudgetExceeded(exceeded),
-                    &tracker3,
+                    &tracker2,
                     threads,
                 )),
-                Err(e) => Err(Self::budget_error(e, branches.len(), &tracker3)),
+                Err(e) => Err(Self::budget_error(e, branches.len(), &tracker2)),
             };
         }
         Err(Self::budget_error(exceeded, branches.len(), &tracker))
@@ -460,11 +439,10 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
         g: &ColoredGraph,
         branches: &[FragmentQuery],
         opts: &PrepareOpts,
-        epsilon: f64,
         tracker: &BudgetTracker,
     ) -> Result<Vec<BranchEngine>, BudgetExceeded> {
         try_parallel_map(opts.threads, branches, |_, fq| {
-            BranchEngine::try_prepare(g, fq.clone(), opts, epsilon, tracker)
+            BranchEngine::try_prepare(g, fq.clone(), opts, tracker)
         })
     }
 
@@ -800,7 +778,6 @@ impl BranchEngine {
         g: &ColoredGraph,
         fq: FragmentQuery,
         opts: &PrepareOpts,
-        epsilon: f64,
         tracker: &BudgetTracker,
     ) -> Result<BranchEngine, BudgetExceeded> {
         let n = g.n();
@@ -864,7 +841,7 @@ impl BranchEngine {
 
         // Step 3: distance oracles per distinct radius.
         let mut opts_dist = opts.dist;
-        opts_dist.epsilon = epsilon;
+        opts_dist.epsilon = opts.epsilon;
         for c in &engine.fq.binary {
             if let BinKind::Le(d) | BinKind::Gt(d) = c.kind {
                 if let Err(pos) = engine.oracles.binary_search_by_key(&d, |(r, _)| *r) {
@@ -883,7 +860,7 @@ impl BranchEngine {
             .any(|c| matches!(c.kind, BinKind::Le(_) | BinKind::Gt(_)));
         let needs_kernels = engine.fq.binary.iter().any(|c| c.kind.excluding());
         if needs_cover {
-            let cover = Cover::try_build(g, 2 * r, epsilon, tracker)?;
+            let cover = Cover::try_build(g, 2 * r, opts.epsilon, tracker)?;
             let ct = cover.build_timings();
             engine.timings.cover_ms = ct.greedy_ms;
             engine.timings.store_ms = ct.store_ms;
@@ -1294,7 +1271,8 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
         w.u64(self.arity as u64);
         w.u8(match self.rung {
             DegradationRung::Indexed => 0,
-            DegradationRung::CoarsenedEpsilon => 1,
+            // Tag 1 stays unused: it named the retired coarsened-ε rung,
+            // and loads refuse it.
             DegradationRung::NaiveFallback => 2,
         });
         write_degradation_opt(&mut w, &self.degradation_reason);
@@ -1474,7 +1452,6 @@ impl SharedPreparedQuery {
         }
         let rung = match r.u8("degradation rung")? {
             0 => DegradationRung::Indexed,
-            1 => DegradationRung::CoarsenedEpsilon,
             2 => DegradationRung::NaiveFallback,
             _ => return Err(malformed("invalid degradation rung")),
         };
@@ -2038,6 +2015,25 @@ mod tests {
             loaded.stats.bytes_decoded,
             loaded.stats.bytes_total
         );
+
+        // The saved cover stores each bag member once (its `u32` row
+        // entry) plus at most about one `u32` directory word.
+        let EngineImpl::Indexed(branches) = &loaded.prepared.engine else {
+            panic!("the far query prepares indexed");
+        };
+        let cover = branches[0]
+            .cover
+            .as_ref()
+            .expect("far query builds a cover");
+        let mut w = Writer::new();
+        cover.write_into(&mut w);
+        let (n, bags, members) = (cover.n(), cover.num_bags(), cover.total_bag_size());
+        let bound = 4 * (n + 2 * bags + 2) + 8 * members;
+        assert!(
+            w.len() <= bound,
+            "cover section {} bytes > {bound} (n={n}, bags={bags}, members={members})",
+            w.len()
+        );
     }
 
     /// A unary list is a slab whose range sweep a lazy load skips; a
@@ -2124,7 +2120,8 @@ mod tests {
 
     /// Older containers (v2, unpadded v3.0, padded v3.1, v4 with its
     /// overlay/patch lists and repair lineage, v5 with per-ball oracle
-    /// sets, and v6 with per-bag cover and kernel lists) are refused with
+    /// sets, v6 with per-bag cover and kernel lists, and v7 with a cover
+    /// key store and skip rows outside the lists) are refused with
     /// the typed version error by the bytes load and by the file load
     /// under both verify policies — no decoder runs on their payloads.
     #[test]
@@ -2135,7 +2132,7 @@ mod tests {
         let pq = PreparedQuery::prepare(&g, &q, &small_opts()).unwrap();
         let bytes = pq.save_index_bytes(&q, src).unwrap();
         let path = mmap_tmp("older");
-        for word in [2u32, 3, 3 | 1 << 16, 4, 5, 6] {
+        for word in [2u32, 3, 3 | 1 << 16, 4, 5, 6, 7] {
             let mut old = bytes.clone();
             old[8..12].copy_from_slice(&word.to_le_bytes());
             let want = PersistError::UnsupportedVersion {
@@ -2160,6 +2157,33 @@ mod tests {
             }
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// META tag 1 was the retired coarsened-ε rung: even behind a valid
+    /// section checksum, a load refuses it as malformed.
+    #[test]
+    fn retired_rung_tag_is_refused() {
+        let g = colored(generators::grid(4, 4), 7);
+        let src = "dist(x,y) > 2 && Blue(y)";
+        let q = parse_query(src).unwrap();
+        let pq = PreparedQuery::prepare(&g, &q, &small_opts()).unwrap();
+        let mut bytes = pq.save_index_bytes(&q, src).unwrap();
+        let frames = nd_persist::parse_container_frames(&bytes).unwrap();
+        let meta = frames.frames.iter().find(|f| &f.tag == b"META").unwrap();
+        let at = meta.payload.as_ptr() as usize - bytes.as_ptr() as usize;
+        let len = meta.payload.len();
+        // META opens with the arity (u64), then the rung tag.
+        assert_eq!(bytes[at + 8], 0, "an indexed rung");
+        bytes[at + 8] = 1;
+        let crc = nd_persist::crc32_update(
+            nd_persist::crc32_update(nd_persist::crc32(b"META"), &(len as u64).to_le_bytes()),
+            &bytes[at..at + len],
+        );
+        bytes[at - 4..at].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            SharedPreparedQuery::load_index_bytes(&bytes).err(),
+            Some(PersistError::Malformed { .. })
+        ));
     }
 
     /// Chaos: every truncation point, every single-bit flip, and a stale

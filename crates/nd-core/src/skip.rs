@@ -20,7 +20,9 @@
 //! `S ∈ SC(b)`, `|S| < k` and `SKIP(b, S) ∈ K_r(Y)`. Per vertex this is
 //! `O(δ^k)` sets (`δ` = kernel degree), keeping the table pseudo-linear.
 //! Arbitrary queries are then answered by the constant-time reduction of
-//! Claim 5.9.
+//! Claim 5.9, which reads table rows only at list members
+//! `c = next_L(b)` — so only the rows of `b ∈ L` are tabulated; for
+//! `b ∉ L`, `SKIP(b, S) = SKIP(next_L(b), S)` and the row stays empty.
 
 use nd_cover::{BagId, KernelIndex};
 use nd_graph::budget::{BudgetExceeded, BudgetTracker, Phase};
@@ -130,7 +132,8 @@ pub struct SkipPointers {
     /// `next_in_list[v]`: smallest member of `L` strictly greater than `v`.
     next_in_list: Vec<Option<Vertex>>,
     /// CSR row offsets: vertex `v`'s closure entries live at
-    /// `starts[v] .. starts[v+1]` in `sets` / `vals`. Length `n + 1`.
+    /// `starts[v] .. starts[v+1]` in `sets` / `vals`. Length `n + 1`;
+    /// the row of every `v ∉ L` is empty.
     /// The three CSR arrays are [`Slab`]s: file-backed when decoded from
     /// a mapped container.
     starts: Slab<u32>,
@@ -309,6 +312,11 @@ impl SkipPointers {
         let mut row: Vec<(BagSet, u32)> = Vec::new();
         let mut queue: Vec<BagIds> = Vec::new();
         'outer: for b in (0..n as Vertex).rev() {
+            // Claim 5.9 reads rows only at list members; a vertex outside
+            // L keeps an empty row.
+            if !in_list[b as usize] {
+                continue;
+            }
             row.clear();
             queue.clear();
             queue.extend(kernel_bags.of(b).iter().map(|&x| BagIds::single(x)));
@@ -387,7 +395,7 @@ impl SkipPointers {
         })
     }
 
-    /// Number of precomputed table entries (experiment E8: `O(n·δ^k)`).
+    /// Number of precomputed table entries (experiment E8: `O(|L|·δ^k)`).
     pub fn table_len(&self) -> usize {
         self.sets.len()
     }
@@ -456,7 +464,9 @@ impl SkipPointers {
     /// Decode the structure for an `n`-vertex graph (`n` supplied by the
     /// caller from the already-validated graph, so a corrupt count cannot
     /// drive the rebuild allocations). Table values are range-checked —
-    /// the answering phase feeds them straight into per-position bitsets.
+    /// the answering phase feeds them straight into per-position bitsets —
+    /// and full verification also rejects a row for a vertex outside `L`,
+    /// which no build writes.
     pub fn read_from(
         r: &mut nd_persist::Reader<'_>,
         n: usize,
@@ -481,6 +491,10 @@ impl SkipPointers {
         if vals.len() != sets.len() {
             return Err(malformed("skip set/value lengths disagree"));
         }
+        let mut in_list = vec![false; n];
+        for &v in &list {
+            in_list[v as usize] = true;
+        }
         if r.should_validate() {
             if starts.first() != Some(&0) || starts[n] as usize != sets.len() {
                 return Err(malformed("skip row offsets do not span the table"));
@@ -490,6 +504,9 @@ impl SkipPointers {
             }
             for v in 0..n {
                 let row = &sets[starts[v] as usize..starts[v + 1] as usize];
+                if !in_list[v] && !row.is_empty() {
+                    return Err(malformed("skip row for a vertex outside the list"));
+                }
                 if row.windows(2).any(|w| w[0] >= w[1]) {
                     return Err(malformed("skip table sets not sorted within a row"));
                 }
@@ -497,10 +514,6 @@ impl SkipPointers {
             if vals.iter().any(|&x| x != NO_SKIP && (x as usize) >= n) {
                 return Err(malformed("skip table value out of range"));
             }
-        }
-        let mut in_list = vec![false; n];
-        for &v in &list {
-            in_list[v as usize] = true;
         }
         let mut next_in_list: Vec<Option<Vertex>> = vec![None; n];
         let mut next = None;
@@ -595,6 +608,64 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Rows exist only for list members: the table is the sum of their
+    /// rows, every other row is empty, and a probe from outside `L` still
+    /// answers like the naive scan (it reads the row of `next_L(b)`).
+    #[test]
+    fn rows_only_for_list_members() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for (g, r, k) in [
+            (generators::path(80), 2u32, 2usize),
+            (generators::grid(9, 9), 1, 2),
+            (generators::random_tree(100, 3), 2, 3),
+            (generators::bounded_degree(120, 4, 1), 2, 2),
+        ] {
+            for modulus in [3, 7] {
+                let list: Vec<Vertex> = (0..g.n() as Vertex).filter(|v| v % modulus == 0).collect();
+                let (kernels, sp) = setup(&g, r, list, k);
+                let row_len = |v: usize| (sp.starts[v + 1] - sp.starts[v]) as usize;
+                let in_l: usize = sp.list.iter().map(|&v| row_len(v as usize)).sum();
+                assert_eq!(sp.table_len(), in_l);
+                assert!(sp.table_len() > 0);
+                for b in (0..g.n() as Vertex).filter(|&b| !sp.in_list[b as usize]) {
+                    assert_eq!(row_len(b as usize), 0, "row for {b} ∉ L");
+                }
+                for bags in random_bagsets(&kernels, g.n(), k, &mut rng) {
+                    for b in (0..g.n() as Vertex).filter(|&b| !sp.in_list[b as usize]) {
+                        assert_eq!(
+                            sp.skip(&kernels, b, &bags),
+                            sp.skip_naive(&kernels, b, &bags),
+                            "b={b}, S={bags:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn full_verify_rejects_a_row_outside_the_list() {
+        let g = generators::grid(9, 9);
+        let list: Vec<Vertex> = (0..g.n() as Vertex).filter(|v| v % 3 == 0).collect();
+        let (_, sp) = setup(&g, 2, list, 2);
+        // Drop a member with a non-empty row from L, keeping its row.
+        let mut forged = sp.clone();
+        let victim = sp
+            .list
+            .iter()
+            .position(|&v| sp.starts[v as usize + 1] > sp.starts[v as usize])
+            .expect("some list member has a row");
+        forged.list.remove(victim);
+        let mut w = nd_persist::Writer::new();
+        forged.write_into(&mut w);
+        let bytes = w.into_bytes();
+        let got = SkipPointers::read_from(&mut nd_persist::Reader::new(&bytes), g.n());
+        assert!(
+            matches!(got, Err(nd_persist::PersistError::Malformed { .. })),
+            "a row outside L was accepted"
+        );
     }
 
     #[test]

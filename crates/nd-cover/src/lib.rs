@@ -14,10 +14,13 @@
 //! (experiment E2) and is small on the sparse families the paper targets.
 //! See DESIGN.md §2 for the substitution argument.
 //!
-//! Bag membership and smallest-member-≥ queries are answered in constant
-//! time through the Storing Theorem structure ([`nd_store::KeySet`]) keyed
-//! by `(bag, vertex)` pairs, exactly as sketched below Theorem 4.4 in the
-//! paper.
+//! Bag membership and smallest-member-≥ queries are answered in expected
+//! constant time from the bag rows themselves, as sketched below Theorem
+//! 4.4 in the paper: read in bag-major order, the sorted rows are the
+//! sorted arena of packed `(bag, vertex)` keys, and a radix directory over
+//! those keys (the one [`nd_store::FlatStore`] uses, built by
+//! [`nd_store::radix_dir`]) narrows a probe to about one member before a
+//! binary search. Each member is stored once, as a `u32`.
 
 pub mod kernel;
 
@@ -26,15 +29,15 @@ pub use kernel::{kernel_of_bag, kernel_of_bag_with, KernelBags, KernelIndex, Ker
 use nd_graph::budget::{BudgetExceeded, BudgetTracker, Phase};
 use nd_graph::{BfsScratch, ColoredGraph, Vertex};
 use nd_persist::{malformed, PersistError, Slab};
-use nd_store::{KeySet, StoreParams};
+use nd_store::{radix_dir, radix_dir_shape};
 use std::time::Instant;
 
 /// Index of a bag within a cover.
 pub type BagId = u32;
 
 /// Wall-clock breakdown of a cover build, for `PrepareStats`'s per-phase
-/// timings: the greedy bag construction vs. the Storing-Theorem
-/// membership store (`TrieBuild`).
+/// timings: the greedy bag construction vs. the membership directory
+/// (`TrieBuild`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CoverTimings {
     pub greedy_ms: u64,
@@ -54,8 +57,8 @@ pub struct Bag<'a> {
 ///
 /// Every part is a flat array — [`Slab`]s that a mapped load borrows in
 /// place — so loading a saved cover allocates nothing per vertex or per
-/// bag. The answering phase reads only `assignment` (through
-/// [`Cover::bag_of`]) and the membership store.
+/// bag. The answering phase reads `assignment` (through
+/// [`Cover::bag_of`]) and the bag rows through their directory.
 #[derive(Clone)]
 pub struct Cover {
     pub r: u32,
@@ -66,9 +69,14 @@ pub struct Cover {
     /// CSR row offsets: bag `id`'s sorted members are
     /// `members[starts[id]..starts[id + 1]]`. Length `num_bags + 1`.
     starts: Slab<u32>,
+    /// The bag rows, concatenated in bag order. Position `i` holds the
+    /// packed key `id·base + members[i]` of its bag `id` (see
+    /// [`key_space`]), and those keys strictly increase with `i`.
     members: Slab<Vertex>,
-    /// Storing-Theorem membership structure keyed by `(bag, vertex)`.
-    membership: KeySet,
+    /// Canonical radix directory over those packed keys ([`radix_dir`]):
+    /// bucket `key >> shift` covers `members[dir[b] .. dir[b + 1]]`.
+    dir: Slab<u32>,
+    shift: u32,
     /// Build-time phase breakdown (not part of the cover's value — two
     /// covers built from the same input are equal regardless of timings).
     timings: CoverTimings,
@@ -102,16 +110,36 @@ pub(crate) fn check_rows(
     Ok(())
 }
 
-/// Row end offset for a CSR table. Every row member is also a key of a
-/// 16-byte-per-key membership store, so `2^32` members would need 64 GiB
-/// before this could fail.
+/// Row end offset for a CSR table. Rows are built in memory as `u32`
+/// vectors, so `2^32` members would need 16 GiB before this could fail.
 fn row_end(members: &[Vertex]) -> u32 {
     u32::try_from(members.len()).expect("CSR rows exceed u32 offsets")
 }
 
+/// The packed-key space of a cover's rows: a member `v` of bag `id` is the
+/// key `id·base + v` with `base = max(n, bags, 1)`, and every key is below
+/// `span = max(bags·base, 1)`. `n` and `bags` are below `2^32`, so keys
+/// fit a `u64`.
+fn key_space(n: usize, bags: usize) -> (u64, u128) {
+    let base = n.max(bags).max(1) as u64;
+    (base, (u128::from(base) * bags as u128).max(1))
+}
+
+/// The canonical directory over the packed keys of CSR bag rows.
+fn row_dir(n: usize, starts: &[u32], members: &[Vertex]) -> (u32, Vec<u32>) {
+    let bags = starts.len().saturating_sub(1);
+    let (base, span) = key_space(n, bags);
+    let keys = starts.windows(2).enumerate().flat_map(|(id, ends)| {
+        members[ends[0] as usize..ends[1] as usize]
+            .iter()
+            .map(move |&v| u128::from(id as u64 * base + u64::from(v)))
+    });
+    radix_dir(span, members.len(), keys)
+}
+
 impl Cover {
-    /// Greedy `(r, 2r)`-cover of `g`; `epsilon` parameterizes the membership
-    /// store.
+    /// Greedy `(r, 2r)`-cover of `g`. `epsilon` is the paper's accuracy
+    /// parameter; no part of this layout depends on it.
     ///
     /// Unbudgeted convenience; see [`Cover::try_build`] for cooperative
     /// cancellation.
@@ -127,7 +155,7 @@ impl Cover {
     pub fn try_build(
         g: &ColoredGraph,
         r: u32,
-        epsilon: f64,
+        _epsilon: f64,
         tracker: &BudgetTracker,
     ) -> Result<Cover, BudgetExceeded> {
         let t_greedy = Instant::now();
@@ -173,23 +201,14 @@ impl Cover {
 
         let greedy_ms = t_greedy.elapsed().as_millis() as u64;
         let t_store = Instant::now();
-        let params = StoreParams::new(n.max(centers.len()).max(1) as u64, 2, epsilon.max(1e-9));
         // Bags are enumerated in id order with sorted member lists, so the
-        // packed (bag, vertex) keys come out strictly increasing — the
-        // membership store builds in one bulk pass instead of
-        // insert-at-a-time with per-key successor repairs.
-        let mut packed = Vec::with_capacity(members.len());
-        for (id, ends) in starts.windows(2).enumerate() {
-            let verts = &members[ends[0] as usize..ends[1] as usize];
-            // nd-store has no budget hooks of its own (it sits below
-            // nd-graph in the DAG); its callers charge store work here.
-            tracker.charge_nodes(Phase::TrieBuild, verts.len() as u64)?;
-            tracker.charge_memory(Phase::TrieBuild, 16 * verts.len() as u64)?;
-            for &v in verts {
-                packed.push(params.pack(&[id as u64, v as u64]));
-            }
-        }
-        let membership = KeySet::from_sorted_packed(params, packed);
+        // rows already are the sorted (bag, vertex) key arena; only the
+        // directory over it is built, in one counting pass. nd-store has
+        // no budget hooks of its own (it sits below nd-graph in the DAG),
+        // so the pass is charged here.
+        tracker.charge_nodes(Phase::TrieBuild, members.len() as u64)?;
+        let (shift, dir) = row_dir(n, &starts, &members);
+        tracker.charge_memory(Phase::TrieBuild, 4 * dir.len() as u64)?;
         tracker.checkpoint(Phase::CoverConstruction)?;
 
         Ok(Cover {
@@ -198,7 +217,8 @@ impl Cover {
             centers: centers.into(),
             starts: starts.into(),
             members: members.into(),
-            membership,
+            dir: dir.into(),
+            shift,
             timings: CoverTimings {
                 greedy_ms,
                 store_ms: t_store.elapsed().as_millis() as u64,
@@ -235,27 +255,37 @@ impl Cover {
         self.assignment[a as usize]
     }
 
-    /// Constant-time membership test via the Storing Theorem structure.
+    /// Membership test (expected constant time): whether `v` is in bag `id`.
     pub fn contains(&self, id: BagId, v: Vertex) -> bool {
-        self.membership.contains(&[id as u64, v as u64])
+        self.successor_in_bag(id, v) == Some(v)
     }
 
-    /// Smallest member of the bag that is `≥ v` (constant time) — the
-    /// `b_X` lookup of the answering phase (Section 5.2.2).
+    /// Smallest member of the bag that is `≥ v` (expected constant time)
+    /// — the `b_X` lookup of the answering phase (Section 5.2.2).
+    ///
+    /// One directory probe, clamped into bag `id`'s row, then a binary
+    /// search over the one or two members the bucket holds on average.
+    /// The clamp is what makes the search sound: a bucket can straddle
+    /// rows, and only inside one row is vertex order the key order. The
+    /// key's insertion point lies both in its bucket and in its row, so
+    /// the clamped range still holds it. A forged directory (possible
+    /// under lazy verification, until the deferred CRC settles) stays in
+    /// bounds through the same clamp, and the final `≥ v` filter keeps
+    /// every answer a member of the row that is not below the probe, so
+    /// callers stepping through a bag still advance.
+    #[inline]
     pub fn successor_in_bag(&self, id: BagId, v: Vertex) -> Option<Vertex> {
-        let params = self.membership.params();
-        if (v as u64) >= params.n {
+        if v as usize >= self.n() {
             return None;
         }
-        let packed = params.pack(&[id as u64, v as u64]);
-        match self.membership.successor_inclusive_packed(packed) {
-            Some(next) => {
-                let mut key = [0u64; 2];
-                params.unpack_into(next, &mut key);
-                (key[0] == id as u64).then_some(key[1] as Vertex)
-            }
-            None => None,
-        }
+        let i = id as usize;
+        let (row_lo, row_hi) = (self.starts[i] as usize, self.starts[i + 1] as usize);
+        let (base, _) = key_space(self.n(), self.num_bags());
+        let b = ((u64::from(id) * base + u64::from(v)) >> self.shift) as usize;
+        let lo = (self.dir[b] as usize).clamp(row_lo, row_hi);
+        let hi = (self.dir[b + 1] as usize).clamp(lo, row_hi);
+        let at = lo + self.members[lo..hi].partition_point(|&w| w < v);
+        self.members[..row_hi].get(at).copied().filter(|&w| w >= v)
     }
 
     /// The cover degree `δ(X)`: maximum number of bags meeting at a vertex.
@@ -271,21 +301,25 @@ impl Cover {
 
     /// Append the cover's binary encoding to `w` (DESIGN.md §9): the
     /// assignment, the bag centers and the CSR bag rows as aligned slabs,
-    /// then the Storing-Theorem membership store verbatim. A load borrows
-    /// every part in place; there is no derived index to rebuild.
+    /// then the directory's shift and its slab. A load borrows every part
+    /// in place; there is no derived index to rebuild.
     pub fn write_into(&self, w: &mut nd_persist::Writer) {
         w.u32(self.r);
         w.u32_slab(&self.assignment);
         w.u32_slab(&self.centers);
         w.u32_slab(&self.starts);
         w.u32_slab(&self.members);
-        self.membership.write_into(w);
+        w.u32(self.shift);
+        w.u32_slab(&self.dir);
     }
 
     /// Decode a cover, re-validating the invariants the accessors index
     /// by — assignment targets exist, centers in range, bag rows a CSR
-    /// table of sorted in-range vertex sets — under every verify policy:
-    /// each check is one pass over its slab and allocates nothing.
+    /// table of sorted in-range vertex sets, a directory shaped for
+    /// `(n, bags, members)` — under every verify policy: each check is one
+    /// pass over its slab and allocates nothing. Full verification also
+    /// rebuilds the canonical directory and requires the stored one to
+    /// equal it.
     pub fn read_from(r: &mut nd_persist::Reader<'_>) -> Result<Cover, PersistError> {
         let radius = r.u32("cover radius")?;
         let assignment = r.u32_slab("cover assignment")?;
@@ -307,14 +341,15 @@ impl Cover {
         if assignment.iter().any(|&id| id as usize >= num_bags) {
             return Err(malformed("cover assignment targets a missing bag"));
         }
-        let membership = KeySet::read_from(r)?;
-        // successor_in_bag packs (bag, vertex) pairs through these params;
-        // a mismatched shape would trip the packer's arity contract.
-        if membership.params().k != 2 {
-            return Err(malformed("cover membership store must be binary"));
+        let shift = r.u32("cover directory shift")?;
+        let dir = r.u32_slab("cover directory")?;
+        // The shape check keeps every `dir[b]`, `dir[b + 1]` probe of an
+        // in-range key in bounds, whatever the directory's words.
+        if (shift, dir.len()) != radix_dir_shape(key_space(n, num_bags).1, members.len()) {
+            return Err(malformed("cover directory sized for another shape"));
         }
-        if membership.params().n < n.max(num_bags).max(1) as u64 {
-            return Err(malformed("cover membership key range too small"));
+        if r.should_validate() && dir[..] != row_dir(n, &starts, &members).1[..] {
+            return Err(malformed("cover directory is not canonical"));
         }
         Ok(Cover {
             r: radius,
@@ -322,7 +357,8 @@ impl Cover {
             centers,
             starts,
             members,
-            membership,
+            dir,
+            shift,
             timings: CoverTimings::default(),
         })
     }
@@ -426,18 +462,55 @@ mod tests {
         }
     }
 
-    #[test]
-    fn membership_and_successor() {
-        let g = generators::path(20);
-        let cover = Cover::build(&g, 2, 0.5);
-        let id = cover.bag_of(10);
-        let bag = cover.bag(id);
-        // successor_in_bag agrees with a scan.
-        for v in 0..20 as Vertex {
-            let want = bag.verts.iter().copied().find(|&w| w >= v);
-            assert_eq!(cover.successor_in_bag(id, v), want, "v={v}");
+    /// The families the row-scan tests sweep: sparse and dense ones, a
+    /// star whose one bag holds every vertex, and `n = 0` and `n = 1`.
+    fn families() -> Vec<(&'static str, nd_graph::ColoredGraph, u32)> {
+        vec![
+            ("path", generators::path(40), 2),
+            ("grid", generators::grid(9, 9), 1),
+            ("tree", generators::random_tree(90, 4), 2),
+            ("bounded", generators::bounded_degree(120, 4, 2), 2),
+            ("clique", generators::clique(12), 1),
+            ("star", generators::star(17), 1),
+            ("n0", generators::path(0), 1),
+            ("n1", generators::path(1), 1),
+        ]
+    }
+
+    /// `successor_in_bag` and `contains` answer every probe of every bag
+    /// exactly as a scan of the bag's row does, probes past `n` included.
+    fn assert_rows_answer(name: &str, cover: &Cover) {
+        for id in 0..cover.num_bags() as BagId {
+            let row = cover.bag(id).verts;
+            for v in 0..cover.n() as Vertex + 2 {
+                let want = row.iter().copied().find(|&w| w >= v);
+                assert_eq!(
+                    cover.successor_in_bag(id, v),
+                    want,
+                    "{name}: bag {id}, v={v}"
+                );
+                assert_eq!(
+                    cover.contains(id, v),
+                    row.contains(&v),
+                    "{name}: bag {id}, v={v}"
+                );
+            }
         }
-        assert_eq!(cover.successor_in_bag(id, 21), None);
+    }
+
+    #[test]
+    fn successor_and_contains_agree_with_a_row_scan() {
+        for (name, g, r) in families() {
+            let cover = Cover::build(&g, r, 0.5);
+            assert_rows_answer(name, &cover);
+            let bytes = encode(&cover);
+            for policy in POLICIES {
+                assert_rows_answer(name, &decode(&bytes, policy).unwrap());
+            }
+        }
+        let star = Cover::build(&generators::star(17), 1, 0.5);
+        assert_eq!(star.num_bags(), 1);
+        assert_eq!(star.bag(0).verts.len(), 17);
     }
 
     #[test]
@@ -511,12 +584,15 @@ mod tests {
         decode_mapped(bytes, policy, Cover::read_from)
     }
 
-    /// The cover's four row slabs as vectors, to corrupt one at a time.
+    /// The cover's slabs and directory shift as plain values, to corrupt
+    /// one at a time.
     struct Parts {
         assignment: Vec<u32>,
         centers: Vec<u32>,
         starts: Vec<u32>,
         members: Vec<u32>,
+        shift: u32,
+        dir: Vec<u32>,
     }
 
     impl Parts {
@@ -526,6 +602,8 @@ mod tests {
                 centers: cover.centers.to_vec(),
                 starts: cover.starts.to_vec(),
                 members: cover.members.to_vec(),
+                shift: cover.shift,
+                dir: cover.dir.to_vec(),
             }
         }
 
@@ -537,9 +615,14 @@ mod tests {
             w.u32_slab(&self.centers);
             w.u32_slab(&self.starts);
             w.u32_slab(&self.members);
-            cover.membership.write_into(&mut w);
+            w.u32(self.shift);
+            w.u32_slab(&self.dir);
             w.into_bytes()
         }
+    }
+
+    fn is_malformed(got: Result<Cover, PersistError>) -> bool {
+        matches!(got, Err(PersistError::Malformed { .. }))
     }
 
     fn assert_malformed(cover: &Cover, corrupt: impl Fn(&mut Parts), what: &str) {
@@ -548,7 +631,7 @@ mod tests {
         let bytes = parts.encode(cover);
         for policy in POLICIES {
             assert!(
-                matches!(decode(&bytes, policy), Err(PersistError::Malformed { .. })),
+                is_malformed(decode(&bytes, policy)),
                 "{what} accepted under {policy:?}"
             );
         }
@@ -604,12 +687,109 @@ mod tests {
     }
 
     #[test]
+    fn codec_rejects_misshapen_directories() {
+        let cover = Cover::build(&generators::grid(6, 6), 1, 0.5);
+        assert!(cover.dir.len() >= 4);
+        assert_malformed(&cover, |p| p.shift += 1, "a shift for another shape");
+        assert_malformed(&cover, |p| p.dir.push(0), "a directory one too long");
+        assert_malformed(
+            &cover,
+            |p| {
+                p.dir.pop();
+            },
+            "a directory one too short",
+        );
+        assert_malformed(&cover, |p| p.dir.clear(), "an empty directory");
+    }
+
+    #[test]
+    fn full_verify_rejects_a_non_canonical_directory() {
+        let cover = Cover::build(&generators::grid(8, 8), 2, 0.5);
+        let last = cover.dir.len() - 1;
+        let mid = last / 2;
+        assert!(cover.dir[mid] > 0, "the middle entry can be lowered");
+        let rejects = |corrupt: &dyn Fn(&mut Parts), what: &str| {
+            let mut parts = Parts::of(&cover);
+            corrupt(&mut parts);
+            let bytes = parts.encode(&cover);
+            assert!(
+                is_malformed(decode(&bytes, VerifyPolicy::Full)),
+                "{what} accepted under Full"
+            );
+        };
+        rejects(&|p| p.dir[mid] += 1, "a bumped middle entry");
+        rejects(&|p| p.dir[mid] -= 1, "a lowered middle entry");
+        rejects(&|p| p.dir[0] = 1, "a first entry past 0");
+        rejects(&|p| p.dir[last] -= 1, "a last entry short of the end");
+        rejects(&|p| p.dir[..last].fill(0), "all zeros but the end");
+    }
+
+    /// A lazy load checks the directory's shape but not its words, so a
+    /// forged directory of the right length loads; every probe must then
+    /// stay in bounds and answer a member of the probed row at or past the
+    /// probe, or `None`.
+    #[test]
+    fn lazy_probes_through_a_forged_directory_answer_row_members() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next_word = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for (name, g, r) in families() {
+            let cover = Cover::build(&g, r, 0.5);
+            let total = cover.total_bag_size() as u64 + 1;
+            for trial in 0..8 {
+                let mut parts = Parts::of(&cover);
+                for word in &mut parts.dir {
+                    let x = next_word();
+                    // Half the trials stay near the arena, half range over
+                    // every u32.
+                    *word = if trial % 2 == 0 {
+                        (x % (2 * total)) as u32
+                    } else {
+                        x as u32
+                    };
+                }
+                let forged = decode(&parts.encode(&cover), VerifyPolicy::Lazy).unwrap();
+                for id in 0..forged.num_bags() as BagId {
+                    let row = cover.bag(id).verts;
+                    for v in 0..g.n() as Vertex + 1 {
+                        if let Some(w) = forged.successor_in_bag(id, v) {
+                            assert!(w >= v && row.contains(&w), "{name}: bag {id}, v={v} → {w}");
+                        }
+                        if forged.contains(id, v) {
+                            assert!(row.contains(&v), "{name}: bag {id} claims {v}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn codec_truncations_fail_typed() {
-        let cover = Cover::build(&generators::grid(5, 5), 2, 0.5);
-        let bytes = encode(&cover);
-        for cut in 0..bytes.len() {
-            for policy in POLICIES {
-                assert!(decode(&bytes[..cut], policy).is_err(), "cut {cut}");
+        for g in [
+            generators::grid(5, 5),
+            generators::path(1),
+            generators::path(0),
+        ] {
+            let cover = Cover::build(&g, 2, 0.5);
+            let bytes = encode(&cover);
+            for cut in 0..bytes.len() {
+                for policy in POLICIES {
+                    assert!(
+                        matches!(
+                            decode(&bytes[..cut], policy),
+                            Err(PersistError::Truncated { .. } | PersistError::Malformed { .. })
+                        ),
+                        "n={}, cut {cut}",
+                        g.n()
+                    );
+                }
             }
         }
     }

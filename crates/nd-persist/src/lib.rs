@@ -45,8 +45,12 @@ pub const MAGIC: [u8; 8] = *b"NDQIDX\r\n";
 /// sorted members) instead of one adaptive list-or-bitmap set per ball.
 /// v7 stores a neighborhood cover as slabs (assignment, centers, CSR bag
 /// rows) and a kernel index as CSR slabs, so a mapped load borrows them
-/// and builds no per-vertex inverted index.
-pub const FORMAT_VERSION: u32 = 7;
+/// and builds no per-vertex inverted index. v8 drops a cover's
+/// `(bag, vertex)` key store: the CSR bag rows answer membership through a
+/// `u32` radix directory over their packed keys, and skip tables keep rows
+/// only for list members (other rows are empty); the META degradation
+/// rung no longer has tag 1 (the retired coarsened-ε rung).
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Decoders refuse single length prefixes beyond this many elements, so a
 /// corrupted length field fails typed instead of attempting a huge

@@ -10,7 +10,7 @@
 //! * `vals` — the stored values, parallel to `keys`,
 //! * `dir`  — a radix directory: bucket `b = packed >> shift` covers the
 //!   key range `keys[dir[b] .. dir[b+1]]`, with the bucket count sized to
-//!   the live domain (≈ one key per bucket).
+//!   the live domain (one to two keys per bucket).
 //!
 //! Lookup-or-successor is a constant-time directory probe plus a binary
 //! search inside one expected-`O(1)`-sized bucket — and because `dir`
@@ -91,8 +91,7 @@ impl FlatStore {
         Self::from_sorted_packed(params, keys, vals)
     }
 
-    /// Bulk build from already strictly-sorted packed keys — the one-pass
-    /// path `Cover` uses (bag membership pairs are emitted in order).
+    /// Bulk build from already strictly-sorted packed keys, in one pass.
     /// `O(|Dom| + buckets)`.
     pub fn from_sorted_packed(params: StoreParams, keys: Vec<u128>, vals: Vec<u64>) -> Self {
         assert_eq!(keys.len(), vals.len(), "parallel arrays");
@@ -328,22 +327,35 @@ fn span_of(params: &StoreParams) -> u128 {
 /// so two stores holding the same mapping always produce identical
 /// `(shift, dir)`. This is both the build rule and the serialized form.
 fn canonical_dir(params: &StoreParams, keys: &[u128]) -> (u32, Vec<u32>) {
-    let span = span_of(params);
-    let span_bits = if span <= 1 {
-        0
-    } else {
-        128 - (span - 1).leading_zeros()
-    };
-    let want_bits = usize::BITS - keys.len().next_power_of_two().leading_zeros() - 1;
+    radix_dir(span_of(params), keys.len(), keys.iter().copied())
+}
+
+/// Shape of the canonical radix directory over `len` keys drawn from
+/// `[0, span)`: the bucket shift and the directory length (bucket count
+/// plus one). One bucket per one to two keys, and at most
+/// `2^MAX_DIR_BITS` buckets.
+pub fn radix_dir_shape(span: u128, len: usize) -> (u32, usize) {
+    let top = span.max(1) - 1;
+    let span_bits = 128 - top.leading_zeros();
+    let want_bits = usize::BITS - len.max(1).leading_zeros() - 1;
     let dir_bits = want_bits.min(span_bits).min(MAX_DIR_BITS);
     let shift = span_bits - dir_bits;
-    let buckets = (((span - 1) >> shift) as usize) + 1;
-    let mut dir = vec![0u32; buckets + 1];
-    for &p in keys {
+    (shift, ((top >> shift) as usize) + 2)
+}
+
+/// The canonical radix directory over `len` strictly increasing keys in
+/// `[0, span)`, shaped by [`radix_dir_shape`]: bucket `b = key >> shift`
+/// holds the keys at global positions `dir[b] .. dir[b + 1]`. A pure
+/// function of the key sequence, so it is also the serialized form —
+/// [`FlatStore`] and the cover's bag rows both build their directory here.
+pub fn radix_dir(span: u128, len: usize, keys: impl IntoIterator<Item = u128>) -> (u32, Vec<u32>) {
+    let (shift, dir_len) = radix_dir_shape(span, len);
+    let mut dir = vec![0u32; dir_len];
+    for p in keys {
         dir[((p >> shift) as usize) + 1] += 1;
     }
-    for b in 0..buckets {
-        dir[b + 1] += dir[b];
+    for b in 1..dir_len {
+        dir[b] += dir[b - 1];
     }
     (shift, dir)
 }
@@ -516,7 +528,8 @@ mod tests {
         // bump a middle directory entry (keeping it monotone) so the
         // offsets no longer match the recount.
         let (shift, dir) = canonical_dir(s.params(), s.packed_keys());
-        assert_eq!(shift, 10);
+        // Span 64² needs 12 bits; 3 keys get ⌊log₂ 3⌋ = 1 directory bit.
+        assert_eq!(shift, 11);
         // params header (24) + shift (4) + dir seq_len (8), padded to 16.
         let dir_at = (24 + 4 + 8usize).next_multiple_of(16);
         let decoded: Vec<u32> = bytes[dir_at..dir_at + 4 * dir.len()]
@@ -535,7 +548,7 @@ mod tests {
         let params = StoreParams::new(1 << 20, 2, 0.25);
         let keys: Vec<[u64; 2]> = (0..500u64).map(|i| [i * 1000, i]).collect();
         let s = FlatStore::from_pairs(params, keys.iter().map(|k| (k.as_slice(), k[1])));
-        // 3 words per entry + directory ≈ 2 slots per key, packed 2/word.
+        // 3 words per entry + directory ≤ 1 slot per key, packed 2/word.
         assert!(s.registers() <= 3 * 500 + 1024 + 16, "directory oversized");
         assert!(
             store_of(params, &[]).registers() <= 32,

@@ -2,7 +2,7 @@
 //! degenerate shapes, the register dump, and interleavings the model-based
 //! suite is unlikely to hit by chance.
 
-use nd_store::{FnStore, KeySet, Lookup, StoreParams};
+use nd_store::{FnStore, Lookup, StoreParams};
 
 #[test]
 fn empty_store_lookups() {
@@ -95,17 +95,6 @@ fn with_degree_params() {
     let p = StoreParams::with_degree(8, 2, 2);
     assert_eq!(p.h, 3);
     assert_eq!(p.total_digits(), 6);
-}
-
-#[test]
-fn keyset_from_keys_dedups() {
-    let keys: Vec<Vec<u64>> = vec![vec![3, 3], vec![1, 2], vec![3, 3]];
-    let s = KeySet::from_keys(
-        StoreParams::new(10, 2, 0.5),
-        keys.iter().map(|k| k.as_slice()),
-    );
-    assert_eq!(s.len(), 2);
-    assert_eq!(s.iter_keys(), vec![vec![1, 2], vec![3, 3]]);
 }
 
 #[test]
