@@ -38,22 +38,28 @@ fn bench_skip_query(c: &mut Criterion) {
     group.finish();
 }
 
+/// Table builds over the full list on grids: `skip/build` at k = 2 runs
+/// Claim 5.10's closure, `skip/build_k1` the one-sweep closed form.
 fn bench_skip_build(c: &mut Criterion) {
-    let mut group = c.benchmark_group("skip/build");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_secs(1));
-    for n in [4_000usize, 16_000, 64_000] {
-        let g = GraphFamily::Grid.build(n, 7);
-        let cover = Cover::build(&g, 4, 0.5);
-        let kernels = KernelIndex::build(&g, &cover, 2);
-        let list: Vec<u32> = (0..g.n() as u32).collect();
-        group.throughput(Throughput::Elements(g.n() as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| SkipPointers::build_with_cap(g.n(), &kernels, list.clone(), 2, 64 * g.n()))
-        });
+    for (name, k) in [("skip/build", 2usize), ("skip/build_k1", 1)] {
+        let mut group = c.benchmark_group(name);
+        group.sample_size(10);
+        group.warm_up_time(std::time::Duration::from_millis(300));
+        group.measurement_time(std::time::Duration::from_secs(1));
+        for n in [4_000usize, 16_000, 64_000] {
+            let g = GraphFamily::Grid.build(n, 7);
+            let cover = Cover::build(&g, 4, 0.5);
+            let kernels = KernelIndex::build(&g, &cover, 2);
+            let list: Vec<u32> = (0..g.n() as u32).collect();
+            group.throughput(Throughput::Elements(g.n() as u64));
+            group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+                b.iter(|| {
+                    SkipPointers::build_with_cap(g.n(), &kernels, list.clone(), k, 64 * g.n())
+                })
+            });
+        }
+        group.finish();
     }
-    group.finish();
 }
 
 criterion_group!(benches, bench_skip_query, bench_skip_build);

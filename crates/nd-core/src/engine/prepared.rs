@@ -60,8 +60,8 @@ pub struct PrepareOpts {
     /// [`PrepareError::BudgetExceeded`] instead of hanging.
     pub budget: Budget,
     /// Worker threads for the parallel preprocessing phases (branch
-    /// fan-out, unary-list evaluation, per-bag kernels, per-position skip
-    /// pointers). `1` = fully sequential (the default); `0` = use the
+    /// fan-out, unary-list evaluation, per-position skip pointers; the
+    /// kernels come out of the sequential cover pass). `1` = fully sequential (the default); `0` = use the
     /// host's available parallelism. The produced index is identical for
     /// every thread count — the fan-out units are pure functions merged by
     /// input slot, and the shared budget tracker enforces one total cap.
@@ -165,9 +165,11 @@ pub struct PrepareStats {
     pub threads: usize,
     /// Per-phase wall-clock breakdown, summed across branches (so with a
     /// parallel branch fan-out these behave like CPU time, not elapsed
-    /// time): greedy cover construction, …
+    /// time): greedy cover construction, including the one boundary BFS
+    /// per bag that decides which vertices the bag covers, …
     pub cover_ms: u64,
-    /// … per-bag kernel computation (Lemma 5.7), …
+    /// … reading each bag's `r`-kernel row (Lemma 5.7) off that same
+    /// BFS's labels, with the row's budget charges, …
     pub kernel_ms: u64,
     /// … the cover's membership directory (one counting pass over the
     /// bag rows), …
@@ -631,19 +633,37 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
     /// Count all solutions. Pseudo-linear for single-branch fragment
     /// queries whose constraint components have ≤ 2 positions (the
     /// Grohe–Schweikardt counting claim for our fragment — see
-    /// `engine::counting`); enumeration-based otherwise.
+    /// `engine::counting`); enumeration-based otherwise, without a bound
+    /// on its cost ([`PreparedQuery::try_count`] bounds it).
     pub fn count(&self) -> usize {
-        if let EngineImpl::Indexed(bs) = &self.engine {
-            if let [branch] = bs.as_slice() {
-                if let Some(c) = branch.fast_count(self.g.borrow()) {
-                    return c as usize;
+        self.try_count(&Budget::UNLIMITED)
+            .expect("unlimited budget cannot be exceeded")
+    }
+
+    /// [`PreparedQuery::count`] under `budget`: the enumeration-based
+    /// fallback charges one node per answer to a tracker started from
+    /// `budget`, which also samples the wall clock on its usual cadence,
+    /// and stops with [`BudgetExceeded`] (phase [`Phase::Counting`]) once
+    /// a cap is crossed. The pseudo-linear count and a naive index's
+    /// stored count are not charged.
+    pub fn try_count(&self, budget: &Budget) -> Result<usize, BudgetExceeded> {
+        match &self.engine {
+            EngineImpl::Indexed(bs) => {
+                if let [branch] = bs.as_slice() {
+                    if let Some(c) = branch.fast_count(self.g.borrow()) {
+                        return Ok(c as usize);
+                    }
                 }
             }
+            EngineImpl::Naive(n) => return Ok(n.count()),
         }
-        if let EngineImpl::Naive(n) = &self.engine {
-            return n.count();
+        let tracker = budget.start();
+        let mut count = 0;
+        for _ in self.enumerate() {
+            tracker.charge_nodes(Phase::Counting, 1)?;
+            count += 1;
         }
-        self.enumerate().count()
+        Ok(count)
     }
 
     /// The lexicographic successor tuple over `[0, n)^k`, or `None` at the
@@ -859,19 +879,24 @@ impl BranchEngine {
             .iter()
             .any(|c| matches!(c.kind, BinKind::Le(_) | BinKind::Gt(_)));
         let needs_kernels = engine.fq.binary.iter().any(|c| c.kind.excluding());
-        if needs_cover {
-            let cover = Cover::try_build(g, 2 * r, opts.epsilon, tracker)?;
+        // The kernel rows come out of the cover's own boundary BFS
+        // (Lemma 5.7 paid once per bag), so they are built in the same
+        // sequential pass rather than fanned out per bag.
+        let mut kernels = None;
+        if needs_kernels {
+            let (cover, k) = Cover::try_build_with_kernels(g, 2 * r, r, tracker)?;
+            engine.cover = Some(cover);
+            kernels = Some(k);
+        } else if needs_cover {
+            engine.cover = Some(Cover::try_build(g, 2 * r, opts.epsilon, tracker)?);
+        }
+        if let Some(cover) = &engine.cover {
             let ct = cover.build_timings();
             engine.timings.cover_ms = ct.greedy_ms;
             engine.timings.store_ms = ct.store_ms;
-            engine.cover = Some(cover);
+            engine.timings.kernel_ms = ct.kernel_ms;
         }
-        if needs_kernels {
-            let cover = engine.cover.as_ref().unwrap();
-            let t_kernel = Instant::now();
-            let kernels = KernelIndex::try_build_threads(g, cover, r, opts.threads, tracker)?;
-            engine.timings.kernel_ms = t_kernel.elapsed().as_millis() as u64;
-
+        if let Some(kernels) = kernels {
             // Skip pointers are per-position and independent (each reads
             // the shared kernel index plus its own L_j), so they fan out
             // like the unary lists.
@@ -946,6 +971,7 @@ fn write_phase(w: &mut Writer, p: Phase) {
         Phase::TrieBuild => 6,
         Phase::NaiveMaterialize => 7,
         Phase::Admission => 8,
+        Phase::Counting => 9,
     });
 }
 
@@ -960,6 +986,7 @@ fn read_phase(r: &mut Reader<'_>) -> Result<Phase, PersistError> {
         6 => Phase::TrieBuild,
         7 => Phase::NaiveMaterialize,
         8 => Phase::Admission,
+        9 => Phase::Counting,
         _ => return Err(malformed("invalid budget phase")),
     })
 }
@@ -1733,6 +1760,33 @@ mod tests {
         assert_eq!(pq.next_solution(&[0, 0]), None);
     }
 
+    /// A count that must enumerate stops typed at a node cap, one node per
+    /// answer, and answers like `count` under a cap it fits.
+    #[test]
+    fn budgeted_count_fails_typed_past_its_cap() {
+        let q = parse_query("dist(x,z) > 2 && dist(y,z) > 2 && dist(x,y) <= 3 && Blue(z)").unwrap();
+        let g = colored(generators::grid(60, 60), 3);
+        let pq = PreparedQuery::prepare(&g, &q, &PrepareOpts::default()).unwrap();
+        assert_eq!(pq.engine_kind(), EngineKind::Indexed { branches: 1 });
+        let cap = 10_000;
+        let e = pq
+            .try_count(&Budget::UNLIMITED.with_node_expansions(cap))
+            .unwrap_err();
+        assert_eq!(
+            (e.phase, e.resource, e.spent, e.cap),
+            (Phase::Counting, Resource::NodeExpansions, cap + 1, cap)
+        );
+
+        let g = colored(generators::grid(8, 8), 3);
+        let pq = PreparedQuery::prepare(&g, &q, &PrepareOpts::default()).unwrap();
+        let count = pq.count();
+        assert!(count > 0);
+        let capped = |cap: usize| pq.try_count(&Budget::UNLIMITED.with_node_expansions(cap as u64));
+        assert_eq!(capped(count), Ok(count));
+        assert!(capped(count - 1).is_err());
+        assert_eq!(pq.try_count(&Budget::UNLIMITED), Ok(count));
+    }
+
     /// The oracle picks a flat ball table when `Σ_v |N_r(v)|` fits its
     /// budget, and the splitter recursion otherwise; the stats say which.
     #[test]
@@ -2240,6 +2294,12 @@ mod tests {
                 resource: Resource::NodeExpansions,
                 spent: 7,
                 cap: 3,
+            })),
+            Some(DegradationReason::BudgetExceeded(BudgetExceeded {
+                phase: Phase::Counting,
+                resource: Resource::WallClockMs,
+                spent: 12,
+                cap: 10,
             })),
         ];
         for reason in &reasons {

@@ -236,6 +236,219 @@ fn compute_skip_raw(
     }
 }
 
+/// A finished closure table in forward CSR order, as a row builder
+/// returns it.
+struct Rows {
+    starts: Vec<u32>,
+    sets: Vec<BagSet>,
+    vals: Vec<u32>,
+    truncated: bool,
+}
+
+/// Builds the closure table from the kernels, `in_list`, `next_in_list`,
+/// `k` and the entry cap.
+type RowBuilder = fn(
+    &KernelIndex,
+    &[bool],
+    &[Option<Vertex>],
+    usize,
+    usize,
+    &BudgetTracker,
+) -> Result<Rows, BudgetExceeded>;
+
+/// Claim 5.10: compute `SKIP(b, S)` for `S ∈ SC(b)`, `b` descending, sets
+/// in breadth-first (size) order. Rows are finalized one vertex at a time
+/// into `rev_*` (so they land in descending-vertex order) and reversed
+/// into the forward CSR at the end; `bounds[v]` exposes the
+/// already-finalized rows — exactly the `v > b` entries Claim 5.10 is
+/// allowed to read — to the in-progress computation. Each entry costs a
+/// few kernel-membership binary searches and row lookups.
+fn closure_rows(
+    kernels: &KernelIndex,
+    in_list: &[bool],
+    next_in_list: &[Option<Vertex>],
+    k: usize,
+    max_entries: usize,
+    tracker: &BudgetTracker,
+) -> Result<Rows, BudgetExceeded> {
+    let n = in_list.len();
+    // `{X : v ∈ K_r(X)}` seeds SC(v) and grows its sets.
+    let kernel_bags = kernels.bags_of();
+    let mut rev_sets: Vec<BagSet> = Vec::new();
+    let mut rev_vals: Vec<u32> = Vec::new();
+    let mut bounds: Vec<(u32, u32)> = vec![(0, 0); n];
+    let mut truncated = false;
+    // Current vertex's row, sorted by bag set.
+    let mut row: Vec<(BagSet, u32)> = Vec::new();
+    let mut queue: Vec<BagIds> = Vec::new();
+    'outer: for b in (0..n as Vertex).rev() {
+        // Claim 5.9 reads rows only at list members; a vertex outside
+        // L keeps an empty row.
+        if !in_list[b as usize] {
+            continue;
+        }
+        row.clear();
+        queue.clear();
+        queue.extend(kernel_bags.of(b).iter().map(|&x| BagIds::single(x)));
+        let mut head = 0;
+        while head < queue.len() {
+            let s = queue[head];
+            head += 1;
+            let set = encode_set(s.as_slice());
+            let pos = match row.binary_search_by_key(&set, |e| e.0) {
+                Ok(_) => continue, // reachable along several queue paths
+                Err(pos) => pos,
+            };
+            if rev_sets.len() + row.len() >= max_entries {
+                // All-or-nothing per vertex: dropping only the overflow
+                // entries would leave a partial row, and the Claim 5.9
+                // subset-growing step must never see one (it concludes
+                // "val escapes all of S" from "no tabulated superset").
+                truncated = true;
+                row.clear();
+                break 'outer;
+            }
+            tracker.charge_nodes(Phase::SkipClosure, 1)?;
+            tracker.charge_memory(Phase::SkipClosure, 24)?;
+            let skip = compute_skip_raw(
+                kernels,
+                in_list,
+                next_in_list,
+                &|v, set| {
+                    let (lo, hi) = bounds[v as usize];
+                    match rev_sets[lo as usize..hi as usize].binary_search(&set) {
+                        Ok(i) => Entry::Present(match rev_vals[lo as usize + i] {
+                            NO_SKIP => None,
+                            x => Some(x),
+                        }),
+                        Err(_) => Entry::Absent,
+                    }
+                },
+                b,
+                s.as_slice(),
+            );
+            row.insert(pos, (set, skip.unwrap_or(NO_SKIP)));
+            if s.len < k {
+                if let Some(v) = skip {
+                    queue.extend(kernel_bags.of(v).iter().filter_map(|&y| s.with(y)));
+                }
+            }
+        }
+        let lo = rev_sets.len() as u32;
+        rev_sets.extend(row.iter().map(|e| e.0));
+        rev_vals.extend(row.iter().map(|e| e.1));
+        bounds[b as usize] = (lo, rev_sets.len() as u32);
+    }
+    // Reverse the descending row blocks into forward CSR order.
+    let total = rev_sets.len();
+    let mut starts = vec![0u32; n + 1];
+    for v in 0..n {
+        let (lo, hi) = bounds[v];
+        starts[v + 1] = starts[v] + (hi - lo);
+    }
+    let mut sets = Vec::with_capacity(total);
+    let mut vals = Vec::with_capacity(total);
+    for &(lo, hi) in &bounds {
+        sets.extend_from_slice(&rev_sets[lo as usize..hi as usize]);
+        vals.extend_from_slice(&rev_vals[lo as usize..hi as usize]);
+    }
+    Ok(Rows {
+        starts,
+        sets,
+        vals,
+        truncated,
+    })
+}
+
+/// The `k = 1` table in closed form. `SC(b)` is `{{X} : b ∈ K_r(X)}` and
+/// `SKIP(b, {X})`, for `b ∈ L ∩ K_r(X)`, is the smallest `c ≥ b` in `L`
+/// outside `K_r(X)`: with `c = next_L(b)`, it is `c` itself when `c ∉
+/// K_r(X)`, and otherwise `SKIP(c, {X})`. So one descending walk over each
+/// kernel row, stamping its members with the bag id (membership in O(1))
+/// and memoising each list member's value, yields every entry with one
+/// lookup. Bags are walked in id order and scattered into the CSR rows by
+/// a counting sort, so each row comes out sorted by its set.
+///
+/// Truncation and charges are [`closure_rows`]'s: rows are kept from the
+/// top vertex down while each fits whole under `max_entries`, and one node
+/// and 24 bytes are charged per entry the closure would tabulate —
+/// `min(entries, max_entries)`, since it also charges the part of the cut
+/// row that fits.
+fn singleton_rows(
+    kernels: &KernelIndex,
+    in_list: &[bool],
+    next_in_list: &[Option<Vertex>],
+    _k: usize,
+    max_entries: usize,
+    tracker: &BudgetTracker,
+) -> Result<Rows, BudgetExceeded> {
+    let n = in_list.len();
+    let bags = kernels.num_bags() as BagId;
+    // Row lengths: the row of b ∈ L has one entry per kernel holding b.
+    let mut starts = vec![0u32; n + 1];
+    for id in 0..bags {
+        for &v in kernels.kernel(id) {
+            if in_list[v as usize] {
+                starts[v as usize + 1] += 1;
+            }
+        }
+    }
+    // Rows of vertices below `cut` are dropped.
+    let (mut kept, mut cut, mut truncated) = (0usize, 0usize, false);
+    for v in (0..n).rev() {
+        let len = starts[v + 1] as usize;
+        if kept + len > max_entries {
+            (cut, truncated) = (v + 1, true);
+            break;
+        }
+        kept += len;
+    }
+    let charged = if truncated { max_entries } else { kept } as u64;
+    tracker.charge_nodes(Phase::SkipClosure, charged)?;
+    tracker.charge_memory(Phase::SkipClosure, 24 * charged)?;
+    starts[1..=cut].fill(0);
+    for v in 0..n {
+        starts[v + 1] += starts[v];
+    }
+    let mut fill = starts[..n].to_vec();
+    let mut sets = vec![0 as BagSet; kept];
+    let mut vals = vec![NO_SKIP; kept];
+    // For a list member v, `stamp[v] == id` iff v is in the kernel row
+    // being walked and, as the walk descends, already visited; `memo[v]`
+    // then holds SKIP(v, {id}). Only list members are stamped, since
+    // `next_L` only ever asks about them.
+    let mut stamp = vec![EMPTY_SLOT; n];
+    let mut memo = vec![NO_SKIP; n];
+    for id in 0..bags {
+        let set = encode_set(&[id]);
+        for &v in kernels.kernel(id).iter().rev() {
+            let v = v as usize;
+            if !in_list[v] {
+                continue;
+            }
+            stamp[v] = id;
+            let val = match next_in_list[v] {
+                Some(c) if stamp[c as usize] == id => memo[c as usize],
+                Some(c) => c,
+                None => NO_SKIP,
+            };
+            memo[v] = val;
+            if v >= cut {
+                let slot = fill[v] as usize;
+                sets[slot] = set;
+                vals[slot] = val;
+                fill[v] += 1;
+            }
+        }
+    }
+    Ok(Rows {
+        starts,
+        sets,
+        vals,
+        truncated,
+    })
+}
+
 impl SkipPointers {
     /// Precompute the pointers for up to `k` simultaneous bags.
     /// Cost `O(n · δ^k)` table entries, each `O(1)` amortized.
@@ -269,16 +482,32 @@ impl SkipPointers {
     /// aborts the `SC(b)` closure with [`BudgetExceeded`] instead of
     /// filling memory on adversarial kernel degrees. `k` is clamped into
     /// `1..=4` (larger simultaneous sets degrade to verified scans at
-    /// query time; see [`Self::skip`]).
+    /// query time; see [`Self::skip`]). At `k = 1` the closure has a
+    /// closed form, built by one sweep per kernel row
+    /// ([`singleton_rows`]); larger `k` run Claim 5.10's closure
+    /// ([`closure_rows`]). Both write the same table and charge the same.
     pub fn try_build_with_cap(
+        n: usize,
+        kernels: &KernelIndex,
+        list: Vec<Vertex>,
+        k: usize,
+        max_entries: usize,
+        tracker: &BudgetTracker,
+    ) -> Result<SkipPointers, BudgetExceeded> {
+        let k = k.clamp(1, MAX_SET);
+        let rows: RowBuilder = if k == 1 { singleton_rows } else { closure_rows };
+        Self::try_build_by(n, kernels, list, k, max_entries, tracker, rows)
+    }
+
+    fn try_build_by(
         n: usize,
         kernels: &KernelIndex,
         mut list: Vec<Vertex>,
         k: usize,
         max_entries: usize,
         tracker: &BudgetTracker,
+        rows: RowBuilder,
     ) -> Result<SkipPointers, BudgetExceeded> {
-        let k = k.clamp(1, MAX_SET);
         list.sort_unstable();
         list.dedup();
         let mut in_list = vec![false; n];
@@ -296,92 +525,12 @@ impl SkipPointers {
             }
         }
         tracker.charge_memory(Phase::SkipClosure, 9 * n as u64)?;
-        // `{X : v ∈ K_r(X)}` seeds SC(v) and grows its sets.
-        let kernel_bags = kernels.bags_of();
-        // Claim 5.10: compute SKIP(b, S) for S ∈ SC(b), b descending, sets
-        // in breadth-first (size) order. Rows are finalized one vertex at a
-        // time into `rev_*` (so they land in descending-vertex order) and
-        // reversed into the forward CSR at the end; `bounds[v]` exposes the
-        // already-finalized rows — exactly the `v > b` entries Claim 5.10
-        // is allowed to read — to the in-progress computation.
-        let mut rev_sets: Vec<BagSet> = Vec::new();
-        let mut rev_vals: Vec<u32> = Vec::new();
-        let mut bounds: Vec<(u32, u32)> = vec![(0, 0); n];
-        let mut truncated = false;
-        // Current vertex's row, sorted by bag set.
-        let mut row: Vec<(BagSet, u32)> = Vec::new();
-        let mut queue: Vec<BagIds> = Vec::new();
-        'outer: for b in (0..n as Vertex).rev() {
-            // Claim 5.9 reads rows only at list members; a vertex outside
-            // L keeps an empty row.
-            if !in_list[b as usize] {
-                continue;
-            }
-            row.clear();
-            queue.clear();
-            queue.extend(kernel_bags.of(b).iter().map(|&x| BagIds::single(x)));
-            let mut head = 0;
-            while head < queue.len() {
-                let s = queue[head];
-                head += 1;
-                let set = encode_set(s.as_slice());
-                let pos = match row.binary_search_by_key(&set, |e| e.0) {
-                    Ok(_) => continue, // reachable along several queue paths
-                    Err(pos) => pos,
-                };
-                if rev_sets.len() + row.len() >= max_entries {
-                    // All-or-nothing per vertex: dropping only the overflow
-                    // entries would leave a partial row, and the Claim 5.9
-                    // subset-growing step must never see one (it concludes
-                    // "val escapes all of S" from "no tabulated superset").
-                    truncated = true;
-                    row.clear();
-                    break 'outer;
-                }
-                tracker.charge_nodes(Phase::SkipClosure, 1)?;
-                tracker.charge_memory(Phase::SkipClosure, 24)?;
-                let skip = compute_skip_raw(
-                    kernels,
-                    &in_list,
-                    &next_in_list,
-                    &|v, set| {
-                        let (lo, hi) = bounds[v as usize];
-                        match rev_sets[lo as usize..hi as usize].binary_search(&set) {
-                            Ok(i) => Entry::Present(match rev_vals[lo as usize + i] {
-                                NO_SKIP => None,
-                                x => Some(x),
-                            }),
-                            Err(_) => Entry::Absent,
-                        }
-                    },
-                    b,
-                    s.as_slice(),
-                );
-                row.insert(pos, (set, skip.unwrap_or(NO_SKIP)));
-                if s.len < k {
-                    if let Some(v) = skip {
-                        queue.extend(kernel_bags.of(v).iter().filter_map(|&y| s.with(y)));
-                    }
-                }
-            }
-            let lo = rev_sets.len() as u32;
-            rev_sets.extend(row.iter().map(|e| e.0));
-            rev_vals.extend(row.iter().map(|e| e.1));
-            bounds[b as usize] = (lo, rev_sets.len() as u32);
-        }
-        // Reverse the descending row blocks into forward CSR order.
-        let total = rev_sets.len();
-        let mut starts = vec![0u32; n + 1];
-        for v in 0..n {
-            let (lo, hi) = bounds[v];
-            starts[v + 1] = starts[v] + (hi - lo);
-        }
-        let mut sets = Vec::with_capacity(total);
-        let mut vals = Vec::with_capacity(total);
-        for &(lo, hi) in &bounds {
-            sets.extend_from_slice(&rev_sets[lo as usize..hi as usize]);
-            vals.extend_from_slice(&rev_vals[lo as usize..hi as usize]);
-        }
+        let Rows {
+            starts,
+            sets,
+            vals,
+            truncated,
+        } = rows(kernels, &in_list, &next_in_list, k, max_entries, tracker)?;
         Ok(SkipPointers {
             k,
             n,
@@ -595,6 +744,7 @@ mod tests {
             (generators::grid(9, 9), 1, 2),
             (generators::random_tree(100, 3), 2, 3),
             (generators::bounded_degree(120, 4, 1), 2, 2),
+            (generators::bounded_degree(120, 4, 1), 2, 1),
         ] {
             let list: Vec<Vertex> = (0..g.n() as Vertex).filter(|v| v % 3 != 1).collect();
             let (kernels, sp) = setup(&g, r, list, k);
@@ -643,6 +793,64 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The `k = 1` sweep writes the table Claim 5.10's closure writes, byte
+    /// for byte, and charges the same: unbounded, with a cap that cuts a
+    /// row in the middle, and with a cap of 0.
+    #[test]
+    fn singleton_sweep_matches_the_closure() {
+        let build = |n: usize, kernels: &KernelIndex, list: &[Vertex], cap, rows: RowBuilder| {
+            let tracker = BudgetTracker::unlimited();
+            let sp = SkipPointers::try_build_by(n, kernels, list.to_vec(), 1, cap, &tracker, rows)
+                .unwrap();
+            let mut w = nd_persist::Writer::new();
+            sp.write_into(&mut w);
+            (
+                sp,
+                w.into_bytes(),
+                tracker.nodes_spent(),
+                tracker.memory_spent(),
+            )
+        };
+        let mut cuts_mid_row = 0;
+        for (g, r) in [
+            (generators::path(80), 2u32),
+            (generators::grid(9, 9), 1),
+            (generators::random_tree(100, 3), 2),
+            (generators::bounded_degree(120, 4, 1), 2),
+        ] {
+            let cover = Cover::build(&g, 2 * r, 0.5);
+            let kernels = KernelIndex::build(&g, &cover, r);
+            for modulus in [1, 3, 7] {
+                let list: Vec<Vertex> = (0..g.n() as Vertex).filter(|v| v % modulus == 0).collect();
+                let (full, ..) = build(g.n(), &kernels, &list, usize::MAX, closure_rows);
+                assert!(!full.truncated() && full.table_len() > 0);
+                // Keep the top rows up to the first one of two or more
+                // entries, and one entry of that row. A cover of one bag
+                // has no such row; it is cut between rows instead.
+                let row_len = |v: usize| (full.starts[v + 1] - full.starts[v]) as usize;
+                let cut = match (0..g.n()).rev().find(|&v| row_len(v) >= 2) {
+                    Some(wide) => {
+                        cuts_mid_row += 1;
+                        (wide + 1..g.n()).map(row_len).sum::<usize>() + 1
+                    }
+                    None => full.table_len() / 2,
+                };
+                for cap in [usize::MAX, cut, 0] {
+                    let (closure, bytes, nodes, mem) =
+                        build(g.n(), &kernels, &list, cap, closure_rows);
+                    let (_, sweep_bytes, sweep_nodes, sweep_mem) =
+                        build(g.n(), &kernels, &list, cap, singleton_rows);
+                    let what = format!("n={}, modulus {modulus}, cap {cap}", g.n());
+                    assert_eq!(closure.truncated(), cap != usize::MAX, "{what}");
+                    assert_eq!(sweep_bytes, bytes, "{what}");
+                    assert_eq!((sweep_nodes, sweep_mem), (nodes, mem), "{what}");
+                    assert_eq!(nodes, cap.min(full.table_len()) as u64, "{what}");
+                }
+            }
+        }
+        assert!(cuts_mid_row >= 6, "{cuts_mid_row} mid-row cuts");
     }
 
     #[test]

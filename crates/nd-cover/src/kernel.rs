@@ -5,7 +5,10 @@
 //! in `O(p · ‖G[X]‖)`: a vertex is *outside* the kernel iff its distance to
 //! the complement of `X` is `≤ p`, and that distance is `1 +` the distance
 //! inside `G[X]` to the *boundary* (members of `X` with a neighbor outside),
-//! so a single multi-source BFS inside the bag suffices.
+//! so a single multi-source BFS inside the bag suffices. Its labels give
+//! the kernel at every radius up to `p` at once, so the cover build
+//! ([`Cover::try_build_with_kernels`]) reads both the `K_{2r}` it assigns
+//! vertices by and the `K_r` rows the skip pointers need off one BFS.
 
 use crate::{BagId, Cover};
 use nd_graph::budget::{BudgetExceeded, BudgetTracker, Phase};
@@ -40,6 +43,15 @@ impl KernelScratch {
             queue: Vec::new(),
         }
     }
+
+    /// After [`label_bag`] at radius `p`: is the bag's `i`-th member in
+    /// `K_q(X)`, for any `q ≤ p`? Labels are exact up to `p + 1`, and an
+    /// unlabelled member is farther than that from the outside.
+    #[inline]
+    pub(crate) fn in_kernel(&self, i: usize, q: u32) -> bool {
+        let d = self.dist[i];
+        d == 0 || d > q
+    }
 }
 
 /// Compute `K_p(X)` for the (sorted) bag `verts` of graph `g`.
@@ -58,6 +70,20 @@ pub fn kernel_of_bag_with(
     p: u32,
     scratch: &mut KernelScratch,
 ) -> Vec<Vertex> {
+    label_bag(g, verts, p, scratch);
+    verts
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| scratch.in_kernel(i, p))
+        .map(|(_, &v)| v)
+        .collect()
+}
+
+/// The boundary BFS of Lemma 5.7: label each member of the (sorted) bag
+/// `verts` with its distance to the outside of the bag, capped at `p + 1`
+/// (read through [`KernelScratch::in_kernel`]). One labelling yields
+/// `K_q(X)` for every `q ≤ p`.
+pub(crate) fn label_bag(g: &ColoredGraph, verts: &[Vertex], p: u32, scratch: &mut KernelScratch) {
     debug_assert!(verts.windows(2).all(|w| w[0] < w[1]));
     let KernelScratch { local, dist, queue } = scratch;
     if local.len() < g.n() {
@@ -91,18 +117,11 @@ pub fn kernel_of_bag_with(
             }
         }
     }
-    let kernel = verts
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| dist[*i] == 0 || dist[*i] > p)
-        .map(|(_, &v)| v)
-        .collect();
     // Undo only the bag's entries so the next bag starts clean without an
     // O(n) wipe.
     for &v in verts {
         local[v as usize] = 0;
     }
-    kernel
 }
 
 /// Kernels of every bag of a cover at a fixed radius, as one CSR table:
@@ -197,12 +216,23 @@ impl KernelIndex {
             members.extend_from_slice(k);
             starts.push(crate::row_end(&members));
         }
-        Ok(KernelIndex {
+        Ok(KernelIndex::from_rows(p, g.n(), starts, members))
+    }
+
+    /// An index over CSR kernel rows built elsewhere (the fused cover
+    /// pass, [`Cover::try_build_with_kernels`]).
+    pub(crate) fn from_rows(
+        p: u32,
+        n: usize,
+        starts: Vec<u32>,
+        members: Vec<Vertex>,
+    ) -> KernelIndex {
+        KernelIndex {
             p,
-            n: g.n(),
+            n,
             starts: starts.into(),
             members: members.into(),
-        })
+        }
     }
 
     /// Append the index's binary encoding to `w` (DESIGN.md §9): the two

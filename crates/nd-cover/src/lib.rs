@@ -30,18 +30,22 @@ use nd_graph::budget::{BudgetExceeded, BudgetTracker, Phase};
 use nd_graph::{BfsScratch, ColoredGraph, Vertex};
 use nd_persist::{malformed, PersistError, Slab};
 use nd_store::{radix_dir, radix_dir_shape};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Index of a bag within a cover.
 pub type BagId = u32;
 
 /// Wall-clock breakdown of a cover build, for `PrepareStats`'s per-phase
-/// timings: the greedy bag construction vs. the membership directory
-/// (`TrieBuild`).
+/// timings.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CoverTimings {
+    /// The greedy bag construction, boundary BFS included.
     pub greedy_ms: u64,
+    /// The membership directory (`TrieBuild`).
     pub store_ms: u64,
+    /// Emitting the `K_p` rows and their charges, in
+    /// [`Cover::try_build_with_kernels`] only (0 otherwise).
+    pub kernel_ms: u64,
 }
 
 /// One bag of a cover, borrowed from the cover's row slabs.
@@ -158,6 +162,36 @@ impl Cover {
         _epsilon: f64,
         tracker: &BudgetTracker,
     ) -> Result<Cover, BudgetExceeded> {
+        Ok(Self::try_build_inner(g, r, None, tracker)?.0)
+    }
+
+    /// [`Cover::try_build`] that also returns the `p`-kernels of its bags,
+    /// equal to [`KernelIndex::try_build`] over the finished cover. The
+    /// greedy already runs a boundary BFS per bag to find the vertices the
+    /// bag covers; the `K_p` row is read off the same labels while they
+    /// are in scratch, so Lemma 5.7's `O(p·‖G[X]‖)` is paid once per bag.
+    ///
+    /// The kernel charges are exactly [`KernelIndex::try_build`]'s, in its
+    /// order: after the cover's own charges, per bag `|X| + 1` nodes and
+    /// `4|K_p(X)| + 8` bytes under [`Phase::KernelConstruction`]. A capped
+    /// run therefore trips at the same charge, with the same phase and
+    /// spend, as the two-pass build, and the node total is the same.
+    pub fn try_build_with_kernels(
+        g: &ColoredGraph,
+        r: u32,
+        p: u32,
+        tracker: &BudgetTracker,
+    ) -> Result<(Cover, KernelIndex), BudgetExceeded> {
+        let (cover, kernels) = Self::try_build_inner(g, r, Some(p), tracker)?;
+        Ok((cover, kernels.expect("kernel rows requested")))
+    }
+
+    fn try_build_inner(
+        g: &ColoredGraph,
+        r: u32,
+        kernel_radius: Option<u32>,
+        tracker: &BudgetTracker,
+    ) -> Result<(Cover, Option<KernelIndex>), BudgetExceeded> {
         let t_greedy = Instant::now();
         let n = g.n();
         let mut covered = vec![false; n];
@@ -165,8 +199,13 @@ impl Cover {
         let mut centers: Vec<Vertex> = Vec::new();
         let mut starts: Vec<u32> = vec![0];
         let mut members: Vec<Vertex> = Vec::new();
+        let mut kernel_starts: Vec<u32> = vec![0];
+        let mut kernel_members: Vec<Vertex> = Vec::new();
+        let mut kernel_time = Duration::ZERO;
         let mut scratch = BfsScratch::new(n);
         let mut kscratch = KernelScratch::new(n);
+        // Labels exact up to both radii answer both kernels.
+        let label_radius = kernel_radius.map_or(r, |p| p.max(r));
         tracker.charge_memory(Phase::CoverConstruction, 6 * n as u64)?;
         for c in 0..n as Vertex {
             if covered[c as usize] {
@@ -188,18 +227,31 @@ impl Cover {
             // covers a superset of N_r(c) (which is always inside the
             // kernel), reducing the number of bags and hence the cover
             // degree.
-            for a in kernel::kernel_of_bag_with(g, verts, r, &mut kscratch) {
-                if !covered[a as usize] {
+            kernel::label_bag(g, verts, label_radius, &mut kscratch);
+            for (i, &a) in verts.iter().enumerate() {
+                if kscratch.in_kernel(i, r) && !covered[a as usize] {
                     covered[a as usize] = true;
                     assignment[a as usize] = id;
                 }
             }
             debug_assert!(covered[c as usize], "center must cover itself");
+            if let Some(p) = kernel_radius {
+                let t_kernel = Instant::now();
+                kernel_members.extend(
+                    verts
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, _)| kscratch.in_kernel(i, p))
+                        .map(|(_, &v)| v),
+                );
+                kernel_starts.push(row_end(&kernel_members));
+                kernel_time += t_kernel.elapsed();
+            }
             centers.push(c);
             starts.push(row_end(&members));
         }
 
-        let greedy_ms = t_greedy.elapsed().as_millis() as u64;
+        let greedy_ms = t_greedy.elapsed().saturating_sub(kernel_time).as_millis() as u64;
         let t_store = Instant::now();
         // Bags are enumerated in id order with sorted member lists, so the
         // rows already are the sorted (bag, vertex) key arena; only the
@@ -210,8 +262,23 @@ impl Cover {
         let (shift, dir) = row_dir(n, &starts, &members);
         tracker.charge_memory(Phase::TrieBuild, 4 * dir.len() as u64)?;
         tracker.checkpoint(Phase::CoverConstruction)?;
+        let store_ms = t_store.elapsed().as_millis() as u64;
 
-        Ok(Cover {
+        let kernels = match kernel_radius {
+            Some(p) => {
+                let t_kernel = Instant::now();
+                for (bag, row) in starts.windows(2).zip(kernel_starts.windows(2)) {
+                    let (bag_len, row_len) = (bag[1] - bag[0], row[1] - row[0]);
+                    tracker.charge_nodes(Phase::KernelConstruction, u64::from(bag_len) + 1)?;
+                    tracker.charge_memory(Phase::KernelConstruction, 4 * u64::from(row_len) + 8)?;
+                }
+                kernel_time += t_kernel.elapsed();
+                Some(KernelIndex::from_rows(p, n, kernel_starts, kernel_members))
+            }
+            None => None,
+        };
+
+        let cover = Cover {
             r,
             assignment: assignment.into(),
             centers: centers.into(),
@@ -221,9 +288,11 @@ impl Cover {
             shift,
             timings: CoverTimings {
                 greedy_ms,
-                store_ms: t_store.elapsed().as_millis() as u64,
+                store_ms,
+                kernel_ms: kernel_time.as_millis() as u64,
             },
-        })
+        };
+        Ok((cover, kernels))
     }
 
     /// Wall-clock breakdown recorded while building this cover.

@@ -5,6 +5,7 @@ use proptest::prelude::*;
 
 use nd_cover::{kernel_of_bag, BagId, Cover, KernelIndex};
 use nd_graph::bfs::BfsScratch;
+use nd_graph::budget::BudgetTracker;
 use nd_graph::{ColoredGraph, GraphBuilder, Vertex};
 
 fn arb_graph() -> impl Strategy<Value = ColoredGraph> {
@@ -97,4 +98,30 @@ proptest! {
         }
         prop_assert_eq!(ki.degree(), per_vertex.iter().map(Vec::len).max().unwrap_or(0));
     }
+
+    /// The fused pass returns the cover and kernel rows of the two-pass
+    /// build and charges the same nodes and memory, at `p = r` (what the
+    /// engine asks for, with the cover at `2r`) and at any other `p`,
+    /// larger than the cover radius included.
+    #[test]
+    fn fused_kernels_match_the_two_pass_build(g in arb_graph(), r in 1u32..3, p in 0u32..7) {
+        for p in [r, p] {
+            let two_pass = BudgetTracker::unlimited();
+            let cover = Cover::try_build(&g, 2 * r, 0.5, &two_pass).unwrap();
+            let ki = KernelIndex::try_build(&g, &cover, p, &two_pass).unwrap();
+            let fused_tracker = BudgetTracker::unlimited();
+            let (fused, fused_ki) =
+                Cover::try_build_with_kernels(&g, 2 * r, p, &fused_tracker).unwrap();
+            prop_assert_eq!(encode(|w| fused.write_into(w)), encode(|w| cover.write_into(w)));
+            prop_assert_eq!(encode(|w| fused_ki.write_into(w)), encode(|w| ki.write_into(w)));
+            prop_assert_eq!(fused_tracker.nodes_spent(), two_pass.nodes_spent());
+            prop_assert_eq!(fused_tracker.memory_spent(), two_pass.memory_spent());
+        }
+    }
+}
+
+fn encode(write: impl FnOnce(&mut nd_persist::Writer)) -> Vec<u8> {
+    let mut w = nd_persist::Writer::new();
+    write(&mut w);
+    w.into_bytes()
 }

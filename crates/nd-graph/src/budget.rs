@@ -48,6 +48,9 @@ pub enum Phase {
     /// interpreted as caps on queued/in-flight work instead of
     /// preprocessing spend.
     Admission,
+    /// Counting answers by enumerating them, one node per answer (the
+    /// fallback of a budgeted count).
+    Counting,
 }
 
 impl fmt::Display for Phase {
@@ -62,6 +65,7 @@ impl fmt::Display for Phase {
             Phase::TrieBuild => "trie build",
             Phase::NaiveMaterialize => "naive materialization",
             Phase::Admission => "admission control",
+            Phase::Counting => "enumeration-based counting",
         };
         f.write_str(s)
     }

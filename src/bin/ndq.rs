@@ -120,6 +120,8 @@ GRAPH / QUERY OPTIONS (all modes):
       [--epsilon F]                      accuracy parameter (default 0.5)
       [--no-fallback]                    error on non-fragment queries
       [--budget-nodes N]                 cap preprocessing node expansions
+                                         (and, separately, the answers a
+                                         --count enumerates)
       [--prepare-threads N]              preprocessing worker threads
                                          (0 = all cores; index is identical
                                          for every thread count)
@@ -521,7 +523,10 @@ fn run_probes<G: Borrow<ColoredGraph>>(
     }
     if args.count {
         let t0 = Instant::now();
-        println!("count: {}  ({:?})", prepared.count(), t0.elapsed());
+        let count = prepared
+            .try_count(&args.common.prepare_opts()?.budget)
+            .map_err(NdError::from)?;
+        println!("count: {count}  ({:?})", t0.elapsed());
     }
     if let Some(limit) = args.enumerate {
         let t0 = Instant::now();
