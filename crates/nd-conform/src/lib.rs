@@ -2,9 +2,9 @@
 //! semantics, plus metamorphic invariants no single run can check.
 //!
 //! The workspace has many ways to answer the same FO query: the indexed
-//! engine at several `ε` values, with and without extendability pruning,
-//! the budget-degradation ladder, the distance oracle's splitter
-//! recursion in place of its flat ball tables, the naive baselines, the
+//! engine with and without extendability pruning, the budget-degradation
+//! ladder, the distance oracle's splitter recursion in place of its flat
+//! ball tables, the naive baselines, the
 //! `load(save(x))` persistence round trip of the on-disk index format,
 //! and the `nd-serve` snapshot behind the line protocol. They are all supposed to
 //! agree *exactly* — same solution set, same lexicographic order, same
@@ -455,8 +455,10 @@ impl Engine for ServeEngine {
 /// conformance failure.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Config {
+    /// The default index, with and without extendability pruning. No
+    /// layout depends on `ε` (nd-core's `index_bytes_do_not_depend_on_epsilon`
+    /// pins it), so one `ε` checks every index the others would prepare.
     Indexed {
-        epsilon: f64,
         extendability: bool,
     },
     /// The indexed engine built by the parallel prepare — diffed against
@@ -467,13 +469,6 @@ enum Config {
     },
     TightBudget,
     StrictNoFallback,
-    /// The default index at `ε = 0.75` (exercised nowhere else). No
-    /// layout depends on `ε` — cover bags answer membership through a
-    /// radix directory over their own sorted rows — so this config
-    /// witnesses that an `ε` the other configs never pick still answers
-    /// exactly like the naive semantics on every probe panel, including
-    /// the mutate-then-query dimension.
-    FlatStore,
     /// The distance oracle's splitter recursion (Prop 4.2) on every case:
     /// `naive_threshold` 4 and `budget_factor` 1, so no node with an edge
     /// fits a flat ball table (`Σ_v |N_r(v)| > n` for `r ≥ 1`) and every
@@ -505,14 +500,12 @@ impl Config {
     fn label(self) -> String {
         match self {
             Config::Indexed {
-                epsilon,
                 extendability: true,
-            } => format!("indexed-eps={epsilon}"),
-            Config::Indexed { epsilon, .. } => format!("indexed-noext-eps={epsilon}"),
+            } => "indexed".into(),
+            Config::Indexed { .. } => "indexed-noext".into(),
             Config::ParallelPrepare { threads } => format!("parallel-prepare-t{threads}"),
             Config::TightBudget => "ladder-tight-budget".into(),
             Config::StrictNoFallback => "strict-nofallback".into(),
-            Config::FlatStore => "flat-store".into(),
             Config::OracleRecursion => "oracle-recursion".into(),
             Config::NaiveStream => "naive-stream".into(),
             Config::ServeProtocol => "serve-protocol".into(),
@@ -527,11 +520,7 @@ impl Config {
 
     fn prepare_opts(self) -> PrepareOpts {
         match self {
-            Config::Indexed {
-                epsilon,
-                extendability,
-            } => PrepareOpts {
-                epsilon,
+            Config::Indexed { extendability } => PrepareOpts {
                 extendability_check: extendability,
                 ..PrepareOpts::default()
             },
@@ -548,10 +537,6 @@ impl Config {
             },
             Config::StrictNoFallback => PrepareOpts {
                 allow_fallback: false,
-                ..PrepareOpts::default()
-            },
-            Config::FlatStore => PrepareOpts {
-                epsilon: 0.75,
                 ..PrepareOpts::default()
             },
             Config::OracleRecursion => PrepareOpts {
@@ -575,26 +560,15 @@ impl Config {
 fn configs(serve: bool, arity: usize) -> Vec<Config> {
     let mut cs = vec![
         Config::Indexed {
-            epsilon: 0.25,
             extendability: true,
         },
         Config::Indexed {
-            epsilon: 0.5,
-            extendability: true,
-        },
-        Config::Indexed {
-            epsilon: 1.0,
-            extendability: true,
-        },
-        Config::Indexed {
-            epsilon: 0.5,
             extendability: false,
         },
         Config::ParallelPrepare { threads: 2 },
         Config::ParallelPrepare { threads: 4 },
         Config::TightBudget,
         Config::StrictNoFallback,
-        Config::FlatStore,
         Config::OracleRecursion,
         Config::NaiveStream,
         Config::PersistRoundTrip,
@@ -1001,25 +975,14 @@ fn random_mutation_log(g: &ColoredGraph, s: &mut Stream, ops: usize) -> Mutation
 fn update_configs() -> Vec<Config> {
     vec![
         Config::Indexed {
-            epsilon: 0.25,
             extendability: true,
         },
         Config::Indexed {
-            epsilon: 0.5,
-            extendability: true,
-        },
-        Config::Indexed {
-            epsilon: 1.0,
-            extendability: true,
-        },
-        Config::Indexed {
-            epsilon: 0.5,
             extendability: false,
         },
         Config::ParallelPrepare { threads: 2 },
         Config::TightBudget,
         Config::StrictNoFallback,
-        Config::FlatStore,
         Config::OracleRecursion,
     ]
 }
@@ -1283,7 +1246,7 @@ pub fn run_case(
             if let Some(detail) = update_deletion_fails(&g, &q, victim) {
                 record(
                     &mut out,
-                    "indexed-eps=0.5".into(),
+                    "indexed".into(),
                     "update-deletion".into(),
                     detail,
                     &mut |cand| {
@@ -1301,7 +1264,7 @@ pub fn run_case(
     if let Some(detail) = relabel_fails(&g, &q, &perm) {
         record(
             &mut out,
-            "indexed-eps=0.5".into(),
+            "indexed".into(),
             "relabel".into(),
             detail,
             &mut |cand| relabel_fails(&g, cand, &perm).is_some(),
@@ -1315,7 +1278,7 @@ pub fn run_case(
             if let Some(detail) = deletion_fails(&g, &q, victim) {
                 record(
                     &mut out,
-                    "indexed-eps=0.5".into(),
+                    "indexed".into(),
                     "deletion".into(),
                     detail,
                     &mut |cand| {

@@ -168,3 +168,42 @@ fn extra_head_variable_is_unconstrained() {
     assert_eq!(pq.count(), 8 * 5);
     assert_eq!(pq.enumerate().collect::<Vec<_>>(), materialize(&g, &q));
 }
+
+/// No index layout depends on `ε`: the saved bytes (`budget_nodes_spent`
+/// included) are equal for every `ε`. Conformance checks one `ε` on the
+/// strength of this; if a layout ever reads `ε`, this fails, and each `ε`
+/// that changes the bytes needs a conformance config of its own.
+#[test]
+fn index_bytes_do_not_depend_on_epsilon() {
+    for (g, src) in [
+        (
+            blue(generators::grid(14, 14), 3),
+            "dist(x,y) > 2 && Blue(y)",
+        ),
+        (
+            blue(generators::bounded_degree(200, 4, 3), 3),
+            "dist(x,z) > 2 && dist(y,z) > 2 && Blue(z)",
+        ),
+    ] {
+        let q = parse_query(src).unwrap();
+        let save = |epsilon: f64| {
+            let opts = PrepareOpts {
+                epsilon,
+                ..PrepareOpts::default()
+            };
+            let pq = PreparedQuery::prepare(&g, &q, &opts).unwrap();
+            assert!(
+                matches!(pq.engine_kind(), EngineKind::Indexed { .. }),
+                "{src}"
+            );
+            pq.save_index_bytes(&q, src).unwrap()
+        };
+        let want = save(0.5);
+        for epsilon in [0.25, 0.75, 1.0] {
+            assert!(
+                save(epsilon) == want,
+                "{src}: ε = {epsilon} saves other bytes"
+            );
+        }
+    }
+}

@@ -18,18 +18,18 @@
 //! constant time from the bag rows themselves, as sketched below Theorem
 //! 4.4 in the paper: read in bag-major order, the sorted rows are the
 //! sorted arena of packed `(bag, vertex)` keys, and a radix directory over
-//! those keys (the one [`nd_store::FlatStore`] uses, built by
-//! [`nd_store::radix_dir`]) narrows a probe to about one member before a
-//! binary search. Each member is stored once, as a `u32`.
+//! those keys (the private `radix` module) narrows a probe to about one
+//! member before a binary search. Each member is stored once, as a `u32`.
 
 pub mod kernel;
+mod radix;
 
 pub use kernel::{kernel_of_bag, kernel_of_bag_with, KernelBags, KernelIndex, KernelScratch};
 
 use nd_graph::budget::{BudgetExceeded, BudgetTracker, Phase};
 use nd_graph::{BfsScratch, ColoredGraph, Vertex};
 use nd_persist::{malformed, PersistError, Slab};
-use nd_store::{radix_dir, radix_dir_shape};
+use radix::{radix_dir, radix_dir_shape};
 use std::time::{Duration, Instant};
 
 /// Index of a bag within a cover.

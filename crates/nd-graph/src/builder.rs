@@ -60,12 +60,6 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Add an edge if it is not already present (linear scan-free: dedup
-    /// happens at build time anyway, so this is just `add_edge`).
-    pub fn add_edge_dedup(&mut self, u: Vertex, v: Vertex) {
-        self.add_edge(u, v);
-    }
-
     /// Register a color with the given members.
     pub fn add_color(&mut self, members: Vec<Vertex>, name: Option<String>) {
         self.colors.push((members, name));

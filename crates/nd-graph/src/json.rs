@@ -132,12 +132,6 @@ impl JsonArray {
         self
     }
 
-    pub fn push_f64(&mut self, v: f64) -> &mut Self {
-        let n = number(v);
-        self.sep().push_str(&n);
-        self
-    }
-
     pub fn push_str(&mut self, v: &str) -> &mut Self {
         let s = format!("\"{}\"", escape(v));
         self.sep().push_str(&s);

@@ -1,7 +1,7 @@
 //! Memory-mapped container views and the borrowed-or-owned [`Slab`] array.
 //!
 //! The zero-copy load path (DESIGN.md §12) maps an `NDQIDX` file read-only
-//! and serves the bulk arrays — flat-store arenas, CSR skip tables, CSR
+//! and serves the bulk arrays — cover bag rows, CSR skip tables, CSR
 //! graph arrays, oracle ball tables and bitmaps, unary lists — directly
 //! out of the mapped pages. Three pieces make that sound:
 //!

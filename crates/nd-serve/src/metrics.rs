@@ -282,10 +282,6 @@ impl MetricsSnapshot {
         &self.kinds[kind as usize]
     }
 
-    pub fn total_completed(&self) -> u64 {
-        self.kinds.iter().map(|k| k.completed).sum()
-    }
-
     pub fn total_rejected(&self) -> u64 {
         self.kinds.iter().map(|k| k.rejected).sum()
     }

@@ -26,11 +26,9 @@
 //! budget and avoids doubling the space.
 
 mod error;
-mod flat;
 mod params;
 mod trie;
 
 pub use error::StoreError;
-pub use flat::{radix_dir, radix_dir_shape, FlatStore};
 pub use params::StoreParams;
 pub use trie::{FnStore, Lookup, LookupPacked};
