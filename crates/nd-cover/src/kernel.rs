@@ -9,6 +9,15 @@
 //! the kernel at every radius up to `p` at once, so the cover build
 //! ([`Cover::try_build_with_kernels`]) reads both the `K_{2r}` it assigns
 //! vertices by and the `K_r` rows the skip pointers need off one BFS.
+//!
+//! Labels live in one graph-sized array indexed by vertex and stamped with
+//! the bag they belong to, so starting the next bag costs nothing: a label
+//! whose stamp is not the current bag's reads as "outside". When the bag is
+//! a ball `N_R(c)` ([`label_ball`], the cover's case), a member at depth
+//! `< R` has every neighbor at depth `≤ R`, so the boundary lies in the
+//! depth-`R` layer alone, and the ball BFS tests that layer as its last
+//! step. A bag given as a vertex set ([`kernel_of_bag_with`]) tests every
+//! member.
 
 use crate::{BagId, Cover};
 use nd_graph::budget::{BudgetExceeded, BudgetTracker, Phase};
@@ -17,45 +26,136 @@ use nd_graph::{ColoredGraph, Vertex};
 use nd_persist::Slab;
 use std::sync::Mutex;
 
-/// Reusable buffers for repeated [`kernel_of_bag_with`] calls.
+/// The label of one vertex, valid only while `stamp` is the stamp of the
+/// bag being labelled.
+#[derive(Clone, Copy, Default)]
+struct Label {
+    /// The bag this label belongs to; `0` = never labelled.
+    stamp: u32,
+    /// Distance to the outside of the bag when it is at most the label
+    /// radius; `0` = farther (or not reached yet).
+    dist: u32,
+}
+
+/// Reusable buffers for labelling bags one after another
+/// ([`kernel_of_bag_with`] and the cover's greedy).
 ///
-/// Holds a graph-sized dense `vertex → bag-local index` table (so the
-/// inner BFS loop does `O(1)` membership lookups on the CSR neighbor
-/// slices instead of an `O(log |X|)` binary search per edge) plus the
-/// per-bag `dist`/`queue` vectors. The dense table is reset by walking
-/// the bag, not the whole graph, so reuse across all bags of a cover
-/// costs `O(Σ_X |X|)`, keeping Lemma 5.7's `O(p · Σ_X ‖G[X]‖)` bound.
+/// The graph-sized label array is never reset: each bag takes a fresh
+/// stamp, and labels carrying an older stamp read as "not in the bag". So
+/// labelling every bag of a cover costs `O(Σ_X ‖G[X]‖)` in all, keeping
+/// Lemma 5.7's `O(p · Σ_X ‖G[X]‖)` bound, with no fill or undo pass.
 pub struct KernelScratch {
-    /// Bag-local index of each vertex, plus one; `0` = not in the bag.
-    local: Vec<u32>,
-    /// Dist-to-outside per bag-local index, capped at `p+1`; `0` =
-    /// unvisited.
-    dist: Vec<u32>,
-    queue: Vec<u32>,
+    /// Per vertex, the bag that labelled it last and its distance to that
+    /// bag's outside.
+    labels: Vec<Label>,
+    /// The current bag's stamp; every earlier bag's is smaller.
+    stamp: u32,
+    /// The ball BFS queue: the members of the current ball in BFS order,
+    /// layer by layer. Holds `n + 1` slots, so that a search can write
+    /// each neighbor to the next slot and count it only if it is new.
+    ball: Vec<Vertex>,
+    /// The boundary BFS queue, in order of distance to the outside: its
+    /// first `queued` slots, out of `n + 1` as in `ball`.
+    queue: Vec<Vertex>,
+    queued: usize,
+    /// Bitmap that sorts the members of a ball with a dense vertex range.
+    words: Vec<u64>,
 }
 
 impl KernelScratch {
     /// Scratch for a graph on `n` vertices.
     pub fn new(n: usize) -> KernelScratch {
         KernelScratch {
-            local: vec![0; n],
-            dist: Vec::new(),
-            queue: Vec::new(),
+            labels: vec![Label::default(); n],
+            stamp: 0,
+            ball: vec![0; n + 1],
+            queue: vec![0; n + 1],
+            queued: 0,
+            words: Vec::new(),
         }
     }
 
-    /// After [`label_bag`] at radius `p`: is the bag's `i`-th member in
-    /// `K_q(X)`, for any `q ≤ p`? Labels are exact up to `p + 1`, and an
+    /// Start a new bag over a graph on `n` vertices: take a stamp that no
+    /// label holds. When the `u32` stamps run out, every label is cleared
+    /// once and the count restarts, so stamps never collide across bags.
+    fn next_bag(&mut self, n: usize) {
+        if self.labels.len() < n {
+            self.labels.resize(n, Label::default());
+            self.ball.resize(n + 1, 0);
+            self.queue.resize(n + 1, 0);
+        }
+        if self.stamp == u32::MAX {
+            self.labels.fill(Label::default());
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.queued = 0;
+    }
+
+    /// The boundary test, once every member is labelled: a member with a
+    /// neighbor outside the bag is at distance 1 from the outside and
+    /// seeds the boundary BFS.
+    #[inline]
+    fn test_boundary(&mut self, g: &ColoredGraph, v: Vertex) {
+        let stamp = self.stamp;
+        if g.neighbors(v)
+            .iter()
+            .any(|&w| self.labels[w as usize].stamp != stamp)
+        {
+            self.labels[v as usize].dist = 1;
+            self.queue[self.queued] = v;
+            self.queued += 1;
+        }
+    }
+
+    /// The boundary BFS of Lemma 5.7, from the members the boundary test
+    /// seeded: label each member with its distance to the outside of the
+    /// bag when that distance is at most `p`. One labelling yields
+    /// `K_q(X)` for every `q ≤ p` (read through [`Self::in_kernel`]).
+    fn label_from_boundary(&mut self, g: &ColoredGraph, p: u32) {
+        let KernelScratch {
+            labels,
+            stamp,
+            queue,
+            queued,
+            ..
+        } = self;
+        let stamp = *stamp;
+        let mut head = 0;
+        while head < *queued {
+            let u = queue[head];
+            head += 1;
+            // The queue is in distance order, so nothing after `u` is
+            // nearer the outside either.
+            let du = labels[u as usize].dist;
+            if du >= p {
+                break;
+            }
+            // Branch-free, as in the ball BFS of `label_ball`: a member's
+            // distance is rewritten to itself unless it is new.
+            for &w in g.neighbors(u) {
+                let l = &mut labels[w as usize];
+                let new = (l.stamp == stamp) & (l.dist == 0);
+                l.dist = if new { du + 1 } else { l.dist };
+                queue[*queued] = w;
+                *queued += new as usize;
+            }
+        }
+    }
+
+    /// After labelling at radius `p`: is the member `v` of the current bag
+    /// in `K_q(X)`, for any `q ≤ p`? Labels are exact up to `p`, and an
     /// unlabelled member is farther than that from the outside.
     #[inline]
-    pub(crate) fn in_kernel(&self, i: usize, q: u32) -> bool {
-        let d = self.dist[i];
+    pub(crate) fn in_kernel(&self, v: Vertex, q: u32) -> bool {
+        let d = self.labels[v as usize].dist;
         d == 0 || d > q
     }
 }
 
 /// Compute `K_p(X)` for the (sorted) bag `verts` of graph `g`.
-/// Cost `O(p · ‖G[X]‖)` as in Lemma 5.7 (local-index BFS, no hashing).
+/// Cost `O(p · ‖G[X]‖)` as in Lemma 5.7 (vertex-indexed labels, no
+/// hashing).
 ///
 /// Allocating convenience over [`kernel_of_bag_with`]; loops over many
 /// bags should reuse one [`KernelScratch`] instead.
@@ -63,64 +163,117 @@ pub fn kernel_of_bag(g: &ColoredGraph, verts: &[Vertex], p: u32) -> Vec<Vertex> 
     kernel_of_bag_with(g, verts, p, &mut KernelScratch::new(g.n()))
 }
 
-/// [`kernel_of_bag`] against caller-owned scratch buffers.
+/// [`kernel_of_bag`] against caller-owned scratch buffers. A bag given as
+/// a vertex set can have its boundary anywhere, so every member takes the
+/// boundary test.
 pub fn kernel_of_bag_with(
     g: &ColoredGraph,
     verts: &[Vertex],
     p: u32,
     scratch: &mut KernelScratch,
 ) -> Vec<Vertex> {
-    label_bag(g, verts, p, scratch);
+    debug_assert!(verts.windows(2).all(|w| w[0] < w[1]));
+    scratch.next_bag(g.n());
+    let stamp = scratch.stamp;
+    for &v in verts {
+        scratch.labels[v as usize] = Label { stamp, dist: 0 };
+    }
+    for &v in verts {
+        scratch.test_boundary(g, v);
+    }
+    scratch.label_from_boundary(g, p);
     verts
         .iter()
-        .enumerate()
-        .filter(|&(i, _)| scratch.in_kernel(i, p))
-        .map(|(_, &v)| v)
+        .copied()
+        .filter(|&v| scratch.in_kernel(v, p))
         .collect()
 }
 
-/// The boundary BFS of Lemma 5.7: label each member of the (sorted) bag
-/// `verts` with its distance to the outside of the bag, capped at `p + 1`
-/// (read through [`KernelScratch::in_kernel`]). One labelling yields
-/// `K_q(X)` for every `q ≤ p`.
-pub(crate) fn label_bag(g: &ColoredGraph, verts: &[Vertex], p: u32, scratch: &mut KernelScratch) {
-    debug_assert!(verts.windows(2).all(|w| w[0] < w[1]));
-    let KernelScratch { local, dist, queue } = scratch;
-    if local.len() < g.n() {
-        local.resize(g.n(), 0);
-    }
-    for (i, &v) in verts.iter().enumerate() {
-        local[v as usize] = i as u32 + 1;
-    }
-    dist.clear();
-    dist.resize(verts.len(), 0);
-    queue.clear();
-    for (i, &v) in verts.iter().enumerate() {
-        if g.neighbors(v).iter().any(|&w| local[w as usize] == 0) {
-            dist[i] = 1;
-            queue.push(i as u32);
+/// Label the ball `N_R(c)` as a bag, with `R = radius`, and append its
+/// members to `members` in increasing order. Afterwards
+/// [`KernelScratch::in_kernel`] answers `K_q(N_R(c))` for every `q ≤ p`.
+///
+/// One BFS, layer by layer, finds the ball. When it reaches the last
+/// layer, every member is already labelled, so the boundary test runs on
+/// that layer on the spot; the members above it cannot touch the outside.
+/// The boundary BFS then labels distances to the outside up to `p`.
+pub(crate) fn label_ball(
+    g: &ColoredGraph,
+    c: Vertex,
+    radius: u32,
+    p: u32,
+    scratch: &mut KernelScratch,
+    members: &mut Vec<Vertex>,
+) {
+    scratch.next_bag(g.n());
+    let stamp = scratch.stamp;
+    let KernelScratch { labels, ball, .. } = &mut *scratch;
+    labels[c as usize] = Label { stamp, dist: 0 };
+    ball[0] = c;
+    let mut len = 1;
+    let mut layer = 0..1;
+    for _ in 0..radius {
+        if layer.is_empty() {
+            break;
         }
-    }
-    let mut head = 0;
-    while head < queue.len() {
-        let u = queue[head] as usize;
-        head += 1;
-        let du = dist[u];
-        if du > p {
-            continue;
-        }
-        for &w in g.neighbors(verts[u]) {
-            let lw = local[w as usize];
-            if lw != 0 && dist[lw as usize - 1] == 0 {
-                dist[lw as usize - 1] = du + 1;
-                queue.push(lw - 1);
+        // Each neighbor goes to the next free slot and is counted only if
+        // it is new. With no branch on membership, a BFS over an expander
+        // does not mispredict about once per edge. Relabelling a member is
+        // harmless: no member has a distance yet.
+        for i in layer.clone() {
+            for &w in g.neighbors(ball[i]) {
+                let l = &mut labels[w as usize];
+                let new = l.stamp != stamp;
+                *l = Label { stamp, dist: 0 };
+                ball[len] = w;
+                len += new as usize;
             }
         }
+        layer = layer.end..len;
     }
-    // Undo only the bag's entries so the next bag starts clean without an
-    // O(n) wipe.
-    for &v in verts {
-        local[v as usize] = 0;
+    for i in layer {
+        let u = scratch.ball[i];
+        scratch.test_boundary(g, u);
+    }
+    scratch.label_from_boundary(g, p);
+    push_sorted(&scratch.ball[..len], &mut scratch.words, members);
+}
+
+/// The 64-bit words `lo..=hi` that the vertices of `ball` fall in
+/// (vertex `v` in word `v >> 6`), when they are at most `|ball|` words, so
+/// that a bitmap over them sorts the ball in `O(|ball|)`. `None` for a
+/// sparser range.
+pub(crate) fn dense_words(ball: &[Vertex]) -> Option<(Vertex, Vertex)> {
+    let (lo, hi) = ball
+        .iter()
+        .fold((Vertex::MAX, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    let (lo, hi) = (lo >> 6, hi >> 6);
+    (lo <= hi && ((hi - lo) as usize) < ball.len()).then_some((lo, hi))
+}
+
+/// Append the vertices of `ball` to `out` in increasing order: through a
+/// bitmap when their range is dense ([`dense_words`]), otherwise with
+/// `sort_unstable`.
+fn push_sorted(ball: &[Vertex], words: &mut Vec<u64>, out: &mut Vec<Vertex>) {
+    let Some((lo, hi)) = dense_words(ball) else {
+        let at = out.len();
+        out.extend_from_slice(ball);
+        out[at..].sort_unstable();
+        return;
+    };
+    words.clear();
+    words.resize((hi - lo) as usize + 1, 0);
+    for &v in ball {
+        words[((v >> 6) - lo) as usize] |= 1 << (v & 63);
+    }
+    out.reserve(ball.len());
+    for (i, &word) in words.iter().enumerate() {
+        let high = (lo + i as Vertex) << 6;
+        let mut bits = word;
+        while bits != 0 {
+            out.push(high | bits.trailing_zeros());
+            bits &= bits - 1;
+        }
     }
 }
 
@@ -429,6 +582,30 @@ mod tests {
         let g = generators::grid(9, 9);
         let cover = Cover::build(&g, 2, 0.5);
         let mut scratch = KernelScratch::new(g.n());
+        for id in 0..cover.num_bags() as BagId {
+            let verts = cover.bag(id).verts;
+            assert_eq!(
+                kernel_of_bag_with(&g, verts, 2, &mut scratch),
+                kernel_of_bag(&g, verts, 2),
+                "bag {id}"
+            );
+        }
+    }
+
+    /// Stamps restart after `u32::MAX` bags. Labels written under a
+    /// stamp that comes round again must not read as members of the new
+    /// bag.
+    #[test]
+    fn stamps_wrap_without_collisions() {
+        let g = generators::grid(9, 9);
+        let cover = Cover::build(&g, 2, 0.5);
+        assert!(cover.num_bags() >= 3);
+        let mut scratch = KernelScratch::new(g.n());
+        // Stamp 1 on every vertex.
+        let all: Vec<Vertex> = g.vertices().collect();
+        kernel_of_bag_with(&g, &all, 2, &mut scratch);
+        // The next bags take the last stamp, then 1, 2, ... again.
+        scratch.stamp = u32::MAX - 1;
         for id in 0..cover.num_bags() as BagId {
             let verts = cover.bag(id).verts;
             assert_eq!(

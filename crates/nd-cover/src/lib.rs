@@ -14,6 +14,15 @@
 //! (experiment E2) and is small on the sparse families the paper targets.
 //! See DESIGN.md §2 for the substitution argument.
 //!
+//! Each bag costs one ball BFS and one bounded boundary BFS (DESIGN.md
+//! §8.1). A member of the ball `N_{2r}(c)` at depth `< 2r` has all its
+//! neighbors inside the ball, so the boundary lies in the depth-`2r`
+//! layer, which the ball BFS tests as it reaches it. The boundary BFS then
+//! labels each member with its distance to the outside; those labels
+//! decide which vertices the bag covers (`K_r`) and, in the fused build,
+//! the bag's kernel row. Labels are indexed by vertex and stamped with
+//! their bag, so no pass clears them between bags (see [`kernel`]).
+//!
 //! Bag membership and smallest-member-≥ queries are answered in expected
 //! constant time from the bag rows themselves, as sketched below Theorem
 //! 4.4 in the paper: read in bag-major order, the sorted rows are the
@@ -23,6 +32,8 @@
 
 pub mod kernel;
 mod radix;
+#[cfg(test)]
+mod reference;
 
 pub use kernel::{kernel_of_bag, kernel_of_bag_with, KernelBags, KernelIndex, KernelScratch};
 
@@ -169,7 +180,7 @@ impl Cover {
     /// equal to [`KernelIndex::try_build`] over the finished cover. The
     /// greedy already runs a boundary BFS per bag to find the vertices the
     /// bag covers; the `K_p` row is read off the same labels while they
-    /// are in scratch, so Lemma 5.7's `O(p·‖G[X]‖)` is paid once per bag.
+    /// are current, so Lemma 5.7's `O(p·‖G[X]‖)` is paid once per bag.
     ///
     /// The kernel charges are exactly [`KernelIndex::try_build`]'s, in its
     /// order: after the cover's own charges, per bag `|X| + 1` nodes and
@@ -202,8 +213,7 @@ impl Cover {
         let mut kernel_starts: Vec<u32> = vec![0];
         let mut kernel_members: Vec<Vertex> = Vec::new();
         let mut kernel_time = Duration::ZERO;
-        let mut scratch = BfsScratch::new(n);
-        let mut kscratch = KernelScratch::new(n);
+        let mut scratch = KernelScratch::new(n);
         // Labels exact up to both radii answer both kernels.
         let label_radius = kernel_radius.map_or(r, |p| p.max(r));
         tracker.charge_memory(Phase::CoverConstruction, 6 * n as u64)?;
@@ -212,13 +222,11 @@ impl Cover {
                 continue;
             }
             let id = centers.len() as BagId;
-            scratch.run(g, c, 2 * r);
             let lo = members.len();
-            members.extend_from_slice(scratch.reached());
-            let verts = &mut members[lo..];
-            verts.sort_unstable();
-            // The 2r-ball BFS visits |verts| vertices and the kernel BFS
-            // below touches each bag member O(r) more times; charge the
+            kernel::label_ball(g, c, 2 * r, label_radius, &mut scratch, &mut members);
+            let verts = &members[lo..];
+            // The 2r-ball BFS visits |verts| vertices and the boundary BFS
+            // touches each bag member O(r) more times; charge the
             // dominant term.
             tracker.charge_nodes(Phase::CoverConstruction, verts.len() as u64 + 1)?;
             tracker.charge_memory(Phase::CoverConstruction, 4 * verts.len() as u64)?;
@@ -227,9 +235,8 @@ impl Cover {
             // covers a superset of N_r(c) (which is always inside the
             // kernel), reducing the number of bags and hence the cover
             // degree.
-            kernel::label_bag(g, verts, label_radius, &mut kscratch);
-            for (i, &a) in verts.iter().enumerate() {
-                if kscratch.in_kernel(i, r) && !covered[a as usize] {
+            for &a in verts {
+                if scratch.in_kernel(a, r) && !covered[a as usize] {
                     covered[a as usize] = true;
                     assignment[a as usize] = id;
                 }
@@ -237,13 +244,7 @@ impl Cover {
             debug_assert!(covered[c as usize], "center must cover itself");
             if let Some(p) = kernel_radius {
                 let t_kernel = Instant::now();
-                kernel_members.extend(
-                    verts
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, _)| kscratch.in_kernel(i, p))
-                        .map(|(_, &v)| v),
-                );
+                kernel_members.extend(verts.iter().copied().filter(|&v| scratch.in_kernel(v, p)));
                 kernel_starts.push(row_end(&kernel_members));
                 kernel_time += t_kernel.elapsed();
             }

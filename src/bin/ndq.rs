@@ -146,7 +146,8 @@ ONE-SHOT OPTIONS:
       [--count]                          count all answers
       [--test a,b,...]...                membership tests (Cor 2.4)
       [--next a,b,...]...                next-solution jumps (Thm 2.3)
-      [--stats]                          print index statistics
+      [--stats]                          print index statistics (one JSON
+                                         line on stderr, as serve `stats`)
 
 UPDATE OPTIONS (plus all one-shot probe flags, run on the mutated index):
       --mutate LOG                       mutations, ';'- or newline-separated
@@ -507,7 +508,8 @@ fn run_probes<G: Borrow<ColoredGraph>>(
     let arity = prepared.arity();
     let n = prepared.graph().n();
     if args.stats {
-        eprintln!("index: {:#?}", prepared.stats());
+        // One JSON object on one line: the schema of the serve `stats` verb.
+        eprintln!("index: {}", prepared.stats().to_json());
     }
     for t in &args.tests {
         let tuple = parse_tuple(t, arity, n)?;

@@ -146,3 +146,32 @@ fn larger_scale_smoke() {
         assert_eq!(&start, first_sol);
     }
 }
+
+/// `ndq --stats` prints `PrepareStats::to_json`, the object the serve
+/// `stats` verb answers with, as one line on stderr.
+#[test]
+fn cli_stats_print_the_serve_stats_schema() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ndq"))
+        .args(["--graph", "grid:12x12", "--color", "Blue:0.3:7"])
+        .args(["--query", "dist(x,y) > 2 && Blue(y)", "--stats"])
+        .stdin(std::process::Stdio::null())
+        .output()
+        .expect("run ndq");
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let line = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("index: "))
+        .unwrap_or_else(|| panic!("no stats line in {stderr}"));
+    assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
+    let field = |key: &str| {
+        line.split_once(&format!("\"{key}\":"))
+            .and_then(|(_, rest)| rest.split([',', '}']).next())
+            .unwrap_or_else(|| panic!("no {key} in {line}"))
+    };
+    field("cover_ms")
+        .parse::<u64>()
+        .expect("cover_ms is a count");
+    assert_eq!(field("rung"), "\"indexed\"");
+    assert!(field("cover_bags").parse::<u64>().unwrap() > 0);
+}
