@@ -410,8 +410,16 @@ fn e7_enumeration(cfg: &Config) {
 fn e8_skip(cfg: &Config) {
     println!("\n[E8] skip pointers (Lemma 5.8): table size and query time");
     let t = Table::new(
-        &["family", "n", "k", "entries", "entries/n", "ns/skip"],
-        &[7, 8, 3, 9, 10, 9],
+        &[
+            "family",
+            "n",
+            "k",
+            "entries",
+            "entries/n",
+            "bytes",
+            "ns/skip",
+        ],
+        &[7, 8, 3, 9, 10, 10, 9],
     );
     let sizes: &[usize] = if cfg.quick {
         &[4_000]
@@ -424,7 +432,7 @@ fn e8_skip(cfg: &Config) {
             let r = 2;
             let cover = Cover::build(&g, 2 * r, 0.5);
             let kernels = KernelIndex::build(&g, &cover, r);
-            for &k in &[2usize, 3] {
+            for &k in &[1usize, 2, 3] {
                 let list: Vec<u32> = (0..g.n() as u32).filter(|v| v % 3 == 0).collect();
                 let sp = SkipPointers::build_with_cap(g.n(), &kernels, list, k, 64 * g.n());
                 let probes = 20_000usize;
@@ -442,6 +450,7 @@ fn e8_skip(cfg: &Config) {
                     format!("{k}"),
                     format!("{}", sp.table_len()),
                     format!("{:.2}", sp.table_len() as f64 / g.n() as f64),
+                    format!("{}", sp.table_bytes()),
                     format!("{per:.0}"),
                 ]);
             }

@@ -1182,10 +1182,15 @@ impl BranchEngine {
             unary_bits.push(bits);
         }
         let mut skips = Vec::with_capacity(fq.k);
-        for _ in 0..fq.k {
+        for list in &unary_lists {
             skips.push(match r.u8("skip presence tag")? {
                 0 => None,
-                1 => Some(SkipPointers::read_from(r, n)?),
+                1 => {
+                    let Some(k) = &kernels else {
+                        return Err(malformed("skip pointers present without kernels"));
+                    };
+                    Some(SkipPointers::read_from(r, n, list.clone(), k)?)
+                }
                 _ => return Err(malformed("invalid skip presence tag")),
             });
         }

@@ -20,9 +20,13 @@
 //! `S ∈ SC(b)`, `|S| < k` and `SKIP(b, S) ∈ K_r(Y)`. Per vertex this is
 //! `O(δ^k)` sets (`δ` = kernel degree), keeping the table pseudo-linear.
 //! Arbitrary queries are then answered by the constant-time reduction of
-//! Claim 5.9, which reads table rows only at list members
-//! `c = next_L(b)` — so only the rows of `b ∈ L` are tabulated; for
-//! `b ∉ L`, `SKIP(b, S) = SKIP(next_L(b), S)` and the row stays empty.
+//! Claim 5.9, which reads the table only at list members `c = next_L(b)`.
+//!
+//! The table has two parts. The singletons `SKIP(v, {X})` are one value
+//! per kernel member, stored parallel to the kernel rows: the value of
+//! `(v, X)` sits at the slot where `v` appears in `K_r(X)`
+//! ([`KernelIndex::slot_of`]), so they carry no key. Sets of two or more
+//! bags (only for `k ≥ 2`) are keyed rows, one per list member.
 
 use nd_cover::{BagId, KernelIndex};
 use nd_graph::budget::{BudgetExceeded, BudgetTracker, Phase};
@@ -37,17 +41,27 @@ type BagSet = u128;
 /// Most bags a tabulated set holds (the clamp on `k`).
 const MAX_SET: usize = 4;
 const EMPTY_SLOT: u32 = u32::MAX;
-/// Sentinel for `SKIP(b, S) = None` in the compressed value array.
-/// Unambiguous because decoded skip targets are range-checked `< n` and
-/// `n` is a `u32` vertex count.
+/// "No such vertex": `SKIP(b, S) = None` in the value arrays, and no list
+/// member at or past `v` in `next_incl`. Unambiguous because decoded
+/// skip targets are range-checked `< n` and `n` is a `u32` vertex count.
 const NO_SKIP: u32 = u32::MAX;
 
-/// One tabulated closure row: was `(b, S)` materialized, and if so what is
-/// `SKIP(b, S)`?
+/// Bytes charged per keyed closure entry: its set key, its value and
+/// the builder's row copy.
+const KEYED_ENTRY_BYTES: u64 = 24;
+
+/// One keyed closure row lookup: was `(b, S)` materialized, and if so
+/// what is `SKIP(b, S)`?
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Entry {
     Absent,
     Present(Option<Vertex>),
+}
+
+/// A stored value as a vertex.
+#[inline]
+fn target(val: u32) -> Option<Vertex> {
+    (val != NO_SKIP).then_some(val)
 }
 
 #[inline]
@@ -115,181 +129,232 @@ impl BagIds {
 
 /// The Lemma 5.8 structure.
 ///
-/// The tabulated closure is stored compressed-sparse-row: one row of
-/// `(bag-set, skip)` entries per vertex, rows concatenated into two flat
-/// arrays with an offset index. A probe is one offset load plus a binary
-/// search in an `O(δ^k)`-sized row — no hashing, 20 bytes per entry
-/// instead of a hash-map node, and iteration order is the sorted
-/// `(vertex, set)` order the codec wants, so serialization is a straight
-/// walk.
+/// Singleton values sit parallel to the kernel rows, 4 bytes each with no
+/// key. The keyed closure of larger sets is stored compressed-sparse-row:
+/// one row of `(bag-set, skip)` entries per list member, rows concatenated
+/// into two flat arrays with an offset index, sorted by set, so a probe is
+/// one offset load plus a binary search and serialization is a straight
+/// walk. All four arrays are [`Slab`]s: file-backed when decoded from a
+/// mapped container.
 #[derive(Clone)]
 pub struct SkipPointers {
     k: usize,
     n: usize,
-    /// Sorted target list `L`.
-    list: Vec<Vertex>,
-    in_list: Vec<bool>,
-    /// `next_in_list[v]`: smallest member of `L` strictly greater than `v`.
-    next_in_list: Vec<Option<Vertex>>,
-    /// CSR row offsets: vertex `v`'s closure entries live at
-    /// `starts[v] .. starts[v+1]` in `sets` / `vals`. Length `n + 1`;
-    /// the row of every `v ∉ L` is empty.
-    /// The three CSR arrays are [`Slab`]s: file-backed when decoded from
-    /// a mapped container.
+    /// Sorted target list `L`: the engine's unary list of the position.
+    list: Slab<Vertex>,
+    /// `next_incl[v]`: the smallest member of `L` that is `≥ v`, or
+    /// [`NO_SKIP`]. Length `n + 1`, so `next_incl[c + 1]` is defined for
+    /// every vertex `c`.
+    next_incl: Vec<u32>,
+    /// `SKIP(v, {X})` for every member `v` of every kernel row, at `v`'s
+    /// slot in the kernel index ([`NO_SKIP`] encodes `None`).
+    single: Slab<u32>,
+    /// Keyed CSR row offsets: list member `v`'s entries for sets of two
+    /// or more bags live at `starts[v] .. starts[v+1]` in `sets` / `vals`.
+    /// Length `n + 1`, or empty when no such set is tabulated (always at
+    /// `k = 1`).
     starts: Slab<u32>,
-    /// Bag sets of the closure, sorted within each row.
+    /// Bag sets of the keyed closure, sorted within each row.
     sets: Slab<BagSet>,
     /// `SKIP(v, sets[i])`, parallel to `sets`; [`NO_SKIP`] encodes `None`.
     vals: Slab<u32>,
-    /// When the `δ^k` closure would exceed this many entries (kernel
-    /// degrees blow up on expander-like inputs), the closure is truncated;
-    /// queries stay correct via a linear-scan fallback. Truncation is
-    /// all-or-nothing per vertex: a partially-tabulated row would break
-    /// the Claim 5.9 subset-growing argument, which needs every
-    /// tabulated closure complete.
-    truncated: bool,
+    /// When the keyed closure would exceed the entry cap (kernel degrees
+    /// blow up on expander-like inputs), the rows of list members below
+    /// `cut` are dropped, and a query at such a member that needs a set of
+    /// two or more bags takes a correct linear scan. `0`: nothing was
+    /// dropped. The cut is all-or-nothing per vertex: a partially
+    /// tabulated row would break the Claim 5.9 subset-growing argument,
+    /// which needs every tabulated closure complete.
+    cut: u32,
 }
 
-/// `SKIP(b, S)` probe against a CSR row view. Free function so the
-/// descending-vertex builder can query rows it has already finalized
-/// before the final structure exists.
+/// `next_incl` for the list `list` on `n` vertices; `None` when a member
+/// is out of range.
+fn next_incl_of(n: usize, list: &[Vertex]) -> Option<Vec<u32>> {
+    let mut next = vec![NO_SKIP; n + 1];
+    for &v in list {
+        *next[..n].get_mut(v as usize)? = v;
+    }
+    for v in (0..n).rev() {
+        if next[v] == NO_SKIP {
+            next[v] = next[v + 1];
+        }
+    }
+    Some(next)
+}
+
+/// Keyed `SKIP(b, S)` probe against a CSR row view, for `|S| ≥ 2`.
 #[inline]
 fn csr_get(starts: &[u32], sets: &[BagSet], vals: &[u32], v: Vertex, set: BagSet) -> Entry {
+    if starts.is_empty() {
+        return Entry::Absent;
+    }
     let lo = starts[v as usize] as usize;
     let hi = starts[v as usize + 1] as usize;
     match sets[lo..hi].binary_search(&set) {
-        Ok(i) => Entry::Present(match vals[lo + i] {
-            NO_SKIP => None,
-            x => Some(x),
-        }),
+        Ok(i) => Entry::Present(target(vals[lo + i])),
         Err(_) => Entry::Absent,
     }
 }
 
-/// Correct (but linear) fallback used only past the table cap.
-fn scan_fallback_raw(
+/// Correct (but linear) scan of `L` from `from`: the answer when a set
+/// has more bags than the table's `k`, or needs a dropped keyed row.
+fn scan_fallback(
     kernels: &KernelIndex,
-    in_list: &[bool],
-    next_in_list: &[Option<Vertex>],
+    next_incl: &[u32],
     from: Vertex,
     s: &[BagId],
 ) -> Option<Vertex> {
-    let mut cur = if in_list[from as usize] {
-        Some(from)
-    } else {
-        next_in_list[from as usize]
-    };
-    while let Some(v) = cur {
-        if s.iter().all(|&x| !kernels.in_kernel(x, v)) {
-            return Some(v);
+    let mut c = next_incl[from as usize];
+    while c != NO_SKIP {
+        if s.iter().all(|&x| !kernels.in_kernel(x, c)) {
+            return Some(c);
         }
-        cur = next_in_list[v as usize];
+        c = next_incl[c as usize + 1];
     }
     None
 }
 
-/// The Claim 5.9 case analysis, generic over the closure-table view (the
-/// finished CSR arrays at query time, the in-progress builder during
-/// construction). Uses only `next_in_list` and table entries for vertices
-/// `> b`, which is what makes the descending construction of Claim 5.10
-/// well-founded.
-fn compute_skip_raw(
-    kernels: &KernelIndex,
-    in_list: &[bool],
-    next_in_list: &[Option<Vertex>],
-    get: &dyn Fn(Vertex, BagSet) -> Entry,
-    b: Vertex,
-    s: &[BagId],
-) -> Option<Vertex> {
-    debug_assert!(s.len() <= MAX_SET && s.windows(2).all(|w| w[0] < w[1]));
-    // Case 1: b itself qualifies.
-    if in_list[b as usize] && s.iter().all(|&x| !kernels.in_kernel(x, b)) {
-        return Some(b);
-    }
-    // Case 2: move to the next list element c > b.
-    let c = next_in_list[b as usize]?;
-    let Some(x0) = s.iter().copied().find(|&x| kernels.in_kernel(x, c)) else {
-        return Some(c);
-    };
-    // Grow a maximal S' ⊆ S with S' ∈ SC(c), starting from a singleton
-    // {X} with c ∈ K_r(X) (which is in SC(c) by construction).
-    let mut s_prime = BagIds::single(x0);
-    let mut grew = true;
-    while grew && s_prime.len < s.len() {
-        grew = false;
-        for &y in s {
-            if let Some(candidate) = s_prime.with(y) {
-                if matches!(get(c, encode_set(candidate.as_slice())), Entry::Present(_)) {
-                    s_prime = candidate;
-                    grew = true;
+/// Everything a Claim 5.9 query reads besides the keyed rows.
+#[derive(Clone, Copy)]
+struct Singletons<'a> {
+    kernels: &'a KernelIndex,
+    next_incl: &'a [u32],
+    single: &'a [u32],
+}
+
+impl Singletons<'_> {
+    /// The Claim 5.9 case analysis, generic over the keyed-row view (the
+    /// finished CSR arrays at query time, the in-progress builder during
+    /// construction). With `c` the smallest list member `≥ b`,
+    /// `SKIP(b, S) = SKIP(c, S)`: it is `c` when `c` escapes every kernel
+    /// of `S`, and otherwise grows a maximal `S' ⊆ S` in `SC(c)` from a
+    /// singleton `{X}` with `c ∈ K_r(X)`, whose value is `SKIP(c, S)`.
+    /// Keyed rows are read at `c` only, and only when `|S| ≥ 2`; rows
+    /// below `cut` were dropped, so a query there scans instead.
+    fn skip(
+        self,
+        keyed: &dyn Fn(Vertex, BagSet) -> Entry,
+        cut: u32,
+        b: Vertex,
+        s: &[BagId],
+    ) -> Option<Vertex> {
+        debug_assert!(s.len() <= MAX_SET && s.windows(2).all(|w| w[0] < w[1]));
+        let c = self.next_incl[b as usize];
+        if c == NO_SKIP {
+            return None;
+        }
+        let Some((x0, slot)) = s
+            .iter()
+            .find_map(|&x| self.kernels.slot_of(x, c).map(|slot| (x, slot)))
+        else {
+            return Some(c);
+        };
+        let mut val = target(self.single[slot]);
+        if s.len() == 1 {
+            return val;
+        }
+        if c < cut {
+            return scan_fallback(self.kernels, self.next_incl, c, s);
+        }
+        let mut s_prime = BagIds::single(x0);
+        let mut grew = true;
+        while grew && s_prime.len < s.len() {
+            grew = false;
+            for &y in s {
+                if let Some(candidate) = s_prime.with(y) {
+                    if let Entry::Present(v) = keyed(c, encode_set(candidate.as_slice())) {
+                        (s_prime, val, grew) = (candidate, v, true);
+                    }
                 }
             }
         }
-    }
-    match get(c, encode_set(s_prime.as_slice())) {
-        Entry::Present(v) => v,
-        // The table was truncated at the size cap — or decoded from a
-        // file whose closure is incomplete (hostile bytes pass the CRC
-        // only on purpose-built inputs, but they must not panic): fall
-        // back to a correct linear scan of L.
-        Entry::Absent => scan_fallback_raw(kernels, in_list, next_in_list, c, s),
+        val
     }
 }
 
-/// A finished closure table in forward CSR order, as a row builder
-/// returns it.
-struct Rows {
+/// `SKIP(v, {X})` for every member `v` of every kernel row, in the
+/// rows' own order. For `v ∈ K_r(X)`, `v` itself is excluded, so with
+/// `c` the smallest list member `> v`, the value is `c` when
+/// `c ∉ K_r(X)` and `SKIP(c, {X})` otherwise. One descending walk per
+/// row keeps the smallest list member met so far, above `v`, and its
+/// value: `c` is in the row iff it is that member.
+fn singleton_values(kernels: &KernelIndex, next_incl: &[u32]) -> Vec<u32> {
+    let mut vals = vec![NO_SKIP; kernels.total_size()];
+    let mut at = 0;
+    for id in 0..kernels.num_bags() as BagId {
+        let row = kernels.kernel(id);
+        let out = &mut vals[at..at + row.len()];
+        let (mut above, mut above_val) = (NO_SKIP, NO_SKIP);
+        for (slot, &v) in out.iter_mut().zip(row).rev() {
+            let c = next_incl[v as usize + 1];
+            *slot = if c == above { above_val } else { c };
+            if next_incl[v as usize] == v {
+                (above, above_val) = (v, *slot);
+            }
+        }
+        at += row.len();
+    }
+    vals
+}
+
+/// A finished keyed closure in forward CSR order.
+#[derive(Default)]
+struct Keyed {
     starts: Vec<u32>,
     sets: Vec<BagSet>,
     vals: Vec<u32>,
-    truncated: bool,
+    cut: u32,
 }
 
-/// Builds the closure table from the kernels, `in_list`, `next_in_list`,
-/// `k` and the entry cap.
-type RowBuilder = fn(
-    &KernelIndex,
-    &[bool],
-    &[Option<Vertex>],
-    usize,
-    usize,
-    &BudgetTracker,
-) -> Result<Rows, BudgetExceeded>;
-
-/// Claim 5.10: compute `SKIP(b, S)` for `S ∈ SC(b)`, `b` descending, sets
-/// in breadth-first (size) order. Rows are finalized one vertex at a time
-/// into `rev_*` (so they land in descending-vertex order) and reversed
-/// into the forward CSR at the end; `bounds[v]` exposes the
-/// already-finalized rows — exactly the `v > b` entries Claim 5.10 is
-/// allowed to read — to the in-progress computation. Each entry costs a
-/// few kernel-membership binary searches and row lookups.
+/// Claim 5.10 for the sets of two or more bags: compute `SKIP(b, S)` for
+/// `S ∈ SC(b)`, `b ∈ L` descending, sets in breadth-first (size) order.
+/// The seeds are `{X, Y}` for `b ∈ K_r(X)` and `SKIP(b, {X}) ∈ K_r(Y)`,
+/// read off the singleton values. Every `S ∈ SC(b)` holds a bag whose
+/// kernel contains `b`, so `SKIP(b, S) = SKIP(b + 1, S)`, which reads
+/// keyed rows of vertices `> b` only: that makes the descending order
+/// well-founded. Rows are finalized one vertex at a time into `rev_*`
+/// (so they land in descending-vertex order) and reversed into the
+/// forward CSR at the end; `bounds[v]` exposes the finished rows to the
+/// in-progress computation. Each entry costs a few kernel-membership
+/// binary searches and row lookups.
 fn closure_rows(
-    kernels: &KernelIndex,
-    in_list: &[bool],
-    next_in_list: &[Option<Vertex>],
+    singles: Singletons<'_>,
     k: usize,
     max_entries: usize,
     tracker: &BudgetTracker,
-) -> Result<Rows, BudgetExceeded> {
-    let n = in_list.len();
+) -> Result<Keyed, BudgetExceeded> {
+    let Singletons {
+        kernels,
+        next_incl,
+        single,
+    } = singles;
+    let n = next_incl.len() - 1;
     // `{X : v ∈ K_r(X)}` seeds SC(v) and grows its sets.
     let kernel_bags = kernels.bags_of();
     let mut rev_sets: Vec<BagSet> = Vec::new();
     let mut rev_vals: Vec<u32> = Vec::new();
     let mut bounds: Vec<(u32, u32)> = vec![(0, 0); n];
-    let mut truncated = false;
+    let mut cut = 0;
     // Current vertex's row, sorted by bag set.
     let mut row: Vec<(BagSet, u32)> = Vec::new();
     let mut queue: Vec<BagIds> = Vec::new();
     'outer: for b in (0..n as Vertex).rev() {
-        // Claim 5.9 reads rows only at list members; a vertex outside
-        // L keeps an empty row.
-        if !in_list[b as usize] {
+        // Claim 5.9 reads rows only at list members.
+        if next_incl[b as usize] != b {
             continue;
         }
         row.clear();
         queue.clear();
-        queue.extend(kernel_bags.of(b).iter().map(|&x| BagIds::single(x)));
+        for &x in kernel_bags.of(b) {
+            let slot = kernels
+                .slot_of(x, b)
+                .expect("b is in the kernels it is listed in");
+            if let Some(v) = target(single[slot]) {
+                let s = BagIds::single(x);
+                queue.extend(kernel_bags.of(v).iter().filter_map(|&y| s.with(y)));
+            }
+        }
         let mut head = 0;
         while head < queue.len() {
             let s = queue[head];
@@ -304,29 +369,19 @@ fn closure_rows(
                 // entries would leave a partial row, and the Claim 5.9
                 // subset-growing step must never see one (it concludes
                 // "val escapes all of S" from "no tabulated superset").
-                truncated = true;
-                row.clear();
+                cut = b + 1;
                 break 'outer;
             }
             tracker.charge_nodes(Phase::SkipClosure, 1)?;
-            tracker.charge_memory(Phase::SkipClosure, 24)?;
-            let skip = compute_skip_raw(
-                kernels,
-                in_list,
-                next_in_list,
-                &|v, set| {
-                    let (lo, hi) = bounds[v as usize];
-                    match rev_sets[lo as usize..hi as usize].binary_search(&set) {
-                        Ok(i) => Entry::Present(match rev_vals[lo as usize + i] {
-                            NO_SKIP => None,
-                            x => Some(x),
-                        }),
-                        Err(_) => Entry::Absent,
-                    }
-                },
-                b,
-                s.as_slice(),
-            );
+            tracker.charge_memory(Phase::SkipClosure, KEYED_ENTRY_BYTES)?;
+            let keyed = |v: Vertex, set| {
+                let (lo, hi) = bounds[v as usize];
+                match rev_sets[lo as usize..hi as usize].binary_search(&set) {
+                    Ok(i) => Entry::Present(target(rev_vals[lo as usize + i])),
+                    Err(_) => Entry::Absent,
+                }
+            };
+            let skip = singles.skip(&keyed, 0, b + 1, s.as_slice());
             row.insert(pos, (set, skip.unwrap_or(NO_SKIP)));
             if s.len < k {
                 if let Some(v) = skip {
@@ -338,6 +393,12 @@ fn closure_rows(
         rev_sets.extend(row.iter().map(|e| e.0));
         rev_vals.extend(row.iter().map(|e| e.1));
         bounds[b as usize] = (lo, rev_sets.len() as u32);
+    }
+    if rev_sets.is_empty() {
+        return Ok(Keyed {
+            cut,
+            ..Keyed::default()
+        });
     }
     // Reverse the descending row blocks into forward CSR order.
     let total = rev_sets.len();
@@ -352,100 +413,11 @@ fn closure_rows(
         sets.extend_from_slice(&rev_sets[lo as usize..hi as usize]);
         vals.extend_from_slice(&rev_vals[lo as usize..hi as usize]);
     }
-    Ok(Rows {
+    Ok(Keyed {
         starts,
         sets,
         vals,
-        truncated,
-    })
-}
-
-/// The `k = 1` table in closed form. `SC(b)` is `{{X} : b ∈ K_r(X)}` and
-/// `SKIP(b, {X})`, for `b ∈ L ∩ K_r(X)`, is the smallest `c ≥ b` in `L`
-/// outside `K_r(X)`: with `c = next_L(b)`, it is `c` itself when `c ∉
-/// K_r(X)`, and otherwise `SKIP(c, {X})`. So one descending walk over each
-/// kernel row, stamping its members with the bag id (membership in O(1))
-/// and memoising each list member's value, yields every entry with one
-/// lookup. Bags are walked in id order and scattered into the CSR rows by
-/// a counting sort, so each row comes out sorted by its set.
-///
-/// Truncation and charges are [`closure_rows`]'s: rows are kept from the
-/// top vertex down while each fits whole under `max_entries`, and one node
-/// and 24 bytes are charged per entry the closure would tabulate —
-/// `min(entries, max_entries)`, since it also charges the part of the cut
-/// row that fits.
-fn singleton_rows(
-    kernels: &KernelIndex,
-    in_list: &[bool],
-    next_in_list: &[Option<Vertex>],
-    _k: usize,
-    max_entries: usize,
-    tracker: &BudgetTracker,
-) -> Result<Rows, BudgetExceeded> {
-    let n = in_list.len();
-    let bags = kernels.num_bags() as BagId;
-    // Row lengths: the row of b ∈ L has one entry per kernel holding b.
-    let mut starts = vec![0u32; n + 1];
-    for id in 0..bags {
-        for &v in kernels.kernel(id) {
-            if in_list[v as usize] {
-                starts[v as usize + 1] += 1;
-            }
-        }
-    }
-    // Rows of vertices below `cut` are dropped.
-    let (mut kept, mut cut, mut truncated) = (0usize, 0usize, false);
-    for v in (0..n).rev() {
-        let len = starts[v + 1] as usize;
-        if kept + len > max_entries {
-            (cut, truncated) = (v + 1, true);
-            break;
-        }
-        kept += len;
-    }
-    let charged = if truncated { max_entries } else { kept } as u64;
-    tracker.charge_nodes(Phase::SkipClosure, charged)?;
-    tracker.charge_memory(Phase::SkipClosure, 24 * charged)?;
-    starts[1..=cut].fill(0);
-    for v in 0..n {
-        starts[v + 1] += starts[v];
-    }
-    let mut fill = starts[..n].to_vec();
-    let mut sets = vec![0 as BagSet; kept];
-    let mut vals = vec![NO_SKIP; kept];
-    // For a list member v, `stamp[v] == id` iff v is in the kernel row
-    // being walked and, as the walk descends, already visited; `memo[v]`
-    // then holds SKIP(v, {id}). Only list members are stamped, since
-    // `next_L` only ever asks about them.
-    let mut stamp = vec![EMPTY_SLOT; n];
-    let mut memo = vec![NO_SKIP; n];
-    for id in 0..bags {
-        let set = encode_set(&[id]);
-        for &v in kernels.kernel(id).iter().rev() {
-            let v = v as usize;
-            if !in_list[v] {
-                continue;
-            }
-            stamp[v] = id;
-            let val = match next_in_list[v] {
-                Some(c) if stamp[c as usize] == id => memo[c as usize],
-                Some(c) => c,
-                None => NO_SKIP,
-            };
-            memo[v] = val;
-            if v >= cut {
-                let slot = fill[v] as usize;
-                sets[slot] = set;
-                vals[slot] = val;
-                fill[v] += 1;
-            }
-        }
-    }
-    Ok(Rows {
-        starts,
-        sets,
-        vals,
-        truncated,
+        cut,
     })
 }
 
@@ -456,9 +428,9 @@ impl SkipPointers {
         Self::build_with_cap(n, kernels, list, k, usize::MAX)
     }
 
-    /// [`Self::build`] with a table-size cap. Past the cap no further bag
-    /// sets are tabulated; `skip` degrades to a correct scan when it needs
-    /// an untabulated set.
+    /// [`Self::build`] with a cap on the keyed closure (sets of two or
+    /// more bags). Past the cap no further rows are tabulated; `skip`
+    /// degrades to a correct scan when it needs a dropped row.
     pub fn build_with_cap(
         n: usize,
         kernels: &KernelIndex,
@@ -482,77 +454,70 @@ impl SkipPointers {
     /// aborts the `SC(b)` closure with [`BudgetExceeded`] instead of
     /// filling memory on adversarial kernel degrees. `k` is clamped into
     /// `1..=4` (larger simultaneous sets degrade to verified scans at
-    /// query time; see [`Self::skip`]). At `k = 1` the closure has a
-    /// closed form, built by one sweep per kernel row
-    /// ([`singleton_rows`]); larger `k` run Claim 5.10's closure
-    /// ([`closure_rows`]). Both write the same table and charge the same.
+    /// query time; see [`Self::skip`]).
+    ///
+    /// The singleton values take one sweep per kernel row and are never
+    /// cut: one slot per kernel member, so never larger than the kernel
+    /// index the budget already admitted. They are charged one node and 4
+    /// bytes per slot. Larger `k` then run Claim 5.10's closure over the
+    /// keyed sets, one node and [`KEYED_ENTRY_BYTES`] per entry, cut at
+    /// `max_entries`.
     pub fn try_build_with_cap(
-        n: usize,
-        kernels: &KernelIndex,
-        list: Vec<Vertex>,
-        k: usize,
-        max_entries: usize,
-        tracker: &BudgetTracker,
-    ) -> Result<SkipPointers, BudgetExceeded> {
-        let k = k.clamp(1, MAX_SET);
-        let rows: RowBuilder = if k == 1 { singleton_rows } else { closure_rows };
-        Self::try_build_by(n, kernels, list, k, max_entries, tracker, rows)
-    }
-
-    fn try_build_by(
         n: usize,
         kernels: &KernelIndex,
         mut list: Vec<Vertex>,
         k: usize,
         max_entries: usize,
         tracker: &BudgetTracker,
-        rows: RowBuilder,
     ) -> Result<SkipPointers, BudgetExceeded> {
+        let k = k.clamp(1, MAX_SET);
         list.sort_unstable();
         list.dedup();
-        let mut in_list = vec![false; n];
-        for &v in &list {
-            in_list[v as usize] = true;
-        }
-        let mut next_in_list: Vec<Option<Vertex>> = vec![None; n];
-        {
-            let mut next = None;
-            for v in (0..n).rev() {
-                next_in_list[v] = next;
-                if in_list[v] {
-                    next = Some(v as Vertex);
-                }
-            }
-        }
-        tracker.charge_memory(Phase::SkipClosure, 9 * n as u64)?;
-        let Rows {
-            starts,
-            sets,
-            vals,
-            truncated,
-        } = rows(kernels, &in_list, &next_in_list, k, max_entries, tracker)?;
+        tracker.charge_memory(Phase::SkipClosure, 4 * (n as u64 + 1))?;
+        let next_incl = next_incl_of(n, &list).expect("list members are vertices of the graph");
+        let slots = kernels.total_size() as u64;
+        tracker.charge_nodes(Phase::SkipClosure, slots)?;
+        tracker.charge_memory(Phase::SkipClosure, 4 * slots)?;
+        let single = singleton_values(kernels, &next_incl);
+        let singles = Singletons {
+            kernels,
+            next_incl: &next_incl,
+            single: &single,
+        };
+        let keyed = if k == 1 {
+            Keyed::default()
+        } else {
+            closure_rows(singles, k, max_entries, tracker)?
+        };
         Ok(SkipPointers {
             k,
             n,
-            list,
-            in_list,
-            next_in_list,
-            starts: starts.into(),
-            sets: sets.into(),
-            vals: vals.into(),
-            truncated,
+            list: list.into(),
+            next_incl,
+            single: single.into(),
+            starts: keyed.starts.into(),
+            sets: keyed.sets.into(),
+            vals: keyed.vals.into(),
+            cut: keyed.cut,
         })
     }
 
-    /// Number of precomputed table entries (experiment E8: `O(|L|·δ^k)`).
+    /// Number of precomputed table entries (experiment E8: `O(|L|·δ^k)`):
+    /// the singleton slots plus the keyed closure entries.
     pub fn table_len(&self) -> usize {
-        self.sets.len()
+        self.single.len() + self.sets.len()
     }
 
-    /// Was the closure truncated at the size cap (queries then use the
-    /// scan fallback when they step outside the tabulated sets)?
+    /// Bytes of the tabulated arrays (experiment E8): 4 per singleton
+    /// slot, 20 per keyed entry and 4 per keyed row offset.
+    pub fn table_bytes(&self) -> usize {
+        4 * (self.single.len() + self.starts.len()) + 20 * self.sets.len()
+    }
+
+    /// Was the keyed closure cut at the size cap (queries then use the
+    /// scan fallback when they need a dropped row)?
     pub fn truncated(&self) -> bool {
-        self.truncated
+        self.cut > 0
     }
 
     /// The sorted target list `L`.
@@ -565,16 +530,33 @@ impl SkipPointers {
     /// and deduplicated on the stack. Sets with more distinct bags than
     /// the prepared `k` are answered by a correct (linear) scan instead
     /// of panicking.
+    ///
+    /// A one-bag hop is one search: with `c` the smallest list member
+    /// `≥ b`, a miss for `c` in `K_r(X)` answers `c`, and a hit answers
+    /// the singleton value at its slot.
     pub fn skip(&self, kernels: &KernelIndex, b: Vertex, bags: &[BagId]) -> Option<Vertex> {
+        if let [x] = *bags {
+            let c = self.next_incl[b as usize];
+            if c == NO_SKIP {
+                return None;
+            }
+            return match kernels.slot_of(x, c) {
+                None => Some(c),
+                Some(slot) => target(self.single[slot]),
+            };
+        }
         let mut s = BagIds::EMPTY;
         if !bags.iter().all(|&x| s.insert(x)) || s.len > self.k {
-            return scan_fallback_raw(kernels, &self.in_list, &self.next_in_list, b, bags);
+            return scan_fallback(kernels, &self.next_incl, b, bags);
         }
-        compute_skip_raw(
+        let singles = Singletons {
             kernels,
-            &self.in_list,
-            &self.next_in_list,
+            next_incl: &self.next_incl,
+            single: &self.single,
+        };
+        singles.skip(
             &|v, set| csr_get(&self.starts, &self.sets, &self.vals, v, set),
+            self.cut,
             b,
             s.as_slice(),
         )
@@ -597,14 +579,15 @@ impl SkipPointers {
 
     /// Append the structure's binary encoding to `w` (DESIGN.md §9).
     ///
-    /// The tabulated `SC(b)` closure — the expensive part — is serialized
-    /// as its three CSR arrays, raw and 16-byte aligned, so a mapped load
-    /// borrows them in place; the cheap `in_list` / `next_in_list` arrays
-    /// are rebuilt on load in `O(n)`.
+    /// The singleton values and the three keyed CSR arrays are written
+    /// raw and 16-byte aligned, so a mapped load borrows them in place.
+    /// The list is not written: the loader passes the position's unary
+    /// list, which is the same list. `next_incl` is rebuilt on load in
+    /// `O(n)`.
     pub fn write_into(&self, w: &mut nd_persist::Writer) {
         w.u32(self.k as u32);
-        w.u32_slice(&self.list);
-        w.bool(self.truncated);
+        w.u32(self.cut);
+        w.u32_slab(&self.single);
         w.u32_slab(&self.starts);
         w.u128_slab(&self.sets);
         w.u32_slab(&self.vals);
@@ -612,76 +595,103 @@ impl SkipPointers {
 
     /// Decode the structure for an `n`-vertex graph (`n` supplied by the
     /// caller from the already-validated graph, so a corrupt count cannot
-    /// drive the rebuild allocations). Table values are range-checked —
-    /// the answering phase feeds them straight into per-position bitsets —
-    /// and full verification also rejects a row for a vertex outside `L`,
-    /// which no build writes.
+    /// drive the rebuild allocations), over the target list `list` and
+    /// the kernel index `kernels` the singleton values are parallel to.
+    ///
+    /// Every verify policy checks the shapes in `O(1)`: one singleton slot
+    /// per kernel member, and keyed offsets for all `n` vertices or none.
+    /// Full verification also checks every value — in range and past the
+    /// vertex it belongs to, since the answering phase feeds values
+    /// straight into per-position bitsets and steps forward from them —
+    /// and rejects a keyed row for a vertex outside `L`, which no build
+    /// writes.
     pub fn read_from(
         r: &mut nd_persist::Reader<'_>,
         n: usize,
+        list: Slab<Vertex>,
+        kernels: &KernelIndex,
     ) -> Result<SkipPointers, nd_persist::PersistError> {
         use nd_persist::malformed;
         let k = r.u32("skip arity")? as usize;
         if !(1..=MAX_SET).contains(&k) {
             return Err(malformed("skip arity outside 1..=4"));
         }
-        let list = r.u32_slice_sorted(n as u32, "skip list")?;
-        let truncated = r.bool("skip truncated flag")?;
+        let cut = r.u32("skip closure cut")?;
+        let single = r.u32_slab("skip singleton values")?;
         let starts = r.u32_slab("skip row offsets")?;
         let sets: Slab<BagSet> = r.u128_slab("skip table sets")?;
         let vals = r.u32_slab("skip table values")?;
-        // Always-on O(1) shape checks: every `starts[v]`/`starts[v+1]`
-        // row probe must be in bounds even under lazy verification
-        // (a hostile *offset* can still raise a safe slice panic
-        // there; the deferred CRC is the backstop).
-        if starts.len() != n + 1 {
+        // Always-on O(1) shape checks: every slot a kernel search returns
+        // and every `starts[v]`/`starts[v+1]` row probe must be in bounds
+        // even under lazy verification (a hostile *offset* can still
+        // raise a safe slice panic there; the deferred CRC is the
+        // backstop).
+        if single.len() != kernels.total_size() {
+            return Err(malformed(
+                "skip singleton values not parallel to the kernel rows",
+            ));
+        }
+        if cut as usize > n {
+            return Err(malformed("skip closure cut past the last vertex"));
+        }
+        if starts.is_empty() && !sets.is_empty() {
+            return Err(malformed("skip table sets without row offsets"));
+        }
+        if !starts.is_empty() && starts.len() != n + 1 {
             return Err(malformed("skip row offsets sized for another n"));
         }
         if vals.len() != sets.len() {
             return Err(malformed("skip set/value lengths disagree"));
         }
-        let mut in_list = vec![false; n];
-        for &v in &list {
-            in_list[v as usize] = true;
+        if k == 1 && (cut != 0 || !starts.is_empty()) {
+            return Err(malformed("keyed skip rows at arity 1"));
         }
+        let next_incl =
+            next_incl_of(n, &list).ok_or_else(|| malformed("skip list member out of range"))?;
         if r.should_validate() {
-            if starts.first() != Some(&0) || starts[n] as usize != sets.len() {
-                return Err(malformed("skip row offsets do not span the table"));
+            let bad = |v: Vertex, val: u32| val != NO_SKIP && (val <= v || val as usize >= n);
+            let mut at = 0;
+            for id in 0..kernels.num_bags() as BagId {
+                let row = kernels.kernel(id);
+                if row.iter().zip(&single[at..]).any(|(&v, &val)| bad(v, val)) {
+                    return Err(malformed("skip singleton value out of range"));
+                }
+                at += row.len();
             }
-            if starts.windows(2).any(|w| w[0] > w[1]) {
-                return Err(malformed("skip row offsets not monotone"));
+            if !starts.is_empty() {
+                if starts[0] != 0 || starts[n] as usize != sets.len() {
+                    return Err(malformed("skip row offsets do not span the table"));
+                }
+                if starts.windows(2).any(|w| w[0] > w[1]) {
+                    return Err(malformed("skip row offsets not monotone"));
+                }
             }
-            for v in 0..n {
-                let row = &sets[starts[v] as usize..starts[v + 1] as usize];
-                if !in_list[v] && !row.is_empty() {
+            for (v, ends) in starts.windows(2).enumerate() {
+                let (lo, hi) = (ends[0] as usize, ends[1] as usize);
+                if lo == hi {
+                    continue;
+                }
+                if next_incl[v] != v as Vertex {
                     return Err(malformed("skip row for a vertex outside the list"));
                 }
-                if row.windows(2).any(|w| w[0] >= w[1]) {
+                if sets[lo..hi].windows(2).any(|w| w[0] >= w[1]) {
                     return Err(malformed("skip table sets not sorted within a row"));
                 }
-            }
-            if vals.iter().any(|&x| x != NO_SKIP && (x as usize) >= n) {
-                return Err(malformed("skip table value out of range"));
-            }
-        }
-        let mut next_in_list: Vec<Option<Vertex>> = vec![None; n];
-        let mut next = None;
-        for v in (0..n).rev() {
-            next_in_list[v] = next;
-            if in_list[v] {
-                next = Some(v as Vertex);
+                if vals[lo..hi].iter().any(|&val| bad(v as Vertex, val)) {
+                    return Err(malformed("skip table value out of range"));
+                }
             }
         }
         Ok(SkipPointers {
             k,
             n,
             list,
-            in_list,
-            next_in_list,
+            next_incl,
+            single,
             starts,
             sets,
             vals,
-            truncated,
+            cut,
         })
     }
 }
@@ -690,22 +700,38 @@ impl SkipPointers {
 mod tests {
     use super::*;
     use nd_cover::Cover;
-    use nd_graph::generators;
+    use nd_graph::{generators, ColoredGraph};
+    use nd_persist::{MmapFile, PersistError, Reader, SlabCtx, VerifyPolicy, Writer};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+    use std::sync::Arc;
 
-    fn setup(
-        g: &nd_graph::ColoredGraph,
-        r: u32,
-        list: Vec<Vertex>,
-        k: usize,
-    ) -> (KernelIndex, SkipPointers) {
-        // Cover radius 2r so that "outside K_r" implies "distance > r" —
-        // mirroring the kr-radius cover of Section 5.
-        let cover = Cover::build(g, 2 * r, 0.5);
-        let kernels = KernelIndex::build(g, &cover, r);
+    const POLICIES: [VerifyPolicy; 2] = [VerifyPolicy::Full, VerifyPolicy::Lazy];
+
+    /// Cover radius `2r` and `r`-kernels, so that "outside `K_r`" implies
+    /// "distance `> r`" — mirroring the kr-radius cover of Section 5.
+    fn kernels_of(g: &ColoredGraph, r: u32) -> KernelIndex {
+        KernelIndex::build(g, &Cover::build(g, 2 * r, 0.5), r)
+    }
+
+    fn setup(g: &ColoredGraph, r: u32, list: Vec<Vertex>, k: usize) -> (KernelIndex, SkipPointers) {
+        let kernels = kernels_of(g, r);
         let sp = SkipPointers::build(g.n(), &kernels, list, k);
         (kernels, sp)
+    }
+
+    /// The graphs the layout tests sweep, with their kernel radius.
+    fn families() -> Vec<(ColoredGraph, u32)> {
+        vec![
+            (generators::path(80), 2),
+            (generators::grid(9, 9), 1),
+            (generators::random_tree(100, 3), 2),
+            (generators::bounded_degree(120, 4, 1), 2),
+        ]
+    }
+
+    fn multiples(n: usize, m: Vertex) -> Vec<Vertex> {
+        (0..n as Vertex).filter(|v| v % m == 0).collect()
     }
 
     fn random_bagsets(
@@ -736,58 +762,74 @@ mod tests {
         out
     }
 
-    #[test]
-    fn skip_matches_naive_scan() {
-        let mut rng = StdRng::seed_from_u64(99);
-        for (g, r, k) in [
-            (generators::path(80), 2u32, 2usize),
-            (generators::grid(9, 9), 1, 2),
-            (generators::random_tree(100, 3), 2, 3),
-            (generators::bounded_degree(120, 4, 1), 2, 2),
-            (generators::bounded_degree(120, 4, 1), 2, 1),
-        ] {
-            let list: Vec<Vertex> = (0..g.n() as Vertex).filter(|v| v % 3 != 1).collect();
-            let (kernels, sp) = setup(&g, r, list, k);
-            for bags in random_bagsets(&kernels, g.n(), k, &mut rng) {
-                for probe in 0..g.n() as Vertex {
+    /// `skip` against `skip_naive` for every `b` and random sets of up to
+    /// `k` bags, and of `k + 1` bags (the scan fallback).
+    fn assert_answers_like_naive(
+        sp: &SkipPointers,
+        kernels: &KernelIndex,
+        k: usize,
+        rng: &mut StdRng,
+        what: &str,
+    ) {
+        let n = sp.n();
+        for size in [k, k + 1] {
+            for bags in random_bagsets(kernels, n, size, rng) {
+                for b in 0..n as Vertex {
                     assert_eq!(
-                        sp.skip(&kernels, probe, &bags),
-                        sp.skip_naive(&kernels, probe, &bags),
-                        "b={probe}, S={bags:?}"
+                        sp.skip(kernels, b, &bags),
+                        sp.skip_naive(kernels, b, &bags),
+                        "{what}: b={b}, S={bags:?}"
                     );
                 }
             }
         }
     }
 
-    /// Rows exist only for list members: the table is the sum of their
-    /// rows, every other row is empty, and a probe from outside `L` still
-    /// answers like the naive scan (it reads the row of `next_L(b)`).
+    /// Keyed row length of `v`.
+    fn row_len(sp: &SkipPointers, v: usize) -> usize {
+        match sp.starts.is_empty() {
+            true => 0,
+            false => (sp.starts[v + 1] - sp.starts[v]) as usize,
+        }
+    }
+
     #[test]
-    fn rows_only_for_list_members() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for (g, r, k) in [
-            (generators::path(80), 2u32, 2usize),
-            (generators::grid(9, 9), 1, 2),
-            (generators::random_tree(100, 3), 2, 3),
-            (generators::bounded_degree(120, 4, 1), 2, 2),
-        ] {
-            for modulus in [3, 7] {
-                let list: Vec<Vertex> = (0..g.n() as Vertex).filter(|v| v % modulus == 0).collect();
-                let (kernels, sp) = setup(&g, r, list, k);
-                let row_len = |v: usize| (sp.starts[v + 1] - sp.starts[v]) as usize;
-                let in_l: usize = sp.list.iter().map(|&v| row_len(v as usize)).sum();
-                assert_eq!(sp.table_len(), in_l);
-                assert!(sp.table_len() > 0);
-                for b in (0..g.n() as Vertex).filter(|&b| !sp.in_list[b as usize]) {
-                    assert_eq!(row_len(b as usize), 0, "row for {b} ∉ L");
+    fn skip_matches_naive_scan() {
+        let mut rng = StdRng::seed_from_u64(99);
+        for (g, r) in families() {
+            let kernels = kernels_of(&g, r);
+            for k in 1..=3 {
+                for m in [1, 3, 7] {
+                    let sp = SkipPointers::build(g.n(), &kernels, multiples(g.n(), m), k);
+                    let what = format!("n={}, k={k}, m={m}", g.n());
+                    assert!(!sp.truncated(), "{what}");
+                    assert_answers_like_naive(&sp, &kernels, k, &mut rng, &what);
                 }
-                for bags in random_bagsets(&kernels, g.n(), k, &mut rng) {
-                    for b in (0..g.n() as Vertex).filter(|&b| !sp.in_list[b as usize]) {
+            }
+        }
+    }
+
+    /// Every singleton slot holds `SKIP(v, {X})` for the member `v` it is
+    /// parallel to, which lies past `v` or is `None`; the values are all
+    /// of a `k = 1` table.
+    #[test]
+    fn singleton_slots_hold_their_members_values() {
+        for (g, r) in families() {
+            let kernels = kernels_of(&g, r);
+            for m in [1, 3, 7] {
+                let sp = SkipPointers::build(g.n(), &kernels, multiples(g.n(), m), 1);
+                assert_eq!(sp.single.len(), kernels.total_size());
+                assert_eq!(sp.table_len(), kernels.total_size());
+                assert!(sp.starts.is_empty() && sp.sets.is_empty() && sp.vals.is_empty());
+                for id in 0..kernels.num_bags() as BagId {
+                    for &v in kernels.kernel(id) {
+                        let val = sp.single[kernels.slot_of(id, v).unwrap()];
+                        assert!(val == NO_SKIP || val > v, "bag {id}, v={v}: {val}");
                         assert_eq!(
-                            sp.skip(&kernels, b, &bags),
-                            sp.skip_naive(&kernels, b, &bags),
-                            "b={b}, S={bags:?}"
+                            target(val),
+                            sp.skip_naive(&kernels, v, &[id]),
+                            "n={}, m={m}, bag {id}, v={v}",
+                            g.n()
                         );
                     }
                 }
@@ -795,58 +837,67 @@ mod tests {
         }
     }
 
-    /// The `k = 1` sweep writes the table Claim 5.10's closure writes, byte
-    /// for byte, and charges the same: unbounded, with a cap that cuts a
-    /// row in the middle, and with a cap of 0.
+    /// Keyed rows exist only for list members, and the table is the
+    /// singleton slots plus those rows.
     #[test]
-    fn singleton_sweep_matches_the_closure() {
-        let build = |n: usize, kernels: &KernelIndex, list: &[Vertex], cap, rows: RowBuilder| {
-            let tracker = BudgetTracker::unlimited();
-            let sp = SkipPointers::try_build_by(n, kernels, list.to_vec(), 1, cap, &tracker, rows)
-                .unwrap();
-            let mut w = nd_persist::Writer::new();
-            sp.write_into(&mut w);
-            (
-                sp,
-                w.into_bytes(),
-                tracker.nodes_spent(),
-                tracker.memory_spent(),
-            )
-        };
+    fn keyed_rows_only_for_list_members() {
+        let mut keyed = 0;
+        for (g, r) in families() {
+            let kernels = kernels_of(&g, r);
+            for (k, m) in [(2, 3), (2, 7), (3, 3), (3, 7)] {
+                let sp = SkipPointers::build(g.n(), &kernels, multiples(g.n(), m), k);
+                assert_eq!(sp.table_len(), kernels.total_size() + sp.sets.len());
+                let in_l: usize = sp.list.iter().map(|&v| row_len(&sp, v as usize)).sum();
+                assert_eq!(in_l, sp.sets.len());
+                for b in (0..g.n()).filter(|&b| sp.next_incl[b] != b as Vertex) {
+                    assert_eq!(row_len(&sp, b), 0, "keyed row for {b} ∉ L");
+                }
+                keyed += sp.sets.len();
+            }
+        }
+        assert!(keyed > 0, "no keyed entries at k ≥ 2");
+    }
+
+    /// A cap on the keyed closure that cuts a row in the middle drops that
+    /// row and every row below it, charges the entries it computed, leaves
+    /// the singleton values whole, and still answers like the naive scan.
+    #[test]
+    fn a_cap_that_cuts_a_row_still_answers_like_naive() {
+        let mut rng = StdRng::seed_from_u64(11);
         let mut cuts_mid_row = 0;
-        for (g, r) in [
-            (generators::path(80), 2u32),
-            (generators::grid(9, 9), 1),
-            (generators::random_tree(100, 3), 2),
-            (generators::bounded_degree(120, 4, 1), 2),
-        ] {
-            let cover = Cover::build(&g, 2 * r, 0.5);
-            let kernels = KernelIndex::build(&g, &cover, r);
-            for modulus in [1, 3, 7] {
-                let list: Vec<Vertex> = (0..g.n() as Vertex).filter(|v| v % modulus == 0).collect();
-                let (full, ..) = build(g.n(), &kernels, &list, usize::MAX, closure_rows);
-                assert!(!full.truncated() && full.table_len() > 0);
+        for (g, r) in families() {
+            let kernels = kernels_of(&g, r);
+            for (k, m) in [(2, 1), (2, 3), (3, 1)] {
+                let list = multiples(g.n(), m);
+                let full = SkipPointers::build(g.n(), &kernels, list.clone(), k);
+                assert!(!full.truncated());
                 // Keep the top rows up to the first one of two or more
-                // entries, and one entry of that row. A cover of one bag
-                // has no such row; it is cut between rows instead.
-                let row_len = |v: usize| (full.starts[v + 1] - full.starts[v]) as usize;
-                let cut = match (0..g.n()).rev().find(|&v| row_len(v) >= 2) {
-                    Some(wide) => {
-                        cuts_mid_row += 1;
-                        (wide + 1..g.n()).map(row_len).sum::<usize>() + 1
-                    }
-                    None => full.table_len() / 2,
+                // entries, and one entry of that row.
+                let Some(wide) = (0..g.n()).rev().find(|&v| row_len(&full, v) >= 2) else {
+                    continue;
                 };
-                for cap in [usize::MAX, cut, 0] {
-                    let (closure, bytes, nodes, mem) =
-                        build(g.n(), &kernels, &list, cap, closure_rows);
-                    let (_, sweep_bytes, sweep_nodes, sweep_mem) =
-                        build(g.n(), &kernels, &list, cap, singleton_rows);
-                    let what = format!("n={}, modulus {modulus}, cap {cap}", g.n());
-                    assert_eq!(closure.truncated(), cap != usize::MAX, "{what}");
-                    assert_eq!(sweep_bytes, bytes, "{what}");
-                    assert_eq!((sweep_nodes, sweep_mem), (nodes, mem), "{what}");
-                    assert_eq!(nodes, cap.min(full.table_len()) as u64, "{what}");
+                let above: usize = (wide + 1..g.n()).map(|v| row_len(&full, v)).sum();
+                cuts_mid_row += 1;
+                for cap in [above + 1, 0] {
+                    let tracker = BudgetTracker::unlimited();
+                    let sp = SkipPointers::try_build_with_cap(
+                        g.n(),
+                        &kernels,
+                        list.clone(),
+                        k,
+                        cap,
+                        &tracker,
+                    )
+                    .unwrap();
+                    let what = format!("n={}, k={k}, m={m}, cap {cap}", g.n());
+                    assert!(sp.truncated(), "{what}");
+                    assert_eq!(sp.single, full.single, "{what}");
+                    let kept = if cap == 0 { 0 } else { above };
+                    assert_eq!(sp.sets.len(), kept, "{what}");
+                    let slots = kernels.total_size() as u64;
+                    // The entry of the cut row that fits is charged too.
+                    assert_eq!(tracker.nodes_spent(), slots + cap as u64, "{what}");
+                    assert_answers_like_naive(&sp, &kernels, k, &mut rng, &what);
                 }
             }
         }
@@ -854,33 +905,11 @@ mod tests {
     }
 
     #[test]
-    fn full_verify_rejects_a_row_outside_the_list() {
-        let g = generators::grid(9, 9);
-        let list: Vec<Vertex> = (0..g.n() as Vertex).filter(|v| v % 3 == 0).collect();
-        let (_, sp) = setup(&g, 2, list, 2);
-        // Drop a member with a non-empty row from L, keeping its row.
-        let mut forged = sp.clone();
-        let victim = sp
-            .list
-            .iter()
-            .position(|&v| sp.starts[v as usize + 1] > sp.starts[v as usize])
-            .expect("some list member has a row");
-        forged.list.remove(victim);
-        let mut w = nd_persist::Writer::new();
-        forged.write_into(&mut w);
-        let bytes = w.into_bytes();
-        let got = SkipPointers::read_from(&mut nd_persist::Reader::new(&bytes), g.n());
-        assert!(
-            matches!(got, Err(nd_persist::PersistError::Malformed { .. })),
-            "a row outside L was accepted"
-        );
-    }
-
-    #[test]
     fn empty_list() {
         let g = generators::path(20);
         let (kernels, sp) = setup(&g, 2, vec![], 2);
         assert_eq!(sp.skip(&kernels, 0, &[0]), None);
+        assert_eq!(sp.skip(&kernels, 0, &[]), None);
     }
 
     #[test]
@@ -928,52 +957,186 @@ mod tests {
         }
     }
 
+    fn encode(sp: &SkipPointers) -> Vec<u8> {
+        let mut w = Writer::new();
+        sp.write_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// A table encoding from raw parts, for forging hostile bytes.
+    fn encode_parts(
+        k: u32,
+        cut: u32,
+        single: &[u32],
+        starts: &[u32],
+        sets: &[BagSet],
+        vals: &[u32],
+    ) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u32(k);
+        w.u32(cut);
+        w.u32_slab(single);
+        w.u32_slab(starts);
+        w.u128_slab(sets);
+        w.u32_slab(vals);
+        w.into_bytes()
+    }
+
+    /// Decode through a 16-byte-aligned file image, so slabs borrow in
+    /// place as on a mapped load under `policy`, and require the reader
+    /// to end where the table does.
+    fn decode(
+        bytes: &[u8],
+        policy: VerifyPolicy,
+        n: usize,
+        list: &[Vertex],
+        kernels: &KernelIndex,
+    ) -> Result<SkipPointers, PersistError> {
+        let file = Arc::new(MmapFile::from_bytes(bytes));
+        let ctx = SlabCtx {
+            file: file.clone(),
+            validate: policy == VerifyPolicy::Full,
+        };
+        let mut r = Reader::with_slab(file.as_slice(), ctx);
+        let sp = SkipPointers::read_from(&mut r, n, list.to_vec().into(), kernels)?;
+        r.finish()?;
+        Ok(sp)
+    }
+
     #[test]
     fn binary_codec_roundtrip_answers_identically() {
         let g = generators::grid(9, 9);
         let list: Vec<Vertex> = (0..g.n() as Vertex).filter(|v| v % 4 != 2).collect();
-        let (kernels, sp) = setup(&g, 2, list, 2);
-        let mut w = nd_persist::Writer::new();
-        sp.write_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = nd_persist::Reader::new(&bytes);
-        let back = SkipPointers::read_from(&mut r, g.n()).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back.table_len(), sp.table_len());
-        assert_eq!(back.truncated(), sp.truncated());
         let mut rng = StdRng::seed_from_u64(5);
-        for bags in random_bagsets(&kernels, g.n(), 2, &mut rng) {
-            for probe in 0..g.n() as Vertex {
-                assert_eq!(
-                    back.skip(&kernels, probe, &bags),
-                    sp.skip(&kernels, probe, &bags)
+        for k in [1, 2] {
+            let (kernels, sp) = setup(&g, 2, list.clone(), k);
+            let bytes = encode(&sp);
+            for policy in POLICIES {
+                let back = decode(&bytes, policy, g.n(), &list, &kernels).unwrap();
+                assert!(back.single.is_mapped());
+                assert_eq!(back.table_len(), sp.table_len());
+                assert_eq!(back.truncated(), sp.truncated());
+                for bags in random_bagsets(&kernels, g.n(), k, &mut rng) {
+                    for probe in 0..g.n() as Vertex {
+                        assert_eq!(
+                            back.skip(&kernels, probe, &bags),
+                            sp.skip(&kernels, probe, &bags)
+                        );
+                    }
+                }
+                // Deterministic re-encode: the rows are written in order.
+                assert_eq!(encode(&back), bytes);
+                for cut in 0..bytes.len() {
+                    assert!(
+                        decode(&bytes[..cut], policy, g.n(), &list, &kernels).is_err(),
+                        "cut {cut}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn is_malformed<T>(got: Result<T, PersistError>) -> bool {
+        matches!(got, Err(PersistError::Malformed { .. }))
+    }
+
+    /// Hostile tables fail typed: shapes under every policy, values under
+    /// full verification.
+    #[test]
+    fn binary_codec_rejects_hostile_tables() {
+        let g = generators::grid(9, 9);
+        let n = g.n();
+        let list = multiples(n, 3);
+        let (kernels, sp) = setup(&g, 2, list.clone(), 2);
+        assert!(!sp.sets.is_empty());
+        // Edits the singleton values, keyed offsets and keyed values of
+        // the table and encodes them at arity `k`.
+        type Edit<'a> = &'a dyn Fn(&mut Vec<u32>, &mut Vec<u32>, &mut Vec<u32>);
+        let forge = |k: u32, edit: Edit<'_>| {
+            let (mut single, mut starts, mut vals) =
+                (sp.single.to_vec(), sp.starts.to_vec(), sp.vals.to_vec());
+            edit(&mut single, &mut starts, &mut vals);
+            encode_parts(k, sp.cut, &single, &starts, &sp.sets, &vals)
+        };
+        // Shapes: caught under every policy.
+        let shapes = [
+            (
+                "a singleton slot short",
+                forge(2, &|s, _, _| s.truncate(s.len() - 1)),
+            ),
+            (
+                "a singleton slot over",
+                forge(2, &|s, _, _| s.push(NO_SKIP)),
+            ),
+            (
+                "keyed offsets for another n",
+                forge(2, &|_, o, _| o.truncate(o.len() - 1)),
+            ),
+            ("keyed rows at arity 1", forge(1, &|_, _, _| ())),
+        ];
+        for (what, bytes) in &shapes {
+            for policy in POLICIES {
+                assert!(
+                    is_malformed(decode(bytes, policy, n, &list, &kernels)),
+                    "{what} accepted under {policy:?}"
                 );
             }
         }
-        // Deterministic re-encode: the CSR rows are written in order.
-        let mut w2 = nd_persist::Writer::new();
-        back.write_into(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes);
-    }
-
-    #[test]
-    fn binary_codec_rejects_corruption() {
-        let g = generators::path(40);
-        let list: Vec<Vertex> = (0..40).collect();
-        let (_, sp) = setup(&g, 2, list, 2);
-        let mut w = nd_persist::Writer::new();
-        sp.write_into(&mut w);
-        let bytes = w.into_bytes();
-        for cut in 0..bytes.len() {
+        // A list member out of range.
+        let bytes = encode(&sp);
+        for policy in POLICIES {
+            let far = [list.as_slice(), &[n as Vertex]].concat();
+            assert!(is_malformed(decode(&bytes, policy, n, &far, &kernels)));
+        }
+        // Values: caught under full verification.
+        let (id, v) = (0..kernels.num_bags() as BagId)
+            .find_map(|id| kernels.kernel(id).first().map(|&v| (id, v)))
+            .unwrap();
+        let slot = kernels.slot_of(id, v).unwrap();
+        let row = list
+            .iter()
+            .map(|&b| b as usize)
+            .find(|&b| row_len(&sp, b) > 0)
+            .unwrap();
+        let entry = sp.starts[row] as usize;
+        let values = [
+            (
+                "a singleton value out of range",
+                forge(2, &|s, _, _| s[slot] = n as u32),
+            ),
+            (
+                "a singleton value at its vertex",
+                forge(2, &|s, _, _| s[slot] = v),
+            ),
+            (
+                "a keyed value out of range",
+                forge(2, &|_, _, x| x[entry] = n as u32),
+            ),
+            (
+                "a keyed value at its vertex",
+                forge(2, &|_, _, x| x[entry] = row as u32),
+            ),
+        ];
+        for (what, bytes) in &values {
             assert!(
-                SkipPointers::read_from(&mut nd_persist::Reader::new(&bytes[..cut]), g.n())
-                    .is_err(),
-                "cut {cut}"
+                is_malformed(decode(bytes, VerifyPolicy::Full, n, &list, &kernels)),
+                "{what} accepted"
             );
         }
-        // Out-of-range table vertices / values are rejected (they would
-        // otherwise index per-position bitsets out of bounds downstream).
-        assert!(SkipPointers::read_from(&mut nd_persist::Reader::new(&bytes), 3).is_err());
+        // A keyed row for a vertex the list no longer holds.
+        let fewer: Vec<Vertex> = list
+            .iter()
+            .copied()
+            .filter(|&b| b as usize != row)
+            .collect();
+        assert!(is_malformed(decode(
+            &bytes,
+            VerifyPolicy::Full,
+            n,
+            &fewer,
+            &kernels
+        )));
+        assert!(decode(&bytes, VerifyPolicy::Full, n, &list, &kernels).is_ok());
     }
 
     #[test]

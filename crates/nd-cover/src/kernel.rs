@@ -75,6 +75,14 @@ impl KernelScratch {
         }
     }
 
+    /// Bytes held by the graph-sized buffers.
+    #[cfg(test)]
+    pub(crate) fn held_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.labels[..])
+            + std::mem::size_of_val(&self.ball[..])
+            + std::mem::size_of_val(&self.queue[..])
+    }
+
     /// Start a new bag over a graph on `n` vertices: take a stamp that no
     /// label holds. When the `u32` stamps run out, every label is cleared
     /// once and the count restarts, so stamps never collide across bags.
@@ -429,10 +437,28 @@ impl KernelIndex {
         &self.members[self.starts[i] as usize..self.starts[i + 1] as usize]
     }
 
+    /// The slot of `v` in bag `id`'s row, when `v ∈ K_p(X_id)`: its index
+    /// into the member array, rows concatenated in bag order. Values
+    /// stored parallel to the rows (the skip pointers' `SKIP(v, {X})`)
+    /// are read at this slot. One binary search in the row.
+    #[inline]
+    pub fn slot_of(&self, id: BagId, v: Vertex) -> Option<usize> {
+        let i = id as usize;
+        let lo = self.starts[i] as usize;
+        let row = &self.members[lo..self.starts[i + 1] as usize];
+        row.binary_search(&v).ok().map(|j| lo + j)
+    }
+
     /// Is `v ∈ K_p(X_id)`? `O(log)`.
     #[inline]
     pub fn in_kernel(&self, id: BagId, v: Vertex) -> bool {
-        self.kernel(id).binary_search(&v).is_ok()
+        self.slot_of(id, v).is_some()
+    }
+
+    /// Kernel members over all bags: the slot count of an array parallel
+    /// to the rows.
+    pub fn total_size(&self) -> usize {
+        self.members.len()
     }
 
     /// The inverted index `v ↦` sorted bags whose kernel contains `v`, by
@@ -536,8 +562,15 @@ mod tests {
         for id in 0..cover.num_bags() as BagId {
             for &v in ki.kernel(id) {
                 assert!(bags.of(v).contains(&id));
-                assert!(ki.in_kernel(id, v));
+                let slot = ki.slot_of(id, v).expect("a member has a slot");
+                assert_eq!(ki.members[slot], v);
             }
+            let start = ki.starts[id as usize] as usize;
+            assert_eq!(ki.slot_of(id, Vertex::MAX), None);
+            assert_eq!(
+                ki.kernel(id).first().map(|&v| ki.slot_of(id, v)),
+                Some(Some(start))
+            );
         }
         let mut total = 0;
         for v in g.vertices() {

@@ -125,6 +125,11 @@ pub(crate) fn check_rows(
     Ok(())
 }
 
+/// Bytes per vertex the cover greedy holds for its whole run: `covered`
+/// (1) and `assignment` (4), and the [`KernelScratch`] labels (8) and its
+/// two `n + 1`-slot queues (4 + 4).
+const GREEDY_BYTES_PER_VERTEX: u64 = 21;
+
 /// Row end offset for a CSR table. Rows are built in memory as `u32`
 /// vectors, so `2^32` members would need 16 GiB before this could fail.
 fn row_end(members: &[Vertex]) -> u32 {
@@ -216,7 +221,7 @@ impl Cover {
         let mut scratch = KernelScratch::new(n);
         // Labels exact up to both radii answer both kernels.
         let label_radius = kernel_radius.map_or(r, |p| p.max(r));
-        tracker.charge_memory(Phase::CoverConstruction, 6 * n as u64)?;
+        tracker.charge_memory(Phase::CoverConstruction, GREEDY_BYTES_PER_VERTEX * n as u64)?;
         for c in 0..n as Vertex {
             if covered[c as usize] {
                 continue;
@@ -505,6 +510,30 @@ mod tests {
     use crate::test_codec::{decode_mapped, POLICIES};
     use nd_graph::generators;
     use nd_persist::VerifyPolicy;
+
+    /// The greedy's graph-sized buffers are charged before the first
+    /// bag: a memory cap one byte below them trips the cover phase on
+    /// that charge, with or without fused kernel rows.
+    #[test]
+    fn a_memory_cap_below_the_greedy_buffers_trips_the_cover() {
+        use nd_graph::budget::{Budget, Resource};
+        let g = generators::grid(10, 10);
+        let held = GREEDY_BYTES_PER_VERTEX * g.n() as u64;
+        // What the greedy allocates per vertex: the scratch's labels and
+        // queues, then `covered` and `assignment`.
+        let scratch = KernelScratch::new(g.n()).held_bytes() as u64;
+        assert_eq!(held, scratch - 8 + (1 + 4) * g.n() as u64);
+        let budget = Budget::UNLIMITED.with_memory_bytes(held - 1);
+        let errs = [
+            Cover::try_build(&g, 2, 0.5, &budget.start()).map(drop),
+            Cover::try_build_with_kernels(&g, 2, 1, &budget.start()).map(drop),
+        ];
+        for err in errs {
+            let err = err.unwrap_err();
+            assert_eq!(err.phase, Phase::CoverConstruction);
+            assert_eq!((err.resource, err.spent), (Resource::MemoryBytes, held));
+        }
+    }
 
     #[test]
     fn cover_is_valid_on_families() {

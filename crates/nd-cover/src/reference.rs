@@ -6,7 +6,7 @@
 //! exactly on the budget spent, capped runs included.
 
 use crate::kernel::dense_words;
-use crate::{row_dir, row_end, BagId, Cover, CoverTimings, KernelIndex};
+use crate::{row_dir, row_end, BagId, Cover, CoverTimings, KernelIndex, GREEDY_BYTES_PER_VERTEX};
 use nd_graph::budget::{Budget, BudgetExceeded, BudgetTracker, Phase};
 use nd_graph::{generators, BfsScratch, ColoredGraph, GraphBuilder, Vertex};
 use proptest::prelude::*;
@@ -24,7 +24,7 @@ fn naive_greedy(
     let mut assignment: Vec<Option<BagId>> = vec![None; n];
     let (mut centers, mut starts, mut members) = (Vec::new(), vec![0], Vec::new());
     let (mut kernel_starts, mut kernel_members) = (vec![0], Vec::new());
-    tracker.charge_memory(Phase::CoverConstruction, 6 * n as u64)?;
+    tracker.charge_memory(Phase::CoverConstruction, GREEDY_BYTES_PER_VERTEX * n as u64)?;
     for c in 0..n as Vertex {
         if assignment[c as usize].is_some() {
             continue;

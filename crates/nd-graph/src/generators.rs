@@ -244,7 +244,9 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> ColoredGraph {
     // uniformly from it is degree-proportional sampling.
     let mut endpoints: Vec<Vertex> = vec![0];
     for v in 1..n {
-        let mut targets = std::collections::HashSet::new();
+        // Walked in order below, so the endpoint multiset, and with it
+        // every later draw, depends on the seed alone.
+        let mut targets = std::collections::BTreeSet::new();
         let wanted = m.min(v);
         let mut guard = 0;
         while targets.len() < wanted && guard < 16 * m + 16 {
@@ -445,6 +447,14 @@ mod tests {
         assert!(g.max_degree() as f64 > 4.0 * mean, "no hubs emerged");
         // Connected by construction (every vertex attaches to an earlier one).
         assert_eq!(crate::bfs::ball(&g, 0, 1_000).len(), 500);
+    }
+
+    /// The same seed gives the same graph, edge for edge.
+    #[test]
+    fn barabasi_albert_is_deterministic() {
+        let edges = |seed| barabasi_albert(300, 3, seed).edges().collect::<Vec<_>>();
+        assert_eq!(edges(7), edges(7));
+        assert_ne!(edges(7), edges(8));
     }
 
     #[test]

@@ -49,8 +49,13 @@ pub const MAGIC: [u8; 8] = *b"NDQIDX\r\n";
 /// `(bag, vertex)` key store: the CSR bag rows answer membership through a
 /// `u32` radix directory over their packed keys, and skip tables keep rows
 /// only for list members (other rows are empty); the META degradation
-/// rung no longer has tag 1 (the retired coarsened-ε rung).
-pub const FORMAT_VERSION: u32 = 8;
+/// rung no longer has tag 1 (the retired coarsened-ε rung). v9 stores a
+/// skip table's singleton values `SKIP(v, {X})` as one unkeyed `u32`
+/// array parallel to the kernel rows, keeps keyed rows only for sets of
+/// two or more bags, records its size-cap cut as a vertex, and no longer
+/// writes its own copy of the target list (the loader passes the unary
+/// list).
+pub const FORMAT_VERSION: u32 = 9;
 
 /// Decoders refuse single length prefixes beyond this many elements, so a
 /// corrupted length field fails typed instead of attempting a huge

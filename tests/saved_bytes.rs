@@ -44,13 +44,13 @@ fn saved_index_bytes_match_their_golden_digests() {
             "bounded degree 4, n = 600, the ternary far query",
             blue(generators::bounded_degree(600, 4, 3)),
             "dist(x,z) > 2 && dist(y,z) > 2 && Blue(z)",
-            0xd4e4_7b61_8aa8_369d,
+            0xbf17_a3b4_348d_0680,
         ),
         (
             "grid 20x20, the binary far query",
             blue(generators::grid(20, 20)),
             "dist(x,y) > 2 && Blue(y)",
-            0xad70_d24a_72f2_1530,
+            0x49c6_63c7_8420_2711,
         ),
     ];
     for (name, g, src, want) in cases {
