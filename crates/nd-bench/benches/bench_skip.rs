@@ -59,9 +59,7 @@ fn bench_skip_build(c: &mut Criterion) {
             let list: Vec<u32> = (0..g.n() as u32).collect();
             group.throughput(Throughput::Elements(g.n() as u64));
             group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-                b.iter(|| {
-                    SkipPointers::build_with_cap(g.n(), &kernels, list.clone(), k, 64 * g.n())
-                })
+                b.iter(|| SkipPointers::build_with_cap(g.n(), &kernels, &list, k, 64 * g.n()))
             });
         }
         group.finish();

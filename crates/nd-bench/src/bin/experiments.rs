@@ -40,7 +40,7 @@ fn main() {
         !matches!(a.as_str(), "--quick" | "--json") && !EXPERIMENTS.iter().any(|(id, _)| id == a)
     }) {
         eprintln!(
-            "unknown argument {bad:?}: expected e1..e11, a1..a4, --quick or --json \
+            "unknown argument {bad:?}: expected e1..e10, a1..a4, --quick or --json \
              (see EXPERIMENTS.md)"
         );
         std::process::exit(2);
@@ -62,8 +62,8 @@ fn main() {
 type Experiment = fn(&Config);
 
 /// Every table by its command-line id, in run order: the paper's claims
-/// (E1–E11), then the ablations (A1–A4).
-const EXPERIMENTS: [(&str, Experiment); 15] = [
+/// (E1–E10), then the ablations (A1–A4).
+const EXPERIMENTS: [(&str, Experiment); 14] = [
     ("e1", e1_storing),
     ("e2", e2_cover),
     ("e3", e3_splitter),
@@ -74,7 +74,6 @@ const EXPERIMENTS: [(&str, Experiment); 15] = [
     ("e8", e8_skip),
     ("e9", e9_kernel),
     ("e10", e10_relational),
-    ("e11", e11_dynamic),
     ("a1", a1_ablation_extend),
     ("a2", a2_ablation_splitter),
     ("a3", a3_sparse_vs_dense),
@@ -541,51 +540,6 @@ fn e10_relational(cfg: &Config) {
             format!("{}", want.len()),
             format!("{}", got == want),
         ]);
-    }
-}
-
-/// E11 — dynamic far-query index (the conclusion's future-work direction):
-/// update and query cost under churn, vs. rebuilding from scratch.
-fn e11_dynamic(cfg: &Config) {
-    use nd_core::DynamicFarQuery;
-    println!("\n[E11] dynamic far index (future work): updates vs rebuilds");
-    let t = Table::new(
-        &["family", "n", "ns/update", "ns/skip1", "rebuild"],
-        &[7, 8, 10, 9, 9],
-    );
-    let sizes: &[usize] = if cfg.quick {
-        &[4_000, 16_000]
-    } else {
-        &[4_000, 16_000, 64_000]
-    };
-    for &f in SPARSE_FAMILIES {
-        for &n in sizes {
-            let g = f.build(n, 14);
-            let witnesses: Vec<u32> = (0..g.n() as u32).filter(|v| v % 3 == 0).collect();
-            let (mut q, rebuild) = time_it(|| DynamicFarQuery::new(&g, 2, &witnesses, 0.5));
-            let updates = 20_000usize;
-            let vs = random_vertices(g.n(), updates, 41);
-            let t0 = Instant::now();
-            for &v in &vs {
-                q.toggle(v);
-            }
-            let per_update = t0.elapsed().as_nanos() as f64 / updates as f64;
-            let queries = 20_000usize;
-            let aa = random_vertices(g.n(), queries, 42);
-            let bb = random_vertices(g.n(), queries, 43);
-            let t0 = Instant::now();
-            for i in 0..queries {
-                std::hint::black_box(q.next_far_witness(aa[i], bb[i]));
-            }
-            let per_query = t0.elapsed().as_nanos() as f64 / queries as f64;
-            t.row(&[
-                f.name().to_string(),
-                format!("{}", g.n()),
-                format!("{per_update:.0}"),
-                format!("{per_query:.0}"),
-                fmt_dur(rebuild),
-            ]);
-        }
     }
 }
 

@@ -920,7 +920,7 @@ impl BranchEngine {
                 SkipPointers::try_build_with_cap(
                     n,
                     &kernels,
-                    unary_lists[j].to_vec(),
+                    &unary_lists[j],
                     far_count,
                     cap,
                     tracker,
@@ -1189,7 +1189,7 @@ impl BranchEngine {
                     let Some(k) = &kernels else {
                         return Err(malformed("skip pointers present without kernels"));
                     };
-                    Some(SkipPointers::read_from(r, n, list.clone(), k)?)
+                    Some(SkipPointers::read_from(r, n, list, k)?)
                 }
                 _ => return Err(malformed("invalid skip presence tag")),
             });

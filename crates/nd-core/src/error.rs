@@ -1,10 +1,10 @@
 //! The workspace-wide typed error hierarchy.
 //!
 //! Every crate in the DAG owns the errors of its layer — [`GraphError`]
-//! (nd-graph), [`StoreError`] (nd-store), [`BudgetExceeded`] (nd-graph's
-//! budget module, shared by nd-cover and this crate) — and this module
-//! rolls them up into [`NdError`] plus the engine-level [`PrepareError`]
-//! and [`QueryError`]. Public entry points of this crate never panic on
+//! and [`BudgetExceeded`] (nd-graph; the budget module is shared by
+//! nd-cover and this crate) — and this module rolls them up into
+//! [`NdError`] plus the engine-level [`PrepareError`] and
+//! [`QueryError`]. Public entry points of this crate never panic on
 //! malformed input: they return one of these types (panicking convenience
 //! wrappers are kept, documented, for pre-validated callers).
 
@@ -12,7 +12,6 @@ use crate::engine::fragment::UnsupportedReason;
 use crate::engine::prepared::PrepareStats;
 use nd_graph::io::ReadError;
 use nd_graph::{BudgetExceeded, GraphError};
-use nd_store::StoreError;
 use std::fmt;
 
 /// Why [`crate::PreparedQuery::prepare`] could not produce an index.
@@ -165,7 +164,6 @@ impl std::error::Error for QueryError {}
 #[derive(Debug)]
 pub enum NdError {
     Graph(GraphError),
-    Store(StoreError),
     Budget(BudgetExceeded),
     Prepare(PrepareError),
     Query(QueryError),
@@ -176,7 +174,6 @@ impl fmt::Display for NdError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NdError::Graph(e) => write!(f, "graph error: {e}"),
-            NdError::Store(e) => write!(f, "store error: {e}"),
             NdError::Budget(e) => write!(f, "{e}"),
             NdError::Prepare(e) => write!(f, "prepare error: {e}"),
             NdError::Query(e) => write!(f, "query error: {e}"),
@@ -189,7 +186,6 @@ impl std::error::Error for NdError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             NdError::Graph(e) => Some(e),
-            NdError::Store(e) => Some(e),
             NdError::Budget(e) => Some(e),
             NdError::Prepare(e) => Some(e),
             NdError::Query(e) => Some(e),
@@ -201,11 +197,6 @@ impl std::error::Error for NdError {
 impl From<GraphError> for NdError {
     fn from(e: GraphError) -> Self {
         NdError::Graph(e)
-    }
-}
-impl From<StoreError> for NdError {
-    fn from(e: StoreError) -> Self {
-        NdError::Store(e)
     }
 }
 impl From<BudgetExceeded> for NdError {

@@ -31,7 +31,6 @@
 //!   `PreparedQuery::prepare`) before giving up.
 
 pub mod dist;
-pub mod dynamic;
 pub mod engine;
 pub mod error;
 pub mod independence;
@@ -41,7 +40,6 @@ pub mod sabotage;
 pub mod skip;
 
 pub use dist::DistOracle;
-pub use dynamic::{DynamicFarIndex, DynamicFarQuery};
 pub use engine::fragment::{BinKind, FragmentQuery, UnsupportedReason};
 pub use engine::prepared::{
     DegradationReason, DegradationRung, EngineKind, Enumerate, LoadStats, LoadedIndex,

@@ -140,8 +140,6 @@ impl BagIds {
 pub struct SkipPointers {
     k: usize,
     n: usize,
-    /// Sorted target list `L`: the engine's unary list of the position.
-    list: Slab<Vertex>,
     /// `next_incl[v]`: the smallest member of `L` that is `≥ v`, or
     /// [`NO_SKIP`]. Length `n + 1`, so `next_incl[c + 1]` is defined for
     /// every vertex `c`.
@@ -424,7 +422,12 @@ fn closure_rows(
 impl SkipPointers {
     /// Precompute the pointers for up to `k` simultaneous bags.
     /// Cost `O(n · δ^k)` table entries, each `O(1)` amortized.
-    pub fn build(n: usize, kernels: &KernelIndex, list: Vec<Vertex>, k: usize) -> SkipPointers {
+    pub fn build(
+        n: usize,
+        kernels: &KernelIndex,
+        list: impl AsRef<[Vertex]>,
+        k: usize,
+    ) -> SkipPointers {
         Self::build_with_cap(n, kernels, list, k, usize::MAX)
     }
 
@@ -434,7 +437,7 @@ impl SkipPointers {
     pub fn build_with_cap(
         n: usize,
         kernels: &KernelIndex,
-        list: Vec<Vertex>,
+        list: impl AsRef<[Vertex]>,
         k: usize,
         max_entries: usize,
     ) -> SkipPointers {
@@ -460,21 +463,20 @@ impl SkipPointers {
     /// cut: one slot per kernel member, so never larger than the kernel
     /// index the budget already admitted. They are charged one node and 4
     /// bytes per slot. Larger `k` then run Claim 5.10's closure over the
-    /// keyed sets, one node and [`KEYED_ENTRY_BYTES`] per entry, cut at
-    /// `max_entries`.
+    /// keyed sets, one node and `KEYED_ENTRY_BYTES` (24) per entry, cut
+    /// at `max_entries`.
     pub fn try_build_with_cap(
         n: usize,
         kernels: &KernelIndex,
-        mut list: Vec<Vertex>,
+        list: impl AsRef<[Vertex]>,
         k: usize,
         max_entries: usize,
         tracker: &BudgetTracker,
     ) -> Result<SkipPointers, BudgetExceeded> {
         let k = k.clamp(1, MAX_SET);
-        list.sort_unstable();
-        list.dedup();
         tracker.charge_memory(Phase::SkipClosure, 4 * (n as u64 + 1))?;
-        let next_incl = next_incl_of(n, &list).expect("list members are vertices of the graph");
+        let next_incl =
+            next_incl_of(n, list.as_ref()).expect("list members are vertices of the graph");
         let slots = kernels.total_size() as u64;
         tracker.charge_nodes(Phase::SkipClosure, slots)?;
         tracker.charge_memory(Phase::SkipClosure, 4 * slots)?;
@@ -492,7 +494,6 @@ impl SkipPointers {
         Ok(SkipPointers {
             k,
             n,
-            list: list.into(),
             next_incl,
             single: single.into(),
             starts: keyed.starts.into(),
@@ -518,11 +519,6 @@ impl SkipPointers {
     /// scan fallback when they need a dropped row)?
     pub fn truncated(&self) -> bool {
         self.cut > 0
-    }
-
-    /// The sorted target list `L`.
-    pub fn list(&self) -> &[Vertex] {
-        &self.list
     }
 
     /// `SKIP(b, S)` for an arbitrary set `S` of at most `k` bags
@@ -562,16 +558,6 @@ impl SkipPointers {
         )
     }
 
-    /// Exhaustive reference implementation for tests.
-    #[doc(hidden)]
-    pub fn skip_naive(&self, kernels: &KernelIndex, b: Vertex, bags: &[BagId]) -> Option<Vertex> {
-        self.list
-            .iter()
-            .copied()
-            .filter(|&v| v >= b)
-            .find(|&v| bags.iter().all(|&x| !kernels.in_kernel(x, v)))
-    }
-
     /// Memory guard used by stats: n of the underlying graph.
     pub fn n(&self) -> usize {
         self.n
@@ -582,8 +568,8 @@ impl SkipPointers {
     /// The singleton values and the three keyed CSR arrays are written
     /// raw and 16-byte aligned, so a mapped load borrows them in place.
     /// The list is not written: the loader passes the position's unary
-    /// list, which is the same list. `next_incl` is rebuilt on load in
-    /// `O(n)`.
+    /// list, the one the table was built over, and `next_incl` is rebuilt
+    /// from it in `O(n)`.
     pub fn write_into(&self, w: &mut nd_persist::Writer) {
         w.u32(self.k as u32);
         w.u32(self.cut);
@@ -608,7 +594,7 @@ impl SkipPointers {
     pub fn read_from(
         r: &mut nd_persist::Reader<'_>,
         n: usize,
-        list: Slab<Vertex>,
+        list: &[Vertex],
         kernels: &KernelIndex,
     ) -> Result<SkipPointers, nd_persist::PersistError> {
         use nd_persist::malformed;
@@ -647,7 +633,7 @@ impl SkipPointers {
             return Err(malformed("keyed skip rows at arity 1"));
         }
         let next_incl =
-            next_incl_of(n, &list).ok_or_else(|| malformed("skip list member out of range"))?;
+            next_incl_of(n, list).ok_or_else(|| malformed("skip list member out of range"))?;
         if r.should_validate() {
             let bad = |v: Vertex, val: u32| val != NO_SKIP && (val <= v || val as usize >= n);
             let mut at = 0;
@@ -685,7 +671,6 @@ impl SkipPointers {
         Ok(SkipPointers {
             k,
             n,
-            list,
             next_incl,
             single,
             starts,
@@ -714,10 +699,25 @@ mod tests {
         KernelIndex::build(g, &Cover::build(g, 2 * r, 0.5), r)
     }
 
-    fn setup(g: &ColoredGraph, r: u32, list: Vec<Vertex>, k: usize) -> (KernelIndex, SkipPointers) {
+    fn setup(g: &ColoredGraph, r: u32, list: &[Vertex], k: usize) -> (KernelIndex, SkipPointers) {
         let kernels = kernels_of(g, r);
         let sp = SkipPointers::build(g.n(), &kernels, list, k);
         (kernels, sp)
+    }
+
+    /// Exhaustive reference: the smallest member of `list` at or past `b`
+    /// outside every kernel of `bags`, read off the list itself rather
+    /// than the table's `next_incl`.
+    fn skip_naive(
+        kernels: &KernelIndex,
+        list: &[Vertex],
+        b: Vertex,
+        bags: &[BagId],
+    ) -> Option<Vertex> {
+        list.iter()
+            .copied()
+            .filter(|&v| v >= b && bags.iter().all(|&x| !kernels.in_kernel(x, v)))
+            .min()
     }
 
     /// The graphs the layout tests sweep, with their kernel radius.
@@ -762,11 +762,12 @@ mod tests {
         out
     }
 
-    /// `skip` against `skip_naive` for every `b` and random sets of up to
-    /// `k` bags, and of `k + 1` bags (the scan fallback).
+    /// `skip` against `skip_naive` over `list` for every `b` and random
+    /// sets of up to `k` bags, and of `k + 1` bags (the scan fallback).
     fn assert_answers_like_naive(
         sp: &SkipPointers,
         kernels: &KernelIndex,
+        list: &[Vertex],
         k: usize,
         rng: &mut StdRng,
         what: &str,
@@ -777,7 +778,7 @@ mod tests {
                 for b in 0..n as Vertex {
                     assert_eq!(
                         sp.skip(kernels, b, &bags),
-                        sp.skip_naive(kernels, b, &bags),
+                        skip_naive(kernels, list, b, &bags),
                         "{what}: b={b}, S={bags:?}"
                     );
                 }
@@ -800,10 +801,41 @@ mod tests {
             let kernels = kernels_of(&g, r);
             for k in 1..=3 {
                 for m in [1, 3, 7] {
-                    let sp = SkipPointers::build(g.n(), &kernels, multiples(g.n(), m), k);
+                    let list = multiples(g.n(), m);
+                    let sp = SkipPointers::build(g.n(), &kernels, &list, k);
                     let what = format!("n={}, k={k}, m={m}", g.n());
                     assert!(!sp.truncated(), "{what}");
-                    assert_answers_like_naive(&sp, &kernels, k, &mut rng, &what);
+                    assert_answers_like_naive(&sp, &kernels, &list, k, &mut rng, &what);
+                }
+            }
+        }
+    }
+
+    /// The build reads its list only through `next_incl`, so a shuffled
+    /// list with duplicates answers every hop like its sorted,
+    /// deduplicated form.
+    #[test]
+    fn unsorted_list_with_duplicates_answers_like_sorted() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for (g, r) in families() {
+            let kernels = kernels_of(&g, r);
+            let sorted = multiples(g.n(), 3);
+            let mut shuffled = [sorted.as_slice(), &sorted[..sorted.len() / 2]].concat();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.random_range(0..i + 1));
+            }
+            for k in 1..=2 {
+                let want = SkipPointers::build(g.n(), &kernels, &sorted, k);
+                let got = SkipPointers::build(g.n(), &kernels, &shuffled, k);
+                for bags in random_bagsets(&kernels, g.n(), k, &mut rng) {
+                    for b in 0..g.n() as Vertex {
+                        assert_eq!(
+                            got.skip(&kernels, b, &bags),
+                            want.skip(&kernels, b, &bags),
+                            "n={}, k={k}, b={b}, S={bags:?}",
+                            g.n()
+                        );
+                    }
                 }
             }
         }
@@ -817,7 +849,8 @@ mod tests {
         for (g, r) in families() {
             let kernels = kernels_of(&g, r);
             for m in [1, 3, 7] {
-                let sp = SkipPointers::build(g.n(), &kernels, multiples(g.n(), m), 1);
+                let list = multiples(g.n(), m);
+                let sp = SkipPointers::build(g.n(), &kernels, &list, 1);
                 assert_eq!(sp.single.len(), kernels.total_size());
                 assert_eq!(sp.table_len(), kernels.total_size());
                 assert!(sp.starts.is_empty() && sp.sets.is_empty() && sp.vals.is_empty());
@@ -827,7 +860,7 @@ mod tests {
                         assert!(val == NO_SKIP || val > v, "bag {id}, v={v}: {val}");
                         assert_eq!(
                             target(val),
-                            sp.skip_naive(&kernels, v, &[id]),
+                            skip_naive(&kernels, &list, v, &[id]),
                             "n={}, m={m}, bag {id}, v={v}",
                             g.n()
                         );
@@ -845,9 +878,10 @@ mod tests {
         for (g, r) in families() {
             let kernels = kernels_of(&g, r);
             for (k, m) in [(2, 3), (2, 7), (3, 3), (3, 7)] {
-                let sp = SkipPointers::build(g.n(), &kernels, multiples(g.n(), m), k);
+                let list = multiples(g.n(), m);
+                let sp = SkipPointers::build(g.n(), &kernels, &list, k);
                 assert_eq!(sp.table_len(), kernels.total_size() + sp.sets.len());
-                let in_l: usize = sp.list.iter().map(|&v| row_len(&sp, v as usize)).sum();
+                let in_l: usize = list.iter().map(|&v| row_len(&sp, v as usize)).sum();
                 assert_eq!(in_l, sp.sets.len());
                 for b in (0..g.n()).filter(|&b| sp.next_incl[b] != b as Vertex) {
                     assert_eq!(row_len(&sp, b), 0, "keyed row for {b} ∉ L");
@@ -869,7 +903,7 @@ mod tests {
             let kernels = kernels_of(&g, r);
             for (k, m) in [(2, 1), (2, 3), (3, 1)] {
                 let list = multiples(g.n(), m);
-                let full = SkipPointers::build(g.n(), &kernels, list.clone(), k);
+                let full = SkipPointers::build(g.n(), &kernels, &list, k);
                 assert!(!full.truncated());
                 // Keep the top rows up to the first one of two or more
                 // entries, and one entry of that row.
@@ -880,15 +914,9 @@ mod tests {
                 cuts_mid_row += 1;
                 for cap in [above + 1, 0] {
                     let tracker = BudgetTracker::unlimited();
-                    let sp = SkipPointers::try_build_with_cap(
-                        g.n(),
-                        &kernels,
-                        list.clone(),
-                        k,
-                        cap,
-                        &tracker,
-                    )
-                    .unwrap();
+                    let sp =
+                        SkipPointers::try_build_with_cap(g.n(), &kernels, &list, k, cap, &tracker)
+                            .unwrap();
                     let what = format!("n={}, k={k}, m={m}, cap {cap}", g.n());
                     assert!(sp.truncated(), "{what}");
                     assert_eq!(sp.single, full.single, "{what}");
@@ -897,7 +925,7 @@ mod tests {
                     let slots = kernels.total_size() as u64;
                     // The entry of the cut row that fits is charged too.
                     assert_eq!(tracker.nodes_spent(), slots + cap as u64, "{what}");
-                    assert_answers_like_naive(&sp, &kernels, k, &mut rng, &what);
+                    assert_answers_like_naive(&sp, &kernels, &list, k, &mut rng, &what);
                 }
             }
         }
@@ -907,7 +935,7 @@ mod tests {
     #[test]
     fn empty_list() {
         let g = generators::path(20);
-        let (kernels, sp) = setup(&g, 2, vec![], 2);
+        let (kernels, sp) = setup(&g, 2, &[], 2);
         assert_eq!(sp.skip(&kernels, 0, &[0]), None);
         assert_eq!(sp.skip(&kernels, 0, &[]), None);
     }
@@ -916,7 +944,7 @@ mod tests {
     fn full_list_no_bags_is_identity_successor() {
         let g = generators::cycle(30);
         let list: Vec<Vertex> = (0..30).collect();
-        let (kernels, sp) = setup(&g, 1, list, 2);
+        let (kernels, sp) = setup(&g, 1, &list, 2);
         for b in 0..30 as Vertex {
             assert_eq!(sp.skip(&kernels, b, &[]), Some(b));
         }
@@ -931,7 +959,7 @@ mod tests {
         let cover = Cover::build(&g, 2 * r, 0.5);
         let kernels = KernelIndex::build(&g, &cover, r);
         let list: Vec<Vertex> = (0..g.n() as Vertex).collect();
-        let sp = SkipPointers::build(g.n(), &kernels, list, 2);
+        let sp = SkipPointers::build(g.n(), &kernels, &list, 2);
         let kernel_bags = kernels.bags_of();
         let mut scratch = nd_graph::BfsScratch::new(g.n());
         for a in (0..g.n() as Vertex).step_by(13) {
@@ -998,7 +1026,7 @@ mod tests {
             validate: policy == VerifyPolicy::Full,
         };
         let mut r = Reader::with_slab(file.as_slice(), ctx);
-        let sp = SkipPointers::read_from(&mut r, n, list.to_vec().into(), kernels)?;
+        let sp = SkipPointers::read_from(&mut r, n, list, kernels)?;
         r.finish()?;
         Ok(sp)
     }
@@ -1009,7 +1037,7 @@ mod tests {
         let list: Vec<Vertex> = (0..g.n() as Vertex).filter(|v| v % 4 != 2).collect();
         let mut rng = StdRng::seed_from_u64(5);
         for k in [1, 2] {
-            let (kernels, sp) = setup(&g, 2, list.clone(), k);
+            let (kernels, sp) = setup(&g, 2, &list, k);
             let bytes = encode(&sp);
             for policy in POLICIES {
                 let back = decode(&bytes, policy, g.n(), &list, &kernels).unwrap();
@@ -1047,7 +1075,7 @@ mod tests {
         let g = generators::grid(9, 9);
         let n = g.n();
         let list = multiples(n, 3);
-        let (kernels, sp) = setup(&g, 2, list.clone(), 2);
+        let (kernels, sp) = setup(&g, 2, &list, 2);
         assert!(!sp.sets.is_empty());
         // Edits the singleton values, keyed offsets and keyed values of
         // the table and encodes them at arity `k`.
@@ -1144,7 +1172,7 @@ mod tests {
         // Claim 5.10: |SC(b)| = O(δ^k) per vertex, δ = kernel degree.
         let g = generators::random_tree(400, 8);
         let list: Vec<Vertex> = (0..g.n() as Vertex).collect();
-        let (kernels, sp) = setup(&g, 2, list, 2);
+        let (kernels, sp) = setup(&g, 2, &list, 2);
         let delta = kernels.degree();
         let bound = g.n() * (delta + 1).pow(2);
         assert!(

@@ -261,18 +261,6 @@ fn removal_lemma_front_door_is_panic_free() {
 }
 
 #[test]
-fn dynamic_index_front_door_is_panic_free() {
-    use nd_core::{DynamicFarIndex, DynamicFarQuery};
-    let g = blue_grid(4, 4);
-    let tracker = nd_graph::BudgetTracker::unlimited();
-    assert!(DynamicFarIndex::try_new(16, 4, f64::NAN).is_err());
-    assert!(DynamicFarIndex::try_new(16, 4, 0.5).is_ok());
-    assert!(DynamicFarQuery::try_new(&g, 2, &[10_000], 0.5, &tracker).is_err());
-    assert!(DynamicFarQuery::try_new(&g, 2, &[0, 5], -1.0, &tracker).is_err());
-    assert!(DynamicFarQuery::try_new(&g, 2, &[0, 5], 0.5, &tracker).is_ok());
-}
-
-#[test]
 fn empty_and_degenerate_graphs_never_panic() {
     let empty = generators::path(0);
     let q = parse_query("E(x,y)").unwrap();

@@ -13,7 +13,7 @@
 //! Labels live in one graph-sized array indexed by vertex and stamped with
 //! the bag they belong to, so starting the next bag costs nothing: a label
 //! whose stamp is not the current bag's reads as "outside". When the bag is
-//! a ball `N_R(c)` ([`label_ball`], the cover's case), a member at depth
+//! a ball `N_R(c)` (`label_ball`, the cover's case), a member at depth
 //! `< R` has every neighbor at depth `≤ R`, so the boundary lies in the
 //! depth-`R` layer alone, and the ball BFS tests that layer as its last
 //! step. A bag given as a vertex set ([`kernel_of_bag_with`]) tests every
@@ -463,8 +463,8 @@ impl KernelIndex {
 
     /// The inverted index `v ↦` sorted bags whose kernel contains `v`, by
     /// a counting sort over the kernel rows: `O(n + Σ_X |K_p(X)|)` time,
-    /// two flat arrays. Builders that walk it (the skip closure, the
-    /// dynamic far index) call this once per build.
+    /// two flat arrays. The skip closure, which walks it, calls this once
+    /// per build.
     pub fn bags_of(&self) -> KernelBags {
         let mut starts = vec![0u32; self.n + 1];
         for &v in self.members.iter() {

@@ -15,7 +15,7 @@
 //! while still enforcing one *total* spend cap — the degradation ladder
 //! sees the same aggregate accounting whether the phases ran on one thread
 //! or eight. Charges stay cheap: an uncontended `fetch_add` plus a branch,
-//! with wall-clock only sampled every [`WALL_CHECK_PERIOD`] charges.
+//! with wall-clock only sampled every `WALL_CHECK_PERIOD` (1024) charges.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -195,7 +195,7 @@ impl BudgetTracker {
     }
 
     /// Charge `count` node expansions in `phase`. Fails if the node cap is
-    /// exceeded, or (every [`WALL_CHECK_PERIOD`] charges) if the wall clock
+    /// exceeded, or (every `WALL_CHECK_PERIOD` charges) if the wall clock
     /// ran out.
     #[inline]
     pub fn charge_nodes(&self, phase: Phase, count: u64) -> Result<(), BudgetExceeded> {
@@ -234,18 +234,6 @@ impl BudgetTracker {
             }
         }
         self.tick_wall(phase)
-    }
-
-    /// Release `bytes` of tracked memory (freed scratch space).
-    #[inline]
-    pub fn release_memory(&self, bytes: u64) {
-        // fetch_update loops only under contention; release sites are rare
-        // (phase teardown), so this never spins in practice.
-        let _ = self
-            .mem
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |m| {
-                Some(m.saturating_sub(bytes))
-            });
     }
 
     /// Forced check of every cap, including an unconditional wall-clock
@@ -348,12 +336,11 @@ mod tests {
     }
 
     #[test]
-    fn memory_cap_and_release() {
+    fn memory_cap() {
         let t = Budget::default().with_memory_bytes(100).start();
         t.charge_memory(Phase::TrieBuild, 80).unwrap();
-        t.release_memory(50);
-        t.charge_memory(Phase::TrieBuild, 60).unwrap();
-        assert!(t.charge_memory(Phase::TrieBuild, 50).is_err());
+        t.charge_memory(Phase::TrieBuild, 20).unwrap();
+        assert!(t.charge_memory(Phase::TrieBuild, 1).is_err());
     }
 
     #[test]

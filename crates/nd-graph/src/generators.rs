@@ -180,24 +180,6 @@ pub fn caterpillar(spine: usize, legs: usize) -> ColoredGraph {
     b.build()
 }
 
-/// The exact 1-subdivision of `K_n`: every edge of the clique replaced by a
-/// path of length 2. Subdivided cliques are sparse (`‖G‖ = O(|G|)`) yet have
-/// unbounded average "shallow" density at depth 1 — a classical example
-/// separating degrees of sparseness.
-pub fn subdivided_clique(n: usize) -> ColoredGraph {
-    let edges = n * n.saturating_sub(1) / 2;
-    let mut b = GraphBuilder::new(n + edges);
-    let mut next = n;
-    for u in 0..n {
-        for v in (u + 1)..n {
-            b.add_edge(u as Vertex, next as Vertex);
-            b.add_edge(v as Vertex, next as Vertex);
-            next += 1;
-        }
-    }
-    b.build()
-}
-
 /// A random "near-planar" graph: a grid with `extra` random chords of length
 /// at most `chord_radius` in grid distance (locally perturbed planar graph;
 /// stays in a bounded-expansion-like regime for small parameters).
@@ -410,14 +392,6 @@ mod tests {
         assert_eq!(g.m(), 100);
         let g = gnm(5, 1000, 3);
         assert_eq!(g.m(), 10); // capped at complete graph
-    }
-
-    #[test]
-    fn subdivided_clique_is_sparse() {
-        let g = subdivided_clique(10);
-        assert_eq!(g.n(), 10 + 45);
-        assert_eq!(g.m(), 90);
-        assert_eq!(g.max_degree(), 9);
     }
 
     #[test]

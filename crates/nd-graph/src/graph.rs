@@ -155,12 +155,6 @@ impl ColoredGraph {
         Ok(id)
     }
 
-    /// Total number of (vertex, color) memberships — the size of the unary
-    /// part of the encoding.
-    pub fn color_size(&self) -> usize {
-        self.color_members.iter().map(Vec::len).sum()
-    }
-
     /// Maximum degree.
     pub fn max_degree(&self) -> usize {
         (0..self.n() as Vertex)
@@ -429,6 +423,5 @@ mod tests {
         assert!(!g.has_color(1, blue));
         assert_eq!(g.color_by_name("Blue"), Some(blue));
         assert_eq!(g.color_name(blue), Some("Blue"));
-        assert_eq!(g.color_size(), 2);
     }
 }

@@ -71,11 +71,6 @@ impl JsonObject {
         self
     }
 
-    pub fn field_i64(&mut self, k: &str, v: i64) -> &mut Self {
-        let _ = write!(self.key(k), "{v}");
-        self
-    }
-
     pub fn field_f64(&mut self, k: &str, v: f64) -> &mut Self {
         let n = number(v);
         self.key(k).push_str(&n);
@@ -227,7 +222,7 @@ mod tests {
         assert_eq!(number(f64::INFINITY), "null");
         assert_eq!(number(f64::NEG_INFINITY), "null");
         let mut o = JsonObject::new();
-        o.field_i64("neg", -3).field_f64("tiny", 1e-9);
-        assert_eq!(o.finish(), r#"{"neg":-3,"tiny":0.000000001}"#);
+        o.field_f64("tiny", 1e-9);
+        assert_eq!(o.finish(), r#"{"tiny":0.000000001}"#);
     }
 }

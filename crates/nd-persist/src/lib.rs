@@ -648,17 +648,20 @@ impl<'a> Reader<'a> {
         Ok(Slab::from(T::decode_vec(raw)))
     }
 
-    /// Length-prefixed, possibly mapped `u32` array (see [`Reader::slab_of`]).
+    /// Length-prefixed `u32` array written by [`Writer::u32_slab`]: a
+    /// mapped [`Slab`] view when the reader was built with
+    /// [`Reader::with_slab`] and the data landed 16-byte aligned on a
+    /// little-endian host, an owned decode otherwise.
     pub fn u32_slab(&mut self, context: &'static str) -> Result<Slab<u32>, PersistError> {
         self.slab_of(context)
     }
 
-    /// Length-prefixed, possibly mapped `u64` array (see [`Reader::slab_of`]).
+    /// Length-prefixed, possibly mapped `u64` array (as [`Reader::u32_slab`]).
     pub fn u64_slab(&mut self, context: &'static str) -> Result<Slab<u64>, PersistError> {
         self.slab_of(context)
     }
 
-    /// Length-prefixed, possibly mapped `u128` array (see [`Reader::slab_of`]).
+    /// Length-prefixed, possibly mapped `u128` array (as [`Reader::u32_slab`]).
     pub fn u128_slab(&mut self, context: &'static str) -> Result<Slab<u128>, PersistError> {
         self.slab_of(context)
     }
@@ -923,11 +926,6 @@ pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> 
     Ok(())
 }
 
-/// Read a whole file, mapping filesystem errors into [`PersistError::Io`].
-pub fn read_file(path: &Path) -> Result<Vec<u8>, PersistError> {
-    Ok(std::fs::read(path)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1139,10 +1137,10 @@ mod tests {
         let path = dir.join("sample.bin");
         let bytes = sample_container();
         write_file_atomic(&path, &bytes).unwrap();
-        assert_eq!(read_file(&path).unwrap(), bytes);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         // Overwrite is atomic too.
         write_file_atomic(&path, &bytes[..20]).unwrap();
-        assert_eq!(read_file(&path).unwrap().len(), 20);
+        assert_eq!(std::fs::read(&path).unwrap().len(), 20);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1162,11 +1160,5 @@ mod tests {
             let chained = crc32_update(crc32(&data[..cut]), &data[cut..]);
             assert_eq!(chained, crc32(&data), "split at {cut}");
         }
-    }
-
-    #[test]
-    fn missing_file_is_io() {
-        let err = read_file(Path::new("/nonexistent/nd-persist/i.bin")).unwrap_err();
-        assert!(matches!(err, PersistError::Io(_)));
     }
 }

@@ -142,7 +142,7 @@ impl MmapFile {
     /// Non-unix hosts have no mapping: read the file into a heap copy.
     #[cfg(not(unix))]
     pub fn map(path: &Path) -> Result<MmapFile, PersistError> {
-        Ok(MmapFile::from_bytes(&crate::read_file(path)?))
+        Ok(MmapFile::from_bytes(&std::fs::read(path)?))
     }
 
     /// Copy `bytes` into a 16-byte-aligned heap buffer. Slabs borrow from

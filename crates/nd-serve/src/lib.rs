@@ -11,7 +11,7 @@
 //! * [`ServerPool`] — a work-stealing pool of std threads executing
 //!   batched [`Request`]s ([`Request::Test`] / [`Request::NextSolution`] /
 //!   [`Request::EnumeratePage`]) with per-request deadlines.
-//! * [`Admission`](admission::Admission) — the PR-1 [`nd_graph::Budget`]
+//! * [`Admission`] — the PR-1 [`nd_graph::Budget`]
 //!   governor reinterpreted as admission control: bounded queues and typed
 //!   [`ServeError::Overloaded`] backpressure instead of unbounded queueing.
 //! * [`Metrics`] — lock-free counters and log2 latency histograms per

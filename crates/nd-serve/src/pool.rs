@@ -5,7 +5,7 @@
 //!
 //! * **Batches, not requests, are the unit of dispatch.** A probe is
 //!   sub-microsecond; channel + queue overhead is not. Clients submit a
-//!   `Vec<Request>` which travels the queue as one [`Job`] and is executed
+//!   `Vec<Request>` which travels the queue as one `Job` and is executed
 //!   by one worker, so dispatch overhead amortizes across the batch.
 //! * **Work stealing.** Each worker owns a deque; submits are spread
 //!   round-robin. A worker pops its own deque from the front (FIFO — the

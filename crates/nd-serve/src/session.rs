@@ -1,7 +1,7 @@
 //! A serving session: one pool plus a prepared-query cache, with a
 //! `prepare` command on top of the base line protocol.
 //!
-//! [`handle_command`](crate::protocol::handle_command) serves probes
+//! [`handle_command`] serves probes
 //! against one fixed snapshot. A [`Session`] wraps that with query
 //! *switching*: `prepare <query>` re-points the session at a (possibly
 //! cached) snapshot of the same graph, restarting the worker pool over

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors raised when constructing trie parameters or validating keys.
+/// Errors raised when constructing trie parameters.
 #[derive(Clone, Debug, PartialEq)]
 pub enum StoreError {
     /// Key arity `k` must be at least 1.
@@ -11,10 +11,6 @@ pub enum StoreError {
     BadEpsilon(f64),
     /// Keys in `[n]^k` must pack into 128 bits (`k · ⌈log₂ n⌉ ≤ 120`).
     KeyTooWide { n: u64, k: usize },
-    /// A key component is outside `[0, n)`.
-    KeyComponentOutOfRange { component: u64, n: u64 },
-    /// A key has the wrong number of components.
-    WrongArity { expected: usize, got: usize },
 }
 
 impl fmt::Display for StoreError {
@@ -28,12 +24,6 @@ impl fmt::Display for StoreError {
                 f,
                 "keys in [{n}]^{k} do not pack into 128 bits (k·log2(n) too large)"
             ),
-            StoreError::KeyComponentOutOfRange { component, n } => {
-                write!(f, "key component {component} out of range [0,{n})")
-            }
-            StoreError::WrongArity { expected, got } => {
-                write!(f, "key has {got} components, expected {expected}")
-            }
         }
     }
 }

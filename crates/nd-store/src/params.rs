@@ -51,24 +51,6 @@ impl StoreParams {
         Ok(StoreParams { n, k, d, h })
     }
 
-    /// Check that `key` has arity `k` with every component in `[0, n)` —
-    /// the precondition of the (debug-asserting) hot-path methods.
-    pub fn validate_key(&self, key: &[u64]) -> Result<(), crate::StoreError> {
-        if key.len() != self.k {
-            return Err(crate::StoreError::WrongArity {
-                expected: self.k,
-                got: key.len(),
-            });
-        }
-        if let Some(&component) = key.iter().find(|&&a| a >= self.n.max(1)) {
-            return Err(crate::StoreError::KeyComponentOutOfRange {
-                component,
-                n: self.n,
-            });
-        }
-        Ok(())
-    }
-
     /// Parameters with an explicit degree (used by tests reproducing the
     /// paper's Figure 1 example exactly).
     pub fn with_degree(n: u64, k: usize, d: u32) -> Self {

@@ -60,7 +60,6 @@ impl CliError {
         match self {
             CliError::Usage(_) => 2,
             CliError::Nd(NdError::Graph(_)) => 10,
-            CliError::Nd(NdError::Store(_)) => 11,
             CliError::Nd(NdError::Budget(_)) => 12,
             CliError::Nd(NdError::Prepare(_)) => 13,
             CliError::Nd(NdError::Query(_)) => 14,
@@ -191,9 +190,10 @@ GRAPH SPECS:
   path:N | cycle:N | star:N | clique:N
 
 EXIT CODES:
-  0 ok          2 usage        10 graph     11 store     12 budget/overload
+  0 ok          2 usage        10 graph     12 budget/overload
   13 prepare    14 query       15 read      16 serve     17 I/O
   18 conformance disagreement
+  (11, once the store error, is retired and never reused)
 ";
 
 // ---------------------------------------------------------------------------
