@@ -968,7 +968,7 @@ fn write_phase(w: &mut Writer, p: Phase) {
         Phase::CoverConstruction => 3,
         Phase::KernelConstruction => 4,
         Phase::SkipClosure => 5,
-        Phase::TrieBuild => 6,
+        Phase::CoverDirectory => 6,
         Phase::NaiveMaterialize => 7,
         Phase::Admission => 8,
         Phase::Counting => 9,
@@ -983,7 +983,7 @@ fn read_phase(r: &mut Reader<'_>) -> Result<Phase, PersistError> {
         3 => Phase::CoverConstruction,
         4 => Phase::KernelConstruction,
         5 => Phase::SkipClosure,
-        6 => Phase::TrieBuild,
+        6 => Phase::CoverDirectory,
         7 => Phase::NaiveMaterialize,
         8 => Phase::Admission,
         9 => Phase::Counting,

@@ -52,7 +52,7 @@ pub type BagId = u32;
 pub struct CoverTimings {
     /// The greedy bag construction, boundary BFS included.
     pub greedy_ms: u64,
-    /// The membership directory (`TrieBuild`).
+    /// The membership directory (`Phase::CoverDirectory`).
     pub store_ms: u64,
     /// Emitting the `K_p` rows and their charges, in
     /// [`Cover::try_build_with_kernels`] only (0 otherwise).
@@ -261,12 +261,10 @@ impl Cover {
         let t_store = Instant::now();
         // Bags are enumerated in id order with sorted member lists, so the
         // rows already are the sorted (bag, vertex) key arena; only the
-        // directory over it is built, in one counting pass. nd-store has
-        // no budget hooks of its own (it sits below nd-graph in the DAG),
-        // so the pass is charged here.
-        tracker.charge_nodes(Phase::TrieBuild, members.len() as u64)?;
+        // directory over it is built, in one counting pass.
+        tracker.charge_nodes(Phase::CoverDirectory, members.len() as u64)?;
         let (shift, dir) = row_dir(n, &starts, &members);
-        tracker.charge_memory(Phase::TrieBuild, 4 * dir.len() as u64)?;
+        tracker.charge_memory(Phase::CoverDirectory, 4 * dir.len() as u64)?;
         tracker.checkpoint(Phase::CoverConstruction)?;
         let store_ms = t_store.elapsed().as_millis() as u64;
 

@@ -51,9 +51,9 @@ fn naive_greedy(
         starts.push(row_end(&members));
         centers.push(c);
     }
-    tracker.charge_nodes(Phase::TrieBuild, members.len() as u64)?;
+    tracker.charge_nodes(Phase::CoverDirectory, members.len() as u64)?;
     let (shift, dir) = row_dir(n, &starts, &members);
-    tracker.charge_memory(Phase::TrieBuild, 4 * dir.len() as u64)?;
+    tracker.charge_memory(Phase::CoverDirectory, 4 * dir.len() as u64)?;
     tracker.checkpoint(Phase::CoverConstruction)?;
     let kernels = match kernel_radius {
         Some(p) => {

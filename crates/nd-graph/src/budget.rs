@@ -40,8 +40,8 @@ pub enum Phase {
     KernelConstruction,
     /// Closure of the skip-pointer function `SC(b)` (Lemma 5.8).
     SkipClosure,
-    /// Storing-Theorem trie inserts.
-    TrieBuild,
+    /// The cover's radix membership directory.
+    CoverDirectory,
     /// Naive `O(n^k)` materialization fallback.
     NaiveMaterialize,
     /// Serving-runtime admission control (`nd-serve`): the budget is
@@ -62,7 +62,7 @@ impl fmt::Display for Phase {
             Phase::CoverConstruction => "cover construction",
             Phase::KernelConstruction => "kernel construction",
             Phase::SkipClosure => "skip-pointer closure",
-            Phase::TrieBuild => "trie build",
+            Phase::CoverDirectory => "cover directory",
             Phase::NaiveMaterialize => "naive materialization",
             Phase::Admission => "admission control",
             Phase::Counting => "enumeration-based counting",
@@ -319,7 +319,7 @@ mod tests {
         for _ in 0..10_000 {
             t.charge_nodes(Phase::CoverConstruction, 1_000_000).unwrap();
         }
-        t.checkpoint(Phase::TrieBuild).unwrap();
+        t.checkpoint(Phase::CoverDirectory).unwrap();
         assert!(t.nodes_spent() >= 10_000 * 1_000_000);
     }
 
@@ -338,9 +338,9 @@ mod tests {
     #[test]
     fn memory_cap() {
         let t = Budget::default().with_memory_bytes(100).start();
-        t.charge_memory(Phase::TrieBuild, 80).unwrap();
-        t.charge_memory(Phase::TrieBuild, 20).unwrap();
-        assert!(t.charge_memory(Phase::TrieBuild, 1).is_err());
+        t.charge_memory(Phase::CoverDirectory, 80).unwrap();
+        t.charge_memory(Phase::CoverDirectory, 20).unwrap();
+        assert!(t.charge_memory(Phase::CoverDirectory, 1).is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`Snapshot`] — one graph + one prepared query behind an [`Arc`],
 //!   immutable and `Send + Sync` (statically asserted below), shared by
 //!   every worker and client thread with zero synchronization.
-//! * [`ServerPool`] — a work-stealing pool of std threads executing
+//! * [`ServerPool`] — std threads fed from one FIFO queue, executing
 //!   batched [`Request`]s ([`Request::Test`] / [`Request::NextSolution`] /
 //!   [`Request::EnumeratePage`]) with per-request deadlines.
 //! * [`Admission`] — the PR-1 [`nd_graph::Budget`]

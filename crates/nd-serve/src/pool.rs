@@ -1,5 +1,5 @@
-//! The serving pool: work-stealing std-thread workers over one shared
-//! [`Snapshot`].
+//! The serving pool: std-thread workers over one shared [`Snapshot`],
+//! fed from one FIFO job queue.
 //!
 //! Architecture (DESIGN.md §5):
 //!
@@ -7,10 +7,10 @@
 //!   sub-microsecond; channel + queue overhead is not. Clients submit a
 //!   `Vec<Request>` which travels the queue as one `Job` and is executed
 //!   by one worker, so dispatch overhead amortizes across the batch.
-//! * **Work stealing.** Each worker owns a deque; submits are spread
-//!   round-robin. A worker pops its own deque from the front (FIFO — the
-//!   oldest batch has the tightest deadline) and steals from the *back* of
-//!   a victim's deque when idle, so skewed submit bursts rebalance.
+//! * **One FIFO queue.** Workers pop the oldest job first (the oldest
+//!   batch has the tightest deadline) and otherwise wait, untimed, on a
+//!   condvar over the queue's mutex. That mutex also guards the shutdown
+//!   flag, so no submit or stop signal slips past a worker's wait.
 //! * **Admission before enqueue.** The [`Admission`] governor (the PR-1
 //!   `Budget`, reinterpreted) is charged synchronously at submit; an
 //!   over-cap submit returns `ServeError::Overloaded` immediately and
@@ -29,14 +29,10 @@ use nd_graph::json::JsonObject;
 use nd_graph::Budget;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How long an idle worker sleeps between queue re-checks. The condvar is
-/// notified on every submit, so this is only a lost-wakeup backstop.
-const IDLE_PARK: Duration = Duration::from_millis(2);
 
 /// Polling period of [`ServerPool::drain_with_deadline`]. The drain is a
 /// shutdown-path operation, so a short sleep loop beats threading another
@@ -113,15 +109,21 @@ struct Job {
     permit: AdmissionPermit,
 }
 
+/// The state guarded by [`PoolShared::queue`].
+struct Queue {
+    /// Admitted jobs, oldest first.
+    jobs: VecDeque<Job>,
+    /// Once set, submits are refused and workers exit on an empty queue.
+    shutdown: bool,
+}
+
 struct PoolShared {
     snapshot: Snapshot,
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    idle: Mutex<()>,
+    queue: Mutex<Queue>,
+    /// Signalled on every enqueue and at shutdown; waits on `queue`.
     wake: Condvar,
     admission: Admission,
     metrics: Metrics,
-    shutdown: AtomicBool,
-    rr: AtomicUsize,
     /// Worker panics caught and converted to [`ServeError::WorkerPanic`]
     /// (or swallowed by the loop-level backstop). Relaxed: a counter, not
     /// a synchronization point.
@@ -132,19 +134,29 @@ struct PoolShared {
 }
 
 impl PoolShared {
-    /// Own queue front-first, then steal from victims back-first.
-    fn find_job(&self, me: usize) -> Option<Job> {
-        if let Some(job) = self.queues[me].lock().ok()?.pop_front() {
-            return Some(job);
-        }
-        let n = self.queues.len();
-        for off in 1..n {
-            let victim = (me + off) % n;
-            if let Some(job) = self.queues[victim].lock().ok()?.pop_back() {
+    /// Lock the queue. Every critical section changes it by at most one
+    /// push, pop, drain or flag store, each of which leaves it valid, so a
+    /// poisoned lock still holds a usable queue and the pool keeps serving.
+    fn lock_queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Block until a job is queued and pop the oldest, or return `None`
+    /// once shutdown is set and the queue is empty.
+    fn next_job(&self) -> Option<Job> {
+        let mut queue = self.lock_queue();
+        loop {
+            if let Some(job) = queue.jobs.pop_front() {
                 return Some(job);
             }
+            if queue.shutdown {
+                return None;
+            }
+            queue = self
+                .wake
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        None
     }
 
     fn execute(&self, job: Job) {
@@ -219,28 +231,14 @@ impl PoolShared {
         }
     }
 
-    fn worker_loop(&self, me: usize) {
-        loop {
-            match self.find_job(me) {
-                Some(job) => {
-                    // Backstop for panics escaping the per-request guard
-                    // (metrics, channel plumbing): the job's sender drops
-                    // — its client sees `Shutdown` — but the worker
-                    // thread survives and keeps draining the queues.
-                    if std::panic::catch_unwind(AssertUnwindSafe(|| self.execute(job))).is_err() {
-                        self.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                None => {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if let Ok(guard) = self.idle.lock() {
-                        // Timeout bounds the lost-wakeup window; spurious
-                        // wakeups just re-poll the queues.
-                        let _ = self.wake.wait_timeout(guard, IDLE_PARK);
-                    }
-                }
+    fn worker_loop(&self) {
+        while let Some(job) = self.next_job() {
+            // Backstop for panics escaping the per-request guard (metrics,
+            // channel plumbing): the job's sender drops — its client sees
+            // `Shutdown` — but the worker thread survives and keeps
+            // draining the queue.
+            if std::panic::catch_unwind(AssertUnwindSafe(|| self.execute(job))).is_err() {
+                self.worker_panics.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -272,7 +270,7 @@ impl BatchHandle {
 }
 
 /// A running serving pool. Dropping (or [`ServerPool::shutdown`]) stops
-/// the workers after they drain the queues.
+/// the workers after they drain the queue.
 pub struct ServerPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
@@ -281,20 +279,16 @@ pub struct ServerPool {
 impl ServerPool {
     /// Spin up the worker threads over a shared snapshot.
     pub fn start(snapshot: Snapshot, opts: &ServeOpts) -> ServerPool {
-        let workers = if opts.workers > 0 {
-            opts.workers
-        } else {
-            std::thread::available_parallelism().map_or(4, |p| p.get())
-        };
+        let workers = nd_graph::resolve_threads(opts.workers);
         let shared = Arc::new(PoolShared {
             snapshot,
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            idle: Mutex::new(()),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
             wake: Condvar::new(),
             admission: Admission::new(opts.admission),
             metrics: Metrics::new(),
-            shutdown: AtomicBool::new(false),
-            rr: AtomicUsize::new(0),
             worker_panics: AtomicU64::new(0),
             chaos_period: opts.chaos_panic_period,
             chaos_ticks: AtomicU64::new(0),
@@ -304,7 +298,7 @@ impl ServerPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("nd-serve-{i}"))
-                    .spawn(move || shared.worker_loop(i))
+                    .spawn(move || shared.worker_loop())
                     .expect("spawn worker thread")
             })
             .collect();
@@ -329,10 +323,13 @@ impl ServerPool {
         batch: Vec<Request>,
         deadline: Option<Duration>,
     ) -> Result<BatchHandle, ServeError> {
-        if self.shared.shutdown.load(Ordering::Acquire) {
+        let bytes: u64 = batch.iter().map(Request::cost_bytes).sum();
+        // Held from the shutdown check through the push, so no worker can
+        // exit between them and strand the job.
+        let mut queue = self.shared.lock_queue();
+        if queue.shutdown {
             return Err(ServeError::Shutdown);
         }
-        let bytes: u64 = batch.iter().map(Request::cost_bytes).sum();
         let permit = match self.shared.admission.try_admit(batch.len() as u64, bytes) {
             Ok(p) => p,
             Err(e) => {
@@ -348,18 +345,14 @@ impl ServerPool {
         let now = Instant::now();
         let (tx, rx) = mpsc::channel();
         let len = batch.len();
-        let job = Job {
+        queue.jobs.push_back(Job {
             batch,
             submitted: now,
             deadline: deadline.map(|d| now + d),
             tx,
             permit,
-        };
-        let q = self.shared.rr.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
-        self.shared.queues[q]
-            .lock()
-            .map_err(|_| ServeError::Shutdown)?
-            .push_back(job);
+        });
+        drop(queue);
         self.shared.wake.notify_one();
         Ok(BatchHandle { rx, len })
     }
@@ -422,7 +415,7 @@ impl ServerPool {
         self.shared.worker_panics.load(Ordering::Relaxed)
     }
 
-    /// Stop accepting work, drain the queues, and join the workers.
+    /// Stop accepting work, drain the queue, and join the workers.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -432,38 +425,30 @@ impl ServerPool {
     /// the already-admitted queue and then exit; dropping the pool joins
     /// them.
     pub fn begin_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.lock_queue().shutdown = true;
         self.shared.wake.notify_all();
     }
 
-    /// Wait up to `deadline` for the queues to empty, then typed-reject
+    /// Wait up to `deadline` for the queue to empty, then typed-reject
     /// every job still queued with [`ServeError::Shutdown`] per request.
-    /// Returns whether the queues drained fully within the deadline.
+    /// Returns whether the queue drained fully within the deadline.
     /// Jobs a worker already picked up run to completion either way —
     /// admitted work is answered or typed-rejected, never lost.
     pub fn drain_with_deadline(&self, deadline: Duration) -> bool {
         let t0 = Instant::now();
         loop {
-            let queued: usize = self
-                .shared
-                .queues
-                .iter()
-                .map(|q| q.lock().map_or(0, |g| g.len()))
-                .sum();
-            if queued == 0 {
+            let mut queue = self.shared.lock_queue();
+            if queue.jobs.is_empty() {
                 return true;
             }
             if t0.elapsed() >= deadline {
-                for q in &self.shared.queues {
-                    if let Ok(mut guard) = q.lock() {
-                        for job in guard.drain(..) {
-                            let n = job.batch.len();
-                            let _ = job.tx.send(vec![Err(ServeError::Shutdown); n]);
-                        }
-                    }
+                for job in queue.jobs.drain(..) {
+                    let n = job.batch.len();
+                    let _ = job.tx.send(vec![Err(ServeError::Shutdown); n]);
                 }
                 return false;
             }
+            drop(queue);
             std::thread::sleep(DRAIN_POLL);
         }
     }
@@ -474,15 +459,12 @@ impl ServerPool {
     pub fn shutdown_with_deadline(mut self, deadline: Duration) -> bool {
         self.begin_shutdown();
         let drained = self.drain_with_deadline(deadline);
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        self.stop_and_join();
         drained
     }
 
     fn stop_and_join(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.wake.notify_all();
+        self.begin_shutdown();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -620,6 +602,22 @@ mod tests {
         );
         let shared = Arc::clone(&pool.shared);
         pool.shutdown();
-        assert!(shared.shutdown.load(Ordering::Acquire));
+        assert!(shared.lock_queue().shutdown);
+    }
+
+    /// Workers that park on the untimed wait must still see the stop
+    /// signal: a missed one would hang this test.
+    #[test]
+    fn idle_workers_wake_for_shutdown() {
+        let snap = small_snapshot();
+        let opts = ServeOpts {
+            workers: 4,
+            ..Default::default()
+        };
+        for _ in 0..50 {
+            let pool = ServerPool::start(snap.clone(), &opts);
+            std::thread::sleep(Duration::from_millis(20));
+            pool.shutdown();
+        }
     }
 }

@@ -800,7 +800,8 @@ fn serve_stdin(session: &Mutex<Session>) -> Result<(), CliError> {
     let mut out = std::io::stdout().lock();
     for line in stdin.lock().lines() {
         let line = line.map_err(|e| CliError::Io(format!("stdin: {e}")))?;
-        match session.lock().unwrap().handle(&line) {
+        let reply = session.lock().unwrap().handle(&line);
+        match reply {
             None => {}
             Some(Reply::Quit) => break,
             Some(Reply::Line(reply)) => {
@@ -846,7 +847,10 @@ fn serve_tcp(session: Arc<Mutex<Session>>, addr: &str) -> Result<(), CliError> {
             let mut writer = std::io::BufWriter::new(stream);
             for line in reader.lines() {
                 let Ok(line) = line else { break };
-                match session.lock().unwrap().handle(&line) {
+                // Release the session lock before writing, so a client that
+                // stops reading cannot stall every other connection.
+                let reply = session.lock().unwrap().handle(&line);
+                match reply {
                     None => continue,
                     Some(Reply::Quit) => break,
                     Some(Reply::Line(reply)) => {

@@ -19,7 +19,7 @@
 //!   the main `PreparedQuery` machinery (Thm 2.3, Cor 2.4, Cor 2.5).
 //! * [`baseline`] — naive baselines used in the experiment harness.
 //! * [`serve`] — the concurrent query-serving runtime: shared snapshots,
-//!   a work-stealing pool, admission control and metrics.
+//!   a worker pool fed from one FIFO queue, admission control and metrics.
 //! * [`conform`] — the conformance harness: differential testing of every
 //!   engine configuration against the naive semantics, metamorphic
 //!   invariants, and a deterministic serve-protocol fuzzer (`ndq conform`).
