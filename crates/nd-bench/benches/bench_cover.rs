@@ -1,5 +1,6 @@
-//! E2 — neighborhood covers (Thm 4.4): pseudo-linear construction, constant
-//! -time bag successor queries.
+//! E2 — neighborhood covers (Thm 4.4): pseudo-linear construction, and
+//! bag successor queries, each one binary search in the sorted bag row
+//! (`cover/successor_in_bag`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nd_bench::{GraphFamily, SPARSE_FAMILIES};

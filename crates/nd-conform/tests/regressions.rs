@@ -53,21 +53,19 @@ const CORPUS: &[(&str, u64)] = &[
     // kernel/skip machinery with non-trivial cover bags.
     ("far-bounded-degree", 0x36b50032ffaa6cab),
     // Two simultaneous far constraints (dist > 3 from both v0 and v1)
-    // at arity 3 on cycle(24): the deepest `successor_in_bag` walks in
-    // the stream — packed `(bag, vertex)` keys cross buckets of the
-    // cover's radix directory mid-enumeration, so the directory's
-    // global-offset successor handoff, clamped to one bag row, is on the
-    // hot path.
-    ("cover-dir-far-pair-cycle", 0x4a3be154dedf21f1),
+    // at arity 3 on cycle(24): the deepest bag-row walks in the stream,
+    // with enumeration crossing from one bag row to the next
+    // mid-stream.
+    ("cover-row-far-pair-cycle", 0x4a3be154dedf21f1),
     // bounded_degree(28,3) at the corpus size cap with a
     // common-neighbor witness plus adjacency: the largest bags the
-    // stream generates, i.e. the most populated cover directory under
-    // conformance.
-    ("cover-dir-dense-bounded-degree", 0x7bfb6a64df5afff4),
+    // stream generates, i.e. the longest sorted bag rows a row search
+    // runs over under conformance.
+    ("cover-row-dense-bounded-degree", 0x7bfb6a64df5afff4),
     // dist > 4 on a diameter-4 caterpillar: the far set is empty, so
-    // successor probes find nothing past them and the cover's directory
-    // must answer across runs of empty buckets.
-    ("cover-dir-empty-range", 0xa1494dce3d231787),
+    // successor probes search past the end of every bag row and must
+    // find nothing.
+    ("cover-row-empty-range", 0xa1494dce3d231787),
     // star(24) with a two-branch union mixing guarded existentials and
     // negated unaries: the widest unary-list sections the corpus
     // serializes, i.e. the most per-position slabs the zero-copy loader

@@ -590,20 +590,16 @@ fn test_node(node: &Node, r: u32, a: Vertex, b: Vertex) -> bool {
         Node::NaiveDense(grid) => grid.contains(a, b),
         Node::Bfs(g) => BfsScratch::new(g.n()).distance_capped(g, a, b, r).is_some(),
         Node::Split(split) => {
-            // Localize to the canonical bag of a: N_r(a) ⊆ X(a).
-            let id = split.cover.bag_of(a);
-            if !split.cover.contains(id, b) {
-                return false;
-            }
-            let bag = &split.bags[id as usize];
+            // Localize to the canonical bag of a: N_r(a) ⊆ X(a), so an
+            // endpoint outside the bag is farther than r. `s` is a member,
+            // and `sub` holds every other member, so `sub.to_local`
+            // answers `None` exactly for the non-members: each case below
+            // answers false for them without a separate membership test.
+            // Nothing checks at load that `a` is in its assigned bag, so a
+            // forged payload behind intact CRCs can leave `a` outside
+            // `sub` too — answered false the same way, never a panic.
+            let bag = &split.bags[split.cover.bag_of(a) as usize];
             let s = bag.s;
-            // On an oracle built in-process the bag always contains both
-            // endpoints here. On a decoded oracle `contains` only ever
-            // confirms a member of the bag's row (which the decode checked
-            // against `sub`), but nothing checks at load that `a` is in
-            // its assigned bag, so a forged payload behind intact CRCs can
-            // leave an endpoint outside `sub` — answer false rather than
-            // panic in that case.
             match (a == s, b == s) {
                 (true, true) => true,
                 (true, false) => match bag.sub.to_local(b) {

@@ -171,9 +171,6 @@ pub struct PrepareStats {
     /// … reading each bag's `r`-kernel row (Lemma 5.7) off that same
     /// BFS's labels, with the row's budget charges, …
     pub kernel_ms: u64,
-    /// … the cover's membership directory (one counting pass over the
-    /// bag rows), …
-    pub store_ms: u64,
     /// … and the skip-pointer closure (Lemma 5.8).
     pub skip_ms: u64,
     /// Update epoch (0 = the original prepare; see [`UpdateLineage`]).
@@ -234,7 +231,6 @@ impl PrepareStats {
         o.field_u64("threads", self.threads as u64)
             .field_u64("cover_ms", self.cover_ms)
             .field_u64("kernel_ms", self.kernel_ms)
-            .field_u64("store_ms", self.store_ms)
             .field_u64("skip_ms", self.skip_ms)
             .field_u64("epoch", self.epoch)
             .field_u64("log_digest", self.log_digest)
@@ -257,7 +253,6 @@ impl PrepareStats {
             threads: 0,
             cover_ms: 0,
             kernel_ms: 0,
-            store_ms: 0,
             skip_ms: 0,
             epoch: 0,
             log_digest: 0,
@@ -545,7 +540,6 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
                     }
                     s.cover_ms += b.timings.cover_ms;
                     s.kernel_ms += b.timings.kernel_ms;
-                    s.store_ms += b.timings.store_ms;
                     s.skip_ms += b.timings.skip_ms;
                 }
             }
@@ -789,7 +783,6 @@ pub(super) struct BranchEngine {
 struct PhaseTimings {
     cover_ms: u64,
     kernel_ms: u64,
-    store_ms: u64,
     skip_ms: u64,
 }
 
@@ -893,7 +886,6 @@ impl BranchEngine {
         if let Some(cover) = &engine.cover {
             let ct = cover.build_timings();
             engine.timings.cover_ms = ct.greedy_ms;
-            engine.timings.store_ms = ct.store_ms;
             engine.timings.kernel_ms = ct.kernel_ms;
         }
         if let Some(kernels) = kernels {
@@ -968,7 +960,8 @@ fn write_phase(w: &mut Writer, p: Phase) {
         Phase::CoverConstruction => 3,
         Phase::KernelConstruction => 4,
         Phase::SkipClosure => 5,
-        Phase::CoverDirectory => 6,
+        // Tag 6 stays unused: it named the retired cover-directory phase,
+        // and loads refuse it.
         Phase::NaiveMaterialize => 7,
         Phase::Admission => 8,
         Phase::Counting => 9,
@@ -983,7 +976,6 @@ fn read_phase(r: &mut Reader<'_>) -> Result<Phase, PersistError> {
         3 => Phase::CoverConstruction,
         4 => Phase::KernelConstruction,
         5 => Phase::SkipClosure,
-        6 => Phase::CoverDirectory,
         7 => Phase::NaiveMaterialize,
         8 => Phase::Admission,
         9 => Phase::Counting,
@@ -1309,12 +1301,11 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
         });
         write_degradation_opt(&mut w, &self.degradation_reason);
         w.u64(self.budget_nodes_spent);
-        // No wall-clock field is persisted: the saved bytes must be a pure
-        // function of the index's logical state, so two applies of the
-        // same log re-save bit-identically regardless of how many
-        // milliseconds each step happened to take. A loaded index reports
-        // 0 for every timing.
-        w.u64(self.threads_used as u64);
+        // No wall-clock field and no thread count is persisted: the saved
+        // bytes must be a pure function of the index's logical state, so
+        // two applies of the same log re-save bit-identically regardless
+        // of how many milliseconds each step took or how many workers ran
+        // it. A loaded index reports 0 for every timing and for `threads`.
         // Snapshot lineage: which update epoch this index is at and the
         // chained digest of the mutation logs that produced it.
         w.u64(self.lineage.epoch);
@@ -1489,7 +1480,6 @@ impl SharedPreparedQuery {
         };
         let degradation_reason = read_degradation_opt(&mut r)?;
         let budget_nodes_spent = r.u64("budget nodes spent")?;
-        let threads_used = r.u64("threads used")? as usize;
         let lineage = UpdateLineage {
             epoch: r.u64("update epoch")?,
             log_digest: r.u64("lineage log digest")?,
@@ -1540,7 +1530,7 @@ impl SharedPreparedQuery {
                 degradation_reason,
                 budget_nodes_spent,
                 budget_ms_spent: 0,
-                threads_used,
+                threads_used: 0,
                 lineage,
             },
             query,
@@ -1866,49 +1856,37 @@ mod tests {
                         seq_sols, par_sols,
                         "solutions diverged for {src} on {name} threads={threads}"
                     );
-                    // Graph, query and engine sections are byte-identical.
-                    // META differs in one word only: the thread count the
-                    // index was built with, which it records (followed by
-                    // the two lineage words).
                     let par_bytes = par.save_index_bytes(&q, src).unwrap();
-                    for tag in [SEC_GRAPH, SEC_QUERY, SEC_ENGINE] {
-                        assert!(
-                            section(&seq_bytes, tag) == section(&par_bytes, tag),
-                            "{src} on {name} threads={threads}: {} section differs",
-                            String::from_utf8_lossy(&tag)
-                        );
-                    }
-                    let (ms, mp) = (section(&seq_bytes, SEC_META), section(&par_bytes, SEC_META));
-                    assert_eq!(ms.len(), mp.len());
-                    let t = ms.len() - 24;
-                    assert_eq!(ms[..t], mp[..t], "{src} on {name} threads={threads}");
-                    assert_eq!(ms[t + 8..], mp[t + 8..], "{src} on {name}");
-                    assert_eq!(mp[t..t + 8], (threads as u64).to_le_bytes());
+                    assert!(
+                        seq_bytes == par_bytes,
+                        "{src} on {name} threads={threads}: saved bytes differ"
+                    );
                 }
             }
         }
     }
 
-    /// `s` with the six wall-clock fields zeroed: exactly the fields an
-    /// index file does not persist.
-    fn without_wall_clock(s: PrepareStats) -> PrepareStats {
+    /// `s` with the five wall-clock fields and the thread count zeroed:
+    /// exactly the fields an index file does not persist.
+    fn as_persisted(s: PrepareStats) -> PrepareStats {
         PrepareStats {
             budget_ms_spent: 0,
+            threads: 0,
             cover_ms: 0,
             kernel_ms: 0,
-            store_ms: 0,
             skip_ms: 0,
             update_ms: 0,
             ..s
         }
     }
 
-    /// A loaded index reports 0 for every wall-clock field.
-    fn assert_wall_clock_free(s: &PrepareStats) {
+    /// A loaded index reports 0 for every wall-clock field and for the
+    /// thread count.
+    fn assert_persisted_only(s: &PrepareStats) {
         assert_eq!(
             *s,
-            without_wall_clock(s.clone()),
-            "loaded index kept a timing"
+            as_persisted(s.clone()),
+            "loaded index kept a timing or a thread count"
         );
     }
 
@@ -1933,10 +1911,10 @@ mod tests {
                 .unwrap_or_else(|e| panic!("load failed for {src}: {e}"));
             assert_eq!(loaded.query_src, *src);
             assert_eq!(loaded.query, q);
-            assert_wall_clock_free(&loaded.prepared.stats());
+            assert_persisted_only(&loaded.prepared.stats());
             assert_eq!(
-                without_wall_clock(loaded.prepared.stats()),
-                without_wall_clock(pq.stats()),
+                as_persisted(loaded.prepared.stats()),
+                as_persisted(pq.stats()),
                 "{src}"
             );
 
@@ -2075,8 +2053,11 @@ mod tests {
             loaded.stats.bytes_total
         );
 
-        // The saved cover stores each bag member once (its `u32` row
-        // entry) plus at most about one `u32` directory word.
+        // The saved cover is its radius and four `u32` slabs: the
+        // assignment (n), the centers (bags), the row offsets (bags + 1)
+        // and each bag member once. Past those words it holds only the
+        // slab headers, each an 8-byte length and at most 15 bytes of
+        // alignment padding.
         let EngineImpl::Indexed(branches) = &loaded.prepared.engine else {
             panic!("the far query prepares indexed");
         };
@@ -2087,7 +2068,7 @@ mod tests {
         let mut w = Writer::new();
         cover.write_into(&mut w);
         let (n, bags, members) = (cover.n(), cover.num_bags(), cover.total_bag_size());
-        let bound = 4 * (n + 2 * bags + 2) + 8 * members;
+        let bound = 4 + 4 * (8 + 15) + 4 * (n + 2 * bags + 1 + members);
         assert!(
             w.len() <= bound,
             "cover section {} bytes > {bound} (n={n}, bags={bags}, members={members})",
@@ -2179,8 +2160,10 @@ mod tests {
 
     /// Older containers (v2, unpadded v3.0, padded v3.1, v4 with its
     /// overlay/patch lists and repair lineage, v5 with per-ball oracle
-    /// sets, v6 with per-bag cover and kernel lists, and v7 with a cover
-    /// key store and skip rows outside the lists) are refused with
+    /// sets, v6 with per-bag cover and kernel lists, v7 with a cover key
+    /// store and skip rows outside the lists, v8 with keyed singleton
+    /// skip rows, and v9 with the cover's radix directory and the thread
+    /// count in META) are refused with
     /// the typed version error by the bytes load and by the file load
     /// under both verify policies — no decoder runs on their payloads.
     #[test]
@@ -2191,7 +2174,7 @@ mod tests {
         let pq = PreparedQuery::prepare(&g, &q, &small_opts()).unwrap();
         let bytes = pq.save_index_bytes(&q, src).unwrap();
         let path = mmap_tmp("older");
-        for word in [2u32, 3, 3 | 1 << 16, 4, 5, 6, 7] {
+        for word in [2u32, 3, 3 | 1 << 16, 4, 5, 6, 7, 8, 9] {
             let mut old = bytes.clone();
             old[8..12].copy_from_slice(&word.to_le_bytes());
             let want = PersistError::UnsupportedVersion {
@@ -2317,6 +2300,14 @@ mod tests {
         }
         assert!(read_degradation_opt(&mut Reader::new(&[9])).is_err());
         assert!(read_degradation_opt(&mut Reader::new(&[2, 200])).is_err());
+        // Phase tag 6 named the retired cover-directory phase: a reason
+        // complete in every other byte is still refused.
+        let mut w = Writer::new();
+        write_degradation_opt(&mut w, &reasons[3]);
+        let mut bytes = w.into_bytes();
+        assert_eq!(bytes[..2], [2, 3], "a budget reason in the cover phase");
+        bytes[1] = 6;
+        assert!(read_degradation_opt(&mut Reader::new(&bytes)).is_err());
     }
 
     /// A random valid mutation log against `g`: edge flips, vertex
@@ -2505,10 +2496,10 @@ mod tests {
 
             let bytes = upd.save_index_bytes(&q, src).unwrap();
             let loaded = SharedPreparedQuery::load_index_bytes(&bytes).unwrap();
-            assert_wall_clock_free(&loaded.prepared.stats());
+            assert_persisted_only(&loaded.prepared.stats());
             assert_eq!(
-                without_wall_clock(loaded.prepared.stats()),
-                without_wall_clock(upd.stats()),
+                as_persisted(loaded.prepared.stats()),
+                as_persisted(upd.stats()),
                 "{src}"
             );
             assert_eq!(loaded.prepared.lineage().update_ms, 0, "{src}");

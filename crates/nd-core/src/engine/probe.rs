@@ -6,8 +6,8 @@
 //! position `j` by case analysis on the constraints to the prefix:
 //!
 //! * an equality pins the candidate; an edge constraint scans the anchor's
-//!   adjacency list; a `dist ≤ d` constraint scans the anchor's cover bag
-//!   through the Storing-Theorem successor structure (candidates are
+//!   adjacency list; a `dist ≤ d` constraint binary-searches the anchor's
+//!   sorted cover-bag row once and scans it from there (candidates are
 //!   confined to the bag because `N_d(a) ⊆ X(a)`) — the paper's "Case II";
 //! * far-only constraints take the minimum of (a) per-anchor scans of the
 //!   kernels `K_r(X(a_i))` and (b) a `SKIP` jump over `L_j` past all those
@@ -228,17 +228,15 @@ impl BranchEngine {
             })
             .min();
         if let Some((_, i)) = le_anchor {
-            // Case II: candidates confined to the anchor's bag; walk it via
-            // the Storing-Theorem successor structure.
+            // Case II: candidates confined to the anchor's bag; scan its
+            // sorted row from b0, as Case I scans a kernel row.
             let cover = self.cover.as_ref().expect("cover built for Le");
-            let bag = cover.bag_of(prefix[i]);
-            let mut w = cover.successor_in_bag(bag, b0)?;
-            loop {
-                if self.test_candidate(g, prefix, j, w) {
-                    return Some(w);
-                }
-                w = cover.successor_in_bag(bag, w.checked_add(1)?)?;
-            }
+            let row = cover.bag(cover.bag_of(prefix[i])).verts;
+            let start = row.partition_point(|&w| w < b0);
+            return row[start..]
+                .iter()
+                .copied()
+                .find(|&w| self.test_candidate(g, prefix, j, w));
         }
 
         let far = || relevant().filter(|c| c.kind.excluding());

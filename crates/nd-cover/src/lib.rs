@@ -23,15 +23,13 @@
 //! the bag's kernel row. Labels are indexed by vertex and stamped with
 //! their bag, so no pass clears them between bags (see [`kernel`]).
 //!
-//! Bag membership and smallest-member-≥ queries are answered in expected
-//! constant time from the bag rows themselves, as sketched below Theorem
-//! 4.4 in the paper: read in bag-major order, the sorted rows are the
-//! sorted arena of packed `(bag, vertex)` keys, and a radix directory over
-//! those keys (the private `radix` module) narrows a probe to about one
-//! member before a binary search. Each member is stored once, as a `u32`.
+//! Bag membership and smallest-member-≥ queries are one binary search in
+//! the bag's sorted row, `O(log |X|)`, as kernel rows are searched. The
+//! paper's constant time (below Theorem 4.4) comes from the Storing
+//! Theorem, which `nd_store::FnStore` exhibits (DESIGN.md §2). Each member
+//! is stored once, as a `u32`.
 
 pub mod kernel;
-mod radix;
 #[cfg(test)]
 mod reference;
 
@@ -40,7 +38,6 @@ pub use kernel::{kernel_of_bag, kernel_of_bag_with, KernelBags, KernelIndex, Ker
 use nd_graph::budget::{BudgetExceeded, BudgetTracker, Phase};
 use nd_graph::{BfsScratch, ColoredGraph, Vertex};
 use nd_persist::{malformed, PersistError, Slab};
-use radix::{radix_dir, radix_dir_shape};
 use std::time::{Duration, Instant};
 
 /// Index of a bag within a cover.
@@ -52,8 +49,6 @@ pub type BagId = u32;
 pub struct CoverTimings {
     /// The greedy bag construction, boundary BFS included.
     pub greedy_ms: u64,
-    /// The membership directory (`Phase::CoverDirectory`).
-    pub store_ms: u64,
     /// Emitting the `K_p` rows and their charges, in
     /// [`Cover::try_build_with_kernels`] only (0 otherwise).
     pub kernel_ms: u64,
@@ -73,7 +68,7 @@ pub struct Bag<'a> {
 /// Every part is a flat array — [`Slab`]s that a mapped load borrows in
 /// place — so loading a saved cover allocates nothing per vertex or per
 /// bag. The answering phase reads `assignment` (through
-/// [`Cover::bag_of`]) and the bag rows through their directory.
+/// [`Cover::bag_of`]) and the sorted bag rows.
 #[derive(Clone)]
 pub struct Cover {
     pub r: u32,
@@ -84,14 +79,8 @@ pub struct Cover {
     /// CSR row offsets: bag `id`'s sorted members are
     /// `members[starts[id]..starts[id + 1]]`. Length `num_bags + 1`.
     starts: Slab<u32>,
-    /// The bag rows, concatenated in bag order. Position `i` holds the
-    /// packed key `id·base + members[i]` of its bag `id` (see
-    /// [`key_space`]), and those keys strictly increase with `i`.
+    /// The bag rows, concatenated in bag order.
     members: Slab<Vertex>,
-    /// Canonical radix directory over those packed keys ([`radix_dir`]):
-    /// bucket `key >> shift` covers `members[dir[b] .. dir[b + 1]]`.
-    dir: Slab<u32>,
-    shift: u32,
     /// Build-time phase breakdown (not part of the cover's value — two
     /// covers built from the same input are equal regardless of timings).
     timings: CoverTimings,
@@ -136,27 +125,6 @@ fn row_end(members: &[Vertex]) -> u32 {
     u32::try_from(members.len()).expect("CSR rows exceed u32 offsets")
 }
 
-/// The packed-key space of a cover's rows: a member `v` of bag `id` is the
-/// key `id·base + v` with `base = max(n, bags, 1)`, and every key is below
-/// `span = max(bags·base, 1)`. `n` and `bags` are below `2^32`, so keys
-/// fit a `u64`.
-fn key_space(n: usize, bags: usize) -> (u64, u128) {
-    let base = n.max(bags).max(1) as u64;
-    (base, (u128::from(base) * bags as u128).max(1))
-}
-
-/// The canonical directory over the packed keys of CSR bag rows.
-fn row_dir(n: usize, starts: &[u32], members: &[Vertex]) -> (u32, Vec<u32>) {
-    let bags = starts.len().saturating_sub(1);
-    let (base, span) = key_space(n, bags);
-    let keys = starts.windows(2).enumerate().flat_map(|(id, ends)| {
-        members[ends[0] as usize..ends[1] as usize]
-            .iter()
-            .map(move |&v| u128::from(id as u64 * base + u64::from(v)))
-    });
-    radix_dir(span, members.len(), keys)
-}
-
 impl Cover {
     /// Greedy `(r, 2r)`-cover of `g`. `epsilon` is the paper's accuracy
     /// parameter; no part of this layout depends on it.
@@ -168,7 +136,7 @@ impl Cover {
             .expect("unlimited budget cannot be exceeded")
     }
 
-    /// Greedy `(r, 2r)`-cover of `g`, charging BFS visits and trie inserts
+    /// Greedy `(r, 2r)`-cover of `g`, charging BFS visits and bag rows
     /// against `tracker` so that a capped preprocessing run bails out with
     /// [`BudgetExceeded`] instead of building an `Ω(n²)` cover on a dense
     /// graph.
@@ -258,15 +226,7 @@ impl Cover {
         }
 
         let greedy_ms = t_greedy.elapsed().saturating_sub(kernel_time).as_millis() as u64;
-        let t_store = Instant::now();
-        // Bags are enumerated in id order with sorted member lists, so the
-        // rows already are the sorted (bag, vertex) key arena; only the
-        // directory over it is built, in one counting pass.
-        tracker.charge_nodes(Phase::CoverDirectory, members.len() as u64)?;
-        let (shift, dir) = row_dir(n, &starts, &members);
-        tracker.charge_memory(Phase::CoverDirectory, 4 * dir.len() as u64)?;
         tracker.checkpoint(Phase::CoverConstruction)?;
-        let store_ms = t_store.elapsed().as_millis() as u64;
 
         let kernels = match kernel_radius {
             Some(p) => {
@@ -288,11 +248,8 @@ impl Cover {
             centers: centers.into(),
             starts: starts.into(),
             members: members.into(),
-            dir: dir.into(),
-            shift,
             timings: CoverTimings {
                 greedy_ms,
-                store_ms,
                 kernel_ms: kernel_time.as_millis() as u64,
             },
         };
@@ -328,37 +285,15 @@ impl Cover {
         self.assignment[a as usize]
     }
 
-    /// Membership test (expected constant time): whether `v` is in bag `id`.
-    pub fn contains(&self, id: BagId, v: Vertex) -> bool {
-        self.successor_in_bag(id, v) == Some(v)
-    }
-
-    /// Smallest member of the bag that is `≥ v` (expected constant time)
-    /// — the `b_X` lookup of the answering phase (Section 5.2.2).
-    ///
-    /// One directory probe, clamped into bag `id`'s row, then a binary
-    /// search over the one or two members the bucket holds on average.
-    /// The clamp is what makes the search sound: a bucket can straddle
-    /// rows, and only inside one row is vertex order the key order. The
-    /// key's insertion point lies both in its bucket and in its row, so
-    /// the clamped range still holds it. A forged directory (possible
-    /// under lazy verification, until the deferred CRC settles) stays in
-    /// bounds through the same clamp, and the final `≥ v` filter keeps
-    /// every answer a member of the row that is not below the probe, so
-    /// callers stepping through a bag still advance.
+    /// Smallest member of bag `id` that is `≥ v` — the `b_X` lookup of the
+    /// answering phase (Section 5.2.2); `v` is a member exactly when the
+    /// answer is `Some(v)`. One binary search in the sorted row,
+    /// `O(log |X|)`. Callers that walk a bag search once and then iterate
+    /// [`Bag::verts`].
     #[inline]
     pub fn successor_in_bag(&self, id: BagId, v: Vertex) -> Option<Vertex> {
-        if v as usize >= self.n() {
-            return None;
-        }
-        let i = id as usize;
-        let (row_lo, row_hi) = (self.starts[i] as usize, self.starts[i + 1] as usize);
-        let (base, _) = key_space(self.n(), self.num_bags());
-        let b = ((u64::from(id) * base + u64::from(v)) >> self.shift) as usize;
-        let lo = (self.dir[b] as usize).clamp(row_lo, row_hi);
-        let hi = (self.dir[b + 1] as usize).clamp(lo, row_hi);
-        let at = lo + self.members[lo..hi].partition_point(|&w| w < v);
-        self.members[..row_hi].get(at).copied().filter(|&w| w >= v)
+        let row = self.bag(id).verts;
+        row.get(row.partition_point(|&w| w < v)).copied()
     }
 
     /// The cover degree `δ(X)`: maximum number of bags meeting at a vertex.
@@ -373,26 +308,21 @@ impl Cover {
     }
 
     /// Append the cover's binary encoding to `w` (DESIGN.md §9): the
-    /// assignment, the bag centers and the CSR bag rows as aligned slabs,
-    /// then the directory's shift and its slab. A load borrows every part
-    /// in place; there is no derived index to rebuild.
+    /// assignment, the bag centers and the CSR bag rows as aligned slabs.
+    /// A load borrows every part in place; there is no derived index to
+    /// rebuild.
     pub fn write_into(&self, w: &mut nd_persist::Writer) {
         w.u32(self.r);
         w.u32_slab(&self.assignment);
         w.u32_slab(&self.centers);
         w.u32_slab(&self.starts);
         w.u32_slab(&self.members);
-        w.u32(self.shift);
-        w.u32_slab(&self.dir);
     }
 
     /// Decode a cover, re-validating the invariants the accessors index
     /// by — assignment targets exist, centers in range, bag rows a CSR
-    /// table of sorted in-range vertex sets, a directory shaped for
-    /// `(n, bags, members)` — under every verify policy: each check is one
-    /// pass over its slab and allocates nothing. Full verification also
-    /// rebuilds the canonical directory and requires the stored one to
-    /// equal it.
+    /// table of sorted in-range vertex sets — under every verify policy:
+    /// each check is one pass over its slab and allocates nothing.
     pub fn read_from(r: &mut nd_persist::Reader<'_>) -> Result<Cover, PersistError> {
         let radius = r.u32("cover radius")?;
         let assignment = r.u32_slab("cover assignment")?;
@@ -414,24 +344,12 @@ impl Cover {
         if assignment.iter().any(|&id| id as usize >= num_bags) {
             return Err(malformed("cover assignment targets a missing bag"));
         }
-        let shift = r.u32("cover directory shift")?;
-        let dir = r.u32_slab("cover directory")?;
-        // The shape check keeps every `dir[b]`, `dir[b + 1]` probe of an
-        // in-range key in bounds, whatever the directory's words.
-        if (shift, dir.len()) != radix_dir_shape(key_space(n, num_bags).1, members.len()) {
-            return Err(malformed("cover directory sized for another shape"));
-        }
-        if r.should_validate() && dir[..] != row_dir(n, &starts, &members).1[..] {
-            return Err(malformed("cover directory is not canonical"));
-        }
         Ok(Cover {
             r: radius,
             assignment,
             centers,
             starts,
             members,
-            dir,
-            shift,
             timings: CoverTimings::default(),
         })
     }
@@ -554,7 +472,7 @@ mod tests {
         let cover = Cover::build(&g, 2, 0.5);
         for v in g.vertices() {
             let id = cover.bag_of(v);
-            assert!(cover.contains(id, v));
+            assert_eq!(cover.successor_in_bag(id, v), Some(v));
             assert!(cover.bag(id).verts.binary_search(&v).is_ok());
         }
     }
@@ -574,8 +492,8 @@ mod tests {
         ]
     }
 
-    /// `successor_in_bag` and `contains` answer every probe of every bag
-    /// exactly as a scan of the bag's row does, probes past `n` included.
+    /// `successor_in_bag` answers every probe of every bag exactly as a
+    /// scan of the bag's row does, probes past `n` included.
     fn assert_rows_answer(name: &str, cover: &Cover) {
         for id in 0..cover.num_bags() as BagId {
             let row = cover.bag(id).verts;
@@ -586,17 +504,12 @@ mod tests {
                     want,
                     "{name}: bag {id}, v={v}"
                 );
-                assert_eq!(
-                    cover.contains(id, v),
-                    row.contains(&v),
-                    "{name}: bag {id}, v={v}"
-                );
             }
         }
     }
 
     #[test]
-    fn successor_and_contains_agree_with_a_row_scan() {
+    fn successor_agrees_with_a_row_scan() {
         for (name, g, r) in families() {
             let cover = Cover::build(&g, r, 0.5);
             assert_rows_answer(name, &cover);
@@ -659,7 +572,6 @@ mod tests {
                     assert_eq!(back.bag(id).center, cover.bag(id).center);
                     assert_eq!(back.bag(id).verts, cover.bag(id).verts);
                     for v in 0..g.n() as Vertex {
-                        assert_eq!(back.contains(id, v), cover.contains(id, v));
                         assert_eq!(back.successor_in_bag(id, v), cover.successor_in_bag(id, v));
                     }
                 }
@@ -681,15 +593,12 @@ mod tests {
         decode_mapped(bytes, policy, Cover::read_from)
     }
 
-    /// The cover's slabs and directory shift as plain values, to corrupt
-    /// one at a time.
+    /// The cover's slabs as plain values, to corrupt one at a time.
     struct Parts {
         assignment: Vec<u32>,
         centers: Vec<u32>,
         starts: Vec<u32>,
         members: Vec<u32>,
-        shift: u32,
-        dir: Vec<u32>,
     }
 
     impl Parts {
@@ -699,8 +608,6 @@ mod tests {
                 centers: cover.centers.to_vec(),
                 starts: cover.starts.to_vec(),
                 members: cover.members.to_vec(),
-                shift: cover.shift,
-                dir: cover.dir.to_vec(),
             }
         }
 
@@ -712,8 +619,6 @@ mod tests {
             w.u32_slab(&self.centers);
             w.u32_slab(&self.starts);
             w.u32_slab(&self.members);
-            w.u32(self.shift);
-            w.u32_slab(&self.dir);
             w.into_bytes()
         }
     }
@@ -781,90 +686,6 @@ mod tests {
             },
             "a non-empty graph without bags",
         );
-    }
-
-    #[test]
-    fn codec_rejects_misshapen_directories() {
-        let cover = Cover::build(&generators::grid(6, 6), 1, 0.5);
-        assert!(cover.dir.len() >= 4);
-        assert_malformed(&cover, |p| p.shift += 1, "a shift for another shape");
-        assert_malformed(&cover, |p| p.dir.push(0), "a directory one too long");
-        assert_malformed(
-            &cover,
-            |p| {
-                p.dir.pop();
-            },
-            "a directory one too short",
-        );
-        assert_malformed(&cover, |p| p.dir.clear(), "an empty directory");
-    }
-
-    #[test]
-    fn full_verify_rejects_a_non_canonical_directory() {
-        let cover = Cover::build(&generators::grid(8, 8), 2, 0.5);
-        let last = cover.dir.len() - 1;
-        let mid = last / 2;
-        assert!(cover.dir[mid] > 0, "the middle entry can be lowered");
-        let rejects = |corrupt: &dyn Fn(&mut Parts), what: &str| {
-            let mut parts = Parts::of(&cover);
-            corrupt(&mut parts);
-            let bytes = parts.encode(&cover);
-            assert!(
-                is_malformed(decode(&bytes, VerifyPolicy::Full)),
-                "{what} accepted under Full"
-            );
-        };
-        rejects(&|p| p.dir[mid] += 1, "a bumped middle entry");
-        rejects(&|p| p.dir[mid] -= 1, "a lowered middle entry");
-        rejects(&|p| p.dir[0] = 1, "a first entry past 0");
-        rejects(&|p| p.dir[last] -= 1, "a last entry short of the end");
-        rejects(&|p| p.dir[..last].fill(0), "all zeros but the end");
-    }
-
-    /// A lazy load checks the directory's shape but not its words, so a
-    /// forged directory of the right length loads; every probe must then
-    /// stay in bounds and answer a member of the probed row at or past the
-    /// probe, or `None`.
-    #[test]
-    fn lazy_probes_through_a_forged_directory_answer_row_members() {
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next_word = move || {
-            // splitmix64
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        for (name, g, r) in families() {
-            let cover = Cover::build(&g, r, 0.5);
-            let total = cover.total_bag_size() as u64 + 1;
-            for trial in 0..8 {
-                let mut parts = Parts::of(&cover);
-                for word in &mut parts.dir {
-                    let x = next_word();
-                    // Half the trials stay near the arena, half range over
-                    // every u32.
-                    *word = if trial % 2 == 0 {
-                        (x % (2 * total)) as u32
-                    } else {
-                        x as u32
-                    };
-                }
-                let forged = decode(&parts.encode(&cover), VerifyPolicy::Lazy).unwrap();
-                for id in 0..forged.num_bags() as BagId {
-                    let row = cover.bag(id).verts;
-                    for v in 0..g.n() as Vertex + 1 {
-                        if let Some(w) = forged.successor_in_bag(id, v) {
-                            assert!(w >= v && row.contains(&w), "{name}: bag {id}, v={v} → {w}");
-                        }
-                        if forged.contains(id, v) {
-                            assert!(row.contains(&v), "{name}: bag {id} claims {v}");
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! exactly on the budget spent, capped runs included.
 
 use crate::kernel::dense_words;
-use crate::{row_dir, row_end, BagId, Cover, CoverTimings, KernelIndex, GREEDY_BYTES_PER_VERTEX};
+use crate::{row_end, BagId, Cover, CoverTimings, KernelIndex, GREEDY_BYTES_PER_VERTEX};
 use nd_graph::budget::{Budget, BudgetExceeded, BudgetTracker, Phase};
 use nd_graph::{generators, BfsScratch, ColoredGraph, GraphBuilder, Vertex};
 use proptest::prelude::*;
@@ -51,9 +51,6 @@ fn naive_greedy(
         starts.push(row_end(&members));
         centers.push(c);
     }
-    tracker.charge_nodes(Phase::CoverDirectory, members.len() as u64)?;
-    let (shift, dir) = row_dir(n, &starts, &members);
-    tracker.charge_memory(Phase::CoverDirectory, 4 * dir.len() as u64)?;
     tracker.checkpoint(Phase::CoverConstruction)?;
     let kernels = match kernel_radius {
         Some(p) => {
@@ -78,8 +75,6 @@ fn naive_greedy(
         centers: centers.into(),
         starts: starts.into(),
         members: members.into(),
-        dir: dir.into(),
-        shift,
         timings: CoverTimings::default(),
     };
     Ok((cover, kernels))

@@ -33,7 +33,7 @@ proptest! {
         for id in 0..cover.num_bags() as BagId {
             for v in g.vertices() {
                 let direct = cover.bag(id).verts.binary_search(&v).is_ok();
-                prop_assert_eq!(cover.contains(id, v), direct);
+                prop_assert_eq!(cover.successor_in_bag(id, v) == Some(v), direct);
             }
         }
     }

@@ -40,8 +40,6 @@ pub enum Phase {
     KernelConstruction,
     /// Closure of the skip-pointer function `SC(b)` (Lemma 5.8).
     SkipClosure,
-    /// The cover's radix membership directory.
-    CoverDirectory,
     /// Naive `O(n^k)` materialization fallback.
     NaiveMaterialize,
     /// Serving-runtime admission control (`nd-serve`): the budget is
@@ -62,7 +60,6 @@ impl fmt::Display for Phase {
             Phase::CoverConstruction => "cover construction",
             Phase::KernelConstruction => "kernel construction",
             Phase::SkipClosure => "skip-pointer closure",
-            Phase::CoverDirectory => "cover directory",
             Phase::NaiveMaterialize => "naive materialization",
             Phase::Admission => "admission control",
             Phase::Counting => "enumeration-based counting",
@@ -319,7 +316,7 @@ mod tests {
         for _ in 0..10_000 {
             t.charge_nodes(Phase::CoverConstruction, 1_000_000).unwrap();
         }
-        t.checkpoint(Phase::CoverDirectory).unwrap();
+        t.checkpoint(Phase::CoverConstruction).unwrap();
         assert!(t.nodes_spent() >= 10_000 * 1_000_000);
     }
 
@@ -338,9 +335,9 @@ mod tests {
     #[test]
     fn memory_cap() {
         let t = Budget::default().with_memory_bytes(100).start();
-        t.charge_memory(Phase::CoverDirectory, 80).unwrap();
-        t.charge_memory(Phase::CoverDirectory, 20).unwrap();
-        assert!(t.charge_memory(Phase::CoverDirectory, 1).is_err());
+        t.charge_memory(Phase::CoverConstruction, 80).unwrap();
+        t.charge_memory(Phase::CoverConstruction, 20).unwrap();
+        assert!(t.charge_memory(Phase::CoverConstruction, 1).is_err());
     }
 
     #[test]

@@ -54,8 +54,10 @@ pub const MAGIC: [u8; 8] = *b"NDQIDX\r\n";
 /// array parallel to the kernel rows, keeps keyed rows only for sets of
 /// two or more bags, records its size-cap cut as a vertex, and no longer
 /// writes its own copy of the target list (the loader passes the unary
-/// list).
-pub const FORMAT_VERSION: u32 = 9;
+/// list). v10 drops the cover's radix directory (its shift and its slab):
+/// bag membership and successor are one binary search in the sorted bag
+/// row, and META no longer records the prepare's thread count.
+pub const FORMAT_VERSION: u32 = 10;
 
 /// Decoders refuse single length prefixes beyond this many elements, so a
 /// corrupted length field fails typed instead of attempting a huge
@@ -686,25 +688,6 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    /// [`Reader::u128_slab`] plus the strictly-sorted / `< bound` checks,
-    /// skipped under lazy verification ([`Reader::should_validate`]).
-    pub fn u128_slab_sorted(
-        &mut self,
-        bound: u128,
-        context: &'static str,
-    ) -> Result<Slab<u128>, PersistError> {
-        let out: Slab<u128> = self.slab_of(context)?;
-        if self.should_validate() {
-            if out.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(malformed(format!("{context}: not strictly sorted")));
-            }
-            if out.last().is_some_and(|&x| x >= bound) {
-                return Err(malformed(format!("{context}: element out of range")));
-            }
-        }
-        Ok(out)
-    }
-
     /// Assert the input is fully consumed.
     pub fn finish(&self) -> Result<(), PersistError> {
         if self.remaining() == 0 {
@@ -1073,7 +1056,7 @@ mod tests {
         assert_eq!(r.u8("x").unwrap(), 1);
         assert_eq!(&*r.u32_slab("a").unwrap(), &[5, 6]);
         assert_eq!(&*r.u64_slab("b").unwrap(), &[7]);
-        assert_eq!(&*r.u128_slab_sorted(100, "c").unwrap(), &[8, 9]);
+        assert_eq!(&*r.u128_slab("c").unwrap(), &[8, 9]);
         assert!(r.u128_slab("d").unwrap().is_empty());
         r.finish().unwrap();
         // A nonzero byte smuggled into alignment padding is malformed.
@@ -1085,13 +1068,7 @@ mod tests {
             r.u32_slab("a"),
             Err(PersistError::Malformed { .. })
         ));
-        // Sorted variants validate order and bound by default.
-        let mut w = Writer::new();
-        w.u128_slab(&[9, 3]);
-        assert!(matches!(
-            Reader::new(&w.into_bytes()).u128_slab_sorted(100, "c"),
-            Err(PersistError::Malformed { .. })
-        ));
+        // The sorted variant validates order and bound by default.
         let mut w = Writer::new();
         w.u32_slab(&[3, 9]);
         assert!(matches!(

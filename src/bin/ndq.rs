@@ -156,7 +156,8 @@ UPDATE OPTIONS (plus all one-shot probe flags, run on the mutated index):
       (lineage epoch and chained log digest travel with the file)
 
 SERVE OPTIONS:
-      [--workers N]                      worker threads (0 = all cores)
+      [--workers N]                      worker threads (0 = all cores,
+                                         at most 256)
       [--listen HOST:PORT]               serve TCP instead of stdin
       [--max-inflight N]                 admission cap: queued+in-flight requests
       [--max-queued-bytes N]             admission cap: queued request bytes
@@ -725,6 +726,11 @@ struct ServeArgs {
     fallback_reprepare: bool,
 }
 
+/// Largest `--workers` value `ndq serve` accepts. The pool starts one OS
+/// thread per worker up front, so an unbounded value could ask for
+/// millions of threads; this cap keeps that a usage error.
+const MAX_WORKERS: usize = 256;
+
 fn parse_serve_args(argv: Vec<String>) -> Result<ServeArgs, CliError> {
     let mut args = ServeArgs {
         common: Common::new(),
@@ -752,7 +758,13 @@ fn parse_serve_args(argv: Vec<String>) -> Result<ServeArgs, CliError> {
             "--workers" => {
                 args.workers = val("--workers")?
                     .parse()
-                    .map_err(|e| usage(format!("bad --workers: {e}")))?
+                    .map_err(|e| usage(format!("bad --workers: {e}")))?;
+                if args.workers > MAX_WORKERS {
+                    return Err(usage(format!(
+                        "bad --workers: {} is above the maximum {MAX_WORKERS}",
+                        args.workers
+                    )));
+                }
             }
             "--listen" => args.listen = Some(val("--listen")?),
             "--max-inflight" => {
@@ -1079,6 +1091,30 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::from(e.exit_code())
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn workers(value: &str) -> Result<usize, CliError> {
+        parse_serve_args(vec!["--workers".into(), value.into()]).map(|a| a.workers)
+    }
+
+    /// Parsing only: no pool is started, so no value here spawns a thread.
+    #[test]
+    fn serve_workers_are_capped() {
+        assert!(matches!(workers("0"), Ok(0)));
+        assert!(matches!(workers("4"), Ok(4)));
+        assert!(matches!(workers("256"), Ok(MAX_WORKERS)));
+        for bad in ["257", "100000", "18446744073709551615", "-1", "four"] {
+            let Err(err) = workers(bad) else {
+                panic!("--workers {bad} accepted");
+            };
+            assert!(matches!(err, CliError::Usage(_)), "{bad}: {err}");
+            assert_eq!(err.exit_code(), 2, "{bad}");
         }
     }
 }

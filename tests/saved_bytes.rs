@@ -1,7 +1,9 @@
 //! Golden digests of saved index files. A prepare is a pure function of
 //! the graph, the query and the options, and so is its saved file, so the
 //! bytes of a fixed input pin down every layer the file holds (covers,
-//! kernels, oracles, unary lists and skip tables) at once. A change that
+//! kernels, oracles, unary lists and skip tables) at once. The mixed
+//! near/far query pins the bag rows that a `dist ≤ d` probe walks beside
+//! the kernels and skip table of its far constraint. A change that
 //! means to keep the index as it is must keep these digests.
 //!
 //! The constants change only together with a `FORMAT_VERSION` bump that
@@ -44,13 +46,19 @@ fn saved_index_bytes_match_their_golden_digests() {
             "bounded degree 4, n = 600, the ternary far query",
             blue(generators::bounded_degree(600, 4, 3)),
             "dist(x,z) > 2 && dist(y,z) > 2 && Blue(z)",
-            0xbf17_a3b4_348d_0680,
+            0xc372_2bed_74dd_79a8,
         ),
         (
             "grid 20x20, the binary far query",
             blue(generators::grid(20, 20)),
             "dist(x,y) > 2 && Blue(y)",
-            0x49c6_63c7_8420_2711,
+            0xf763_2e00_56c7_24ae,
+        ),
+        (
+            "bounded degree 4, n = 600, the mixed near/far query",
+            blue(generators::bounded_degree(600, 4, 3)),
+            "dist(x,y) <= 2 && dist(y,z) > 2 && Blue(z)",
+            0x3065_6380_883f_c8b8,
         ),
     ];
     for (name, g, src, want) in cases {
