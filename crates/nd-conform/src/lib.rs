@@ -474,8 +474,10 @@ enum Config {
     /// fits a flat ball table (`Σ_v |N_r(v)| > n` for `r ≥ 1`) and every
     /// one splits. The generated graphs (n ≤ 28) sit below the default
     /// threshold of 300, so every other config answers distance tests from
-    /// one flat table. A regression report naming `oracle-recursion`
-    /// points at the recursion, not at the table.
+    /// one flat table. The index answers after a save and load in memory,
+    /// as in `PersistRoundTrip`, so the split levels' encoding is checked
+    /// too. A regression report naming `oracle-recursion` points at the
+    /// recursion, not at the table.
     OracleRecursion,
     NaiveStream,
     ServeProtocol,
@@ -603,34 +605,9 @@ fn build_engine<'g>(
                 arity: q.arity(),
             }))
         }
-        Config::PersistRoundTrip => {
-            let shared =
-                SharedPreparedQuery::prepare(g.clone().into_shared(), q, &PrepareOpts::default())
-                    .map_err(|e| e.to_string())?;
-            let query_src = q.to_string();
-            let bytes = shared
-                .save_index_bytes(q, &query_src)
-                .map_err(|e| format!("save: {e}"))?;
-            let loaded =
-                SharedPreparedQuery::load_index_bytes(&bytes).map_err(|e| format!("load: {e}"))?;
-            if loaded.query != *q {
-                return Err(format!(
-                    "decoded query {} differs from source {q}",
-                    loaded.query
-                ));
-            }
-            // The format is deterministic: re-saving the loaded index
-            // must reproduce the original bytes exactly.
-            let resaved = loaded
-                .prepared
-                .save_index_bytes(&loaded.query, &loaded.query_src)
-                .map_err(|e| format!("re-save: {e}"))?;
-            if resaved != bytes {
-                return Err("re-saved index is not bit-identical to the original".into());
-            }
-            Ok(Box::new(PreparedEngine {
-                pq: loaded.prepared,
-            }))
+        Config::PersistRoundTrip | Config::OracleRecursion => {
+            let pq = round_trip(g, q, &config.prepare_opts())?;
+            Ok(Box::new(PreparedEngine { pq }))
         }
         Config::MmapLoad => {
             let shared =
@@ -714,6 +691,38 @@ fn build_engine<'g>(
             Ok(Box::new(PreparedEngine { pq }))
         }
     }
+}
+
+/// Prepare under `opts` and push the index through the on-disk format in
+/// memory: `load_index_bytes(save_index_bytes(..))`. The decoded query must
+/// match the source, and re-saving the loaded index must reproduce the
+/// saved bytes exactly (the format is deterministic).
+fn round_trip(
+    g: &ColoredGraph,
+    q: &Query,
+    opts: &PrepareOpts,
+) -> Result<SharedPreparedQuery, String> {
+    let shared = SharedPreparedQuery::prepare(g.clone().into_shared(), q, opts)
+        .map_err(|e| e.to_string())?;
+    let query_src = q.to_string();
+    let bytes = shared
+        .save_index_bytes(q, &query_src)
+        .map_err(|e| format!("save: {e}"))?;
+    let loaded = SharedPreparedQuery::load_index_bytes(&bytes).map_err(|e| format!("load: {e}"))?;
+    if loaded.query != *q {
+        return Err(format!(
+            "decoded query {} differs from source {q}",
+            loaded.query
+        ));
+    }
+    let resaved = loaded
+        .prepared
+        .save_index_bytes(&loaded.query, &loaded.query_src)
+        .map_err(|e| format!("re-save: {e}"))?;
+    if resaved != bytes {
+        return Err("re-saved index is not bit-identical to the original".into());
+    }
+    Ok(loaded.prepared)
 }
 
 /// First absent non-loop edge in scan order, for the deterministic

@@ -41,9 +41,13 @@ pub struct DistOracleOpts {
     /// `budget_factor · n`. This is the practical stand-in for the paper's
     /// `λ(r)`-bounded recursion: with a true winning strategy each level is
     /// pseudo-linear and there are `λ` of them; with heuristic splitter
-    /// moves the budget enforces the same total. The same `budget_factor ·
-    /// n` (over the node's own `n`) caps the flat ball table every node
-    /// tries before it splits, so the budget pays for either structure.
+    /// moves the budget bounds the vertices *charged* before recursion
+    /// stops, not the vertices materialized: every node the budget admits
+    /// still builds all of its bags, so the recursion can hold many times
+    /// `budget_factor · n` (848k vertices against an 80k budget on a
+    /// bounded-degree-4 graph with `n` = 4k at `r` = 4). The same
+    /// `budget_factor · n` (over the node's own `n`) caps the flat ball
+    /// table every node tries before it splits.
     pub budget_factor: usize,
     /// Memory guard for the naive base case: when the per-vertex ball
     /// tables of a base graph would exceed this many entries (balls explode
@@ -150,6 +154,9 @@ impl BallGrid {
     }
 }
 
+/// One level of the splitter recursion: exactly what [`test_node`] reads.
+/// The bag rows are the cover's own sorted slabs; no level keeps the
+/// induced subgraphs it recursed on.
 #[derive(Clone)]
 struct SplitNode {
     cover: Cover,
@@ -158,14 +165,13 @@ struct SplitNode {
 
 #[derive(Clone)]
 struct BagNode {
-    /// `X' = G[X ∖ {s_X}]`, vertex ids local to the *parent* level graph.
-    sub: InducedSubgraph,
-    /// Splitter's answer for this bag (parent-level id).
-    s: Vertex,
-    /// `min(r+1, dist_{G[X]}(w, s_X))`, indexed by `X'`-local id — the
-    /// `R_i` recoloring of step 4 packed into one byte per vertex.
+    /// Position of Splitter's answer `s_X` in the bag's sorted row.
+    s_pos: u32,
+    /// `min(r+1, dist_{G[X]}(w, s_X))` per row member, 0 at the splitter —
+    /// the `R_i` recoloring of step 4 packed into one byte per vertex.
     ri: Vec<u8>,
-    /// Distance of `s_X` to itself is 0; kept for symmetry of the test.
+    /// The oracle of `G[X ∖ {s_X}]`, whose vertex `p − (p > s_pos)` is the
+    /// row member at position `p ≠ s_pos`.
     inner: Node,
 }
 
@@ -237,8 +243,8 @@ impl DistOracle {
     /// Decode an oracle over an `n`-vertex graph (`n` comes from the
     /// already-validated graph section, never from the file, so a corrupt
     /// count cannot drive allocations). Re-validates every invariant
-    /// `test` relies on: per-level vertex counts, bag/sub embeddings,
-    /// recoloring-table lengths.
+    /// `test` indexes by: per-level vertex counts, splitter positions,
+    /// recoloring-table lengths, bag counts.
     pub fn read_from(
         r: &mut nd_persist::Reader<'_>,
         n: usize,
@@ -309,38 +315,29 @@ fn build_node(
     for id in 0..cover.num_bags() as u32 {
         let bag = cover.bag(id);
         // Step 3: Splitter's answer to the bag center, computed on the bag
-        // subgraph (Remark 4.7: time O(‖N_2r(c_X)‖)).
+        // subgraph (Remark 4.7: time O(‖N_2r(c_X)‖)). Local ids of the bag
+        // subgraph are positions in the sorted row.
         let bag_sub = InducedSubgraph::new_uncolored(g, bag.verts);
         let center_local = bag_sub
             .to_local(bag.center)
             .expect("center belongs to its bag");
-        let s_local = splitter_move(&bag_sub, center_local, 2 * r);
-        let s = bag_sub.to_global(s_local);
+        let s_pos = splitter_move(&bag_sub, center_local, 2 * r);
 
         // Step 4: R_i = dist_{G[X]}(·, s_X) capped at r+1, via one BFS in
         // the bag subgraph.
         let mut scratch = BfsScratch::new(bag_sub.n());
-        scratch.run(&bag_sub.graph, s_local, r);
-        let mut verts_wo_s: Vec<Vertex> = bag.verts.to_vec();
-        let pos = verts_wo_s.binary_search(&s).expect("s is in the bag");
-        verts_wo_s.remove(pos);
-        let sub = InducedSubgraph::new_uncolored(g, &verts_wo_s);
-        let ri: Vec<u8> = verts_wo_s
-            .iter()
-            .map(|&w| {
-                let wl = bag_sub.to_local(w).unwrap();
-                let d = scratch.dist(wl);
-                if d == nd_graph::bfs::UNREACHED {
-                    (r + 1).min(255) as u8
-                } else {
-                    d.min(r + 1).min(255) as u8
-                }
-            })
+        scratch.run(&bag_sub.graph, s_pos, r);
+        let cap = (r + 1).min(255);
+        let ri: Vec<u8> = (0..bag_sub.n() as Vertex)
+            .map(|p| scratch.dist(p).min(cap) as u8)
             .collect();
 
-        // Step 5: recurse on X' with one fewer round.
+        // Step 5: recurse on X' = G[X ∖ {s_X}] with one fewer round. The
+        // subgraph is dropped once its oracle is built.
+        let mut rest: Vec<Vertex> = (0..bag_sub.n() as Vertex).collect();
+        rest.remove(s_pos as usize);
         let inner = build_node(
-            &sub.graph,
+            &InducedSubgraph::new_uncolored(&bag_sub.graph, &rest).graph,
             r,
             opts,
             rounds_left - 1,
@@ -349,7 +346,7 @@ fn build_node(
             budget,
             tracker,
         )?;
-        bags.push(BagNode { sub, s, ri, inner });
+        bags.push(BagNode { s_pos, ri, inner });
     }
     stats.bags += bags.len();
     Ok(Node::Split(Box::new(SplitNode { cover, bags })))
@@ -462,8 +459,7 @@ fn write_node(node: &Node, w: &mut nd_persist::Writer) {
             split.cover.write_into(w);
             w.seq_len(split.bags.len());
             for bag in &split.bags {
-                bag.sub.write_into(w);
-                w.u32(bag.s);
+                w.u32(bag.s_pos);
                 w.byte_slice(&bag.ri);
                 write_node(&bag.inner, w);
             }
@@ -472,12 +468,13 @@ fn write_node(node: &Node, w: &mut nd_persist::Writer) {
 }
 
 /// Decode one recursion level over an `n`-vertex graph. Every structural
-/// property `test_node` indexes by — ball-table length, subgraph size,
-/// `X ∖ {s}` embeddings — is re-checked here. What is not cross-validated
-/// (see `test_node`) degrades to wrong-but-safe answers on forged
-/// payloads. A ball table's rows are
-/// validated only under [`nd_persist::Reader::should_validate`]; without
-/// that its lookups stay bounds-checked (see [`BallTable::contains`]).
+/// property `test_node` indexes by — ball-table length, bag count,
+/// splitter position and `R_i` length per bag row, inner vertex count —
+/// is re-checked here, under every verify policy. What is not
+/// cross-validated (see `test_node`) degrades to wrong-but-safe answers on
+/// forged payloads. A ball table's rows are validated only under
+/// [`nd_persist::Reader::should_validate`]; without that its lookups stay
+/// bounds-checked (see [`BallTable::contains`]).
 fn read_node(
     r: &mut nd_persist::Reader<'_>,
     n: usize,
@@ -530,27 +527,17 @@ fn read_node(
             }
             let mut bags = Vec::with_capacity(num_bags);
             for id in 0..num_bags {
-                let sub = InducedSubgraph::read_from(r)?;
-                let s = r.u32("oracle splitter vertex")?;
+                let row_len = cover.bag(id as u32).verts.len();
+                let s_pos = r.u32("oracle splitter position")?;
+                if s_pos as usize >= row_len {
+                    return Err(malformed("oracle splitter position outside its bag"));
+                }
                 let ri = r.byte_slice("oracle recoloring table")?;
-                let verts = cover.bag(id as u32).verts;
-                if verts.binary_search(&s).is_err() {
-                    return Err(malformed("oracle splitter vertex outside its bag"));
-                }
-                // sub must be exactly X ∖ {s}: the test path localizes any
-                // bag member ≠ s through it and unwraps the result.
-                if sub.n() + 1 != verts.len()
-                    || !verts.iter().filter(|&&v| v != s).eq(sub.global_ids.iter())
-                {
-                    return Err(malformed(
-                        "oracle subgraph is not the bag minus its splitter",
-                    ));
-                }
-                if ri.len() != sub.n() {
+                if ri.len() != row_len {
                     return Err(malformed("oracle recoloring table has the wrong length"));
                 }
-                let inner = read_node(r, sub.n(), depth + 1)?;
-                bags.push(BagNode { sub, s, ri, inner });
+                let inner = read_node(r, row_len - 1, depth + 1)?;
+                bags.push(BagNode { s_pos, ri, inner });
             }
             Node::Split(Box::new(SplitNode { cover, bags }))
         }
@@ -591,35 +578,26 @@ fn test_node(node: &Node, r: u32, a: Vertex, b: Vertex) -> bool {
         Node::Bfs(g) => BfsScratch::new(g.n()).distance_capped(g, a, b, r).is_some(),
         Node::Split(split) => {
             // Localize to the canonical bag of a: N_r(a) ⊆ X(a), so an
-            // endpoint outside the bag is farther than r. `s` is a member,
-            // and `sub` holds every other member, so `sub.to_local`
-            // answers `None` exactly for the non-members: each case below
-            // answers false for them without a separate membership test.
-            // Nothing checks at load that `a` is in its assigned bag, so a
-            // forged payload behind intact CRCs can leave `a` outside
-            // `sub` too — answered false the same way, never a panic.
-            let bag = &split.bags[split.cover.bag_of(a) as usize];
-            let s = bag.s;
-            match (a == s, b == s) {
-                (true, true) => true,
-                (true, false) => match bag.sub.to_local(b) {
-                    Some(lb) => bag.ri[lb as usize] as u32 <= r,
-                    None => false,
-                },
-                (false, true) => match bag.sub.to_local(a) {
-                    Some(la) => bag.ri[la as usize] as u32 <= r,
-                    None => false,
-                },
-                (false, false) => {
-                    let (Some(la), Some(lb)) = (bag.sub.to_local(a), bag.sub.to_local(b)) else {
-                        return false;
-                    };
-                    if bag.ri[la as usize] as u32 + bag.ri[lb as usize] as u32 <= r {
-                        return true; // path through s_X
-                    }
-                    test_node(&bag.inner, r, la, lb) // path avoiding s_X
-                }
+            // endpoint outside the bag's row is farther than r. Nothing
+            // checks at load that `a` is in its assigned bag, so a forged
+            // payload behind intact CRCs can leave `a` outside the row too
+            // — answered false the same way, never a panic.
+            let id = split.cover.bag_of(a);
+            let row = split.cover.bag(id).verts;
+            let (Ok(pa), Ok(pb)) = (row.binary_search(&a), row.binary_search(&b)) else {
+                return false;
+            };
+            let bag = &split.bags[id as usize];
+            if bag.ri[pa] as u32 + bag.ri[pb] as u32 <= r {
+                return true; // path through s_X
             }
+            let s = bag.s_pos as usize;
+            if pa == s || pb == s {
+                return false; // R_i is 0 at s_X: the sum was the distance
+            }
+            // Path avoiding s_X: row positions past s_X shift down by one.
+            let local = |p: usize| (p - usize::from(p > s)) as Vertex;
+            test_node(&bag.inner, r, local(pa), local(pb))
         }
     }
 }
@@ -868,7 +846,7 @@ mod tests {
 
     #[test]
     fn forged_ball_tables_are_malformed_or_safe() {
-        use nd_persist::{MmapFile, PersistError, Reader, SlabCtx};
+        use nd_persist::{PersistError, Reader};
         let n = 3;
         // A well-formed table decodes under both policies.
         let good = forged_table(&[0, 2, 3, 5], &[0, 1, 1, 0, 2]);
@@ -893,15 +871,125 @@ mod tests {
             );
             // Lazy: a mapped decode without validation either rejects the
             // table or answers every probe without panicking.
-            let file = std::sync::Arc::new(MmapFile::from_bytes(&bytes));
-            let ctx = SlabCtx {
-                file: file.clone(),
-                validate: false,
-            };
-            let mut r = Reader::with_slab(file.as_slice(), ctx);
-            if let Ok(back) = DistOracle::read_from(&mut r, n) {
+            if let Ok(back) = decode_lazy(&bytes, n) {
                 probe_all(&back, n, 1);
             }
+        }
+    }
+
+    /// Decode `bytes` as a mapped load under lazy verification does: slabs
+    /// borrowed in place, bulk validation skipped.
+    fn decode_lazy(bytes: &[u8], n: usize) -> Result<DistOracle, nd_persist::PersistError> {
+        use nd_persist::{MmapFile, Reader, SlabCtx};
+        let file = std::sync::Arc::new(MmapFile::from_bytes(bytes));
+        let ctx = SlabCtx {
+            file: file.clone(),
+            validate: false,
+        };
+        DistOracle::read_from(&mut Reader::with_slab(file.as_slice(), ctx), n)
+    }
+
+    fn encode(oracle: &DistOracle) -> Vec<u8> {
+        let mut w = nd_persist::Writer::new();
+        oracle.write_into(&mut w);
+        w.into_bytes()
+    }
+
+    fn split_root(oracle: &mut DistOracle) -> &mut SplitNode {
+        match &mut oracle.root {
+            Node::Split(split) => split,
+            _ => panic!("the root did not split"),
+        }
+    }
+
+    /// A split level forged behind a well-formed encoding: each violates
+    /// one property `test_node` indexes by, so a full decode refuses it,
+    /// and a lazy one refuses it or answers every probe without panicking.
+    #[test]
+    fn forged_split_levels_are_malformed_or_safe() {
+        use nd_persist::{PersistError, Reader};
+        let (g, r) = (generators::grid(6, 6), 2);
+        let oracle = DistOracle::build(&g, r, &recursive_opts());
+        type Forge = fn(&mut SplitNode);
+        let forgeries: [(&str, Forge); 4] = [
+            ("splitter position past its row", |split| {
+                split.bags[0].s_pos = split.cover.bag(0).verts.len() as u32;
+            }),
+            ("recoloring table of the wrong length", |split| {
+                split.bags[0].ri.push(0);
+            }),
+            ("inner node sized for another vertex count", |split| {
+                let len = split.cover.bag(0).verts.len();
+                let table = ball_table(
+                    &generators::path(len),
+                    2,
+                    usize::MAX,
+                    &BudgetTracker::unlimited(),
+                );
+                split.bags[0].inner = table_node(len, table.unwrap().unwrap());
+            }),
+            ("bag count differs from the cover's", |split| {
+                split.bags.pop();
+            }),
+        ];
+        let good = encode(&oracle);
+        assert!(DistOracle::read_from(&mut Reader::new(&good), g.n()).is_ok());
+        for (what, forge) in forgeries {
+            let mut forged = oracle.clone();
+            forge(split_root(&mut forged));
+            let bytes = encode(&forged);
+            let full = DistOracle::read_from(&mut Reader::new(&bytes), g.n());
+            assert!(
+                matches!(full, Err(PersistError::Malformed { .. })),
+                "{what}: accepted under full validation"
+            );
+            if let Ok(back) = decode_lazy(&bytes, g.n()) {
+                probe_all(&back, g.n(), 1);
+            }
+        }
+    }
+
+    fn node_bytes(node: &Node) -> usize {
+        let mut w = nd_persist::Writer::new();
+        write_node(node, &mut w);
+        w.into_bytes().len()
+    }
+
+    /// One split level costs its cover, `|X| + 4` bytes per bag (the `R_i`
+    /// bytes and the splitter position), the length headers and its inner
+    /// nodes — no per-bag subgraph or second copy of the members.
+    #[test]
+    fn a_split_level_holds_only_what_test_reads() {
+        fn check(node: &Node) -> usize {
+            let Node::Split(split) = node else {
+                return 0;
+            };
+            let mut w = nd_persist::Writer::new();
+            split.cover.write_into(&mut w);
+            let cover = w.into_bytes().len();
+            let rows: usize = (0..split.cover.num_bags() as u32)
+                .map(|id| split.cover.bag(id).verts.len() + 4)
+                .sum();
+            // The tag, the bag count and one `R_i` length per bag.
+            let headers = 1 + 8 + 8 * split.bags.len();
+            let inner: usize = split.bags.iter().map(|b| node_bytes(&b.inner)).sum();
+            // The cover and each inner node are measured on their own, at
+            // payload offset 0. Past its first slab a node's padding does
+            // not depend on where it is written, so each may differ from
+            // its place in the level by at most 15 bytes.
+            let padding = 16 * (1 + split.bags.len());
+            let got = node_bytes(node);
+            let bound = cover + rows + headers + inner + padding;
+            assert!(got <= bound, "split level of {got} bytes > {bound}");
+            1 + split.bags.iter().map(|b| check(&b.inner)).sum::<usize>()
+        }
+        for (g, r) in [
+            (generators::grid(12, 12), 2),
+            (generators::random_tree(200, 3), 3),
+            (generators::bounded_degree(150, 4, 5), 2),
+        ] {
+            let oracle = DistOracle::build(&g, r, &recursive_opts());
+            assert!(check(&oracle.root) >= 2, "too few split levels");
         }
     }
 }

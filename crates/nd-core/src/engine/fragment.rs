@@ -39,12 +39,6 @@ pub enum BinKind {
 }
 
 impl BinKind {
-    /// Does this constraint confine the candidate set of the larger
-    /// variable to a neighborhood of the smaller one?
-    pub fn confining(self) -> bool {
-        matches!(self, BinKind::Le(_) | BinKind::Edge | BinKind::Eq)
-    }
-
     /// Is this a far constraint handled by kernels/skip pointers?
     pub fn excluding(self) -> bool {
         matches!(self, BinKind::Gt(_))

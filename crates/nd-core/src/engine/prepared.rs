@@ -2162,8 +2162,9 @@ mod tests {
     /// overlay/patch lists and repair lineage, v5 with per-ball oracle
     /// sets, v6 with per-bag cover and kernel lists, v7 with a cover key
     /// store and skip rows outside the lists, v8 with keyed singleton
-    /// skip rows, and v9 with the cover's radix directory and the thread
-    /// count in META) are refused with
+    /// skip rows, v9 with the cover's radix directory and the thread
+    /// count in META, and v10 with an induced subgraph per oracle split
+    /// bag) are refused with
     /// the typed version error by the bytes load and by the file load
     /// under both verify policies — no decoder runs on their payloads.
     #[test]
@@ -2174,7 +2175,7 @@ mod tests {
         let pq = PreparedQuery::prepare(&g, &q, &small_opts()).unwrap();
         let bytes = pq.save_index_bytes(&q, src).unwrap();
         let path = mmap_tmp("older");
-        for word in [2u32, 3, 3 | 1 << 16, 4, 5, 6, 7, 8, 9] {
+        for word in [2u32, 3, 3 | 1 << 16, 4, 5, 6, 7, 8, 9, 10] {
             let mut old = bytes.clone();
             old[8..12].copy_from_slice(&word.to_le_bytes());
             let want = PersistError::UnsupportedVersion {

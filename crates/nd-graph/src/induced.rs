@@ -111,46 +111,6 @@ impl InducedSubgraph {
             .ok()
             .map(|i| i as Vertex)
     }
-
-    /// Append the substructure's binary encoding to `w` (DESIGN.md §9).
-    pub fn write_into(&self, w: &mut nd_persist::Writer) {
-        self.graph.write_into(w);
-        w.u32_slice(&self.global_ids);
-    }
-
-    /// Decode a substructure, validating that the embedding is a strictly
-    /// increasing global-id list aligned with the local vertex set (the
-    /// property [`Self::to_local`]'s binary search relies on).
-    pub fn read_from(
-        r: &mut nd_persist::Reader<'_>,
-    ) -> Result<InducedSubgraph, nd_persist::PersistError> {
-        let graph = ColoredGraph::read_from(r)?;
-        let global_ids = r.u32_slice("induced global ids")?;
-        if global_ids.len() != graph.n() {
-            return Err(nd_persist::malformed(
-                "induced global-id list does not match the vertex count",
-            ));
-        }
-        if global_ids.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(nd_persist::malformed(
-                "induced global ids are not strictly increasing",
-            ));
-        }
-        Ok(InducedSubgraph { graph, global_ids })
-    }
-
-    /// Smallest local vertex whose global id is `≥ global`, if any.
-    ///
-    /// Used by the answering phase (Section 5.2.2) to find `b_X`, the
-    /// smallest element of a bag that is at least a given node.
-    #[inline]
-    pub fn local_successor(&self, global: Vertex) -> Option<Vertex> {
-        match self.global_ids.binary_search(&global) {
-            Ok(i) => Some(i as Vertex),
-            Err(i) if i < self.global_ids.len() => Some(i as Vertex),
-            Err(_) => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -172,35 +132,6 @@ mod tests {
         assert_eq!(sub.to_global(3), 5);
         assert_eq!(sub.to_local(5), Some(3));
         assert_eq!(sub.to_local(4), None);
-        assert_eq!(sub.local_successor(4), Some(3));
-        assert_eq!(sub.local_successor(6), None);
-        assert_eq!(sub.local_successor(0), Some(0));
-    }
-
-    #[test]
-    fn codec_roundtrips_and_rejects_misaligned_embeddings() {
-        let g = generators::grid(3, 3);
-        let sub = InducedSubgraph::new(&g, &[0, 1, 4, 8]);
-        let mut w = nd_persist::Writer::new();
-        sub.write_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = nd_persist::Reader::new(&bytes);
-        let back = InducedSubgraph::read_from(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back.global_ids, sub.global_ids);
-        assert_eq!(back.graph.m(), sub.graph.m());
-        // Non-increasing embedding is rejected.
-        let mut w = nd_persist::Writer::new();
-        sub.graph.write_into(&mut w);
-        w.u32_slice(&[3, 3, 4, 8]);
-        let bytes = w.into_bytes();
-        assert!(InducedSubgraph::read_from(&mut nd_persist::Reader::new(&bytes)).is_err());
-        // Length mismatch is rejected.
-        let mut w = nd_persist::Writer::new();
-        sub.graph.write_into(&mut w);
-        w.u32_slice(&[0, 1]);
-        let bytes = w.into_bytes();
-        assert!(InducedSubgraph::read_from(&mut nd_persist::Reader::new(&bytes)).is_err());
     }
 
     #[test]

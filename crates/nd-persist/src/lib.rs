@@ -56,8 +56,12 @@ pub const MAGIC: [u8; 8] = *b"NDQIDX\r\n";
 /// writes its own copy of the target list (the loader passes the unary
 /// list). v10 drops the cover's radix directory (its shift and its slab):
 /// bag membership and successor are one binary search in the sorted bag
-/// row, and META no longer records the prepare's thread count.
-pub const FORMAT_VERSION: u32 = 10;
+/// row, and META no longer records the prepare's thread count. v11 keeps
+/// per bag of a distance-oracle split level only what a test reads: the
+/// splitter's position in the cover's bag row, one `R_i` byte per row
+/// member and the inner oracle; the induced subgraph (its CSR and a second
+/// copy of the members) is no longer written.
+pub const FORMAT_VERSION: u32 = 11;
 
 /// Decoders refuse single length prefixes beyond this many elements, so a
 /// corrupted length field fails typed instead of attempting a huge
@@ -588,28 +592,17 @@ impl<'a> Reader<'a> {
         Ok(self.take(n, context)?.to_vec())
     }
 
-    pub fn u32_slice(&mut self, context: &'static str) -> Result<Vec<u32>, PersistError> {
-        // `seq_len` already proved `4 * n` bytes remain, so the single
-        // `take` cannot fail and the decode is one pass over raw bytes.
-        let n = self.seq_len(4, context)?;
-        let raw = self.take(4 * n, context)?;
-        let mut out = Vec::with_capacity(n);
-        out.extend(
-            raw.chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
-        );
-        Ok(out)
-    }
-
-    /// [`Reader::u32_slice`] fused with the two checks nearly every index
-    /// consumer performs on vertex lists: strictly increasing order and
-    /// every element `< bound`. Fusing keeps validation to the same single
-    /// pass that decodes — these lists are the bulk of a large index.
+    /// The reader of [`Writer::u32_slice`], fused with the two checks every
+    /// index consumer performs on such vertex lists: strictly increasing
+    /// order and every element `< bound`. Fusing keeps validation to the
+    /// same single pass that decodes.
     pub fn u32_slice_sorted(
         &mut self,
         bound: u32,
         context: &'static str,
     ) -> Result<Vec<u32>, PersistError> {
+        // `seq_len` already proved `4 * n` bytes remain, so the single
+        // `take` cannot fail and the decode is one pass over raw bytes.
         let n = self.seq_len(4, context)?;
         let raw = self.take(4 * n, context)?;
         let mut out = Vec::with_capacity(n);
@@ -935,7 +928,7 @@ mod tests {
         let mut r = Reader::new(c.section(*b"AAAA").unwrap());
         assert_eq!(r.u64("x").unwrap(), 7);
         assert_eq!(r.str("s").unwrap(), "hello");
-        assert_eq!(r.u32_slice("v").unwrap(), vec![1, 2, 3]);
+        assert_eq!(r.u32_slice_sorted(4, "v").unwrap(), vec![1, 2, 3]);
         r.finish().unwrap();
         let mut r = Reader::new(c.section(*b"BBBB").unwrap());
         assert_eq!(r.u128("y").unwrap(), u128::MAX - 5);
@@ -1104,7 +1097,7 @@ mod tests {
         w.u64(u64::MAX); // absurd length prefix
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        assert!(r.u32_slice("v").is_err());
+        assert!(r.u32_slice_sorted(u32::MAX, "v").is_err());
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! bytes of a fixed input pin down every layer the file holds (covers,
 //! kernels, oracles, unary lists and skip tables) at once. The mixed
 //! near/far query pins the bag rows that a `dist ≤ d` probe walks beside
-//! the kernels and skip table of its far constraint. A change that
-//! means to keep the index as it is must keep these digests.
+//! the kernels and skip table of its far constraint. The radius-3 far
+//! query's oracle is too large for one flat table, so it pins the layout
+//! of a splitter-recursion level. A change that means to keep the index
+//! as it is must keep these digests.
 //!
 //! The constants change only together with a `FORMAT_VERSION` bump that
 //! CHANGES.md records.
@@ -30,39 +32,54 @@ fn blue(mut g: ColoredGraph) -> ColoredGraph {
     g
 }
 
-fn saved_digest(g: &ColoredGraph, src: &str) -> u64 {
+/// The digest of the saved index, and how many of its oracles are one
+/// flat ball table.
+fn saved_digest(g: &ColoredGraph, src: &str) -> (u64, usize) {
     let q = parse_query(src).unwrap();
     let prepared = PreparedQuery::prepare(g, &q, &PrepareOpts::default()).unwrap();
     let stats = prepared.stats();
     assert_eq!(stats.rung, DegradationRung::Indexed, "{src}");
     assert!(stats.cover_bags > 0 && stats.skip_entries > 0, "{src}");
-    fnv1a(&prepared.save_index_bytes(&q, src).unwrap())
+    let bytes = prepared.save_index_bytes(&q, src).unwrap();
+    (fnv1a(&bytes), stats.oracle_flat)
 }
 
 #[test]
 fn saved_index_bytes_match_their_golden_digests() {
+    // (name, graph, query, flat oracles, digest)
     let cases = [
         (
             "bounded degree 4, n = 600, the ternary far query",
             blue(generators::bounded_degree(600, 4, 3)),
             "dist(x,z) > 2 && dist(y,z) > 2 && Blue(z)",
-            0xc372_2bed_74dd_79a8,
+            1,
+            0xe089_a94a_95ae_dfa1,
         ),
         (
             "grid 20x20, the binary far query",
             blue(generators::grid(20, 20)),
             "dist(x,y) > 2 && Blue(y)",
-            0xf763_2e00_56c7_24ae,
+            1,
+            0x85c4_ee18_83a9_7607,
         ),
         (
             "bounded degree 4, n = 600, the mixed near/far query",
             blue(generators::bounded_degree(600, 4, 3)),
             "dist(x,y) <= 2 && dist(y,z) > 2 && Blue(z)",
-            0x3065_6380_883f_c8b8,
+            1,
+            0x1437_26d0_bf54_46ad,
+        ),
+        (
+            "grid 20x20, a far query whose radius-3 oracle splits",
+            blue(generators::grid(20, 20)),
+            "dist(x,y) > 3 && Blue(y)",
+            0,
+            0x1846_b7ee_f68b_c801,
         ),
     ];
-    for (name, g, src, want) in cases {
-        let got = saved_digest(&g, src);
+    for (name, g, src, flat, want) in cases {
+        let (got, oracle_flat) = saved_digest(&g, src);
+        assert_eq!(oracle_flat, flat, "{name}: flat oracles");
         assert_eq!(got, want, "{name}: digest {got:#018x}");
     }
 }
